@@ -125,8 +125,9 @@ func modulePath(gomod string) (string, error) {
 }
 
 // LoadAll discovers and loads every package under the module root, sorted by
-// import path. Directories named testdata, hidden directories, and
-// directories without non-test Go files are skipped.
+// import path. Directories named testdata, hidden directories, nested
+// modules (directories with their own go.mod, which `go build ./...` also
+// leaves out), and directories without non-test Go files are skipped.
 func (l *Loader) LoadAll() ([]*Package, error) {
 	var paths []string
 	err := filepath.WalkDir(l.root, func(path string, d os.DirEntry, err error) error {
@@ -139,6 +140,11 @@ func (l *Loader) LoadAll() ([]*Package, error) {
 		name := d.Name()
 		if path != l.root && (name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 			return filepath.SkipDir
+		}
+		if path != l.root {
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
 		}
 		if !hasGoFiles(path) {
 			return nil

@@ -1,6 +1,8 @@
 package load_test
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/analysis/load"
@@ -87,5 +89,43 @@ func TestDAGSortDeterministic(t *testing.T) {
 	if idx["repro/internal/bitmat"] >= idx["repro/internal/sched"] {
 		t.Errorf("tie not broken by path: bitmat at %d, sched at %d",
 			idx["repro/internal/bitmat"], idx["repro/internal/sched"])
+	}
+}
+
+// TestLoadAllSkipsNestedModules: a directory with its own go.mod belongs to
+// another module, so LoadAll leaves it out as `go build ./...` does.
+func TestLoadAllSkipsNestedModules(t *testing.T) {
+	root := t.TempDir()
+	files := map[string]string{
+		"go.mod":            "module m\n\ngo 1.22\n",
+		"a.go":              "package m\n",
+		"sub/b.go":          "package sub\n",
+		"nested/go.mod":     "module n\n\ngo 1.22\n",
+		"nested/c.go":       "package n\n",
+		"nested/inner/d.go": "package inner\n",
+	}
+	for name, body := range files {
+		path := filepath.Join(root, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loader, err := load.NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := loader.LoadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, p := range pkgs {
+		got = append(got, p.Path)
+	}
+	if len(got) != 2 || got[0] != "m" || got[1] != "m/sub" {
+		t.Fatalf("LoadAll = %v, want [m m/sub]", got)
 	}
 }

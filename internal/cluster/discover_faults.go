@@ -47,9 +47,9 @@ type hostGreedy struct {
 // runHostGreedy replays Discover's per-iteration loop with full-domain
 // enumeration. Full-domain Scanned (Evaluated + Pruned) equals the sum
 // over any partitioning, so the steps match Discover's on every
-// deterministic field; the Evaluated/Pruned split depends on how early
-// the shared incumbent rises, which differs between a full-domain scan
-// and per-range scans with range-local incumbents.
+// deterministic field; the Evaluated/Pruned split differs, because a
+// full-domain scan seeds its partitions' incumbents (cover.SeedIncumbent)
+// while per-range scans start range-local incumbents at None.
 func runHostGreedy(ctx context.Context, tumor, normal *bitmat.Matrix, opt cover.Options) (*hostGreedy, error) {
 	active := bitmat.AllOnes(tumor.Samples())
 	buf := make([]uint64, tumor.Words())

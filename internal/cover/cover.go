@@ -183,8 +183,9 @@ type Options struct {
 	// BitSplice (ErrSparseBitSplice).
 	Engine Engine
 	// NoPrune disables the bound-and-prune layer (docs/PRUNING.md): the
-	// process-wide shared incumbent, the kernels' prefix upper-bound
-	// checks, and the per-iteration gene compaction of BitSplice runs.
+	// seed probe and the per-partition incumbents, the kernels' prefix
+	// upper-bound checks, and the per-iteration gene compaction of
+	// BitSplice runs.
 	// Pruning never changes which combinations are returned — only how
 	// many are scored — so NoPrune exists for differential testing and for
 	// measuring the pruning ratio against an exhaustive scan.
@@ -280,9 +281,9 @@ type Step struct {
 	Evaluated uint64
 	// Pruned is the number of combinations skipped by bound-and-prune this
 	// iteration (including whole gene-compaction eliminations). The sum
-	// Evaluated + Pruned is deterministic — it equals the enumeration size
-	// of the pass(es) — while the split between the two depends on worker
-	// timing: an incumbent that arrives earlier prunes more.
+	// Evaluated + Pruned equals the enumeration size of the pass(es). The
+	// split between the two depends on the inputs, the options and the
+	// worker count (which sets the partition plan), never on timing.
 	Pruned uint64
 	// Elapsed is the wall-clock time of the iteration.
 	Elapsed time.Duration
@@ -609,15 +610,16 @@ func domainSizeChecked(genes, hits int) (uint64, error) {
 }
 
 // Counts tallies the work of an enumeration scan. The total Scanned is
-// deterministic — every combination of the domain is either scored or
-// provably dominated — while the Evaluated/Pruned split varies run to run
-// with more than one worker, because it depends on when the shared
-// incumbent rises.
+// the domain size — every combination is either scored or provably
+// dominated. The Evaluated/Pruned split is deterministic too: every
+// partition prunes against its own incumbent, seeded from the pass's
+// inputs, so the split depends on the partition plan (the worker count)
+// but not on timing.
 type Counts struct {
 	// Evaluated is the number of combinations actually scored.
 	Evaluated uint64
 	// Pruned is the number of combinations skipped because their prefix's
-	// upper bound fell strictly below the shared incumbent.
+	// upper bound fell strictly below the partition's incumbent.
 	Pruned uint64
 }
 
@@ -698,9 +700,7 @@ func FindBestRangeCtx(ctx context.Context, tumor, normal *bitmat.Matrix, active 
 	}
 	env := newKernelEnv(tumor, normal, active, nil, nil, opt.Alpha,
 		float64(tumor.Samples()+normal.Samples()))
-	if !opt.NoPrune && opt.Scheme.prunable() {
-		env.shared = reduce.NewSharedBest()
-	}
+	env.shared = incumbent(opt, reduce.None)
 	s := newKernelScratch(tumor.Words(), normal.Words())
 	if resolveEngine(&opt, tumor, normal) == EngineSparse {
 		env.sparse = newSparseEnv(tumor, normal, active, nil, nil)
@@ -720,14 +720,17 @@ func FindBestRangeCtx(ctx context.Context, tumor, normal *bitmat.Matrix, active 
 // a deterministic total order (reduce.Combo.Better), independent of how
 // the domain is partitioned.
 //
-// Unless NoPrune is set, the workers share one incumbent (reduce.SharedBest)
-// that the kernels raise as they find better combinations and consult to
-// skip strictly dominated inner loops. The winner is unaffected: the
-// incumbent's F never exceeds the true maximum (it is always some scored
-// combination's F), pruning is strict, and the partition holding the true
-// winner therefore never skips it — only the Evaluated/Pruned split is
-// timing-dependent. Each worker also owns one kernelScratch for its whole
-// lifetime, so a pass allocates O(workers) buffers, not O(partitions).
+// Unless NoPrune is set, each partition prunes against its own incumbent
+// (reduce.SharedBest), which starts at the pass's seed (seedIncumbent)
+// and rises as the kernels find better combinations. The winner is
+// unaffected: the incumbent's F is always some scored combination's F,
+// so it never exceeds the true maximum, pruning is strict, and the
+// partition holding the true winner therefore never skips it. Because
+// the seed is a function of the pass's inputs and no incumbent crosses
+// partitions, the Evaluated/Pruned split depends only on the inputs and
+// the partition plan, never on worker timing. Each worker also owns one
+// kernelScratch for its whole lifetime, so a pass allocates O(workers)
+// buffers, not O(partitions).
 func findBest(ctx context.Context, tumor *bitmat.Matrix, active *bitmat.Vec, normal *bitmat.Matrix, tw, nw *bitmat.Weights, opt Options, denom float64) (reduce.Combo, Counts, error) {
 	if err := failpoint.Check("cover/scan"); err != nil {
 		return reduce.None, Counts{}, err
@@ -755,12 +758,10 @@ func findBest(ctx context.Context, tumor *bitmat.Matrix, active *bitmat.Vec, nor
 	}
 
 	env := newKernelEnv(tumor, normal, active, tw, nw, opt.Alpha, denom)
-	if !opt.NoPrune && opt.Scheme.prunable() {
-		env.shared = reduce.NewSharedBest()
-	}
 	if resolveEngine(&opt, tumor, normal) == EngineSparse {
 		env.sparse = newSparseEnv(tumor, normal, active, tw, nw)
 	}
+	seed := seedIncumbent(env, opt)
 
 	bests := make([]reduce.Combo, len(parts))
 	for i := range bests {
@@ -774,11 +775,13 @@ func findBest(ctx context.Context, tumor *bitmat.Matrix, active *bitmat.Vec, nor
 		go func() {
 			defer wg.Done()
 			// One scratch per worker for its whole lifetime — the kernels
-			// themselves allocate nothing per partition.
+			// themselves allocate nothing per partition. The env copy
+			// carries the worker's current partition incumbent.
 			s := newKernelScratch(tumor.Words(), normal.Words())
 			if env.sparse != nil {
 				s.ensureSparse(env.sparse)
 			}
+			wenv := *env
 			for {
 				if ctx.Err() != nil {
 					return
@@ -790,7 +793,8 @@ func findBest(ctx context.Context, tumor *bitmat.Matrix, active *bitmat.Vec, nor
 				if parts[i].Size() == 0 {
 					continue
 				}
-				bests[i], counts[i] = runKernel(ctx, env, opt, parts[i], s)
+				wenv.shared = incumbent(opt, seed)
+				bests[i], counts[i] = runKernel(ctx, &wenv, opt, parts[i], s)
 			}
 		}()
 	}
@@ -807,7 +811,7 @@ func findBest(ctx context.Context, tumor *bitmat.Matrix, active *bitmat.Vec, nor
 }
 
 // kernelEnv bundles the per-iteration read-only state shared by workers,
-// plus the one mutable rendezvous point: the shared incumbent (nil when
+// plus the one mutable field: the scan's pruning incumbent (nil when
 // pruning is off or the scheme has no inner loop to skip). When the
 // instance is kernelized, tw/nw carry the merged sample columns'
 // multiplicities and every popcount the kernels take routes through the
@@ -846,6 +850,15 @@ func newKernelEnv(tumor, normal *bitmat.Matrix, active *bitmat.Vec, tw, nw *bitm
 		denom:  denom,
 		nn:     nn,
 	}
+}
+
+// incumbent returns a partition-local pruning incumbent holding seed, or
+// nil when pruning is off or the scheme has no inner loop to skip.
+func incumbent(opt Options, seed reduce.Combo) *reduce.SharedBest {
+	if opt.NoPrune || !opt.Scheme.prunable() {
+		return nil
+	}
+	return reduce.NewSharedBestFrom(seed)
 }
 
 // score computes F from a TP and a normal-side AND count.
@@ -924,8 +937,8 @@ func (e *kernelEnv) nfold(dst, a, b []uint64) int {
 	return e.nw.PopVec(dst)
 }
 
-// offer publishes a thread-best improvement to the shared incumbent so
-// other workers can prune against it.
+// offer raises the incumbent with a thread-best improvement so the rest
+// of the scan can prune against it.
 func (e *kernelEnv) offer(c reduce.Combo) {
 	if e.shared != nil {
 		e.shared.Offer(c)

@@ -201,7 +201,7 @@ func (s *kernelScratch) ensureSparse(sp *sparseEnv) {
 }
 
 // sparseMinTP returns the smallest tumor count whose prefix upper bound
-// still survives the shared incumbent — the merge short-circuit
+// still survives the incumbent — the merge short-circuit
 // threshold. A prefix prunes iff its tp is strictly below the returned
 // value, because score(tp, 0) is monotone in tp: the threshold search
 // and the dense engine's per-prefix prune(tp) call therefore take

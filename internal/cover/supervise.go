@@ -80,14 +80,14 @@ func PartitionPlan(genes int, opt Options, chunks int) ([]sched.Partition, error
 // comparable when a BitSplice working matrix has shrunk; pass
 // tumor.Samples()+normal.Samples() otherwise).
 //
-// shared, when non-nil, is a cross-partition incumbent the scan prunes
-// against and raises; it never changes which combination wins, only the
-// Evaluated/Pruned split. Pass nil for a partition-local incumbent —
-// then the scan is a pure function of (matrices, options, partition),
-// which makes its counts deterministic and makes the partition safely
-// retryable after a mid-scan crash.
-func ScanPartition(tumor, normal *bitmat.Matrix, active *bitmat.Vec, opt Options, part sched.Partition, denom float64, shared *reduce.SharedBest) (reduce.Combo, Counts, error) {
-	return ScanPartitionWeighted(tumor, normal, active, nil, nil, opt, part, denom, shared)
+// The scan prunes against a partition-local incumbent that starts at
+// seed: pass the pass's SeedIncumbent, or reduce.None for no head start.
+// The seed never changes which combination wins, only the Evaluated/Pruned
+// split, and the scan is a pure function of (matrices, options, partition,
+// seed) — which makes its counts deterministic and makes the partition
+// safely retryable after a mid-scan crash.
+func ScanPartition(tumor, normal *bitmat.Matrix, active *bitmat.Vec, opt Options, part sched.Partition, denom float64, seed reduce.Combo) (reduce.Combo, Counts, error) {
+	return ScanPartitionWeighted(tumor, normal, active, nil, nil, opt, part, denom, seed)
 }
 
 // ScanPartitionWeighted is ScanPartition over a kernelized instance: tw/nw
@@ -96,20 +96,13 @@ func ScanPartition(tumor, normal *bitmat.Matrix, active *bitmat.Vec, opt Options
 // scores — and therefore the winner and the counts — equal the
 // unkernelized scan's exactly. The supervised runner calls this form when
 // Options.Kernelize is on.
-func ScanPartitionWeighted(tumor, normal *bitmat.Matrix, active *bitmat.Vec, tw, nw *bitmat.Weights, opt Options, part sched.Partition, denom float64, shared *reduce.SharedBest) (reduce.Combo, Counts, error) {
-	opt, err := opt.withDefaults()
+func ScanPartitionWeighted(tumor, normal *bitmat.Matrix, active *bitmat.Vec, tw, nw *bitmat.Weights, opt Options, part sched.Partition, denom float64, seed reduce.Combo) (reduce.Combo, Counts, error) {
+	opt, err := checkPass(tumor, normal, opt, denom)
 	if err != nil {
 		return reduce.None, Counts{}, err
 	}
-	if tumor.Genes() != normal.Genes() {
-		return reduce.None, Counts{}, fmt.Errorf("cover: tumor has %d genes, normal has %d",
-			tumor.Genes(), normal.Genes())
-	}
 	if part.Hi < part.Lo {
 		return reduce.None, Counts{}, fmt.Errorf("cover: inverted range [%d, %d)", part.Lo, part.Hi)
-	}
-	if denom <= 0 {
-		return reduce.None, Counts{}, fmt.Errorf("cover: denominator must be positive, got %g", denom)
 	}
 	if active == nil {
 		active = bitmat.AllOnes(tumor.Samples())
@@ -118,13 +111,7 @@ func ScanPartitionWeighted(tumor, normal *bitmat.Matrix, active *bitmat.Vec, tw,
 		return reduce.None, Counts{}, nil
 	}
 	env := newKernelEnv(tumor, normal, active, tw, nw, opt.Alpha, denom)
-	if !opt.NoPrune && opt.Scheme.prunable() {
-		if shared != nil {
-			env.shared = shared
-		} else {
-			env.shared = reduce.NewSharedBest()
-		}
-	}
+	env.shared = incumbent(opt, seed)
 	s := newKernelScratch(tumor.Words(), normal.Words())
 	if resolveEngine(&opt, tumor, normal) == EngineSparse {
 		// The CSR rebuild is per call here; the supervised runner resolves
@@ -135,6 +122,41 @@ func ScanPartitionWeighted(tumor, normal *bitmat.Matrix, active *bitmat.Vec, tw,
 	}
 	best, n := runKernel(context.Background(), env, opt, part, s)
 	return best, n, nil
+}
+
+// SeedIncumbent computes one enumeration pass's seed incumbent: the best
+// h-combination among the pass's top genes (docs/PRUNING.md §3), scored
+// exactly as the kernels score it. Pass it to every ScanPartition of the
+// pass. The arguments are those of ScanPartitionWeighted (nil weights
+// mean unweighted). It returns reduce.None when NoPrune is set, when the
+// scheme has no inner loop to prune, and when the gene axis is too small
+// for the probe to pay off.
+func SeedIncumbent(tumor, normal *bitmat.Matrix, active *bitmat.Vec, tw, nw *bitmat.Weights, opt Options, denom float64) (reduce.Combo, error) {
+	opt, err := checkPass(tumor, normal, opt, denom)
+	if err != nil {
+		return reduce.None, err
+	}
+	if active == nil {
+		active = bitmat.AllOnes(tumor.Samples())
+	}
+	return seedIncumbent(newKernelEnv(tumor, normal, active, tw, nw, opt.Alpha, denom), opt), nil
+}
+
+// checkPass resolves the options of a single-pass entry point and
+// validates the matrices and denominator it will score with.
+func checkPass(tumor, normal *bitmat.Matrix, opt Options, denom float64) (Options, error) {
+	opt, err := opt.withDefaults()
+	if err != nil {
+		return opt, err
+	}
+	if tumor.Genes() != normal.Genes() {
+		return opt, fmt.Errorf("cover: tumor has %d genes, normal has %d",
+			tumor.Genes(), normal.Genes())
+	}
+	if denom <= 0 {
+		return opt, fmt.Errorf("cover: denominator must be positive, got %g", denom)
+	}
+	return opt, nil
 }
 
 // Replay rebuilds an interrupted run's state from a checkpoint: every

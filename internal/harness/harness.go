@@ -101,13 +101,6 @@ type Options struct {
 	// completed steps, and returns best-so-far with Partial set.
 	Deadline time.Duration
 
-	// SharedPrune shares one pruning incumbent across a step's
-	// partitions, matching cover.Run's pruning strength. It never
-	// changes which combinations are found, but it makes the
-	// Evaluated/Pruned SPLIT timing-dependent; leave it off when exact
-	// count reproducibility across resumes matters more than scan speed.
-	SharedPrune bool
-
 	// OnEvent, when non-nil, observes retries, quarantines, checkpoints,
 	// and resume provenance. Calls are serialized but may come from
 	// worker goroutines; keep it fast.
@@ -188,7 +181,7 @@ type Event struct {
 
 // Quarantine records a λ-range the supervisor gave up on. Its
 // combinations were never scanned, so the greedy step that owned it
-// chose from the surviving ranges only.
+// chose from the surviving ranges and the pass's seed incumbent only.
 type Quarantine struct {
 	// Step is the 0-based greedy step during which the range was
 	// quarantined.

@@ -11,9 +11,11 @@ import (
 
 	"repro/internal/bitmat"
 	"repro/internal/ckptstore"
+	"repro/internal/combinat"
 	"repro/internal/cover"
 	"repro/internal/dataset"
 	"repro/internal/failpoint"
+	"repro/internal/reduce"
 )
 
 // cohort generates a small seeded study cohort.
@@ -502,26 +504,59 @@ func TestPersistenceFailureAbortsWithResult(t *testing.T) {
 	}
 }
 
-func TestSharedPruneSameCombosFasterSplit(t *testing.T) {
-	// SharedPrune changes only the Evaluated/Pruned split, never the
-	// combinations; the scanned total stays the domain size.
-	tumor, normal := cohort(t, "BRCA", 36, 3, 7)
-	base, err := Run(context.Background(), tumor, normal, Options{
-		Cover: cover.Options{Hits: 3, Workers: 2},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	shared, err := Run(context.Background(), tumor, normal, Options{
-		Cover:       cover.Options{Hits: 3, Workers: 2},
-		SharedPrune: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameSteps(t, "shared-prune", shared.Steps, base.Steps)
-	if shared.Evaluated+shared.Pruned != base.Evaluated+base.Pruned {
-		t.Fatal("scanned totals differ under SharedPrune")
+func TestSeededPassesDeterministicAndExact(t *testing.T) {
+	// Every pass prunes from the seed incumbent: the combinations and
+	// scanned totals equal an exhaustive (NoPrune) run, the counts repeat
+	// exactly across runs with the same worker count, and the first pass
+	// scores no more than the same partitions scanned without a seed.
+	for _, kernelize := range []bool{false, true} {
+		t.Run(fmt.Sprintf("kernelize%v", kernelize), func(t *testing.T) {
+			tumor, normal := cohort(t, "BRCA", 40, 3, 7)
+			copt := cover.Options{Hits: 3, Workers: 2, Kernelize: kernelize}
+			exact := copt
+			exact.NoPrune = true
+			ref, err := Run(context.Background(), tumor, normal, Options{Cover: exact})
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := Run(context.Background(), tumor, normal, Options{Cover: copt})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := Run(context.Background(), tumor, normal, Options{Cover: copt})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameSteps(t, "seeded vs NoPrune", a.Steps, ref.Steps)
+			if a.Evaluated+a.Pruned != ref.Evaluated+ref.Pruned {
+				t.Fatalf("scanned %d, NoPrune scanned %d", a.Evaluated+a.Pruned, ref.Evaluated+ref.Pruned)
+			}
+			for i := range a.Steps {
+				if a.Steps[i].Combo != b.Steps[i].Combo ||
+					a.Steps[i].Evaluated != b.Steps[i].Evaluated || a.Steps[i].Pruned != b.Steps[i].Pruned {
+					t.Fatalf("step %d differs between identical runs: %+v vs %+v", i, a.Steps[i], b.Steps[i])
+				}
+			}
+			if kernelize {
+				return
+			}
+			parts, err := cover.PartitionPlan(tumor.Genes(), copt, copt.Workers*DefaultPartitionsPerWorker)
+			if err != nil {
+				t.Fatal(err)
+			}
+			denom := float64(tumor.Samples() + normal.Samples())
+			var unseeded uint64
+			for _, p := range parts {
+				_, n, err := cover.ScanPartition(tumor, normal, nil, copt, p, denom, reduce.None)
+				if err != nil {
+					t.Fatal(err)
+				}
+				unseeded += n.Evaluated
+			}
+			if a.Steps[0].Evaluated > unseeded {
+				t.Fatalf("seeded first pass evaluated %d, unseeded %d", a.Steps[0].Evaluated, unseeded)
+			}
+		})
 	}
 }
 
@@ -536,5 +571,60 @@ func corruptGenerationFile(t *testing.T, s *ckptstore.Store, gen uint64) {
 	data[len(data)-1] ^= 0x01
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestQuarantinedSeedPartitionKeepsBestSurvivor(t *testing.T) {
+	// Every partition prunes from the pass's seed, which may lie in a
+	// partition that is then quarantined. The step must still choose the
+	// best of the surviving ranges and the seed, not whatever the
+	// survivors happened to score before the seed's bound pruned them.
+	defer failpoint.DisableAll()
+	tumor, normal := cohort(t, "BRCA", 40, 3, 7)
+	copt := cover.Options{Hits: 3, Workers: 1}
+	denom := float64(tumor.Samples() + normal.Samples())
+	seed, err := cover.SeedIncumbent(tumor, normal, nil, nil, nil, copt, denom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := cover.PartitionPlan(tumor.Genes(), copt, DefaultPartitionsPerWorker)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := seed.GeneIDs()
+	lambda := combinat.PairToLinear(uint64(ids[0]), uint64(ids[1]))
+	poisoned := -1
+	want := seed
+	for p, part := range parts {
+		if part.Lo <= lambda && lambda < part.Hi {
+			poisoned = p
+			continue
+		}
+		got, _, err := cover.ScanPartition(tumor, normal, nil, copt, part, denom, reduce.None)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Better(want) {
+			want = got
+		}
+	}
+	// With one worker the partitions are attempted in order, one hit
+	// each, so the poisoned partition's three attempts are these hits.
+	if err := failpoint.Enable("harness/partition", fmt.Sprintf("error@%d-%d", poisoned+1, poisoned+3)); err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(context.Background(), tumor, normal, Options{
+		Cover:       cover.Options{Hits: 3, Workers: 1, MaxIterations: 1},
+		MaxRetries:  2,
+		BackoffBase: time.Microsecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Quarantined) != 1 || res.Quarantined[0].Lo != parts[poisoned].Lo {
+		t.Fatalf("quarantined %+v, want partition %d", res.Quarantined, poisoned)
+	}
+	if len(res.Steps) != 1 || res.Steps[0].Combo != want {
+		t.Fatalf("steps %+v, want winner %v", res.Steps, want)
 	}
 }

@@ -242,7 +242,11 @@ func (r *run) loop(ctx, dctx context.Context) error {
 
 		stepIdx := len(r.cres.Steps)
 		iterStart := time.Now()
-		best, cnt, quars, aborted := r.scanStep(dctx, stepIdx)
+		seed, err := r.seed()
+		if err != nil {
+			return fmt.Errorf("harness: seeding step %d: %w", stepIdx, err)
+		}
+		best, cnt, quars, aborted := r.scanStep(dctx, stepIdx, seed)
 		if aborted {
 			// The in-flight step's partial scan is discarded — a step is
 			// all-or-nothing, so a resumed leg redoes it identically.
@@ -389,16 +393,32 @@ type partOutcome struct {
 	quarantine *Quarantine
 }
 
-// scanStep runs one greedy step's enumeration across the partition plan
-// under supervision. It returns the step winner, the work counts of the
-// successfully scanned partitions, the quarantines, and whether the step
-// was aborted by cancellation (in which case the other returns are
-// meaningless and the step must be redone).
-func (r *run) scanStep(ctx context.Context, stepIdx int) (reduce.Combo, cover.Counts, []Quarantine, bool) {
-	var shared *reduce.SharedBest
-	if r.opt.SharedPrune && !r.copt.NoPrune {
-		shared = reduce.NewSharedBest()
+// scanNormal returns the normal matrix and the column weights the
+// partitions scan alongside r.cur: the kernel's under Kernelize, the
+// unweighted originals otherwise.
+func (r *run) scanNormal() (normal *bitmat.Matrix, tw, nw *bitmat.Weights) {
+	if r.kern != nil {
+		return r.kern.Normal, r.kern.TumorWeights, r.kern.NormalWeights
 	}
+	return r.normal, nil, nil
+}
+
+// seed computes the pass's seed incumbent over exactly the instance the
+// partitions scan. It is a pure function of that instance and the
+// options, so every partition's counts stay reproducible across resumed
+// legs.
+func (r *run) seed() (reduce.Combo, error) {
+	normal, tw, nw := r.scanNormal()
+	return cover.SeedIncumbent(r.cur, normal, r.active, tw, nw, r.copt, r.denom)
+}
+
+// scanStep runs one greedy step's enumeration across the partition plan
+// under supervision, every partition pruning from the pass's seed. It
+// returns the step winner, the work counts of the successfully scanned
+// partitions, the quarantines, and whether the step was aborted by
+// cancellation (in which case the other returns are meaningless and the
+// step must be redone).
+func (r *run) scanStep(ctx context.Context, stepIdx int, seed reduce.Combo) (reduce.Combo, cover.Counts, []Quarantine, bool) {
 	workers := r.copt.Workers
 	if workers < 1 {
 		workers = 1
@@ -406,8 +426,9 @@ func (r *run) scanStep(ctx context.Context, stepIdx int) (reduce.Combo, cover.Co
 	outcomes := make([]partOutcome, len(r.parts))
 	// Step-local progress tally; the cumulative Unscanned base is stable
 	// for the whole step (loop() folds quarantines in between steps).
+	// The tally is advanced and delivered under eventsMu in one critical
+	// section, so observers see Done climb without gaps or reordering.
 	var prog struct {
-		sync.Mutex
 		done, quar int
 		unscanned  uint64
 	}
@@ -415,16 +436,15 @@ func (r *run) scanStep(ctx context.Context, stepIdx int) (reduce.Combo, cover.Co
 		if r.opt.OnProgress == nil {
 			return
 		}
-		prog.Lock()
+		r.eventsMu.Lock()
+		defer r.eventsMu.Unlock()
 		prog.done++
 		if q != nil {
 			prog.quar++
 			prog.unscanned += q.Size()
 		}
-		p := Progress{Step: stepIdx, Done: prog.done, Total: len(r.parts),
-			Quarantined: prog.quar, Unscanned: r.out.Unscanned + prog.unscanned}
-		prog.Unlock()
-		r.progress(p)
+		r.opt.OnProgress(Progress{Step: stepIdx, Done: prog.done, Total: len(r.parts),
+			Quarantined: prog.quar, Unscanned: r.out.Unscanned + prog.unscanned})
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -443,7 +463,7 @@ func (r *run) scanStep(ctx context.Context, stepIdx int) (reduce.Combo, cover.Co
 				if r.parts[i].Size() == 0 {
 					outcomes[i] = partOutcome{combo: reduce.None}
 				} else {
-					outcomes[i] = r.runPartition(ctx, stepIdx, i, shared)
+					outcomes[i] = r.runPartition(ctx, stepIdx, i, seed)
 				}
 				report(outcomes[i].quarantine)
 			}
@@ -454,7 +474,13 @@ func (r *run) scanStep(ctx context.Context, stepIdx int) (reduce.Combo, cover.Co
 		return reduce.None, cover.Counts{}, nil, true
 	}
 
-	best := reduce.None
+	// The seed joins the reduction. Without quarantines this changes
+	// nothing: the partition holding the true winner always finds it, and
+	// it is never worse than the seed. With the seed's own partition
+	// quarantined, the survivors have pruned against the seed's bound, so
+	// only the seed keeps the step's winner the best of the survivors and
+	// the seed.
+	best := seed
 	var cnt cover.Counts
 	var quars []Quarantine
 	for _, o := range outcomes {
@@ -473,7 +499,7 @@ func (r *run) scanStep(ctx context.Context, stepIdx int) (reduce.Combo, cover.Co
 
 // runPartition scans one partition with recovery, bounded retry, and
 // quarantine.
-func (r *run) runPartition(ctx context.Context, stepIdx, i int, shared *reduce.SharedBest) partOutcome {
+func (r *run) runPartition(ctx context.Context, stepIdx, i int, seed reduce.Combo) partOutcome {
 	part := r.parts[i]
 	var lastErr error
 	attempts := 0
@@ -484,7 +510,7 @@ func (r *run) runPartition(ctx context.Context, stepIdx, i int, shared *reduce.S
 			}
 		}
 		attempts++
-		combo, cnt, err := r.scanOnce(part, shared)
+		combo, cnt, err := r.scanOnce(part, seed)
 		if err == nil {
 			return partOutcome{combo: combo, cnt: cnt}
 		}
@@ -507,7 +533,7 @@ func (r *run) runPartition(ctx context.Context, stepIdx, i int, shared *reduce.S
 // scanOnce runs one partition scan attempt, converting a panic anywhere
 // under the kernel into an error the retry loop can handle. This is the
 // recover-and-retry pattern the goroleak/panicfree fixtures pin.
-func (r *run) scanOnce(part sched.Partition, shared *reduce.SharedBest) (c reduce.Combo, n cover.Counts, err error) {
+func (r *run) scanOnce(part sched.Partition, seed reduce.Combo) (c reduce.Combo, n cover.Counts, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			err = fmt.Errorf("harness: partition [%d,%d) panicked: %v", part.Lo, part.Hi, rec)
@@ -516,11 +542,8 @@ func (r *run) scanOnce(part sched.Partition, shared *reduce.SharedBest) (c reduc
 	if ferr := failpoint.Check("harness/partition"); ferr != nil {
 		return reduce.None, cover.Counts{}, ferr
 	}
-	if r.kern != nil {
-		return cover.ScanPartitionWeighted(r.cur, r.kern.Normal, r.active,
-			r.kern.TumorWeights, r.kern.NormalWeights, r.copt, part, r.denom, shared)
-	}
-	return cover.ScanPartition(r.cur, r.normal, r.active, r.copt, part, r.denom, shared)
+	normal, tw, nw := r.scanNormal()
+	return cover.ScanPartitionWeighted(r.cur, normal, r.active, tw, nw, r.copt, part, r.denom, seed)
 }
 
 // weightedPop counts the original samples a kernel-width mask stands for;
@@ -559,17 +582,6 @@ func (r *run) event(e Event) {
 	r.eventsMu.Lock()
 	defer r.eventsMu.Unlock()
 	r.opt.OnEvent(e)
-}
-
-// progress delivers a per-partition progress callback, serialized with
-// the event stream so observers see a consistent interleaving.
-func (r *run) progress(p Progress) {
-	if r.opt.OnProgress == nil {
-		return
-	}
-	r.eventsMu.Lock()
-	defer r.eventsMu.Unlock()
-	r.opt.OnProgress(p)
 }
 
 // sleepCtx sleeps for d unless the context is canceled first; it reports

@@ -53,8 +53,17 @@ func sortKey(f float64) uint64 {
 // NewSharedBest returns an incumbent holding None (F = -1), which no real
 // score falls below — the first combination offered always lands.
 func NewSharedBest() *SharedBest {
-	s := &SharedBest{best: None}
-	s.bound.Store(sortKey(None.F))
+	return NewSharedBestFrom(None)
+}
+
+// NewSharedBestFrom returns an incumbent already holding seed, so the
+// first prune checks run against seed's F instead of None's. seed must be
+// a combination of the scanned domain scored exactly as the kernels score
+// it: then the bound never exceeds the domain's true maximum and strict
+// pruning still cannot skip the winner.
+func NewSharedBestFrom(seed Combo) *SharedBest {
+	s := &SharedBest{best: seed}
+	s.bound.Store(sortKey(seed.F))
 	return s
 }
 
