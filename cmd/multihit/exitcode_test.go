@@ -78,10 +78,13 @@ func TestExitCodeContract(t *testing.T) {
 		t.Skip("builds and runs the real binary")
 	}
 	ckptDir := t.TempDir()
+	fiveHitCkpt := filepath.Join(ckptDir, "five.json")
 	cases := []struct {
 		name string
 		args []string
 		want int
+		// absent, when set, names a file the run must not have written.
+		absent string
 	}{
 		{
 			name: "complete cover exits ExitOK",
@@ -106,6 +109,18 @@ func TestExitCodeContract(t *testing.T) {
 			want: service.ExitFailure,
 		},
 		{
+			name: "checkpoint on the 5-hit path exits ExitFailure",
+			args: []string{"-cancer", "LGG", "-genes", "22", "-hits", "5", "-max-iter", "1",
+				"-checkpoint", fiveHitCkpt},
+			want:   service.ExitFailure,
+			absent: fiveHitCkpt,
+		},
+		{
+			name: "splice on the 5-hit path exits ExitFailure",
+			args: []string{"-cancer", "LGG", "-genes", "22", "-hits", "5", "-max-iter", "1", "-splice"},
+			want: service.ExitFailure,
+		},
+		{
 			name: "expired deadline exits ExitEarlyStop",
 			args: []string{"-cancer", "ACC", "-genes", "24", "-hits", "2", "-seed", "7",
 				"-checkpoint-dir", filepath.Join(ckptDir, "deadline"), "-deadline", "1ns"},
@@ -117,6 +132,11 @@ func TestExitCodeContract(t *testing.T) {
 			got, out := runBinary(t, tc.args...)
 			if got != tc.want {
 				t.Fatalf("exit code %d, want %d\noutput:\n%s", got, tc.want, out)
+			}
+			if tc.absent != "" {
+				if _, err := os.Stat(tc.absent); !errors.Is(err, os.ErrNotExist) {
+					t.Fatalf("%s exists after a rejected run (stat: %v)", tc.absent, err)
+				}
 			}
 		})
 	}

@@ -156,6 +156,12 @@ func main() {
 		if *kernelize {
 			fatal(fmt.Errorf("-kernelize supports h 2-4; the 5-hit extension path scans unreduced"))
 		}
+		if *checkpoint != "" {
+			fatal(fmt.Errorf("-checkpoint supports h 2-4; the 5-hit extension path does not checkpoint"))
+		}
+		if *splice {
+			fatal(fmt.Errorf("-splice supports h 2-4; the 5-hit extension path masks covered samples"))
+		}
 		run5(cohort, *maxIter)
 		return
 	}

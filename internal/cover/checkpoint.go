@@ -6,9 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"time"
 
 	"repro/internal/bitmat"
-	"repro/internal/kernelize"
 	"repro/internal/reduce"
 )
 
@@ -131,9 +131,12 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 // combinations are re-applied (and re-verified) without re-enumerating
 // their iterations, then the greedy loop continues to completion (or to
 // opt.MaxIterations, counted from the beginning, for another bounded leg).
-// The matrices must be the ones the checkpoint was taken from; BitSplice
-// must be off.
+// The continued steps report through Progress and OnCheckpoint exactly as
+// in Run, with the cadence counted from the first step of the run. The
+// matrices must be the ones the checkpoint was taken from; BitSplice must
+// be off.
 func Resume(tumor, normal *bitmat.Matrix, opt Options, cp *Checkpoint) (*Result, error) {
+	start := time.Now()
 	opt, err := opt.withDefaults()
 	if err != nil {
 		return nil, err
@@ -145,47 +148,25 @@ func Resume(tumor, normal *bitmat.Matrix, opt Options, cp *Checkpoint) (*Result,
 	if err != nil {
 		return nil, err
 	}
+	kern, err := newKernel(tumor, normal, opt)
+	if err != nil {
+		return nil, err
+	}
 	if opt.Kernelize {
-		// Rebuild the reduction deterministically from the same inputs and
-		// verify it matches the one the interrupted run scanned under —
-		// only then is the continued leg guaranteed bit-identical.
-		kern, err := kernelize.Reduce(tumor, normal, opt.Hits)
-		if err != nil {
-			return nil, err
-		}
+		// The kernel is rebuilt deterministically from the same inputs;
+		// only when it matches the one the interrupted run scanned under
+		// is the continued leg guaranteed bit-identical.
 		fp := kern.Fingerprint()
 		if cp.KernelFingerprint != 0 && fp != cp.KernelFingerprint {
 			return nil, fmt.Errorf("cover: rebuilt kernel fingerprint %#x, checkpoint has %#x: %w",
 				fp, cp.KernelFingerprint, ErrFingerprintMismatch)
 		}
 		res.KernelFingerprint = fp
-		kactive := kern.MapActive(active)
-		// Seed the incumbent-drop floor from the last replayed winner,
-		// mapped into static-kernel ids — exactly the prev a fresh run
-		// would hold entering this iteration.
-		prev := reduce.None
-		if len(res.Steps) > 0 {
-			prev = res.Steps[len(res.Steps)-1].Combo
-			for i, g := range prev.Genes {
-				if g < 0 {
-					continue
-				}
-				ki, err := kern.KernelIndex(int(g))
-				if err != nil {
-					return nil, fmt.Errorf("cover: replayed combo is outside the kernel: %w", err)
-				}
-				prev.Genes[i] = int32(ki)
-			}
-		}
-		if err := greedyKernelized(context.Background(), tumor, normal, kern, kactive, prev, opt, res); err != nil {
-			return nil, err
-		}
-		return res, nil
 	}
-	// Continue the greedy loop from the replayed state.
-	if err := continueGreedy(tumor, normal, opt, active, res); err != nil {
+	if err := greedy(context.Background(), tumor, normal, kern, kern.MapActive(active), opt, res); err != nil {
 		return nil, err
 	}
+	res.Elapsed = time.Since(start)
 	return res, nil
 }
 
@@ -198,47 +179,4 @@ func replayCombo(ids []int) reduce.Combo {
 		c.Genes[i] = int32(g)
 	}
 	return c
-}
-
-// continueGreedy runs the mask-based greedy loop from an arbitrary state,
-// appending to res. Shared by Resume (and equivalent to Run's non-splice
-// path).
-func continueGreedy(tumor, normal *bitmat.Matrix, opt Options, active *bitmat.Vec, res *Result) error {
-	denom := float64(tumor.Samples() + normal.Samples())
-	buf := make([]uint64, tumor.Words())
-	for opt.MaxIterations == 0 || len(res.Steps) < opt.MaxIterations {
-		remaining := active.PopCount()
-		if remaining == 0 {
-			return nil
-		}
-		best, cnt, err := findBest(context.Background(), tumor, active, normal, nil, nil, opt, denom)
-		if err != nil {
-			return err
-		}
-		res.Evaluated += cnt.Evaluated
-		res.Pruned += cnt.Pruned
-		if best == reduce.None {
-			return nil
-		}
-		tumor.ComboVec(buf, best.GeneIDs()...)
-		cov := bitmat.NewVec(tumor.Samples())
-		copy(cov.Words(), buf)
-		cov.And(active)
-		newly := cov.PopCount()
-		if newly == 0 {
-			res.Uncoverable = remaining
-			return nil
-		}
-		active.AndNot(cov)
-		res.Covered += newly
-		res.Steps = append(res.Steps, Step{
-			Combo:        best,
-			NewlyCovered: newly,
-			ActiveAfter:  active.PopCount(),
-			Evaluated:    cnt.Evaluated,
-			Pruned:       cnt.Pruned,
-		})
-	}
-	// Stopped by the iteration cap; remaining samples may be coverable.
-	return nil
 }

@@ -3,9 +3,12 @@ package cover
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
+
+	"repro/internal/dataset"
 )
 
 func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
@@ -310,6 +313,66 @@ func TestCheckpointCadenceUnderBitSplice(t *testing.T) {
 		}
 		if len(resumed.Steps) != len(full.Steps) || resumed.Covered != full.Covered {
 			t.Fatalf("checkpoint %d resume diverges from the mask run", i)
+		}
+	}
+}
+
+// TestResumeReportsLikeRun: the continued steps of a Resume report through
+// the same callbacks as an uninterrupted Run — one Progress call per
+// continued step, cadence checkpoints at the same cumulative step counts —
+// and carry wall-clock timings, in both sample-axis modes Resume supports.
+func TestResumeReportsLikeRun(t *testing.T) {
+	c := pruneCohort(t, dataset.BRCA(), 30, 7)
+	for _, kernelize := range []bool{false, true} {
+		opt := Options{Hits: 3, Workers: 2, Kernelize: kernelize, CheckpointEvery: 2}
+		var fullAt []int
+		opt.OnCheckpoint = func(cp *Checkpoint) { fullAt = append(fullAt, len(cp.Combos)) }
+		full, err := Run(c.Tumor, c.Normal, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const replayed = 3
+		if len(full.Steps) <= replayed+2 {
+			t.Fatalf("kernelize=%v: need >%d steps to split, got %d", kernelize, replayed+2, len(full.Steps))
+		}
+		capped := opt
+		capped.MaxIterations = replayed
+		capped.OnCheckpoint = nil
+		partial, err := Run(c.Tumor, c.Normal, capped)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		var progress int
+		var resumedAt []int
+		opt.Progress = func(Step) { progress++ }
+		opt.OnCheckpoint = func(cp *Checkpoint) { resumedAt = append(resumedAt, len(cp.Combos)) }
+		resumed, err := Resume(c.Tumor, c.Normal, opt, partial.ToCheckpoint(c.Tumor, c.Normal))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(resumed.Steps) != len(full.Steps) {
+			t.Fatalf("kernelize=%v: resumed %d steps, uninterrupted %d", kernelize, len(resumed.Steps), len(full.Steps))
+		}
+		if want := len(resumed.Steps) - replayed; progress != want {
+			t.Errorf("kernelize=%v: %d Progress calls, want one per continued step (%d)", kernelize, progress, want)
+		}
+		var want []int
+		for _, n := range fullAt {
+			if n > replayed {
+				want = append(want, n)
+			}
+		}
+		if fmt.Sprint(resumedAt) != fmt.Sprint(want) {
+			t.Errorf("kernelize=%v: resumed leg checkpointed at steps %v, uninterrupted run at %v", kernelize, resumedAt, want)
+		}
+		for i, s := range resumed.Steps[replayed:] {
+			if s.Elapsed <= 0 {
+				t.Errorf("kernelize=%v: continued step %d has Elapsed %v", kernelize, replayed+i, s.Elapsed)
+			}
+		}
+		if resumed.Elapsed <= 0 {
+			t.Errorf("kernelize=%v: resumed result has Elapsed %v", kernelize, resumed.Elapsed)
 		}
 	}
 }

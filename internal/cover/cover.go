@@ -37,7 +37,6 @@ import (
 	"repro/internal/bitmat"
 	"repro/internal/combinat"
 	"repro/internal/failpoint"
-	"repro/internal/kernelize"
 	"repro/internal/reduce"
 	"repro/internal/sched"
 )
@@ -163,14 +162,14 @@ type Options struct {
 	// BitSplice physically splices covered tumor samples out of the matrix
 	// after each iteration instead of masking them.
 	BitSplice bool
-	// Kernelize shrinks the instance before enumeration
+	// Kernelize shrinks the instance once before enumeration
 	// (internal/kernelize, docs/KERNELIZATION.md): duplicate sample
-	// columns merge into weighted columns, dominated genes leave G, and
-	// between iterations genes whose best-case solo score cannot reach
-	// the previous winner's re-scored F are dropped for that pass. Every
-	// reduction preserves the tie-broken winner bit-identically; dropped
-	// combinations count as Pruned, so Scanned stays C(G, h) per pass.
-	// Mutually exclusive with BitSplice (the kernel owns the sample axis).
+	// columns merge into weighted columns and dominated genes leave G.
+	// The kernel is static for the whole run, as in internal/harness.
+	// Both reductions preserve the tie-broken winner bit-identically;
+	// dropped combinations count as Pruned, so Scanned stays C(G, h) per
+	// pass. Mutually exclusive with BitSplice (the kernel owns the sample
+	// axis).
 	Kernelize bool
 	// Engine selects the scan representation (docs/SPARSE.md):
 	// EngineAuto (zero value) measures the instance's density after
@@ -325,7 +324,7 @@ func (r *Result) Combos() []reduce.Combo {
 
 // Run executes the full greedy cover loop on the given tumor/normal
 // matrices. The matrices must share the gene dimension. Run never modifies
-// its inputs: BitSplicing operates on an internal copy.
+// its inputs: BitSplicing scans spliced copies.
 func Run(tumor, normal *bitmat.Matrix, opt Options) (*Result, error) {
 	return RunCtx(context.Background(), tumor, normal, opt)
 }
@@ -355,196 +354,22 @@ func RunCtx(ctx context.Context, tumor, normal *bitmat.Matrix, opt Options) (*Re
 		return nil, fmt.Errorf("cover: no tumor samples")
 	}
 
-	nt := tumor.Samples()
-	res := &Result{Options: opt}
 	start := time.Now()
-
+	kern, err := newKernel(tumor, normal, opt)
+	if err != nil {
+		return nil, err
+	}
+	// Auto resolves against the matrices the kernels actually scan (after
+	// kernelization), and the resolved engine lands in res.Options as
+	// provenance.
+	opt.Engine = ResolveEngine(opt, kern.Tumor, kern.Normal)
+	res := &Result{Options: opt}
 	if opt.Kernelize {
-		kern, kerr := kernelize.Reduce(tumor, normal, opt.Hits)
-		if kerr != nil {
-			return nil, kerr
-		}
 		res.KernelFingerprint = kern.Fingerprint()
-		// Auto resolves against the post-kernelization matrices — the ones
-		// the kernels actually scan — and the resolved engine lands in
-		// res.Options as provenance.
-		opt.Engine = ResolveEngine(opt, kern.Tumor, kern.Normal)
-		res.Options = opt
-		kactive := bitmat.AllOnes(kern.Tumor.Samples())
-		err = greedyKernelized(ctx, tumor, normal, kern, kactive, reduce.None, opt, res)
-		res.Elapsed = time.Since(start)
-		return res, err
 	}
-
-	opt.Engine = ResolveEngine(opt, tumor, normal)
-	res.Options = opt
-
-	// Normal-side counts never change across iterations.
-	cur := tumor
-	active := bitmat.AllOnes(nt) // meaningful only when not splicing
-	if opt.BitSplice {
-		cur = tumor.Clone()
-	}
-	coverBuf := make([]uint64, cur.Words())
-
-	for iter := 0; opt.MaxIterations == 0 || iter < opt.MaxIterations; iter++ {
-		if err := ctx.Err(); err != nil {
-			res.Elapsed = time.Since(start)
-			return res, err
-		}
-		remaining := active.PopCount()
-		if opt.BitSplice {
-			remaining = cur.Samples()
-			// The spliced matrix holds only active samples, so the mask
-			// passed to the kernels is all-ones at the current width.
-			active = bitmat.AllOnes(remaining)
-		}
-		if remaining == 0 {
-			break
-		}
-		iterStart := time.Now()
-		// The denominator stays pinned to the original cohort size so F
-		// values remain comparable across iterations whether or not
-		// BitSplicing shrinks the working matrix.
-		denom := float64(nt + normal.Samples())
-
-		// Gene compaction (docs/PRUNING.md): once splicing has removed all
-		// tumor samples a gene was mutated in, no combination containing it
-		// can have TP > 0, so the search runs on the surviving genes only
-		// and every dropped combination counts as pruned.
-		searchT, searchN := cur, normal
-		var keep []int
-		if opt.BitSplice && !opt.NoPrune {
-			keep = compactKeep(cur) // nil when no gene can be dropped
-			if keep != nil && len(keep) < opt.Hits {
-				// Every h-combination would include an all-zero tumor row,
-				// so TP = 0 across the board: the remaining samples are
-				// uncoverable and the whole pass is pruned.
-				d, derr := domainSizeChecked(cur.Genes(), opt.Hits)
-				if derr != nil {
-					res.Elapsed = time.Since(start)
-					return res, derr
-				}
-				res.Pruned += d
-				res.Uncoverable = remaining
-				break
-			}
-			if keep != nil {
-				searchT = cur.SelectRows(keep)
-				searchN = normal.SelectRows(keep)
-			}
-		}
-
-		best, cnt, err := findBest(ctx, searchT, active, searchN, nil, nil, opt, denom)
-		if err == nil && keep != nil {
-			full, ferr := domainSizeChecked(cur.Genes(), opt.Hits)
-			if ferr == nil {
-				var sub uint64
-				sub, ferr = domainSizeChecked(searchT.Genes(), opt.Hits)
-				if ferr == nil {
-					cnt.Pruned += full - sub
-				}
-			}
-			if ferr != nil {
-				res.Evaluated += cnt.Evaluated
-				res.Pruned += cnt.Pruned
-				res.Elapsed = time.Since(start)
-				return res, ferr
-			}
-			if best != reduce.None && best.StrictlyAbove(float64(normal.Samples())/denom) {
-				// The compacted winner's F exceeds score(0, 0), which every
-				// dropped-gene combination is capped at, so it wins the full
-				// domain outright; remap its gene ids back.
-				best = remapCombo(best, keep)
-			} else {
-				// A dropped-gene combination could tie the compacted winner
-				// on F and beat it lexicographically: rescan the full
-				// domain so the tie-break is exact.
-				var cnt2 Counts
-				best, cnt2, err = findBest(ctx, cur, active, normal, nil, nil, opt, denom)
-				cnt.Evaluated += cnt2.Evaluated
-				cnt.Pruned += cnt2.Pruned
-			}
-		}
-		res.Evaluated += cnt.Evaluated
-		res.Pruned += cnt.Pruned
-		if err != nil {
-			res.Elapsed = time.Since(start)
-			return res, err
-		}
-		if best == reduce.None {
-			break
-		}
-
-		// Which active tumor samples does the winner cover?
-		if len(coverBuf) != cur.Words() {
-			coverBuf = make([]uint64, cur.Words())
-		}
-		covered := cur.ComboVec(coverBuf, best.GeneIDs()...)
-		if !opt.BitSplice {
-			covered = active.AndPopCount(coverBuf)
-		}
-		if covered == 0 {
-			// The best combination covers nothing: the remaining samples
-			// have fewer than h mutated genes and are uncoverable.
-			res.Uncoverable = remaining
-			break
-		}
-		res.Covered += covered
-
-		var activeAfter int
-		if opt.BitSplice {
-			if err := failpoint.Check("cover/splice"); err != nil {
-				res.Elapsed = time.Since(start)
-				return res, err
-			}
-			remove := vecFromWords(cur.Samples(), coverBuf)
-			cur = cur.Splice(remove)
-			activeAfter = cur.Samples()
-		} else {
-			cov := vecFromWords(nt, coverBuf)
-			cov.And(active)
-			active.AndNot(cov)
-			activeAfter = active.PopCount()
-		}
-
-		step := Step{
-			Combo:        best,
-			NewlyCovered: covered,
-			ActiveAfter:  activeAfter,
-			Evaluated:    cnt.Evaluated,
-			Pruned:       cnt.Pruned,
-			Elapsed:      time.Since(iterStart),
-		}
-		res.Steps = append(res.Steps, step)
-		if opt.Progress != nil {
-			opt.Progress(step)
-		}
-		if opt.CheckpointEvery > 0 && opt.OnCheckpoint != nil &&
-			len(res.Steps)%opt.CheckpointEvery == 0 {
-			// Checkpoints bind to the ORIGINAL matrices (not the working
-			// splice), so a BitSplice run's checkpoint resumes cleanly in
-			// mask mode.
-			opt.OnCheckpoint(res.ToCheckpoint(tumor, normal))
-		}
-		if activeAfter == 0 {
-			break
-		}
-	}
-	if res.Uncoverable == 0 {
-		if opt.BitSplice {
-			res.Uncoverable = cur.Samples()
-		} else {
-			res.Uncoverable = active.PopCount()
-		}
-		if opt.MaxIterations > 0 && len(res.Steps) == opt.MaxIterations {
-			// Stopped by the iteration cap, not by exhaustion; the
-			// remaining samples may still be coverable.
-			res.Uncoverable = 0
-		}
-	}
+	err = greedy(ctx, tumor, normal, kern, bitmat.AllOnes(kern.Tumor.Samples()), opt, res)
 	res.Elapsed = time.Since(start)
-	return res, nil
+	return res, err
 }
 
 // vecFromWords wraps packed words into a Vec of length n.

@@ -24,7 +24,13 @@ func TestRunInvariantsOverRandomInputs(t *testing.T) {
 			Hits:      hits,
 			Workers:   1 + rng.Intn(8),
 			BlockSize: 1 + rng.Intn(600),
-			BitSplice: rng.Intn(2) == 1,
+		}
+		// The sample-axis mode: mask, splice or kernelize.
+		switch rng.Intn(3) {
+		case 1:
+			opt.BitSplice = true
+		case 2:
+			opt.Kernelize = true
 		}
 		if rng.Intn(2) == 1 {
 			opt.Scheduler = EquiDistance
@@ -66,9 +72,9 @@ func TestRunInvariantsOverRandomInputs(t *testing.T) {
 		}
 		// Scanned (evaluated + pruned) is a whole number of full
 		// enumeration passes: pruning moves combinations between the two
-		// tallies but never loses one (gene compaction counts whole
-		// eliminated subspaces as pruned, keeping a compacted pass at
-		// exactly C(G,h) scanned).
+		// tallies but never loses one (gene compaction and the kernel
+		// count whole eliminated subspaces as pruned, keeping a reduced
+		// pass at exactly C(G,h) scanned).
 		per := combinat.MustBinomial(uint64(genes), uint64(hits))
 		scanned := res.Evaluated + res.Pruned
 		if scanned%per != 0 {

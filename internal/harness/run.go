@@ -55,10 +55,10 @@ func Run(ctx context.Context, tumor, normal *bitmat.Matrix, opt Options) (*Resul
 		workers = 1
 	}
 	// Under Kernelize the partition plan covers the reduced gene axis: the
-	// kernel is STATIC for the whole run (no per-iteration incumbent drop,
-	// unlike the in-process engine) so the plan — and with it every
-	// partition's counts — stays identical across resumed legs, which is
-	// what the crash-invariance property tests require.
+	// kernel is STATIC for the whole run, as in the in-process engine, so
+	// the plan — and with it every partition's counts — stays identical
+	// across resumed legs, which is what the crash-invariance property
+	// tests require.
 	var kern *kernelize.Kernel
 	var staticDrop uint64
 	planGenes := tumor.Genes()

@@ -1,7 +1,7 @@
 // Package kernelize shrinks a multi-hit instance before enumeration.
 // Every gene removed from G pays off combinatorially — the h=4 domain is
-// C(G, 4) — so the reductions run once up front (and, inside the engine,
-// between iterations) and the enumeration scans the smaller instance.
+// C(G, 4) — so the reductions run once up front and the enumeration
+// scans the smaller instance.
 // docs/KERNELIZATION.md gives the safety arguments in full; the short
 // form of each reduction:
 //
@@ -177,42 +177,6 @@ func kernelSubset(a, b []uint64) bool {
 	return true
 }
 
-// IncumbentKeep returns the ascending gene indices whose best-case solo
-// score — every active tumor sample the gene touches covered, zero normal
-// hits — reaches the incumbent floor, or nil when no gene is droppable.
-// The upper bound uses the exact float expression of the engine's scorer,
-// (α·tp + tn) / denom, so its monotonicity in tp survives rounding: any
-// gene of a combination scoring ≥ floor has ub ≥ floor and is kept. The
-// comparison is strict, so equal-F candidates are never dropped and the
-// lexicographic tie-break is preserved.
-func IncumbentKeep(t *bitmat.Matrix, w *bitmat.Weights, active *bitmat.Vec, alpha, denom float64, nn int, floor float64) []int {
-	g := t.Genes()
-	aw := active.Words()
-	var keep []int
-	for i := 0; i < g; i++ {
-		var tp int
-		if w == nil {
-			tp = bitmat.PopAnd2(t.Row(i), aw)
-		} else {
-			tp = w.PopAnd2(t.Row(i), aw)
-		}
-		ub := (alpha*float64(tp) + float64(nn)) / denom
-		if ub < floor { //lint:allow floatcompare strict bound: dropping on ties would break the lexicographic tie-break
-			if keep == nil {
-				keep = make([]int, 0, g-1)
-				for j := 0; j < i; j++ {
-					keep = append(keep, j)
-				}
-			}
-			continue
-		}
-		if keep != nil {
-			keep = append(keep, i)
-		}
-	}
-	return keep
-}
-
 // DroppedGenes returns how many genes the reduction removed.
 func (k *Kernel) DroppedGenes() int { return k.Genes - len(k.Keep) }
 
@@ -227,26 +191,6 @@ func (k *Kernel) RemapCombo(c reduce.Combo) reduce.Combo {
 		}
 	}
 	return c
-}
-
-// KernelIndex returns the kernel row index of an original gene id, or an
-// error when the reduction dropped that gene — which a checkpoint written
-// by a correct run never records, so a miss means a corrupt or mismatched
-// checkpoint.
-func (k *Kernel) KernelIndex(orig int) (int, error) {
-	lo, hi := 0, len(k.Keep)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if k.Keep[mid] < orig {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(k.Keep) && k.Keep[lo] == orig {
-		return lo, nil
-	}
-	return 0, fmt.Errorf("kernelize: gene %d was dropped by the reduction", orig)
 }
 
 // MapActive projects an original-width active-sample mask onto the

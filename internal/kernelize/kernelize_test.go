@@ -171,15 +171,6 @@ func TestRemapAndIndex(t *testing.T) {
 	if kern.RemapCombo(reduce.None) != reduce.None {
 		t.Fatal("remap of None is not None")
 	}
-	for ki, orig := range kern.Keep {
-		got, err := kern.KernelIndex(orig)
-		if err != nil || got != ki {
-			t.Fatalf("KernelIndex(%d)=%d,%v, want %d", orig, got, err, ki)
-		}
-	}
-	if _, err := kern.KernelIndex(2); err == nil {
-		t.Fatal("KernelIndex accepted a dropped gene")
-	}
 }
 
 func TestMapActive(t *testing.T) {
