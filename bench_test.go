@@ -9,12 +9,14 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/bitmat"
 	"repro/internal/cluster"
 	"repro/internal/combinat"
 	"repro/internal/core"
 	"repro/internal/cover"
 	"repro/internal/dataset"
 	"repro/internal/gene"
+	"repro/internal/kernelize"
 	"repro/internal/mpisim"
 	"repro/internal/mutlevel"
 	"repro/internal/reduce"
@@ -252,21 +254,83 @@ func BenchmarkScheduleCost(b *testing.B) {
 	}
 }
 
-// BenchmarkKernel3x1 measures the production 4-hit kernel's throughput in
-// combinations per second (reported as ns/op over one full enumeration).
+// BenchmarkKernel3x1 measures one pruned enumeration pass of the
+// production 4-hit kernel: the seed probe plus the 3x1 scan of every
+// partition. Pruning decides how much of C(G, 4) is scored, so ns/op is
+// the cost of a pass, not of a full enumeration. evaluated/op and
+// pruned/op report the split, which depends only on the inputs and the
+// partition plan, so a speedup at equal counts is the same work done
+// faster. dense runs the bit-matrix kernel on a BRCA cohort; sparse runs
+// the merge kernel on a kernelized (column-weighted) ACC cohort.
 func BenchmarkKernel3x1(b *testing.B) {
-	spec := dataset.BRCA().Scaled(60)
-	cohort, err := dataset.Generate(spec, 42)
-	if err != nil {
-		b.Fatal(err)
-	}
-	opt := cover.Options{Hits: 4, Scheme: cover.Scheme3x1}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := cover.FindBest(cohort.Tumor, cohort.Normal, nil, opt); err != nil {
+	b.Run("dense", func(b *testing.B) {
+		cohort, err := dataset.Generate(dataset.BRCA().Scaled(60), 42)
+		if err != nil {
 			b.Fatal(err)
 		}
+		opt := cover.Options{Hits: 4, Scheme: cover.Scheme3x1, Engine: cover.EngineDense}
+		benchPass(b, cohort.Tumor.Genes(), func() (cover.Counts, error) {
+			_, n, err := cover.FindBest(cohort.Tumor, cohort.Normal, nil, opt)
+			return n, err
+		})
+	})
+	b.Run("sparse", func(b *testing.B) {
+		cohort, err := dataset.Generate(dataset.ACC().Scaled(60), 42)
+		if err != nil {
+			b.Fatal(err)
+		}
+		kern, err := kernelize.Reduce(cohort.Tumor, cohort.Normal, 4)
+		if err != nil {
+			b.Fatal(err)
+		}
+		opt, err := cover.Options{Hits: 4, Scheme: cover.Scheme3x1, Engine: cover.EngineSparse}.Normalized()
+		if err != nil {
+			b.Fatal(err)
+		}
+		tm, nm, tw, nw := kern.Tumor, kern.Normal, kern.TumorWeights, kern.NormalWeights
+		active := bitmat.AllOnes(tm.Samples())
+		denom := float64(cohort.Tumor.Samples() + cohort.Normal.Samples())
+		parts, err := cover.PartitionPlan(tm.Genes(), opt, 4)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchPass(b, tm.Genes(), func() (cover.Counts, error) {
+			seed, err := cover.SeedIncumbent(tm, nm, active, tw, nw, opt, denom)
+			if err != nil {
+				return cover.Counts{}, err
+			}
+			var total cover.Counts
+			for _, p := range parts {
+				_, n, err := cover.ScanPartitionWeighted(tm, nm, active, tw, nw, opt, p, denom, seed)
+				if err != nil {
+					return total, err
+				}
+				total.Evaluated += n.Evaluated
+				total.Pruned += n.Pruned
+			}
+			return total, nil
+		})
+	})
+}
+
+// benchPass times pass, checks that every op accounts for all C(genes, 4)
+// combinations, and reports the op's Evaluated/Pruned split.
+func benchPass(b *testing.B, genes int, pass func() (cover.Counts, error)) {
+	want := combinat.QuadCount(uint64(genes))
+	var n cover.Counts
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if n, err = pass(); err != nil {
+			b.Fatal(err)
+		}
+		if n.Scanned() != want {
+			b.Fatalf("evaluated %d + pruned %d = %d, want C(%d, 4) = %d",
+				n.Evaluated, n.Pruned, n.Scanned(), genes, want)
+		}
 	}
+	b.ReportMetric(float64(n.Evaluated), "evaluated/op")
+	b.ReportMetric(float64(n.Pruned), "pruned/op")
 }
 
 // BenchmarkDistributedDiscover measures the functional multi-rank pipeline.

@@ -820,6 +820,21 @@ func runKernel(ctx context.Context, env *kernelEnv, opt Options, part sched.Part
 			flush()
 		}
 	}
+	// skip stands for n consecutive reduce.None observations — threads a
+	// kernel skipped wholesale — in one step per block boundary: None
+	// never beats the block best, so only the block cadence moves.
+	skip := func(n uint64) {
+		for n > 0 {
+			room := uint64(opt.BlockSize - inBlock)
+			if n < room {
+				inBlock += combinat.ToInt(n)
+				return
+			}
+			n -= room
+			inBlock = opt.BlockSize
+			flush()
+		}
+	}
 
 	var n Counts
 	switch opt.Scheme {
@@ -839,9 +854,9 @@ func runKernel(ctx context.Context, env *kernelEnv, opt Options, part sched.Part
 		}
 	case Scheme3x1:
 		if env.sparse != nil {
-			n = sparse3x1(env, part, s, observe)
+			n = sparse3x1(env, part, s, observe, skip)
 		} else {
-			n = kernel3x1(env, part, s, observe)
+			n = kernel3x1(env, part, s, observe, skip)
 		}
 	case Scheme1x3:
 		if env.sparse != nil {

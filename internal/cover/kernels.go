@@ -13,7 +13,9 @@ import (
 // advances coordinates incrementally — the same traversal order a GPU
 // thread grid realizes, at sequential-scan cost. observe() is called once
 // per thread with the thread's best combination over its inner loop(s);
-// the caller folds those through block and tree reduction.
+// the caller folds those through block and tree reduction. A kernel that
+// skips a run of threads whole reports them with skip(n), which stands for
+// n observations of reduce.None.
 //
 // Bound-and-prune (docs/PRUNING.md): when env.shared carries an incumbent,
 // each kernel computes the tumor popcount of its pre-folded prefix and
@@ -313,44 +315,63 @@ func kernel4x1(env *kernelEnv, part sched.Partition, observe func(reduce.Combo))
 }
 
 // kernel3x1 is the 4-hit kernel of Algorithm 3: thread (i, j, k) runs one
-// inner loop over l = k+1 … G−1, with the three fixed rows pre-folded. A
-// dominated (i, j, k) prefix skips both the normal-side fold and the
-// entire l loop.
-func kernel3x1(env *kernelEnv, part sched.Partition, s *kernelScratch, observe func(reduce.Combo)) Counts {
+// inner loop over l = k+1 … G−1 against its pre-folded rows. Threads run i
+// fastest, so consecutive threads sharing (j, k) form a group of up to j
+// threads (fewer where the partition cuts it). The group folds
+// active ∧ row(k) ∧ row(j) once on entry, and each thread adds only
+// row(i) to it. Pruning checks both levels: a dominated (j, k) prefix
+// dominates every thread left in the group — tp(i, j, k) ≤ tp(j, k) and
+// the incumbent only rises — so the group is skipped whole, crediting
+// run·(g−k−1) to Pruned and advancing the block cadence through skip; a
+// dominated (i, j, k) prefix skips the thread's normal fold and l loop.
+func kernel3x1(env *kernelEnv, part sched.Partition, s *kernelScratch, observe func(reduce.Combo), skip func(uint64)) Counts {
 	tm, nm := env.tumor, env.normal
 	g := tm.Genes()
 	aw := env.active.Words()
-	tbuf, nbuf := s.t2, s.n2
+	tjk, njk := s.t2, s.n2
+	tbuf, nbuf := s.t3, s.n3
 	var n Counts
 
 	i, j, k := combinat.TripleCoords(part.Lo)
-	for lambda := part.Lo; lambda < part.Hi; lambda++ {
-		best := reduce.None
-		bitmat.AndWords(tbuf, aw, tm.Row(i))
-		bitmat.AndWords(tbuf, tbuf, tm.Row(j))
-		tp3 := env.tfold(tbuf, tbuf, tm.Row(k))
-		if env.prune(tp3) {
-			n.Pruned += uint64(g - k - 1)
+	for lambda := part.Lo; lambda < part.Hi; {
+		run := min(uint64(j-i), part.Hi-lambda)
+		lambda += run
+		bitmat.AndWords(tjk, aw, tm.Row(k))
+		if env.prune(env.tfold(tjk, tjk, tm.Row(j))) {
+			n.Pruned += run * uint64(g-k-1)
+			skip(run)
 		} else {
-			bitmat.AndWords(nbuf, nm.Row(i), nm.Row(j))
-			bitmat.AndWords(nbuf, nbuf, nm.Row(k))
-			for l := k + 1; l < g; l++ {
-				tp := env.tpop2(tbuf, tm.Row(l))
-				nh := env.npop2(nbuf, nm.Row(l))
-				if c := reduce.NewCombo4(env.score(tp, nh), i, j, k, l); c.Better(best) {
-					best = c
-					env.offer(c)
+			// The normal-side (j, k) fold waits for the group's first
+			// surviving thread: a group whose threads all prune never
+			// needs it.
+			nFolded := false
+			for end := i + combinat.ToInt(run); i < end; i++ {
+				best := reduce.None
+				if env.prune(env.tfold(tbuf, tjk, tm.Row(i))) {
+					n.Pruned += uint64(g - k - 1)
+					observe(best)
+					continue
 				}
-				n.Evaluated++
+				if !nFolded {
+					bitmat.AndWords(njk, nm.Row(j), nm.Row(k))
+					nFolded = true
+				}
+				bitmat.AndWords(nbuf, njk, nm.Row(i))
+				for l := k + 1; l < g; l++ {
+					tp := env.tpop2(tbuf, tm.Row(l))
+					nh := env.npop2(nbuf, nm.Row(l))
+					if c := reduce.NewCombo4(env.score(tp, nh), i, j, k, l); c.Better(best) {
+						best = c
+						env.offer(c)
+					}
+					n.Evaluated++
+				}
+				observe(best)
 			}
 		}
-		observe(best)
-		i++
-		if i == j {
-			i, j = 0, j+1
-			if j == k {
-				i, j, k = 0, 1, k+1
-			}
+		i, j = 0, j+1
+		if j == k {
+			j, k = 1, k+1
 		}
 	}
 	return n

@@ -107,10 +107,11 @@ func topGenes(env *kernelEnv, m int) []int {
 }
 
 // kernelSeed scores every hits-combination (3 or 4) of the ascending gene
-// list and returns the best. It folds prefixes exactly as kernel2x1 and
-// kernel3x1 do, so each F is bit-identical to the one a kernel computes
-// for the same combination, and it prunes against env.shared, which the
-// caller owns.
+// list and returns the best. It folds prefixes in gene order, while
+// kernel3x1 folds its (j, k) pair first; the F values are bit-identical
+// all the same, because AND commutes and the (weighted) counts that feed
+// score are integers. It prunes against env.shared, which the caller
+// owns.
 func kernelSeed(env *kernelEnv, genes []int, hits int, s *kernelScratch) reduce.Combo {
 	tm, nm := env.tumor, env.normal
 	aw := env.active.Words()

@@ -333,9 +333,10 @@ func (e *kernelEnv) snpop(prefix, row []int32) int {
 }
 
 // The sparse kernels below mirror their dense siblings in kernels.go
-// step for step: identical λ traversal, identical observe() cadence
-// (including the reduce.None observations of pruned threads, which keep
-// block boundaries and therefore the tie-broken reduction identical),
+// step for step: identical λ traversal and prune points, identical
+// observe() cadence (including the reduce.None observations of pruned
+// threads and the skip() of a skipped 3x1 group, which keep block
+// boundaries and therefore the tie-broken reduction identical),
 // identical Evaluated increments, and identical Pruned subtree credits.
 // The only difference is the representation: prefixes are merged sample
 // lists instead of folded words, and the prune decision comes from the
@@ -471,49 +472,55 @@ func sparse1x3(env *kernelEnv, part sched.Partition, s *kernelScratch, observe f
 	return n
 }
 
-// sparse3x1 is the sparse 4-hit 3x1 kernel: thread (i, j, k) merges its
-// three fixed rows and intersects row l against them. The dense kernel
-// has a single prune point after folding all three rows; the sparse
-// cascade may already refuse at the (i, j) merge, which is the same
-// decision — the depth-3 count never exceeds the depth-2 count, so a
-// dominated (i, j) implies the dense depth-3 check would have pruned
-// too, and the subtree credit (g−k−1) is identical either way.
-func sparse3x1(env *kernelEnv, part sched.Partition, s *kernelScratch, observe func(reduce.Combo)) Counts {
+// sparse3x1 is the sparse 4-hit 3x1 kernel: each (j, k) group merges its
+// masked tumor prefix once on entry (sparsePrefixT) and each thread
+// deepens it by row i (sparsePrefixNext), exactly kernel3x1's two prune
+// levels. A group refused at the (j, k) merge is skipped whole with the
+// same run·(g−k−1) credit and skip call as the dense kernel.
+func sparse3x1(env *kernelEnv, part sched.Partition, s *kernelScratch, observe func(reduce.Combo), skip func(uint64)) Counts {
 	sp := env.sparse
 	g := sp.t.Genes()
 	var n Counts
 
 	i, j, k := combinat.TripleCoords(part.Lo)
-	for lambda := part.Lo; lambda < part.Hi; lambda++ {
-		best := reduce.None
-		tlist2, pruned := env.sparsePrefixT(s, s.st2, sp.tRows[i], sp.tRows[j])
-		if !pruned {
-			var tlist3 []int32
-			tlist3, pruned = env.sparsePrefixNext(s, s.st3, tlist2, sp.tRows[k])
-			if !pruned {
-				nlist2 := sparsemat.IntersectInto(s.sn2, sp.nRows[i], sp.nRows[j])
-				nlist3 := sparsemat.IntersectInto(s.sn3, nlist2, sp.nRows[k])
+	for lambda := part.Lo; lambda < part.Hi; {
+		run := min(uint64(j-i), part.Hi-lambda)
+		lambda += run
+		tjk, pruned := env.sparsePrefixT(s, s.st2, sp.tRows[j], sp.tRows[k])
+		if pruned {
+			n.Pruned += run * uint64(g-k-1)
+			skip(run)
+		} else {
+			var njk []int32
+			nMerged := false
+			for end := i + combinat.ToInt(run); i < end; i++ {
+				best := reduce.None
+				tlist, pruned := env.sparsePrefixNext(s, s.st3, tjk, sp.tRows[i])
+				if pruned {
+					n.Pruned += uint64(g - k - 1)
+					observe(best)
+					continue
+				}
+				if !nMerged {
+					njk = sparsemat.IntersectInto(s.sn2, sp.nRows[j], sp.nRows[k])
+					nMerged = true
+				}
+				nlist := sparsemat.IntersectInto(s.sn3, njk, sp.nRows[i])
 				for l := k + 1; l < g; l++ {
-					tp := env.stpop(tlist3, sp.tRows[l])
-					nh := env.snpop(nlist3, sp.nRows[l])
+					tp := env.stpop(tlist, sp.tRows[l])
+					nh := env.snpop(nlist, sp.nRows[l])
 					if c := reduce.NewCombo4(env.score(tp, nh), i, j, k, l); c.Better(best) {
 						best = c
 						env.offer(c)
 					}
 					n.Evaluated++
 				}
+				observe(best)
 			}
 		}
-		if pruned {
-			n.Pruned += uint64(g - k - 1)
-		}
-		observe(best)
-		i++
-		if i == j {
-			i, j = 0, j+1
-			if j == k {
-				i, j, k = 0, 1, k+1
-			}
+		i, j = 0, j+1
+		if j == k {
+			j, k = 1, k+1
 		}
 	}
 	return n
