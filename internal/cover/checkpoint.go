@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/bitmat"
 	"repro/internal/reduce"
@@ -38,8 +37,9 @@ const maxCheckpointBytes = 64 << 20
 // O(steps) matrix operations and continues the greedy loop, skipping every
 // already-completed enumeration pass.
 //
-// Checkpoints cover the mask-based exclusion mode (Run without BitSplice);
-// the spliced matrix is itself derived state that replay reconstructs.
+// A checkpoint binds to the ORIGINAL matrices in both sample-axis modes:
+// a BitSplice run's spliced matrix is derived state, which a continued
+// BitSplice leg rebuilds by splicing the replayed steps' samples out.
 type Checkpoint struct {
 	// Version guards the wire format.
 	Version int `json:"version"`
@@ -131,42 +131,16 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 // combinations are re-applied (and re-verified) without re-enumerating
 // their iterations, then the greedy loop continues to completion (or to
 // opt.MaxIterations, counted from the beginning, for another bounded leg).
-// The continued steps report through Progress and OnCheckpoint exactly as
-// in Run, with the cadence counted from the first step of the run. The
-// matrices must be the ones the checkpoint was taken from; BitSplice must
-// be off.
+// The matrices must be the ones the checkpoint was taken from. Either
+// sample-axis mode may continue a checkpoint from either; a BitSplice leg
+// continuing a BitSplice run equals the uninterrupted run, counts
+// included. Resume is Greedy from cp with the default scanner and no
+// commit.
 func Resume(tumor, normal *bitmat.Matrix, opt Options, cp *Checkpoint) (*Result, error) {
-	start := time.Now()
-	opt, err := opt.withDefaults()
+	res, err := Greedy(context.Background(), tumor, normal, opt, cp, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	if opt.BitSplice {
-		return nil, fmt.Errorf("cover: Resume supports mask-based exclusion; disable BitSplice")
-	}
-	res, active, err := Replay(tumor, normal, opt, cp)
-	if err != nil {
-		return nil, err
-	}
-	kern, err := newKernel(tumor, normal, opt)
-	if err != nil {
-		return nil, err
-	}
-	if opt.Kernelize {
-		// The kernel is rebuilt deterministically from the same inputs;
-		// only when it matches the one the interrupted run scanned under
-		// is the continued leg guaranteed bit-identical.
-		fp := kern.Fingerprint()
-		if cp.KernelFingerprint != 0 && fp != cp.KernelFingerprint {
-			return nil, fmt.Errorf("cover: rebuilt kernel fingerprint %#x, checkpoint has %#x: %w",
-				fp, cp.KernelFingerprint, ErrFingerprintMismatch)
-		}
-		res.KernelFingerprint = fp
-	}
-	if err := greedy(context.Background(), tumor, normal, kern, kern.MapActive(active), opt, res); err != nil {
-		return nil, err
-	}
-	res.Elapsed = time.Since(start)
 	return res, nil
 }
 

@@ -2,12 +2,15 @@ package cover
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/bitmat"
 	"repro/internal/dataset"
 )
 
@@ -88,10 +91,6 @@ func TestCheckpointRejectsWrongInputs(t *testing.T) {
 	// Different alpha.
 	if _, err := Resume(tumor, normal, Options{Hits: 3, Alpha: 0.5}, cp); err == nil {
 		t.Error("accepted mismatched alpha")
-	}
-	// BitSplice not supported.
-	if _, err := Resume(tumor, normal, Options{Hits: 3, BitSplice: true}, cp); err == nil {
-		t.Error("accepted BitSplice")
 	}
 	// Tampered cover count.
 	bad := *cp
@@ -245,14 +244,22 @@ func TestCheckpointResumeFromBitSpliceRun(t *testing.T) {
 	}
 }
 
+// cadence returns a Greedy commit callback that checkpoints the run after
+// every every-th step into *cps.
+func cadence(tumor, normal *bitmat.Matrix, every int, cps *[]*Checkpoint) func(*Result) error {
+	return func(r *Result) error {
+		if len(r.Steps)%every == 0 {
+			*cps = append(*cps, r.ToCheckpoint(tumor, normal))
+		}
+		return nil
+	}
+}
+
 func TestCheckpointCadenceCallback(t *testing.T) {
 	tumor, normal := randomPair(71, 14, 60, 50, 0.4)
 	var cps []*Checkpoint
-	res, err := Run(tumor, normal, Options{
-		Hits:            3,
-		CheckpointEvery: 2,
-		OnCheckpoint:    func(cp *Checkpoint) { cps = append(cps, cp) },
-	})
+	res, err := Greedy(context.Background(), tumor, normal, Options{Hits: 3}, nil, nil,
+		cadence(tumor, normal, 2, &cps))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,10 +285,23 @@ func TestCheckpointCadenceCallback(t *testing.T) {
 	}
 }
 
-func TestCheckpointEveryNegativeRejected(t *testing.T) {
-	tumor, normal := randomPair(71, 10, 20, 20, 0.4)
-	if _, err := Run(tumor, normal, Options{Hits: 3, CheckpointEvery: -1}); err == nil {
-		t.Fatal("negative CheckpointEvery accepted")
+func TestCommitErrorEndsRun(t *testing.T) {
+	// A commit callback's error ends the loop right after the step it
+	// was called for, with that step kept in the result.
+	tumor, normal := randomPair(71, 14, 60, 50, 0.4)
+	stop := errors.New("stop")
+	res, err := Greedy(context.Background(), tumor, normal, Options{Hits: 3}, nil, nil,
+		func(r *Result) error {
+			if len(r.Steps) == 2 {
+				return stop
+			}
+			return nil
+		})
+	if !errors.Is(err, stop) {
+		t.Fatalf("Greedy = %v, want the commit error", err)
+	}
+	if res == nil || len(res.Steps) != 2 {
+		t.Fatalf("run ended with %v, want the 2 committed steps", res)
 	}
 }
 
@@ -294,12 +314,8 @@ func TestCheckpointCadenceUnderBitSplice(t *testing.T) {
 		t.Fatal(err)
 	}
 	var cps []*Checkpoint
-	_, err = Run(tumor, normal, Options{
-		Hits:            3,
-		BitSplice:       true,
-		CheckpointEvery: 1,
-		OnCheckpoint:    func(cp *Checkpoint) { cps = append(cps, cp) },
-	})
+	_, err = Greedy(context.Background(), tumor, normal, Options{Hits: 3, BitSplice: true}, nil, nil,
+		cadence(tumor, normal, 1, &cps))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,17 +333,71 @@ func TestCheckpointCadenceUnderBitSplice(t *testing.T) {
 	}
 }
 
-// TestResumeReportsLikeRun: the continued steps of a Resume report through
-// the same callbacks as an uninterrupted Run — one Progress call per
-// continued step, cadence checkpoints at the same cumulative step counts —
-// and carry wall-clock timings, in both sample-axis modes Resume supports.
+func TestBitSpliceResumeMatchesUninterrupted(t *testing.T) {
+	// A BitSplice leg continuing a BitSplice checkpoint equals the
+	// uninterrupted BitSplice run step for step: combinations, F bits,
+	// cover counts and per-step work counts, from every split point.
+	c := pruneCohort(t, dataset.BRCA(), 30, 7)
+	for _, hits := range []int{2, 3} {
+		opt := Options{Hits: hits, Workers: 2, BitSplice: true}
+		var cps []*Checkpoint
+		full, err := Greedy(context.Background(), c.Tumor, c.Normal, opt, nil, nil,
+			cadence(c.Tumor, c.Normal, 1, &cps))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cps) < 3 {
+			t.Fatalf("h=%d: need ≥3 steps to split, got %d", hits, len(cps))
+		}
+		for split, cp := range cps[:len(cps)-1] {
+			resumed, err := Resume(c.Tumor, c.Normal, opt, cp)
+			if err != nil {
+				t.Fatalf("h=%d split %d: %v", hits, split+1, err)
+			}
+			label := fmt.Sprintf("h=%d split %d", hits, split+1)
+			sameStepsAfter(t, label, resumed, full, split+1)
+			if resumed.Evaluated != full.Evaluated || resumed.Pruned != full.Pruned ||
+				resumed.Covered != full.Covered || resumed.Uncoverable != full.Uncoverable {
+				t.Fatalf("%s: totals %d/%d/%d/%d, want %d/%d/%d/%d", label,
+					resumed.Evaluated, resumed.Pruned, resumed.Covered, resumed.Uncoverable,
+					full.Evaluated, full.Pruned, full.Covered, full.Uncoverable)
+			}
+		}
+	}
+}
+
+// sameStepsAfter asserts got's steps equal want's: combinations, F bits
+// and cover counts everywhere, and per-step work counts from step
+// continued on (replayed steps carry no per-step counts).
+func sameStepsAfter(t *testing.T, label string, got, want *Result, continued int) {
+	t.Helper()
+	if len(got.Steps) != len(want.Steps) {
+		t.Fatalf("%s: %d steps, want %d", label, len(got.Steps), len(want.Steps))
+	}
+	for i, w := range want.Steps {
+		g := got.Steps[i]
+		if g.Combo.Genes != w.Combo.Genes || math.Float64bits(g.Combo.F) != math.Float64bits(w.Combo.F) ||
+			g.NewlyCovered != w.NewlyCovered || g.ActiveAfter != w.ActiveAfter {
+			t.Fatalf("%s: step %d = %+v, want %+v", label, i, g, w)
+		}
+		if i >= continued && (g.Evaluated != w.Evaluated || g.Pruned != w.Pruned) {
+			t.Fatalf("%s: step %d counts %d/%d, want %d/%d", label, i,
+				g.Evaluated, g.Pruned, w.Evaluated, w.Pruned)
+		}
+	}
+}
+
+// TestResumeReportsLikeRun: the continued steps of a Resume commit exactly
+// as an uninterrupted Run's do — one commit per continued step, cadence
+// checkpoints at the same cumulative step counts — and carry wall-clock
+// timings, in both the mask and the kernelized sample-axis mode.
 func TestResumeReportsLikeRun(t *testing.T) {
 	c := pruneCohort(t, dataset.BRCA(), 30, 7)
 	for _, kernelize := range []bool{false, true} {
-		opt := Options{Hits: 3, Workers: 2, Kernelize: kernelize, CheckpointEvery: 2}
-		var fullAt []int
-		opt.OnCheckpoint = func(cp *Checkpoint) { fullAt = append(fullAt, len(cp.Combos)) }
-		full, err := Run(c.Tumor, c.Normal, opt)
+		opt := Options{Hits: 3, Workers: 2, Kernelize: kernelize}
+		var fullCps []*Checkpoint
+		full, err := Greedy(context.Background(), c.Tumor, c.Normal, opt, nil, nil,
+			cadence(c.Tumor, c.Normal, 2, &fullCps))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -337,34 +407,39 @@ func TestResumeReportsLikeRun(t *testing.T) {
 		}
 		capped := opt
 		capped.MaxIterations = replayed
-		capped.OnCheckpoint = nil
 		partial, err := Run(c.Tumor, c.Normal, capped)
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		var progress int
-		var resumedAt []int
-		opt.Progress = func(Step) { progress++ }
-		opt.OnCheckpoint = func(cp *Checkpoint) { resumedAt = append(resumedAt, len(cp.Combos)) }
-		resumed, err := Resume(c.Tumor, c.Normal, opt, partial.ToCheckpoint(c.Tumor, c.Normal))
+		var commits int
+		var resumedCps []*Checkpoint
+		checkpoint := cadence(c.Tumor, c.Normal, 2, &resumedCps)
+		resumed, err := Greedy(context.Background(), c.Tumor, c.Normal, opt,
+			partial.ToCheckpoint(c.Tumor, c.Normal), nil, func(r *Result) error {
+				commits++
+				return checkpoint(r)
+			})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(resumed.Steps) != len(full.Steps) {
 			t.Fatalf("kernelize=%v: resumed %d steps, uninterrupted %d", kernelize, len(resumed.Steps), len(full.Steps))
 		}
-		if want := len(resumed.Steps) - replayed; progress != want {
-			t.Errorf("kernelize=%v: %d Progress calls, want one per continued step (%d)", kernelize, progress, want)
+		if want := len(resumed.Steps) - replayed; commits != want {
+			t.Errorf("kernelize=%v: %d commits, want one per continued step (%d)", kernelize, commits, want)
 		}
-		var want []int
-		for _, n := range fullAt {
-			if n > replayed {
+		var want, got []int
+		for _, cp := range fullCps {
+			if n := len(cp.Combos); n > replayed {
 				want = append(want, n)
 			}
 		}
-		if fmt.Sprint(resumedAt) != fmt.Sprint(want) {
-			t.Errorf("kernelize=%v: resumed leg checkpointed at steps %v, uninterrupted run at %v", kernelize, resumedAt, want)
+		for _, cp := range resumedCps {
+			got = append(got, len(cp.Combos))
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("kernelize=%v: resumed leg checkpointed at steps %v, uninterrupted run at %v", kernelize, got, want)
 		}
 		for i, s := range resumed.Steps[replayed:] {
 			if s.Elapsed <= 0 {

@@ -192,19 +192,6 @@ type Options struct {
 	// MaxIterations bounds the number of combinations reported; 0 means
 	// run until every coverable tumor sample is covered.
 	MaxIterations int
-	// Progress, when non-nil, is called after each iteration with the
-	// step just taken — long runs report as they go. The callback runs on
-	// the caller's goroutine; the Step is complete except for Elapsed of
-	// later steps.
-	Progress func(Step)
-	// CheckpointEvery, when positive, invokes OnCheckpoint after every
-	// CheckpointEvery-th completed iteration with a checkpoint of the run
-	// so far. 0 disables the cadence.
-	CheckpointEvery int
-	// OnCheckpoint receives the cadence checkpoints. It runs on the
-	// caller's goroutine; a slow callback lengthens the run. Ignored when
-	// CheckpointEvery is 0.
-	OnCheckpoint func(*Checkpoint)
 }
 
 // withDefaults resolves zero values and validates.
@@ -246,9 +233,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.BlockSize < 0 {
 		return o, fmt.Errorf("cover: BlockSize must be non-negative, got %d", o.BlockSize)
-	}
-	if o.CheckpointEvery < 0 {
-		return o, fmt.Errorf("cover: CheckpointEvery must be non-negative, got %d", o.CheckpointEvery)
 	}
 	if o.Kernelize && o.BitSplice {
 		return o, fmt.Errorf("cover: Kernelize and BitSplice are mutually exclusive")
@@ -294,8 +278,11 @@ type Result struct {
 	Steps []Step
 	// Covered is the total number of tumor samples covered.
 	Covered int
-	// Uncoverable is the number of tumor samples no h-combination covers
-	// (samples with fewer than h mutated genes can never be covered).
+	// Uncoverable is the number of tumor samples still active when the
+	// best-F combination covers none of them, which ends the loop. Some
+	// have fewer than h mutated genes; others have h or more, but every
+	// combination covering them hits too many normal samples to win.
+	// It is 0 when MaxIterations stopped the run.
 	Uncoverable int
 	// Evaluated is the total number of combinations actually scored.
 	Evaluated uint64
@@ -338,38 +325,7 @@ func Run(tumor, normal *bitmat.Matrix, opt Options) (*Result, error) {
 // the context's error; the caller can checkpoint completed iterations
 // (see Checkpoint) and resume later.
 func RunCtx(ctx context.Context, tumor, normal *bitmat.Matrix, opt Options) (*Result, error) {
-	opt, err := opt.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	if tumor.Genes() != normal.Genes() {
-		return nil, fmt.Errorf("cover: tumor has %d genes, normal has %d",
-			tumor.Genes(), normal.Genes())
-	}
-	if tumor.Genes() < opt.Hits {
-		return nil, fmt.Errorf("cover: %d genes cannot form %d-hit combinations",
-			tumor.Genes(), opt.Hits)
-	}
-	if tumor.Samples() == 0 {
-		return nil, fmt.Errorf("cover: no tumor samples")
-	}
-
-	start := time.Now()
-	kern, err := newKernel(tumor, normal, opt)
-	if err != nil {
-		return nil, err
-	}
-	// Auto resolves against the matrices the kernels actually scan (after
-	// kernelization), and the resolved engine lands in res.Options as
-	// provenance.
-	opt.Engine = ResolveEngine(opt, kern.Tumor, kern.Normal)
-	res := &Result{Options: opt}
-	if opt.Kernelize {
-		res.KernelFingerprint = kern.Fingerprint()
-	}
-	err = greedy(ctx, tumor, normal, kern, bitmat.AllOnes(kern.Tumor.Samples()), opt, res)
-	res.Elapsed = time.Since(start)
-	return res, err
+	return Greedy(ctx, tumor, normal, opt, nil, nil, nil)
 }
 
 // vecFromWords wraps packed words into a Vec of length n.
@@ -484,8 +440,8 @@ func FindBestCtx(ctx context.Context, tumor, normal *bitmat.Matrix, active *bitm
 	if active == nil {
 		active = bitmat.AllOnes(tumor.Samples())
 	}
-	return findBest(ctx, tumor, active, normal, nil, nil, opt,
-		float64(tumor.Samples()+normal.Samples()))
+	return findBest(ctx, Pass{Tumor: tumor, Normal: normal, Active: active,
+		Denom: float64(tumor.Samples() + normal.Samples()), Opt: opt})
 }
 
 // FindBestRange runs the scheme kernel over a single λ-range [lo, hi) of
@@ -536,8 +492,8 @@ func FindBestRangeCtx(ctx context.Context, tumor, normal *bitmat.Matrix, active 
 }
 
 // findBest partitions the λ-domain, runs the scheme kernel across a worker
-// pool, and reduces the winners. The domain is cut into more partitions
-// than workers (4× oversubscription) and workers claim them through an
+// pool, and reduces the winners. The domain is cut into PartitionsPerWorker
+// partitions per worker (PartitionPlan) and workers claim them through an
 // atomic counter, checking the context before each claim — cancellation
 // latency is therefore one partition, not one full pass. On cancellation
 // the combinations already evaluated are still counted and the context's
@@ -556,35 +512,20 @@ func FindBestRangeCtx(ctx context.Context, tumor, normal *bitmat.Matrix, active 
 // the partition plan, never on worker timing. Each worker also owns one
 // kernelScratch for its whole lifetime, so a pass allocates O(workers)
 // buffers, not O(partitions).
-func findBest(ctx context.Context, tumor *bitmat.Matrix, active *bitmat.Vec, normal *bitmat.Matrix, tw, nw *bitmat.Weights, opt Options, denom float64) (reduce.Combo, Counts, error) {
+func findBest(ctx context.Context, p Pass) (reduce.Combo, Counts, error) {
 	if err := failpoint.Check("cover/scan"); err != nil {
 		return reduce.None, Counts{}, err
 	}
-	curve, err := schemeCurve(uint64(tumor.Genes()), opt.Scheme)
+	opt := p.Opt
+	workers := max(opt.Workers, 1)
+	parts, err := PartitionPlan(p.Tumor.Genes(), opt, workers*PartitionsPerWorker)
 	if err != nil {
 		return reduce.None, Counts{}, err
 	}
 
-	workers := opt.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	// Oversubscribe: more partitions than workers bounds cancellation
-	// latency to a quarter of a worker's share.
-	chunks := workers * 4
-	var parts []sched.Partition
-	if opt.Scheduler == EquiDistance {
-		parts, err = sched.EquiDistance(curve, chunks)
-	} else {
-		parts, err = sched.EquiArea(curve, chunks)
-	}
-	if err != nil {
-		return reduce.None, Counts{}, err
-	}
-
-	env := newKernelEnv(tumor, normal, active, tw, nw, opt.Alpha, denom)
-	if resolveEngine(&opt, tumor, normal) == EngineSparse {
-		env.sparse = newSparseEnv(tumor, normal, active, tw, nw)
+	env := newKernelEnv(p.Tumor, p.Normal, p.Active, p.TumorWeights, p.NormalWeights, opt.Alpha, p.Denom)
+	if resolveEngine(&opt, p.Tumor, p.Normal) == EngineSparse {
+		env.sparse = newSparseEnv(p.Tumor, p.Normal, p.Active, p.TumorWeights, p.NormalWeights)
 	}
 	seed := seedIncumbent(env, opt)
 
@@ -602,7 +543,7 @@ func findBest(ctx context.Context, tumor *bitmat.Matrix, active *bitmat.Vec, nor
 			// One scratch per worker for its whole lifetime — the kernels
 			// themselves allocate nothing per partition. The env copy
 			// carries the worker's current partition incumbent.
-			s := newKernelScratch(tumor.Words(), normal.Words())
+			s := newKernelScratch(p.Tumor.Words(), p.Normal.Words())
 			if env.sparse != nil {
 				s.ensureSparse(env.sparse)
 			}

@@ -627,18 +627,19 @@ func TestRunCtxCancellation(t *testing.T) {
 func TestProgressCallback(t *testing.T) {
 	tumor, normal := randomPair(91, 12, 40, 30, 0.45)
 	var seen []Step
-	res, err := Run(tumor, normal, Options{Hits: 3, Progress: func(s Step) {
-		seen = append(seen, s)
-	}})
+	res, err := Greedy(context.Background(), tumor, normal, Options{Hits: 3}, nil, nil, func(r *Result) error {
+		seen = append(seen, r.Steps[len(r.Steps)-1])
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(seen) != len(res.Steps) {
-		t.Fatalf("progress saw %d steps, result has %d", len(seen), len(res.Steps))
+		t.Fatalf("commit saw %d steps, result has %d", len(seen), len(res.Steps))
 	}
 	for i := range seen {
 		if seen[i].Combo != res.Steps[i].Combo {
-			t.Fatalf("progress step %d differs from result", i)
+			t.Fatalf("committed step %d differs from result", i)
 		}
 	}
 }
@@ -693,4 +694,61 @@ func TestRunCtxCancellationMidIteration(t *testing.T) {
 		t.Fatalf("cancelled run scanned %d of a %d-combination pass — cancellation did not stop within one partition",
 			res.Evaluated+res.Pruned, fullPass)
 	}
+}
+
+func TestUncoverableIsWhatTheLoopLeavesActive(t *testing.T) {
+	// Uncoverable counts the samples still active when the best-F
+	// combination covers none of them — not only samples with fewer than
+	// h mutated genes. On this registry cohort most of them have h or
+	// more mutated genes, yet no combination covering one can win a pass.
+	const hits = 3
+	spec := dataset.BRCA()
+	spec.Hits = hits
+	spec.Profiled = nil
+	c, err := dataset.Generate(spec.Scaled(40), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(c.Tumor, c.Normal, Options{Hits: hits, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	active := bitmat.AllOnes(c.Tumor.Samples())
+	buf := make([]uint64, c.Tumor.Words())
+	for _, s := range res.Steps {
+		c.Tumor.ComboVec(buf, s.Combo.GeneIDs()...)
+		active.AndNot(vecFromWords(c.Tumor.Samples(), buf))
+	}
+	if got := active.PopCount(); got != res.Uncoverable || got == 0 {
+		t.Fatalf("%d samples left active, Uncoverable = %d; want equal and nonzero", got, res.Uncoverable)
+	}
+	best, _, err := FindBest(c.Tumor, c.Normal, active, Options{Hits: hits, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Tumor.ComboVec(buf, best.GeneIDs()...)
+	cov := vecFromWords(c.Tumor.Samples(), buf)
+	cov.And(active)
+	if cov.PopCount() != 0 {
+		t.Fatalf("the best-F combination %v still covers %d active samples", best, cov.PopCount())
+	}
+	var enough int
+	for s := 0; s < c.Tumor.Samples(); s++ {
+		if !active.Get(s) {
+			continue
+		}
+		var genes int
+		for g := 0; g < c.Tumor.Genes(); g++ {
+			if c.Tumor.Get(g, s) {
+				genes++
+			}
+		}
+		if genes >= hits {
+			enough++
+		}
+	}
+	if enough == 0 {
+		t.Fatalf("no uncoverable sample has %d+ mutated genes; the cohort no longer pins the wording", hits)
+	}
+	t.Logf("%d uncoverable samples, %d with ≥%d mutated genes", res.Uncoverable, enough, hits)
 }

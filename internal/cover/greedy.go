@@ -2,6 +2,7 @@ package cover
 
 import (
 	"context"
+	"fmt"
 	"math/bits"
 	"time"
 
@@ -11,7 +12,8 @@ import (
 	"repro/internal/reduce"
 )
 
-// This file holds the greedy cover loop that RunCtx and Resume share.
+// This file holds the greedy cover loop. Greedy is its one entry point,
+// behind RunCtx, Resume and the supervised runner (internal/harness).
 // The loop always scans a kernelize.Kernel: under Options.Kernelize the
 // static kernel of docs/KERNELIZATION.md (duplicate-column dedup plus
 // dominated-gene elimination), otherwise the identity kernel, whose Keep
@@ -22,6 +24,115 @@ import (
 // ORIGINAL gene count, and winners/steps are recorded in original gene
 // ids — a kernelized run is bit-identical to an unkernelized one
 // everywhere a caller can observe.
+
+// A Pass is one enumeration pass of the greedy loop: the instance a
+// Scanner scores and the options to score it with. Under Kernelize the
+// matrices are the kernel's and the weights its column multiplicities;
+// under BitSplice Tumor is the spliced working matrix, possibly
+// gene-compacted, and Active is all-ones; otherwise the matrices are the
+// run's inputs and the weights are nil.
+type Pass struct {
+	// Step is the 0-based greedy step the pass chooses.
+	Step          int
+	Tumor, Normal *bitmat.Matrix
+	Active        *bitmat.Vec
+	TumorWeights  *bitmat.Weights
+	NormalWeights *bitmat.Weights
+	// Denom is the F denominator, pinned to the original cohort size.
+	Denom float64
+	// Opt is the run's resolved configuration, Engine included.
+	Opt Options
+}
+
+// A Scanner runs one enumeration pass and returns the winner, in the
+// pass's gene ids, and the work counts. findBest, the in-process worker
+// pool, is the default; the supervised runner supplies its retrying
+// partition scan. A failed scan returns its partial counts with the
+// error.
+type Scanner func(ctx context.Context, p Pass) (reduce.Combo, Counts, error)
+
+// Greedy runs the weighted-set-cover loop (Sec. II-B) on the given
+// tumor/normal matrices: score every h-combination, take the best, cover
+// its active tumor samples, repeat.
+//
+//   - from, when non-nil, is the checkpoint to continue: its steps are
+//     replayed and re-verified without enumeration, and MaxIterations
+//     counts from the first replayed step. nil starts a fresh run. A
+//     checkpoint taken with or without BitSplice continues either way.
+//   - scan runs each enumeration pass; nil means findBest.
+//   - commit, when non-nil, is called on the caller's goroutine after
+//     each step is appended to the result; a non-nil error ends the run
+//     with that error. Result.ToCheckpoint of its argument is a
+//     checkpoint of the run so far.
+//
+// A nil Result comes back only when the options, the matrices or the
+// checkpoint are rejected. Otherwise the result holds every committed
+// step; on an error (a canceled context included) it also holds the
+// counts of the work done before it. Greedy never modifies its inputs:
+// BitSplicing scans spliced copies.
+func Greedy(ctx context.Context, tumor, normal *bitmat.Matrix, opt Options, from *Checkpoint, scan Scanner, commit func(*Result) error) (*Result, error) {
+	start := time.Now()
+	opt, err := opt.withDefaults()
+	if err != nil {
+		return nil, err
+	}
+	if tumor.Genes() != normal.Genes() {
+		return nil, fmt.Errorf("cover: tumor has %d genes, normal has %d",
+			tumor.Genes(), normal.Genes())
+	}
+	if tumor.Genes() < opt.Hits {
+		return nil, fmt.Errorf("cover: %d genes cannot form %d-hit combinations",
+			tumor.Genes(), opt.Hits)
+	}
+	if tumor.Samples() == 0 {
+		return nil, fmt.Errorf("cover: no tumor samples")
+	}
+
+	res := &Result{}
+	active := bitmat.AllOnes(tumor.Samples())
+	if from != nil {
+		if res, active, err = replay(tumor, normal, opt, from); err != nil {
+			return nil, err
+		}
+	}
+	kern, err := newKernel(tumor, normal, opt)
+	if err != nil {
+		return nil, err
+	}
+	if opt.Kernelize {
+		// The kernel is rebuilt deterministically from the same inputs;
+		// only when it matches the one the interrupted run scanned under
+		// is the continued leg guaranteed bit-identical.
+		fp := kern.Fingerprint()
+		if from != nil && from.KernelFingerprint != 0 && fp != from.KernelFingerprint {
+			return nil, fmt.Errorf("cover: rebuilt kernel fingerprint %#x, checkpoint has %#x: %w",
+				fp, from.KernelFingerprint, ErrFingerprintMismatch)
+		}
+		res.KernelFingerprint = fp
+	}
+	// Auto resolves once, against the matrices the kernels actually scan
+	// (after kernelization), so every pass of every leg runs one engine;
+	// the resolved engine lands in res.Options as provenance.
+	opt.Engine = ResolveEngine(opt, kern.Tumor, kern.Normal)
+	res.Options = opt
+
+	kactive := kern.MapActive(active)
+	if opt.BitSplice && from != nil {
+		// The working splice is derived state: a continued leg splices
+		// the replayed steps' covered samples out of the input.
+		covered := bitmat.AllOnes(tumor.Samples())
+		covered.AndNot(active)
+		kern.Tumor = tumor.Splice(covered)
+		kactive = bitmat.AllOnes(kern.Tumor.Samples())
+	}
+	if scan == nil {
+		scan = findBest
+	}
+	denom := float64(tumor.Samples() + normal.Samples())
+	err = greedy(ctx, kern, kactive, denom, opt, scan, commit, res)
+	res.Elapsed = time.Since(start)
+	return res, err
+}
 
 // popWords returns the (weighted) popcount of a packed mask; nil weights
 // mean every column counts once.
@@ -51,19 +162,16 @@ func newKernel(tumor, normal *bitmat.Matrix, opt Options) (*kernelize.Kernel, er
 	return &kernelize.Kernel{Genes: tumor.Genes(), Keep: keep, Tumor: tumor, Normal: normal}, nil
 }
 
-// greedy is the weighted-set-cover loop (Sec. II-B) over kern: score every
-// h-combination, take the best, cover its active tumor samples, repeat.
-// kactive is the active mask in kernel columns. res may already hold
-// replayed steps; the loop appends to it and fills Covered/Uncoverable/
-// Evaluated/Pruned, but leaves Elapsed to the caller. Checkpoints bind to
-// the ORIGINAL matrices, so a checkpoint replays under any engine and
-// sample-axis mode.
+// greedy is Greedy's loop over kern. kactive is the active mask in kernel
+// columns. res may already hold replayed steps; the loop appends to it and
+// fills Covered/Uncoverable/Evaluated/Pruned, but leaves Elapsed to the
+// caller.
 //
 // BitSplice is the loop's only per-pass variation: each scan drops the
 // genes splicing has emptied (splicePass), and each step splices its
 // covered samples out of kern.Tumor, after which kactive is all-ones at
 // the new width.
-func greedy(ctx context.Context, tumor, normal *bitmat.Matrix, kern *kernelize.Kernel, kactive *bitmat.Vec, opt Options, res *Result) error {
+func greedy(ctx context.Context, kern *kernelize.Kernel, kactive *bitmat.Vec, denom float64, opt Options, scan Scanner, commit func(*Result) error, res *Result) error {
 	full, err := domainSizeChecked(kern.Genes, opt.Hits)
 	if err != nil {
 		return err
@@ -73,30 +181,34 @@ func greedy(ctx context.Context, tumor, normal *bitmat.Matrix, kern *kernelize.K
 		return err
 	}
 	staticDrop := full - kernDomain
-
-	// The denominator stays pinned to the original cohort size so F values
-	// remain comparable across iterations whether or not the kernel or a
-	// splice shrinks the working matrix.
-	denom := float64(tumor.Samples() + normal.Samples())
 	var coverBuf []uint64
 
 	for opt.MaxIterations == 0 || len(res.Steps) < opt.MaxIterations {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
 		remaining := popWords(kern.TumorWeights, kactive.Words())
 		if remaining == 0 {
 			break
 		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		iterStart := time.Now()
 
+		p := Pass{
+			Step:          len(res.Steps),
+			Tumor:         kern.Tumor,
+			Normal:        kern.Normal,
+			Active:        kactive,
+			TumorWeights:  kern.TumorWeights,
+			NormalWeights: kern.NormalWeights,
+			Denom:         denom,
+			Opt:           opt,
+		}
 		var best reduce.Combo
 		var cnt Counts
 		if opt.BitSplice && !opt.NoPrune {
-			best, cnt, err = splicePass(ctx, kern.Tumor, kactive, kern.Normal, opt, denom)
+			best, cnt, err = splicePass(ctx, scan, p)
 		} else {
-			best, cnt, err = findBest(ctx, kern.Tumor, kactive, kern.Normal,
-				kern.TumorWeights, kern.NormalWeights, opt, denom)
+			best, cnt, err = scan(ctx, p)
 		}
 		if err == nil {
 			// Completed pass: kernel-removed combinations count as pruned,
@@ -120,8 +232,10 @@ func greedy(ctx context.Context, tumor, normal *bitmat.Matrix, kern *kernelize.K
 		cov.And(kactive)
 		covered := popWords(kern.TumorWeights, cov.Words())
 		if covered == 0 {
-			// The best combination covers nothing: the remaining samples
-			// have fewer than h mutated genes and are uncoverable.
+			// The best-F combination covers no active sample, and no later
+			// pass could differ, so every still-active sample is
+			// uncoverable. That includes samples with h or more mutated
+			// genes whose combinations all hit too many normal samples.
 			res.Uncoverable = remaining
 			break
 		}
@@ -137,21 +251,18 @@ func greedy(ctx context.Context, tumor, normal *bitmat.Matrix, kern *kernelize.K
 		}
 		activeAfter := popWords(kern.TumorWeights, kactive.Words())
 
-		step := Step{
+		res.Steps = append(res.Steps, Step{
 			Combo:        kern.RemapCombo(best),
 			NewlyCovered: covered,
 			ActiveAfter:  activeAfter,
 			Evaluated:    cnt.Evaluated,
 			Pruned:       cnt.Pruned,
 			Elapsed:      time.Since(iterStart),
-		}
-		res.Steps = append(res.Steps, step)
-		if opt.Progress != nil {
-			opt.Progress(step)
-		}
-		if opt.CheckpointEvery > 0 && opt.OnCheckpoint != nil &&
-			len(res.Steps)%opt.CheckpointEvery == 0 {
-			opt.OnCheckpoint(res.ToCheckpoint(tumor, normal))
+		})
+		if commit != nil {
+			if err := commit(res); err != nil {
+				return err
+			}
 		}
 		if activeAfter == 0 {
 			break
@@ -175,28 +286,30 @@ func greedy(ctx context.Context, tumor, normal *bitmat.Matrix, kern *kernelize.K
 // combination counts as pruned. With fewer than h surviving genes every
 // combination has TP = 0: the whole pass is pruned and no winner is
 // returned, which ends the loop with the remaining samples uncoverable.
-func splicePass(ctx context.Context, tumor *bitmat.Matrix, active *bitmat.Vec, normal *bitmat.Matrix, opt Options, denom float64) (reduce.Combo, Counts, error) {
-	keep := compactKeep(tumor) // nil when no gene can be dropped
+func splicePass(ctx context.Context, scan Scanner, p Pass) (reduce.Combo, Counts, error) {
+	keep := compactKeep(p.Tumor) // nil when no gene can be dropped
 	if keep == nil {
-		return findBest(ctx, tumor, active, normal, nil, nil, opt, denom)
+		return scan(ctx, p)
 	}
-	full, err := domainSizeChecked(tumor.Genes(), opt.Hits)
+	full, err := domainSizeChecked(p.Tumor.Genes(), p.Opt.Hits)
 	if err != nil {
 		return reduce.None, Counts{}, err
 	}
-	if len(keep) < opt.Hits {
+	if len(keep) < p.Opt.Hits {
 		return reduce.None, Counts{Pruned: full}, nil
 	}
-	best, cnt, err := findBest(ctx, tumor.SelectRows(keep), active, normal.SelectRows(keep), nil, nil, opt, denom)
+	sub := p
+	sub.Tumor, sub.Normal = p.Tumor.SelectRows(keep), p.Normal.SelectRows(keep)
+	best, cnt, err := scan(ctx, sub)
 	if err != nil {
 		return best, cnt, err
 	}
-	sub, err := domainSizeChecked(len(keep), opt.Hits)
+	subDomain, err := domainSizeChecked(len(keep), p.Opt.Hits)
 	if err != nil {
 		return best, cnt, err
 	}
-	cnt.Pruned += full - sub
-	if best != reduce.None && best.StrictlyAbove(float64(normal.Samples())/denom) {
+	cnt.Pruned += full - subDomain
+	if best != reduce.None && best.StrictlyAbove(float64(p.Normal.Samples())/p.Denom) {
 		// The compacted winner's F exceeds score(0, 0), which every
 		// dropped-gene combination is capped at, so it wins the full
 		// domain outright; remap its gene ids back.
@@ -205,7 +318,7 @@ func splicePass(ctx context.Context, tumor *bitmat.Matrix, active *bitmat.Vec, n
 	// A dropped-gene combination could tie the compacted winner on F and
 	// beat it lexicographically: rescan the full domain so the tie-break
 	// is exact.
-	best, rescan, err := findBest(ctx, tumor, active, normal, nil, nil, opt, denom)
+	best, rescan, err := scan(ctx, p)
 	cnt.add(rescan)
 	return best, cnt, err
 }

@@ -1,6 +1,7 @@
 package cover
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"testing"
@@ -84,16 +85,15 @@ func TestSparseRunMatchesDense(t *testing.T) {
 			for _, kernelize := range []bool{false, true} {
 				runOne := func(engine Engine) (*Result, [][]byte) {
 					var cps [][]byte
-					res, err := Run(c.Tumor, c.Normal, Options{
+					res, err := Greedy(context.Background(), c.Tumor, c.Normal, Options{
 						Hits: hits, Workers: 1, Kernelize: kernelize, Engine: engine,
-						CheckpointEvery: 1,
-						OnCheckpoint: func(cp *Checkpoint) {
-							b, err := json.Marshal(cp)
-							if err != nil {
-								t.Fatal(err)
-							}
-							cps = append(cps, b)
-						},
+					}, nil, nil, func(r *Result) error {
+						b, err := json.Marshal(r.ToCheckpoint(c.Tumor, c.Normal))
+						if err != nil {
+							t.Fatal(err)
+						}
+						cps = append(cps, b)
+						return nil
 					})
 					if err != nil {
 						t.Fatal(err)

@@ -1,10 +1,10 @@
 package cover
 
 // This file is the engine surface the supervised runner
-// (internal/harness) is built on: a deterministic partition plan for one
-// enumeration pass, a single-partition scan that can be retried in
-// isolation, and a checkpoint replay that rebuilds mid-run state without
-// re-enumerating. docs/ROBUSTNESS.md describes the layer end to end.
+// (internal/harness) scans through: a deterministic partition plan for one
+// enumeration pass, a seed incumbent, a single-partition scan that can be
+// retried in isolation, and the checkpoint replay Greedy starts a continued
+// leg from. docs/ROBUSTNESS.md describes the layer end to end.
 
 import (
 	"context"
@@ -25,7 +25,7 @@ func (o Options) Normalized() (Options, error) {
 }
 
 // schemeCurve builds the λ-domain work curve of one enumeration pass.
-// Shared by findBest and PartitionPlan so the supervised runner scans
+// PartitionPlan builds every plan from it, so the supervised runner scans
 // exactly the domain the in-process engine would.
 func schemeCurve(genes uint64, s Scheme) (sched.Curve, error) {
 	switch s {
@@ -46,6 +46,11 @@ func schemeCurve(genes uint64, s Scheme) (sched.Curve, error) {
 	// is untrusted input, not a programmer error.
 	return nil, fmt.Errorf("cover: unresolved scheme %v", s)
 }
+
+// PartitionsPerWorker oversubscribes each pass's partition plan: with more
+// partitions than workers, cancellation, retry and quarantine granularity
+// is a quarter of a worker's share.
+const PartitionsPerWorker = 4
 
 // PartitionPlan cuts one enumeration pass over a genes-wide matrix into
 // chunks λ-ranges using the configured scheduler. The plan depends only
@@ -94,8 +99,8 @@ func ScanPartition(tumor, normal *bitmat.Matrix, active *bitmat.Vec, opt Options
 // carry the merged sample columns' multiplicities (nil means unweighted)
 // and every popcount the kernels take is weighted accordingly, so the
 // scores — and therefore the winner and the counts — equal the
-// unkernelized scan's exactly. The supervised runner calls this form when
-// Options.Kernelize is on.
+// unkernelized scan's exactly. The supervised runner scans every pass
+// through this form, passing the Pass's weights.
 func ScanPartitionWeighted(tumor, normal *bitmat.Matrix, active *bitmat.Vec, tw, nw *bitmat.Weights, opt Options, part sched.Partition, denom float64, seed reduce.Combo) (reduce.Combo, Counts, error) {
 	opt, err := checkPass(tumor, normal, opt, denom)
 	if err != nil {
@@ -114,9 +119,9 @@ func ScanPartitionWeighted(tumor, normal *bitmat.Matrix, active *bitmat.Vec, tw,
 	env.shared = incumbent(opt, seed)
 	s := newKernelScratch(tumor.Words(), normal.Words())
 	if resolveEngine(&opt, tumor, normal) == EngineSparse {
-		// The CSR rebuild is per call here; the supervised runner resolves
-		// the engine once per run (harness.Run), so an Auto job does not
-		// flip engines between partitions of one pass.
+		// The CSR rebuild is per call here; Greedy resolves the engine
+		// once per run, so an Auto job does not flip engines between
+		// partitions of one pass.
 		env.sparse = newSparseEnv(tumor, normal, active, tw, nw)
 		s.ensureSparse(env.sparse)
 	}
@@ -159,14 +164,13 @@ func checkPass(tumor, normal *bitmat.Matrix, opt Options, denom float64) (Option
 	return opt, nil
 }
 
-// Replay rebuilds an interrupted run's state from a checkpoint: every
+// replay rebuilds an interrupted run's state from a checkpoint: every
 // recorded combination is re-applied to a fresh active mask (and
 // re-verified against its recorded cover count) in O(steps) matrix
 // operations, with no enumeration. It returns the partial Result and the
-// active mask the next greedy iteration should scan under. Resume is
-// Replay followed by the greedy loop; the supervised runner
-// (internal/harness) replays and then supervises its own loop.
-func Replay(tumor, normal *bitmat.Matrix, opt Options, cp *Checkpoint) (*Result, *bitmat.Vec, error) {
+// active mask, over the original samples, the next greedy iteration
+// should scan under.
+func replay(tumor, normal *bitmat.Matrix, opt Options, cp *Checkpoint) (*Result, *bitmat.Vec, error) {
 	opt, err := opt.withDefaults()
 	if err != nil {
 		return nil, nil, err

@@ -1,11 +1,14 @@
 // Package harness is the durable, supervised execution layer for the
 // real (non-simulated) discovery pipeline. Where internal/cluster prices
-// faults in virtual time, this package survives them in real time: it
-// runs the greedy cover loop partition-by-partition so that a panic, an
-// injected IO error, or a walltime limit costs at most one λ-partition
-// of work, and it persists every completed greedy step to a crash-safe
-// on-disk store (internal/ckptstore) so a killed process resumes
-// losslessly.
+// faults in virtual time, this package survives them in real time. It
+// runs no greedy loop of its own: it supplies cover.Greedy with a pass
+// scanner and a step commit. The scanner cuts each pass into λ-partitions
+// and scans them under supervision, so that a panic, an injected IO
+// error, or a walltime limit costs at most one λ-partition of work. The
+// commit persists completed greedy steps to a crash-safe on-disk store
+// (internal/ckptstore) so a killed process resumes losslessly. Because
+// the loop is cover's, a fault-free run equals cover.Run step for step,
+// Evaluated and Pruned included, in every sample-axis mode.
 //
 // Guarantees (docs/ROBUSTNESS.md has the full contract):
 //
@@ -44,10 +47,6 @@ const (
 	DefaultBackoffBase = 2 * time.Millisecond
 	// DefaultBackoffMax caps the retry delay.
 	DefaultBackoffMax = 250 * time.Millisecond
-	// DefaultPartitionsPerWorker oversubscribes the partition plan so
-	// retry, quarantine, and cancellation granularity is a fraction of a
-	// worker's share.
-	DefaultPartitionsPerWorker = 4
 )
 
 // Store is the persistence surface a supervised run needs: a durable
@@ -67,9 +66,7 @@ type Store interface {
 // Options configures a supervised run.
 type Options struct {
 	// Cover configures the underlying engine (hits, scheme, scheduler,
-	// workers, alpha, BitSplice, NoPrune, MaxIterations). The engine's
-	// own Progress/CheckpointEvery/OnCheckpoint callbacks are ignored:
-	// the harness drives its own loop and its own persistence.
+	// workers, alpha, BitSplice, Kernelize, NoPrune, MaxIterations).
 	Cover cover.Options
 
 	// Store, when non-nil, receives a checkpoint after every
@@ -115,9 +112,11 @@ type Options struct {
 	OnProgress func(Progress)
 }
 
-// Progress is one per-partition progress report of the supervised loop.
-// Within a step, Done climbs monotonically to Total; a resumed leg starts
+// Progress is one per-partition progress report of the supervised scan.
+// Within a pass, Done climbs monotonically to Total; a resumed leg starts
 // at the first unreplayed step, so Step is the absolute greedy step index.
+// A step is one pass, except a BitSplice step whose gene-compacted pass
+// must be rescanned over all genes to settle a tie: it reports two climbs.
 type Progress struct {
 	// Step is the 0-based greedy step being scanned.
 	Step int
@@ -231,9 +230,11 @@ type Result struct {
 	// Steps lists the chosen combinations in greedy order (replayed
 	// steps first on a resumed run).
 	Steps []cover.Step
-	// Covered and Uncoverable partition the tumor samples; when Partial
-	// is set Uncoverable is a bound, not a verdict — unscanned or
-	// unfinished work might still cover the remainder.
+	// Covered counts the tumor samples the steps cover. Uncoverable is
+	// cover.Result's: the samples still active when the best-F
+	// combination covers none of them, 0 when MaxIterations or an early
+	// stop ended the run. With quarantines it is a bound, not a verdict —
+	// unscanned work might still cover the remainder.
 	Covered     int
 	Uncoverable int
 	// Evaluated and Pruned total the scan work, including work carried

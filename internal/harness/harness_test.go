@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -61,40 +62,57 @@ func sameSteps(t *testing.T, label string, got, want []cover.Step) {
 }
 
 func TestHarnessMatchesCoverRun(t *testing.T) {
-	// Without faults the supervised loop must reproduce the plain
-	// engine's cover exactly, for every scheme family and both modes.
-	for _, hits := range []int{2, 3} {
-		for _, splice := range []bool{false, true} {
-			t.Run(fmt.Sprintf("h%d_splice%v", hits, splice), func(t *testing.T) {
-				tumor, normal := cohort(t, "BRCA", 40, hits, 7)
-				ref, err := cover.Run(tumor, normal, cover.Options{Hits: hits, Workers: 3, BitSplice: splice})
-				if err != nil {
-					t.Fatal(err)
+	// Without faults the supervised run must reproduce the plain engine's
+	// cover exactly, step by step — combinations, F bits, cover counts and
+	// work counts — for every scheme family, sample-axis mode and both
+	// partition plans.
+	modes := []struct {
+		name string
+		set  func(*cover.Options)
+	}{
+		{"splicefalse", func(*cover.Options) {}},
+		{"splicetrue", func(o *cover.Options) { o.BitSplice = true }},
+		{"kernelize", func(o *cover.Options) { o.Kernelize = true }},
+	}
+	for _, hits := range []int{2, 3, 4} {
+		for _, mode := range modes {
+			for _, workers := range []int{3, 1} {
+				name := fmt.Sprintf("h%d_%s", hits, mode.name)
+				if workers != 3 {
+					name += fmt.Sprintf("_w%d", workers)
 				}
-				res, err := Run(context.Background(), tumor, normal, Options{
-					Cover: cover.Options{Hits: hits, Workers: 3, BitSplice: splice},
+				t.Run(name, func(t *testing.T) {
+					tumor, normal := cohort(t, "BRCA", 40, hits, 7)
+					copt := cover.Options{Hits: hits, Workers: workers}
+					mode.set(&copt)
+					ref, err := cover.Run(tumor, normal, copt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := Run(context.Background(), tumor, normal, Options{Cover: copt})
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameSteps(t, "harness vs engine", res.Steps, ref.Steps)
+					for i, w := range ref.Steps {
+						g := res.Steps[i]
+						if math.Float64bits(g.Combo.F) != math.Float64bits(w.Combo.F) ||
+							g.Evaluated != w.Evaluated || g.Pruned != w.Pruned {
+							t.Fatalf("step %d: F %v evaluated %d pruned %d, engine F %v evaluated %d pruned %d",
+								i, g.Combo.F, g.Evaluated, g.Pruned, w.Combo.F, w.Evaluated, w.Pruned)
+						}
+					}
+					if res.Covered != ref.Covered || res.Uncoverable != ref.Uncoverable ||
+						res.Evaluated != ref.Evaluated || res.Pruned != ref.Pruned {
+						t.Fatalf("totals differ: %d/%d/%d/%d vs %d/%d/%d/%d",
+							res.Covered, res.Uncoverable, res.Evaluated, res.Pruned,
+							ref.Covered, ref.Uncoverable, ref.Evaluated, ref.Pruned)
+					}
+					if res.Partial || res.Stop != StopCompleted || len(res.Quarantined) != 0 {
+						t.Fatalf("clean run reported partial: %+v", res)
+					}
 				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameSteps(t, "harness vs engine", res.Steps, ref.Steps)
-				if res.Covered != ref.Covered || res.Uncoverable != ref.Uncoverable {
-					t.Fatalf("totals differ: %d/%d vs %d/%d",
-						res.Covered, res.Uncoverable, ref.Covered, ref.Uncoverable)
-				}
-				if res.Partial || res.Stop != StopCompleted || len(res.Quarantined) != 0 {
-					t.Fatalf("clean run reported partial: %+v", res)
-				}
-				// The scan accounts for the whole domain each pass. Under
-				// BitSplice the engine's gene-compaction tie-break rescan
-				// can double-count a pass, so totals only align in mask
-				// mode; the crash-resume tests pin harness-vs-harness
-				// totals in both modes.
-				if !splice && res.Evaluated+res.Pruned != ref.Evaluated+ref.Pruned {
-					t.Fatalf("scanned %d, engine scanned %d",
-						res.Evaluated+res.Pruned, ref.Evaluated+ref.Pruned)
-				}
-			})
+			}
 		}
 	}
 }
@@ -540,7 +558,7 @@ func TestSeededPassesDeterministicAndExact(t *testing.T) {
 			if kernelize {
 				return
 			}
-			parts, err := cover.PartitionPlan(tumor.Genes(), copt, copt.Workers*DefaultPartitionsPerWorker)
+			parts, err := cover.PartitionPlan(tumor.Genes(), copt, copt.Workers*cover.PartitionsPerWorker)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -587,7 +605,7 @@ func TestQuarantinedSeedPartitionKeepsBestSurvivor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts, err := cover.PartitionPlan(tumor.Genes(), copt, DefaultPartitionsPerWorker)
+	parts, err := cover.PartitionPlan(tumor.Genes(), copt, cover.PartitionsPerWorker)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -626,5 +644,62 @@ func TestQuarantinedSeedPartitionKeepsBestSurvivor(t *testing.T) {
 	}
 	if len(res.Steps) != 1 || res.Steps[0].Combo != want {
 		t.Fatalf("steps %+v, want winner %v", res.Steps, want)
+	}
+}
+
+func TestCancelDuringSpliceRescanDiscardsThePass(t *testing.T) {
+	// A BitSplice step whose gene-compacted pass must be rescanned over
+	// all genes scans twice. Canceling during the rescan discards the
+	// whole step, the completed compacted pass included: the result and
+	// the checkpoint carry the committed steps' counts only, so a resumed
+	// leg still totals exactly what the uninterrupted run does.
+	tumor, normal := cohort(t, "BRCA", 40, 3, 7)
+	copt := cover.Options{Hits: 3, Workers: 1, BitSplice: true}
+	ref, err := Run(context.Background(), tumor, normal, Options{Cover: copt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := ckptstore.Open(t.TempDir(), ckptstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	climbs := map[int]int{}
+	res, err := Run(ctx, tumor, normal, Options{
+		Cover:           copt,
+		Store:           store,
+		CheckpointEvery: 1000, // persisted only at the stop
+		OnProgress: func(p Progress) {
+			if p.Done == 1 {
+				if climbs[p.Step]++; climbs[p.Step] == 2 {
+					cancel()
+				}
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stop != StopCanceled || len(res.Steps) == 0 {
+		t.Fatalf("stop = %v after %d steps; the cohort needs a rescan after the first step", res.Stop, len(res.Steps))
+	}
+	var committed cover.Counts
+	for _, s := range res.Steps {
+		committed.Evaluated += s.Evaluated
+		committed.Pruned += s.Pruned
+	}
+	if res.Evaluated != committed.Evaluated || res.Pruned != committed.Pruned {
+		t.Fatalf("stopped run counts %d/%d, committed steps %d/%d",
+			res.Evaluated, res.Pruned, committed.Evaluated, committed.Pruned)
+	}
+	resumed, err := Run(context.Background(), tumor, normal, Options{Cover: copt, Store: store, Resume: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameSteps(t, "resume after a canceled rescan", resumed.Steps, ref.Steps)
+	if resumed.Evaluated != ref.Evaluated || resumed.Pruned != ref.Pruned {
+		t.Fatalf("resumed totals %d/%d, uninterrupted %d/%d",
+			resumed.Evaluated, resumed.Pruned, ref.Evaluated, ref.Pruned)
 	}
 }

@@ -26,7 +26,7 @@ func TestOnProgressCountsEveryPartition(t *testing.T) {
 	if len(reports) == 0 {
 		t.Fatal("no progress reported")
 	}
-	total := workers * DefaultPartitionsPerWorker
+	total := workers * cover.PartitionsPerWorker
 	perStep := map[int]int{}
 	lastDone := map[int]int{}
 	for _, p := range reports {
