@@ -163,6 +163,9 @@ type soak struct {
 	logf func(string, ...any)
 
 	started, unplanned int // daemon lives: planned starts and crash restarts
+	// lives holds every daemon the current round started, so the round
+	// can kill them all however it ends.
+	lives []*daemon
 }
 
 func (s *soak) run(work string) int {
@@ -220,6 +223,7 @@ func (s *soak) round(parent context.Context, exe, roundDir string, r int, tl *ta
 	}
 	ctx, cancel := context.WithTimeout(parent, s.roundTimeout)
 	defer cancel()
+	defer s.killLives()
 
 	// Life 1 gets a benign schedule (delays only): submissions and the
 	// idempotency-key persistence must be acknowledged under timing
@@ -228,7 +232,6 @@ func (s *soak) round(parent context.Context, exe, roundDir string, r int, tl *ta
 	if err != nil {
 		return err
 	}
-	defer d.kill()
 	boundAddr, err := waitAddr(filepath.Join(roundDir, "addr"), d, 10*time.Second)
 	if err != nil {
 		return err
@@ -276,7 +279,6 @@ func (s *soak) round(parent context.Context, exe, roundDir string, r int, tl *ta
 		if d, err = s.start(exe, roundDir, boundAddr, s.chaosSchedule(), tl); err != nil {
 			return fmt.Errorf("restart after kill %d: %w", k+1, err)
 		}
-		defer d.kill()
 		if err := waitHealthy(ctx, cli, d); err != nil {
 			if !d.dead() {
 				return fmt.Errorf("after kill %d: %w", k+1, err)
@@ -288,7 +290,6 @@ func (s *soak) round(parent context.Context, exe, roundDir string, r int, tl *ta
 			if d, err = s.start(exe, roundDir, boundAddr, s.benignSchedule(), tl); err != nil {
 				return fmt.Errorf("restart after injected crash: %w", err)
 			}
-			defer d.kill()
 			if err := waitHealthy(ctx, cli, d); err != nil {
 				return fmt.Errorf("after injected crash: %w", err)
 			}
@@ -593,6 +594,14 @@ func (d *daemon) dead() bool {
 	}
 }
 
+// killLives kills every daemon life the round started and forgets them.
+func (s *soak) killLives() {
+	for _, d := range s.lives {
+		d.kill()
+	}
+	s.lives = nil
+}
+
 // kill SIGKILLs the child and reaps it. Idempotent.
 func (d *daemon) kill() {
 	_ = d.cmd.Process.Kill()
@@ -623,6 +632,7 @@ func (s *soak) start(exe, roundDir, addr, schedule string, log *tailBuf) (*daemo
 	}
 	s.started++
 	d := &daemon{cmd: cmd, exited: make(chan struct{})}
+	s.lives = append(s.lives, d)
 	go func() {
 		_ = cmd.Wait()
 		close(d.exited)

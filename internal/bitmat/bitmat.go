@@ -133,6 +133,41 @@ func (m *Matrix) RowPopCount(g int) int {
 	return n
 }
 
+// Columns returns the matrix's transpose restricted to the set bits of
+// active, in compressed sparse column form: the rows set in active column
+// s, ascending, are rows[start[s]:start[s+1]], and every inactive column
+// is empty. active must have the matrix's word count. One sweep counts
+// each column's rows and a second fills them, O(genes × words + nnz).
+func (m *Matrix) Columns(active []uint64) (start []int, rows []int32) {
+	if len(active) != m.words {
+		panic(fmt.Sprintf("bitmat: active mask has %d words, matrix rows have %d", len(active), m.words))
+	}
+	start = make([]int, m.samples+1)
+	for g := 0; g < m.genes; g++ {
+		for w, x := range m.Row(g) {
+			for x &= active[w]; x != 0; x &= x - 1 {
+				start[w*WordBits+bits.TrailingZeros64(x)+1]++
+			}
+		}
+	}
+	for s := 1; s <= m.samples; s++ {
+		start[s] += start[s-1]
+	}
+	rows = make([]int32, start[m.samples])
+	next := make([]int, m.samples)
+	copy(next, start)
+	for g := 0; g < m.genes; g++ {
+		for w, x := range m.Row(g) {
+			for x &= active[w]; x != 0; x &= x - 1 {
+				s := w*WordBits + bits.TrailingZeros64(x)
+				rows[next[s]] = int32(g)
+				next[s]++
+			}
+		}
+	}
+	return start, rows
+}
+
 // tailMask returns the mask of valid bits in the final word of a row, or an
 // all-ones mask when the sample count is a multiple of 64.
 func (m *Matrix) tailMask() uint64 {
@@ -430,6 +465,17 @@ func PopAnd4(a, b, c, d []uint64) int {
 		n += bits.OnesCount64(a[w] & b[w] & c[w] & d[w])
 	}
 	return n
+}
+
+// FirstSet returns the index of the lowest set bit of a, or -1 when a
+// is all zero.
+func FirstSet(a []uint64) int {
+	for w, x := range a {
+		if x != 0 {
+			return w*WordBits + bits.TrailingZeros64(x)
+		}
+	}
+	return -1
 }
 
 // AndWords writes a ∧ b into dst (all equal length).

@@ -598,3 +598,59 @@ func BenchmarkAndWordsPop(b *testing.B) {
 		AndWordsPop(dst, m.Row(n%63), m.Row(n%63+1))
 	}
 }
+
+func TestColumnsTransposesActiveColumns(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, samples := range []int{1, 63, 64, 65, 130} {
+		m := New(9, samples)
+		active := NewVec(samples)
+		for s := 0; s < samples; s++ {
+			if rng.Intn(3) > 0 {
+				active.Set(s)
+			}
+			for g := 0; g < 9; g++ {
+				if rng.Intn(3) == 0 {
+					m.Set(g, s)
+				}
+			}
+		}
+		start, rows := m.Columns(active.Words())
+		if len(start) != samples+1 {
+			t.Fatalf("samples=%d: %d offsets", samples, len(start))
+		}
+		for s := 0; s < samples; s++ {
+			var want []int32
+			if active.Get(s) {
+				for g := 0; g < 9; g++ {
+					if m.Get(g, s) {
+						want = append(want, int32(g))
+					}
+				}
+			}
+			got := rows[start[s]:start[s+1]]
+			if len(got) != len(want) {
+				t.Fatalf("samples=%d column %d: rows %v, want %v", samples, s, got, want)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("samples=%d column %d: rows %v, want %v", samples, s, got, want)
+				}
+			}
+		}
+	}
+}
+
+func TestFirstSet(t *testing.T) {
+	for _, n := range []int{1, 64, 65, 200} {
+		v := NewVec(n)
+		if got := FirstSet(v.Words()); got != -1 {
+			t.Fatalf("n=%d: empty vector FirstSet = %d", n, got)
+		}
+		for s := n - 1; s >= 0; s -= 7 {
+			v.Set(s)
+			if got := FirstSet(v.Words()); got != s {
+				t.Fatalf("n=%d: FirstSet = %d, want %d", n, got, s)
+			}
+		}
+	}
+}

@@ -137,7 +137,7 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 // included. Resume is Greedy from cp with the default scanner and no
 // commit.
 func Resume(tumor, normal *bitmat.Matrix, opt Options, cp *Checkpoint) (*Result, error) {
-	res, err := Greedy(context.Background(), tumor, normal, opt, cp, nil, nil)
+	res, err := Greedy(context.Background(), tumor, normal, opt, cp, Hooks{})
 	if err != nil {
 		return nil, err
 	}

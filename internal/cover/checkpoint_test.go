@@ -258,8 +258,8 @@ func cadence(tumor, normal *bitmat.Matrix, every int, cps *[]*Checkpoint) func(*
 func TestCheckpointCadenceCallback(t *testing.T) {
 	tumor, normal := randomPair(71, 14, 60, 50, 0.4)
 	var cps []*Checkpoint
-	res, err := Greedy(context.Background(), tumor, normal, Options{Hits: 3}, nil, nil,
-		cadence(tumor, normal, 2, &cps))
+	res, err := Greedy(context.Background(), tumor, normal, Options{Hits: 3}, nil,
+		Hooks{Commit: cadence(tumor, normal, 2, &cps)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,13 +290,13 @@ func TestCommitErrorEndsRun(t *testing.T) {
 	// was called for, with that step kept in the result.
 	tumor, normal := randomPair(71, 14, 60, 50, 0.4)
 	stop := errors.New("stop")
-	res, err := Greedy(context.Background(), tumor, normal, Options{Hits: 3}, nil, nil,
-		func(r *Result) error {
+	res, err := Greedy(context.Background(), tumor, normal, Options{Hits: 3}, nil,
+		Hooks{Commit: func(r *Result) error {
 			if len(r.Steps) == 2 {
 				return stop
 			}
 			return nil
-		})
+		}})
 	if !errors.Is(err, stop) {
 		t.Fatalf("Greedy = %v, want the commit error", err)
 	}
@@ -314,8 +314,8 @@ func TestCheckpointCadenceUnderBitSplice(t *testing.T) {
 		t.Fatal(err)
 	}
 	var cps []*Checkpoint
-	_, err = Greedy(context.Background(), tumor, normal, Options{Hits: 3, BitSplice: true}, nil, nil,
-		cadence(tumor, normal, 1, &cps))
+	_, err = Greedy(context.Background(), tumor, normal, Options{Hits: 3, BitSplice: true}, nil,
+		Hooks{Commit: cadence(tumor, normal, 1, &cps)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,8 +341,8 @@ func TestBitSpliceResumeMatchesUninterrupted(t *testing.T) {
 	for _, hits := range []int{2, 3} {
 		opt := Options{Hits: hits, Workers: 2, BitSplice: true}
 		var cps []*Checkpoint
-		full, err := Greedy(context.Background(), c.Tumor, c.Normal, opt, nil, nil,
-			cadence(c.Tumor, c.Normal, 1, &cps))
+		full, err := Greedy(context.Background(), c.Tumor, c.Normal, opt, nil,
+			Hooks{Commit: cadence(c.Tumor, c.Normal, 1, &cps)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -396,8 +396,8 @@ func TestResumeReportsLikeRun(t *testing.T) {
 	for _, kernelize := range []bool{false, true} {
 		opt := Options{Hits: 3, Workers: 2, Kernelize: kernelize}
 		var fullCps []*Checkpoint
-		full, err := Greedy(context.Background(), c.Tumor, c.Normal, opt, nil, nil,
-			cadence(c.Tumor, c.Normal, 2, &fullCps))
+		full, err := Greedy(context.Background(), c.Tumor, c.Normal, opt, nil,
+			Hooks{Commit: cadence(c.Tumor, c.Normal, 2, &fullCps)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -416,10 +416,10 @@ func TestResumeReportsLikeRun(t *testing.T) {
 		var resumedCps []*Checkpoint
 		checkpoint := cadence(c.Tumor, c.Normal, 2, &resumedCps)
 		resumed, err := Greedy(context.Background(), c.Tumor, c.Normal, opt,
-			partial.ToCheckpoint(c.Tumor, c.Normal), nil, func(r *Result) error {
+			partial.ToCheckpoint(c.Tumor, c.Normal), Hooks{Commit: func(r *Result) error {
 				commits++
 				return checkpoint(r)
-			})
+			}})
 		if err != nil {
 			t.Fatal(err)
 		}

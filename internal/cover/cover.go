@@ -183,8 +183,8 @@ type Options struct {
 	Engine Engine
 	// NoPrune disables the bound-and-prune layer (docs/PRUNING.md): the
 	// seed probe and the per-partition incumbents, the kernels' prefix
-	// upper-bound checks, and the per-iteration gene compaction of
-	// BitSplice runs.
+	// upper-bound checks, the per-iteration gene compaction of BitSplice
+	// runs, and the greedy loop's support pass.
 	// Pruning never changes which combinations are returned — only how
 	// many are scored — so NoPrune exists for differential testing and for
 	// measuring the pruning ratio against an exhaustive scan.
@@ -263,10 +263,13 @@ type Step struct {
 	// iteration.
 	Evaluated uint64
 	// Pruned is the number of combinations skipped by bound-and-prune this
-	// iteration (including whole gene-compaction eliminations). The sum
+	// iteration, including whole gene-compaction eliminations and, when
+	// the support pass decided the iteration (docs/PRUNING.md §7), every
+	// combination outside the active samples' h-subsets. The sum
 	// Evaluated + Pruned equals the enumeration size of the pass(es). The
 	// split between the two depends on the inputs, the options and the
-	// worker count (which sets the partition plan), never on timing.
+	// worker count (which sets the partition plan of a scanned pass),
+	// never on timing.
 	Pruned uint64
 	// Elapsed is the wall-clock time of the iteration.
 	Elapsed time.Duration
@@ -325,7 +328,7 @@ func Run(tumor, normal *bitmat.Matrix, opt Options) (*Result, error) {
 // the context's error; the caller can checkpoint completed iterations
 // (see Checkpoint) and resume later.
 func RunCtx(ctx context.Context, tumor, normal *bitmat.Matrix, opt Options) (*Result, error) {
-	return Greedy(ctx, tumor, normal, opt, nil, nil, nil)
+	return Greedy(ctx, tumor, normal, opt, nil, Hooks{})
 }
 
 // vecFromWords wraps packed words into a Vec of length n.
@@ -390,17 +393,20 @@ func domainSizeChecked(genes, hits int) (uint64, error) {
 	return d, nil
 }
 
-// Counts tallies the work of an enumeration scan. The total Scanned is
+// Counts tallies the work of an enumeration pass. The total Scanned is
 // the domain size — every combination is either scored or provably
 // dominated. The Evaluated/Pruned split is deterministic too: every
 // partition prunes against its own incumbent, seeded from the pass's
 // inputs, so the split depends on the partition plan (the worker count)
-// but not on timing.
+// but not on timing. A pass the support pass decides (docs/PRUNING.md §7)
+// has no partitions; its split depends on its inputs alone.
 type Counts struct {
 	// Evaluated is the number of combinations actually scored.
 	Evaluated uint64
 	// Pruned is the number of combinations skipped because their prefix's
-	// upper bound fell strictly below the partition's incumbent.
+	// upper bound fell strictly below the partition's incumbent, or, in a
+	// pass the support pass decides, because no active tumor sample
+	// carries them and a scored combination already beats them.
 	Pruned uint64
 }
 

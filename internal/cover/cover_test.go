@@ -627,10 +627,10 @@ func TestRunCtxCancellation(t *testing.T) {
 func TestProgressCallback(t *testing.T) {
 	tumor, normal := randomPair(91, 12, 40, 30, 0.45)
 	var seen []Step
-	res, err := Greedy(context.Background(), tumor, normal, Options{Hits: 3}, nil, nil, func(r *Result) error {
+	res, err := Greedy(context.Background(), tumor, normal, Options{Hits: 3}, nil, Hooks{Commit: func(r *Result) error {
 		seen = append(seen, r.Steps[len(r.Steps)-1])
 		return nil
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,26 +51,39 @@ type Pass struct {
 // error.
 type Scanner func(ctx context.Context, p Pass) (reduce.Combo, Counts, error)
 
+// Hooks are a caller's extension points into Greedy. The zero value scans
+// in process and commits nothing.
+type Hooks struct {
+	// Scan runs each enumeration pass the support pass does not decide
+	// (docs/PRUNING.md §7); nil means findBest.
+	Scan Scanner
+	// Settled, when non-nil, is called on the caller's goroutine for each
+	// pass the support pass decides. Scan never sees such a pass.
+	Settled func(Pass)
+	// Commit, when non-nil, is called on the caller's goroutine after
+	// each step is appended to the result; a non-nil error ends the run
+	// with that error. Result.ToCheckpoint of its argument is a
+	// checkpoint of the run so far.
+	Commit func(*Result) error
+}
+
 // Greedy runs the weighted-set-cover loop (Sec. II-B) on the given
 // tumor/normal matrices: score every h-combination, take the best, cover
-// its active tumor samples, repeat.
+// its active tumor samples, repeat. Unless NoPrune is set, each pass is
+// first offered to the support pass, which decides it from the active
+// samples' own h-subsets when they are few; the rest go to hooks.Scan.
 //
-//   - from, when non-nil, is the checkpoint to continue: its steps are
-//     replayed and re-verified without enumeration, and MaxIterations
-//     counts from the first replayed step. nil starts a fresh run. A
-//     checkpoint taken with or without BitSplice continues either way.
-//   - scan runs each enumeration pass; nil means findBest.
-//   - commit, when non-nil, is called on the caller's goroutine after
-//     each step is appended to the result; a non-nil error ends the run
-//     with that error. Result.ToCheckpoint of its argument is a
-//     checkpoint of the run so far.
+// from, when non-nil, is the checkpoint to continue: its steps are
+// replayed and re-verified without enumeration, and MaxIterations counts
+// from the first replayed step. nil starts a fresh run. A checkpoint
+// taken with or without BitSplice continues either way.
 //
 // A nil Result comes back only when the options, the matrices or the
 // checkpoint are rejected. Otherwise the result holds every committed
 // step; on an error (a canceled context included) it also holds the
 // counts of the work done before it. Greedy never modifies its inputs:
 // BitSplicing scans spliced copies.
-func Greedy(ctx context.Context, tumor, normal *bitmat.Matrix, opt Options, from *Checkpoint, scan Scanner, commit func(*Result) error) (*Result, error) {
+func Greedy(ctx context.Context, tumor, normal *bitmat.Matrix, opt Options, from *Checkpoint, hooks Hooks) (*Result, error) {
 	start := time.Now()
 	opt, err := opt.withDefaults()
 	if err != nil {
@@ -125,11 +138,11 @@ func Greedy(ctx context.Context, tumor, normal *bitmat.Matrix, opt Options, from
 		kern.Tumor = tumor.Splice(covered)
 		kactive = bitmat.AllOnes(kern.Tumor.Samples())
 	}
-	if scan == nil {
-		scan = findBest
+	if hooks.Scan == nil {
+		hooks.Scan = findBest
 	}
 	denom := float64(tumor.Samples() + normal.Samples())
-	err = greedy(ctx, kern, kactive, denom, opt, scan, commit, res)
+	err = greedy(ctx, kern, kactive, denom, opt, hooks, res)
 	res.Elapsed = time.Since(start)
 	return res, err
 }
@@ -167,11 +180,12 @@ func newKernel(tumor, normal *bitmat.Matrix, opt Options) (*kernelize.Kernel, er
 // fills Covered/Uncoverable/Evaluated/Pruned, but leaves Elapsed to the
 // caller.
 //
-// BitSplice is the loop's only per-pass variation: each scan drops the
-// genes splicing has emptied (splicePass), and each step splices its
+// Each pass goes to the support pass first (unless NoPrune), then to the
+// scan. BitSplice is the loop's only per-pass variation: each scan drops
+// the genes splicing has emptied (splicePass), and each step splices its
 // covered samples out of kern.Tumor, after which kactive is all-ones at
 // the new width.
-func greedy(ctx context.Context, kern *kernelize.Kernel, kactive *bitmat.Vec, denom float64, opt Options, scan Scanner, commit func(*Result) error, res *Result) error {
+func greedy(ctx context.Context, kern *kernelize.Kernel, kactive *bitmat.Vec, denom float64, opt Options, hooks Hooks, res *Result) error {
 	full, err := domainSizeChecked(kern.Genes, opt.Hits)
 	if err != nil {
 		return err
@@ -205,10 +219,21 @@ func greedy(ctx context.Context, kern *kernelize.Kernel, kactive *bitmat.Vec, de
 		}
 		var best reduce.Combo
 		var cnt Counts
-		if opt.BitSplice && !opt.NoPrune {
-			best, cnt, err = splicePass(ctx, scan, p)
-		} else {
-			best, cnt, err = scan(ctx, p)
+		settled := false
+		if !opt.NoPrune {
+			if best, cnt, settled, err = supportPass(ctx, p); err != nil {
+				return err
+			}
+		}
+		switch {
+		case settled:
+			if hooks.Settled != nil {
+				hooks.Settled(p)
+			}
+		case opt.BitSplice && !opt.NoPrune:
+			best, cnt, err = splicePass(ctx, hooks.Scan, p)
+		default:
+			best, cnt, err = hooks.Scan(ctx, p)
 		}
 		if err == nil {
 			// Completed pass: kernel-removed combinations count as pruned,
@@ -259,8 +284,8 @@ func greedy(ctx context.Context, kern *kernelize.Kernel, kactive *bitmat.Vec, de
 			Pruned:       cnt.Pruned,
 			Elapsed:      time.Since(iterStart),
 		})
-		if commit != nil {
-			if err := commit(res); err != nil {
+		if hooks.Commit != nil {
+			if err := hooks.Commit(res); err != nil {
 				return err
 			}
 		}

@@ -87,14 +87,14 @@ func TestSparseRunMatchesDense(t *testing.T) {
 					var cps [][]byte
 					res, err := Greedy(context.Background(), c.Tumor, c.Normal, Options{
 						Hits: hits, Workers: 1, Kernelize: kernelize, Engine: engine,
-					}, nil, nil, func(r *Result) error {
+					}, nil, Hooks{Commit: func(r *Result) error {
 						b, err := json.Marshal(r.ToCheckpoint(c.Tumor, c.Normal))
 						if err != nil {
 							t.Fatal(err)
 						}
 						cps = append(cps, b)
 						return nil
-					})
+					}})
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -106,7 +106,8 @@ type Options struct {
 	// OnProgress, when non-nil, is called once per completed (scanned or
 	// quarantined) partition with the step's running scanned/total tally
 	// and the cumulative Unscanned coverage bound — the observable the
-	// discovery service (internal/service) streams as job progress.
+	// discovery service (internal/service) streams as job progress. A
+	// pass decided without a scan is reported once (see Progress).
 	// Calls are serialized but may come from worker goroutines; keep it
 	// fast.
 	OnProgress func(Progress)
@@ -117,6 +118,9 @@ type Options struct {
 // at the first unreplayed step, so Step is the absolute greedy step index.
 // A step is one pass, except a BitSplice step whose gene-compacted pass
 // must be rescanned over all genes to settle a tie: it reports two climbs.
+// A pass the engine decides from the active samples' own h-subsets
+// (cover's support pass, docs/PRUNING.md §7) scans no partitions: it
+// reports once, with Done == Total == 0.
 type Progress struct {
 	// Step is the 0-based greedy step being scanned.
 	Step int

@@ -91,3 +91,37 @@ func TestOnProgressReportsUnscannedBound(t *testing.T) {
 		t.Fatalf("final progress bound %d, result Unscanned %d", last.Unscanned, res.Unscanned)
 	}
 }
+
+func TestOnProgressReportsSettledPasses(t *testing.T) {
+	// A pass the engine settles from the active samples' own h-subsets
+	// scans no partitions, yet every step must still reach a Done ==
+	// Total report, or the service's per-pass progress would stall.
+	tumor, normal := cohort(t, "ACC", 100, 4, 1)
+	var reports []Progress
+	res, err := Run(context.Background(), tumor, normal, Options{
+		Cover:      cover.Options{Hits: 4, Kernelize: true, Workers: 2},
+		OnProgress: func(p Progress) { reports = append(reports, p) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	finished := map[int]bool{}
+	settled := 0
+	for _, p := range reports {
+		if p.Done == p.Total {
+			finished[p.Step] = true
+		}
+		if p.Total == 0 {
+			settled++
+		}
+	}
+	for i := range res.Steps {
+		if !finished[i] {
+			t.Fatalf("step %d of %d never reported Done == Total", i, len(res.Steps))
+		}
+	}
+	if settled == 0 {
+		t.Fatal("no pass was settled without a scan; the case no longer exercises the support pass")
+	}
+	t.Logf("%d steps, %d progress reports, %d settled passes", len(res.Steps), len(reports), settled)
+}

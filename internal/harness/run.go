@@ -45,7 +45,8 @@ func Run(ctx context.Context, tumor, normal *bitmat.Matrix, opt Options) (*Resul
 		dctx, cancel = context.WithTimeout(ctx, r.opt.Deadline)
 		defer cancel()
 	}
-	res, err := cover.Greedy(dctx, tumor, normal, r.opt.Cover, cp, r.scanStep, r.commit)
+	res, err := cover.Greedy(dctx, tumor, normal, r.opt.Cover, cp,
+		cover.Hooks{Scan: r.scanStep, Settled: r.settled, Commit: r.commit})
 	if res == nil {
 		if cp != nil {
 			err = fmt.Errorf("harness: resume generation %d: %w", r.out.ResumedGeneration, err)
@@ -178,6 +179,18 @@ func (r *run) persistFinal() error {
 		return nil
 	}
 	return r.persist()
+}
+
+// settled reports a pass the support pass decided without a scan
+// (docs/PRUNING.md §7): it has no partitions, so its one progress report
+// carries Done == Total == 0.
+func (r *run) settled(p cover.Pass) {
+	if r.opt.OnProgress == nil {
+		return
+	}
+	r.eventsMu.Lock()
+	defer r.eventsMu.Unlock()
+	r.opt.OnProgress(Progress{Step: p.Step, Unscanned: r.out.Unscanned})
 }
 
 // partOutcome is one partition's supervised scan result.

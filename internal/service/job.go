@@ -232,7 +232,8 @@ func resultFromHarness(res *harness.Result, symbols []string, tumorFP, normalFP,
 type ProgressStatus struct {
 	// Step is the greedy step being scanned (0-based).
 	Step int `json:"step"`
-	// DonePartitions/TotalPartitions tally the step's enumeration pass.
+	// DonePartitions/TotalPartitions tally the step's enumeration pass;
+	// both are 0 for a pass the engine settled without a scan.
 	DonePartitions  int `json:"done_partitions"`
 	TotalPartitions int `json:"total_partitions"`
 	// Unscanned is the cumulative quarantine coverage bound so far.
