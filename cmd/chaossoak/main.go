@@ -26,6 +26,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -163,6 +164,9 @@ type soak struct {
 	logf func(string, ...any)
 
 	started, unplanned int // daemon lives: planned starts and crash restarts
+	// degradations counts the times a daemon life entered the disk-full
+	// degraded state, summed over the campaign.
+	degradations int
 	// lives holds every daemon the current round started, so the round
 	// can kill them all however it ends.
 	lives []*daemon
@@ -208,8 +212,14 @@ func (s *soak) run(work string) int {
 			_ = os.RemoveAll(roundDir)
 		}
 	}
-	s.logf("PASS: %d/%d rounds, %d daemon lives (%d crash restarts beyond the %d planned kills per round)",
-		s.rounds, s.rounds, s.started, s.unplanned, s.kills)
+	// A campaign whose disk-full windows never met a checkpoint write
+	// did not test the degraded mode at all.
+	if s.degradations == 0 {
+		s.logf("FAIL: %d rounds provoked no disk-full degradation", s.rounds)
+		return 1
+	}
+	s.logf("PASS: %d/%d rounds, %d daemon lives (%d injected-crash restarts beyond the %d planned kills per round), %d disk-full degradations",
+		s.rounds, s.rounds, s.started, s.unplanned, s.kills, s.degradations)
 	if !s.keep {
 		_ = os.RemoveAll(work)
 	}
@@ -579,10 +589,45 @@ func (t *tailBuf) tail(n int) string {
 	return strings.Join(lines, "\n")
 }
 
+// lineCounter counts the lines of a stream that contain mark. exec.Cmd
+// writes to it from a pipe goroutine, so it locks.
+type lineCounter struct {
+	mark []byte
+	mu   sync.Mutex
+	line []byte // the unterminated tail of the stream
+	n    int
+}
+
+func (c *lineCounter) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.line = append(c.line, p...)
+	for {
+		i := bytes.IndexByte(c.line, '\n')
+		if i < 0 {
+			break
+		}
+		if bytes.Contains(c.line[:i], c.mark) {
+			c.n++
+		}
+		c.line = c.line[i+1:]
+	}
+	return len(p), nil
+}
+
+func (c *lineCounter) count() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.n
+}
+
 // daemon is one child-process life.
 type daemon struct {
 	cmd    *exec.Cmd
 	exited chan struct{}
+	// degraded counts the life's log lines announcing a disk-full
+	// degradation; it is complete once the life has exited.
+	degraded *lineCounter
 }
 
 func (d *daemon) dead() bool {
@@ -594,10 +639,12 @@ func (d *daemon) dead() bool {
 	}
 }
 
-// killLives kills every daemon life the round started and forgets them.
+// killLives kills every daemon life the round started, tallies their
+// degradations, and forgets them.
 func (s *soak) killLives() {
 	for _, d := range s.lives {
 		d.kill()
+		s.degradations += d.degraded.count()
 	}
 	s.lives = nil
 }
@@ -626,12 +673,13 @@ func (s *soak) start(exe, roundDir, addr, schedule string, log *tailBuf) (*daemo
 		}
 	}
 	cmd.Env = append(kept, failpoint.EnvVar+"="+schedule)
-	cmd.Stdout, cmd.Stderr = log, log
+	d := &daemon{cmd: cmd, exited: make(chan struct{}), degraded: &lineCounter{mark: []byte("DEGRADED: disk full")}}
+	out := io.MultiWriter(log, d.degraded)
+	cmd.Stdout, cmd.Stderr = out, out
 	if err := cmd.Start(); err != nil {
 		return nil, fmt.Errorf("starting daemon: %w", err)
 	}
 	s.started++
-	d := &daemon{cmd: cmd, exited: make(chan struct{})}
 	s.lives = append(s.lives, d)
 	go func() {
 		_ = cmd.Wait()

@@ -32,7 +32,6 @@ func main() {
 	cacheEntries := flag.Int("cache-entries", service.DefaultCacheEntries, "result cache capacity (negative disables)")
 	maxQueued := flag.Int("max-queued", service.DefaultMaxQueued, "queue depth limit across tenants")
 	workers := flag.Int("workers", 0, "per-job engine worker count (0 = GOMAXPROCS); pinned into each submission")
-	ckptEvery := flag.Int("checkpoint-every", 1, "per-job checkpoint cadence in greedy steps")
 	retain := flag.Int("retain", ckptstore.DefaultRetain, "checkpoint generations retained per job")
 	shedBatchAt := flag.Int("shed-batch-at", 0, "queue depth at which batch-class jobs are shed with 503 (0 = 3/4 of -max-queued, negative disables)")
 	tenantRate := flag.Float64("tenant-rate", 0, "per-tenant submissions per second (0 disables rate limiting)")
@@ -63,14 +62,13 @@ func main() {
 	}
 
 	svc, err := service.Open(service.Config{
-		DataDir:         *dataDir,
-		Device:          gpusim.V100(),
-		ClusterGPUs:     *gpus,
-		MaxQueued:       *maxQueued,
-		CacheEntries:    *cacheEntries,
-		JobWorkers:      *workers,
-		CheckpointEvery: *ckptEvery,
-		Retain:          *retain,
+		DataDir:      *dataDir,
+		Device:       gpusim.V100(),
+		ClusterGPUs:  *gpus,
+		MaxQueued:    *maxQueued,
+		CacheEntries: *cacheEntries,
+		JobWorkers:   *workers,
+		Retain:       *retain,
 
 		ShedBatchAt:      *shedBatchAt,
 		TenantRatePerSec: *tenantRate,

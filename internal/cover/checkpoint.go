@@ -79,12 +79,19 @@ const checkpointVersion = 1
 // ToCheckpoint converts a (typically MaxIterations-bounded) run's result
 // into a resumable checkpoint for the given input matrices.
 func (r *Result) ToCheckpoint(tumor, normal *bitmat.Matrix) *Checkpoint {
+	return r.CheckpointFor(tumor.Fingerprint(), normal.Fingerprint())
+}
+
+// CheckpointFor is ToCheckpoint given the input matrices' fingerprints
+// (bitmat.Matrix.Fingerprint), for callers that checkpoint one run
+// repeatedly and hash its inputs once.
+func (r *Result) CheckpointFor(tumorFP, normalFP uint64) *Checkpoint {
 	cp := &Checkpoint{
 		Version:           checkpointVersion,
 		Hits:              r.Options.Hits,
 		Alpha:             r.Options.Alpha,
-		TumorFingerprint:  tumor.Fingerprint(),
-		NormalFingerprint: normal.Fingerprint(),
+		TumorFingerprint:  tumorFP,
+		NormalFingerprint: normalFP,
 		Evaluated:         r.Evaluated,
 		Pruned:            r.Pruned,
 		Kernelize:         r.Options.Kernelize,

@@ -69,18 +69,20 @@ type Options struct {
 	// workers, alpha, BitSplice, Kernelize, NoPrune, MaxIterations).
 	Cover cover.Options
 
-	// Store, when non-nil, receives a checkpoint after every
-	// CheckpointEvery-th completed greedy step and at every stop. A
-	// persistence failure aborts the run (durability is the point);
-	// the in-memory result is still returned alongside the error.
+	// Store, when non-nil, receives a checkpoint at every stop and after
+	// completed greedy steps on a cadence set by the measured cost of a
+	// publish: the leg's first committed step is always published, and a
+	// later one once eight times the cheapest publish the leg has
+	// measured (encode plus Save) has passed since the last publish. A
+	// crash therefore loses at most that interval's work plus the step in
+	// flight (docs/RESILIENCE.md). A persistence failure aborts the run
+	// (durability is the point); the in-memory result is still returned
+	// alongside the error.
 	Store Store
 	// Resume loads the newest valid generation from Store before
 	// running. With no loadable checkpoint the run FAILS rather than
 	// silently starting from scratch; omit Resume for a fresh run.
 	Resume bool
-	// CheckpointEvery is the persistence cadence in completed steps;
-	// 0 means 1 (every step).
-	CheckpointEvery int
 
 	// MaxRetries is how many retries a failing partition gets before
 	// quarantine; negative disables retries (first failure quarantines).
@@ -301,9 +303,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.BackoffMax <= 0 {
 		o.BackoffMax = DefaultBackoffMax
-	}
-	if o.CheckpointEvery <= 0 {
-		o.CheckpointEvery = 1
 	}
 	return o
 }

@@ -667,9 +667,8 @@ func TestCancelDuringSpliceRescanDiscardsThePass(t *testing.T) {
 	defer cancel()
 	climbs := map[int]int{}
 	res, err := Run(ctx, tumor, normal, Options{
-		Cover:           copt,
-		Store:           store,
-		CheckpointEvery: 1000, // persisted only at the stop
+		Cover: copt,
+		Store: store,
 		OnProgress: func(p Progress) {
 			if p.Done == 1 {
 				if climbs[p.Step]++; climbs[p.Step] == 2 {

@@ -28,12 +28,17 @@ import (
 // injected crash) is returned alongside whatever result had accumulated.
 //
 // Failpoints on this path: harness/partition (each partition scan
-// attempt), harness/crash (after each step's persistence — the
-// crash-resume property tests kill the run here), plus the cover,
+// attempt), harness/crash (after each step's commit — the crash-resume
+// property tests kill the run here), plus the cover,
 // reduce, and ckptstore points the scan and persistence pass through.
 func Run(ctx context.Context, tumor, normal *bitmat.Matrix, opt Options) (*Result, error) {
 	start := time.Now()
-	r := &run{opt: opt.withDefaults(), tumor: tumor, normal: normal, out: &Result{}}
+	r := &run{opt: opt.withDefaults(), out: &Result{}}
+	if r.opt.Store != nil {
+		// The inputs are fixed for the leg, so every publish reuses one
+		// hash of each.
+		r.tumorFP, r.normalFP = tumor.Fingerprint(), normal.Fingerprint()
+	}
 	cp, err := r.restore()
 	if err != nil {
 		return nil, err
@@ -69,20 +74,31 @@ func Run(ctx context.Context, tumor, normal *bitmat.Matrix, opt Options) (*Resul
 	return r.out, err
 }
 
+// publishRatio is how many times the cheapest publish a leg has measured
+// must pass between two of its step publishes: publishing then takes at
+// most about 1/publishRatio of the leg's wall time, and a crash loses at
+// most the work of that interval plus the step in flight.
+const publishRatio = 8
+
 // run is the mutable state of one supervised leg.
 type run struct {
-	opt           Options
-	tumor, normal *bitmat.Matrix
+	opt               Options
+	tumorFP, normalFP uint64 // the inputs' fingerprints, when Store is set
 
 	// res is the loop's result as of the last commit, in the engine's own
-	// Result shape, so checkpoints serialize through cover.ToCheckpoint
-	// unchanged; kept holds its work totals at that commit.
+	// Result shape, so checkpoints serialize through cover's
+	// CheckpointFor; kept holds its work totals at that commit.
 	res  *cover.Result
 	kept cover.Counts
 
-	out      *Result
-	dirty    bool // steps completed since the last persist
-	eventsMu sync.Mutex
+	out   *Result
+	dirty bool // steps completed since the last persist
+	// published is when this leg's last publish finished (zero before
+	// its first); cheapest is the cheapest publish, encode plus Save,
+	// the leg has measured.
+	published time.Time
+	cheapest  time.Duration
+	eventsMu  sync.Mutex
 }
 
 // restore loads the newest valid checkpoint generation when resuming; it
@@ -111,13 +127,13 @@ func (r *run) restore() (*cover.Checkpoint, error) {
 	return cp, nil
 }
 
-// commit is the loop's per-step commit: it persists on the
-// CheckpointEvery cadence, then passes the harness/crash failpoint.
+// commit is the loop's per-step commit: it persists when a publish is
+// due, then passes the harness/crash failpoint.
 func (r *run) commit(res *cover.Result) error {
 	r.res = res
 	r.kept = cover.Counts{Evaluated: res.Evaluated, Pruned: res.Pruned}
 	r.dirty = true
-	if len(res.Steps)%r.opt.CheckpointEvery == 0 {
+	if r.publishDue() {
 		if err := r.persist(); err != nil {
 			return err
 		}
@@ -128,6 +144,17 @@ func (r *run) commit(res *cover.Result) error {
 		return fmt.Errorf("harness: crashed after step %d: %w", len(res.Steps)-1, err)
 	}
 	return nil
+}
+
+// publishDue reports whether the step just committed is published: always
+// when the leg has not published yet, so every leg that commits a step
+// makes durable progress and any crash schedule converges; otherwise once
+// publishRatio times the cheapest publish has passed since the last one.
+// The cheapest, not the latest, sets the cadence, so a stalled Save (a
+// slow fsync, the service's disk-full retry) does not stretch the loss
+// window after it.
+func (r *run) publishDue() bool {
+	return r.published.IsZero() || time.Since(r.published) >= publishRatio*r.cheapest
 }
 
 // markStopped records why the run stopped early.
@@ -158,7 +185,12 @@ func (r *run) persist() error {
 		r.dirty = false
 		return nil
 	}
-	cp := r.res.ToCheckpoint(r.tumor, r.normal)
+	start := time.Now()
+	cp := r.res.CheckpointFor(r.tumorFP, r.normalFP)
+	// Only committed steps' work is durable: a completed run's result
+	// also counts its closing no-winner pass, which a leg resumed from
+	// this checkpoint scans again.
+	cp.Evaluated, cp.Pruned = r.kept.Evaluated, r.kept.Pruned
 	var buf bytes.Buffer
 	if err := cp.Write(&buf); err != nil {
 		return fmt.Errorf("harness: encoding checkpoint: %w", err)
@@ -167,6 +199,11 @@ func (r *run) persist() error {
 	if err != nil {
 		return fmt.Errorf("harness: persisting %d steps: %w", len(r.res.Steps), err)
 	}
+	end := time.Now()
+	if cost := end.Sub(start); r.published.IsZero() || cost < r.cheapest {
+		r.cheapest = cost
+	}
+	r.published = end
 	r.out.PersistedGeneration = gen
 	r.dirty = false
 	r.event(Event{Kind: EventCheckpoint, Step: len(r.res.Steps) - 1, Generation: gen})

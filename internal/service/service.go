@@ -54,9 +54,6 @@ type Config struct {
 	// resolved at submission and persisted so a restarted daemon re-runs
 	// the job with the identical partition plan.
 	JobWorkers int
-	// CheckpointEvery is the per-job persistence cadence in greedy
-	// steps; 0 means 1 (every step — the tightest resume bound).
-	CheckpointEvery int
 	// Retain is the per-job checkpoint-store retention; 0 means the
 	// ckptstore default.
 	Retain int
@@ -114,9 +111,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.JobWorkers == 0 {
 		c.JobWorkers = runtime.GOMAXPROCS(0)
-	}
-	if c.CheckpointEvery == 0 {
-		c.CheckpointEvery = 1
 	}
 	if c.ShedBatchAt == 0 {
 		c.ShedBatchAt = c.MaxQueued * 3 / 4
@@ -597,12 +591,11 @@ func (s *Service) runJob(j *job) {
 		Cover: j.opt,
 		// The guard turns ENOSPC into degraded-state retries: a full
 		// disk stalls the job's checkpoints, it does not fail the job.
-		Store:           &guardedStore{s: s, store: store, ctx: ctx, jobID: j.id},
-		Resume:          len(gens) > 0,
-		CheckpointEvery: s.cfg.CheckpointEvery,
-		Deadline:        time.Duration(j.spec.DeadlineSec * float64(time.Second)),
-		OnEvent:         func(e harness.Event) { s.onHarnessEvent(j, e) },
-		OnProgress:      func(p harness.Progress) { s.onHarnessProgress(j, p) },
+		Store:      &guardedStore{s: s, store: store, ctx: ctx, jobID: j.id},
+		Resume:     len(gens) > 0,
+		Deadline:   time.Duration(j.spec.DeadlineSec * float64(time.Second)),
+		OnEvent:    func(e harness.Event) { s.onHarnessEvent(j, e) },
+		OnProgress: func(p harness.Progress) { s.onHarnessProgress(j, p) },
 	}
 	if hopt.Resume {
 		s.cfg.Logf("service: %s resuming from generation %d", j.id, gens[len(gens)-1])
