@@ -63,6 +63,12 @@ type Store interface {
 	Load() (*ckptstore.Snapshot, error)
 }
 
+// publishCoster is implemented by a Store that has measured what a
+// publish costs (see Options.Store); 0 means unknown.
+type publishCoster interface {
+	PublishCost() time.Duration
+}
+
 // Options configures a supervised run.
 type Options struct {
 	// Cover configures the underlying engine (hits, scheme, scheduler,
@@ -78,6 +84,18 @@ type Options struct {
 	// flight (docs/RESILIENCE.md). A persistence failure aborts the run
 	// (durability is the point); the in-memory result is still returned
 	// alongside the error.
+	//
+	// A Store may also have a method PublishCost() time.Duration that
+	// reports a publish cost measured before the leg (0 means unknown).
+	// A known cost makes the leg's start count as its last publish, so
+	// even the first step waits for the cadence, and a completed run
+	// publishes its leftover steps only when a publish is due: the
+	// caller must then hold a durable point as of the start (the
+	// service's job spec) and make the result durable itself (its
+	// result file). A leg that is killed before its first publish should
+	// be rerun without a cost, or a crash schedule may never make
+	// progress. Deadline and cancel stops publish every committed step
+	// either way.
 	Store Store
 	// Resume loads the newest valid generation from Store before
 	// running. With no loadable checkpoint the run FAILS rather than

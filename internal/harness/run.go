@@ -38,6 +38,13 @@ func Run(ctx context.Context, tumor, normal *bitmat.Matrix, opt Options) (*Resul
 		// The inputs are fixed for the leg, so every publish reuses one
 		// hash of each.
 		r.tumorFP, r.normalFP = tumor.Fingerprint(), normal.Fingerprint()
+		if pc, ok := r.opt.Store.(publishCoster); ok {
+			if cost := pc.PublishCost(); cost > 0 {
+				// The caller holds a durable point as of the leg's start
+				// and owns the completed run's final publish.
+				r.costKnown, r.published, r.cheapest = true, start, cost
+			}
+		}
 	}
 	cp, err := r.restore()
 	if err != nil {
@@ -95,9 +102,11 @@ type run struct {
 	dirty bool // steps completed since the last persist
 	// published is when this leg's last publish finished (zero before
 	// its first); cheapest is the cheapest publish, encode plus Save,
-	// the leg has measured.
+	// the leg has measured. With costKnown, the Store reported a cost:
+	// it seeds cheapest, and the leg's start counts as its last publish.
 	published time.Time
 	cheapest  time.Duration
+	costKnown bool
 	eventsMu  sync.Mutex
 }
 
@@ -150,6 +159,8 @@ func (r *run) commit(res *cover.Result) error {
 // when the leg has not published yet, so every leg that commits a step
 // makes durable progress and any crash schedule converges; otherwise once
 // publishRatio times the cheapest publish has passed since the last one.
+// A leg whose Store reported a cost counts its start as a publish, so its
+// first step waits for the cadence too.
 // The cheapest, not the latest, sets the cadence, so a stalled Save (a
 // slow fsync, the service's disk-full retry) does not stretch the loss
 // window after it.
@@ -210,9 +221,12 @@ func (r *run) persist() error {
 	return nil
 }
 
-// persistFinal persists any steps the cadence has not yet covered.
+// persistFinal persists any steps the cadence has not yet covered. A
+// completed run whose Store reported a publish cost publishes them only
+// when the cadence says a publish is due: its caller makes the result
+// durable. Deadline and cancel stops always publish.
 func (r *run) persistFinal() error {
-	if !r.dirty {
+	if !r.dirty || r.costKnown && r.out.Stop == StopCompleted && !r.publishDue() {
 		return nil
 	}
 	return r.persist()

@@ -9,14 +9,15 @@ package service
 //  2. old checkpoint generations of live jobs (PruneKeep(1) — the
 //     newest generation, which a resume needs, is never touched).
 //
-// Independently, every checkpoint write goes through guardedStore: an
-// ENOSPC (real or injected via the ckptstore/write=diskfull failpoint)
+// Independently, every checkpoint and result write goes through durably:
+// an ENOSPC (real or injected via the ckptstore/write=diskfull failpoint)
 // flips the service into a degraded state — stop admitting, keep
 // draining — and the write RETRIES in place until space returns or the
 // job's context dies, so an in-flight job survives a full disk instead
-// of failing. The monitor probes the disk each tick and lifts the
-// degraded state when a probe write lands and usage is back under
-// budget.
+// of failing. A spec write that hits ENOSPC degrades the service too and
+// rejects the submission with Retry-After. The monitor probes the disk
+// each tick and lifts the degraded state when a probe write lands and
+// usage is back under budget.
 
 import (
 	"context"
@@ -44,6 +45,24 @@ type DiskStats struct {
 	GCRuns uint64 `json:"gc_runs,omitempty"`
 	// GCFreedBytes totals the bytes reclaimed by background GC.
 	GCFreedBytes int64 `json:"gc_freed_bytes,omitempty"`
+	// CheckpointPublishes and ResultWrites count the checkpoint
+	// generations and result files this daemon life has written; their
+	// ratio to finished jobs is the durable writes a job costs.
+	CheckpointPublishes uint64 `json:"checkpoint_publishes"`
+	ResultWrites        uint64 `json:"result_writes"`
+	// CheapestPublishSec is the cheapest checkpoint publish this daemon
+	// life has measured (0 = none yet): the cost a fresh job's first leg
+	// reports to the harness's publish cadence.
+	CheapestPublishSec float64 `json:"cheapest_publish_sec,omitempty"`
+}
+
+// diskStatsLocked snapshots the disk block; s.mu must be held.
+func (s *Service) diskStatsLocked() DiskStats {
+	d := s.disk
+	d.CheckpointPublishes = s.publishes.Load()
+	d.ResultWrites = s.resultWrites.Load()
+	d.CheapestPublishSec = time.Duration(s.cheapestSave.Load()).Seconds()
+	return d
 }
 
 // diskMonitor runs the accountant loop: poll usage, GC over budget,
@@ -232,39 +251,79 @@ func (s *Service) degradedReason() string {
 	return s.disk.Degraded
 }
 
-// guardedStore wraps a job's checkpoint store with the ENOSPC guard: a
-// disk-full Save flips the service degraded, kicks GC, and retries in
-// place on the poll cadence until space returns or the job's context
-// dies. Everything else passes through. It satisfies harness.Store.
+// durably runs a write, retrying it in place while the disk is full:
+// each ENOSPC flips the service degraded, kicks GC and waits a poll
+// interval, until the write lands or ctx dies (then the ENOSPC is
+// returned, so runJob can park or cancel the job instead of failing it).
+// Any other error returns at once.
+func (s *Service) durably(ctx context.Context, what string, write func() error) error {
+	for attempt := 0; ; attempt++ {
+		err := write()
+		if err == nil {
+			if attempt > 0 {
+				s.cfg.Logf("service: %s landed after %d disk-full retries", what, attempt)
+			}
+			return nil
+		}
+		if !ckptstore.IsDiskFull(err) {
+			return err
+		}
+		s.enterDegraded(fmt.Sprintf("disk full persisting %s: %v", what, err))
+		s.kickGC()
+		select {
+		case <-ctx.Done():
+			return err
+		case <-time.After(s.cfg.DiskPoll):
+		}
+	}
+}
+
+// notePublish counts one checkpoint publish that took d and keeps the
+// cheapest publish the daemon has measured.
+func (s *Service) notePublish(d time.Duration) {
+	s.publishes.Add(1)
+	for {
+		cur := s.cheapestSave.Load()
+		if cur > 0 && cur <= int64(d) || s.cheapestSave.CompareAndSwap(cur, int64(d)) {
+			return
+		}
+	}
+}
+
+// guardedStore is a job's checkpoint store behind the ENOSPC guard
+// (durably); it satisfies harness.Store. The store directory is created
+// by the first Save, so a job that never publishes leaves none. cost is
+// the publish cost reported to the harness (0 = unknown; see runLeg).
 type guardedStore struct {
 	s     *Service
-	store *ckptstore.Store
+	dir   string
+	store *ckptstore.Store // nil until opened
+	cost  time.Duration
 	ctx   context.Context
 	jobID string
 }
 
+func (g *guardedStore) PublishCost() time.Duration { return g.cost }
+
+// Load is called only to resume, which runLeg asks for only when it
+// opened the store and found generations.
 func (g *guardedStore) Load() (*ckptstore.Snapshot, error) { return g.store.Load() }
 
-func (g *guardedStore) Save(payload []byte) (uint64, error) {
-	for attempt := 0; ; attempt++ {
-		gen, err := g.store.Save(payload)
-		if err == nil {
-			if attempt > 0 {
-				g.s.cfg.Logf("service: %s checkpoint landed after %d disk-full retries", g.jobID, attempt)
+func (g *guardedStore) Save(payload []byte) (gen uint64, err error) {
+	err = g.s.durably(g.ctx, g.jobID+" checkpoint", func() error {
+		start := time.Now()
+		if g.store == nil {
+			store, err := ckptstore.Open(g.dir, ckptstore.Options{Retain: g.s.cfg.Retain})
+			if err != nil {
+				return err
 			}
-			return gen, nil
+			g.store = store
 		}
-		if !ckptstore.IsDiskFull(err) {
-			return 0, err
+		var err error
+		if gen, err = g.store.Save(payload); err == nil {
+			g.s.notePublish(time.Since(start))
 		}
-		g.s.enterDegraded(fmt.Sprintf("disk full persisting %s: %v", g.jobID, err))
-		g.s.kickGC()
-		select {
-		case <-g.ctx.Done():
-			// Shutdown or cancel while the disk is full: surface the
-			// ENOSPC so runJob can park the job instead of failing it.
-			return 0, err
-		case <-time.After(g.s.cfg.DiskPoll):
-		}
-	}
+		return err
+	})
+	return gen, err
 }

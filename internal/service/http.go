@@ -74,6 +74,8 @@ func writeError(w http.ResponseWriter, err error) {
 		status = http.StatusConflict
 	case errors.Is(err, ErrClosed), errors.Is(err, ErrShed), errors.Is(err, ErrDegraded):
 		status = http.StatusServiceUnavailable
+	case errors.Is(err, ErrStorage):
+		status = http.StatusInternalServerError
 	}
 	writeJSON(w, status, apiError{Error: err.Error()})
 }

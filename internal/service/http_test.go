@@ -266,3 +266,48 @@ func TestStateRoundTrip(t *testing.T) {
 		t.Fatal("state spellings drifted from the documented API")
 	}
 }
+
+// TestHTTPSpecWriteFailureStatus pins the status of a submission whose
+// spec write fails: a full disk degrades the service and answers 503
+// with Retry-After, so the client retries; any other I/O error is the
+// daemon's fault and answers 500, never 400.
+func TestHTTPSpecWriteFailureStatus(t *testing.T) {
+	defer failpoint.DisableAll()
+	for _, tc := range []struct {
+		action   string
+		status   int
+		degraded bool
+	}{
+		{"diskfull", http.StatusServiceUnavailable, true},
+		{"error", http.StatusInternalServerError, false},
+	} {
+		t.Run(tc.action, func(t *testing.T) {
+			svc, ts := startTestServer(t, Config{})
+			if err := failpoint.Enable("ckptstore/write", tc.action); err != nil {
+				t.Fatal(err)
+			}
+			body, err := json.Marshal(testSpec())
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+			failpoint.Disable("ckptstore/write")
+			if err != nil {
+				t.Fatalf("POST /v1/jobs: %v", err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != tc.status {
+				t.Fatalf("spec write %s → %d, want %d", tc.action, resp.StatusCode, tc.status)
+			}
+			if got := resp.Header.Get("Retry-After") != ""; got != tc.degraded {
+				t.Fatalf("Retry-After present = %v, want %v", got, tc.degraded)
+			}
+			if got := svc.Stats().Disk.Degraded != ""; got != tc.degraded {
+				t.Fatalf("degraded = %v, want %v", got, tc.degraded)
+			}
+			if n := len(svc.List("")); n != 0 {
+				t.Fatalf("%d jobs after a rejected submission, want 0", n)
+			}
+		})
+	}
+}

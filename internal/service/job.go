@@ -284,6 +284,7 @@ type job struct {
 	endedAt     time.Time
 	cancel      func()        // non-nil while running
 	userCancel  bool          // cancel requested by the submitter
+	fresh       bool          // submitted to this daemon and not yet started
 	idemKey     string        // idempotency key the submission carried
 	done        chan struct{} // closed on terminal transition
 

@@ -5,11 +5,13 @@ package service
 //
 //	jobs/<id>/spec.json     the submission, with resolved worker count
 //	jobs/<id>/result.json   the terminal outcome (absent while in flight)
-//	jobs/<id>/ckpt/         the job's generational checkpoint store
+//	jobs/<id>/ckpt/         the job's generational checkpoint store,
+//	                        created by its first publish
 //
 // Both JSON files publish through ckptstore.WriteFileAtomic, so a crash
 // at any instant leaves a job either absent, in-flight (spec without
-// result — restart resumes it from its checkpoint store), or terminal.
+// result — restart resumes it from its checkpoint store, or reruns it
+// when it has none), or terminal.
 // Reads are bounded: a corrupt or hostile file cannot drive an unbounded
 // allocation.
 

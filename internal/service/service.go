@@ -9,11 +9,14 @@
 // from a fingerprint-keyed result cache when an identical submission has
 // already completed.
 //
-// Durability contract: a killed daemon loses at most the work since each
-// in-flight job's last checkpointed greedy step. On restart every
-// non-terminal job is re-enqueued and resumes from its own generational
-// store, completing bit-identically to an uninterrupted run (the harness
-// crash-invariance guarantee lifted to the serving layer).
+// Durability contract: a job's spec is its first durable point and its
+// result file its last. A killed daemon loses at most each in-flight
+// job's work since its last durable point, bounded by the publish cadence
+// (docs/RESILIENCE.md §3). On restart every non-terminal job is
+// re-enqueued and resumes from its own generational store, or reruns from
+// its spec when it published none, completing bit-identically to an
+// uninterrupted run (the harness crash-invariance guarantee lifted to the
+// serving layer).
 // docs/SERVICE.md specifies the API and the scheduling, admission,
 // caching, and resume semantics.
 package service
@@ -25,6 +28,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/ckptstore"
@@ -157,6 +161,13 @@ type Service struct {
 	nextID uint64
 	shed   ShedStats
 	disk   DiskStats
+
+	// cheapestSave is the cheapest checkpoint publish measured in this
+	// daemon life, in nanoseconds (0 = none yet); publishes and
+	// resultWrites count durable writes for the disk stats.
+	cheapestSave atomic.Int64
+	publishes    atomic.Uint64
+	resultWrites atomic.Uint64
 }
 
 // Open validates the config, restores persisted jobs from DataDir —
@@ -393,6 +404,7 @@ func (s *Service) SubmitIdempotent(spec JobSpec, idemKey string) (*JobStatus, bo
 		return nil, false, err
 	}
 	j.idemKey = idemKey
+	j.fresh = true
 	if j.cost.GPUs > s.cfg.ClusterGPUs {
 		s.rollbackKey(idemKey, id)
 		return nil, false, fmt.Errorf("%w: needs %d simulated GPUs, cluster has %d",
@@ -417,7 +429,7 @@ func (s *Service) SubmitIdempotent(spec JobSpec, idemKey string) (*JobStatus, bo
 		s.cond.Broadcast()
 		s.mu.Unlock()
 		if err := s.persistJob(j); err != nil {
-			return nil, false, err
+			return nil, false, s.specWriteError(j, err)
 		}
 		s.persistTerminal(j, StateSucceeded, key)
 		s.cfg.Logf("service: %s answered from cache (produced by %s)", id, from)
@@ -447,7 +459,7 @@ func (s *Service) SubmitIdempotent(spec JobSpec, idemKey string) (*JobStatus, bo
 		delete(s.jobs, id)
 		s.mu.Unlock()
 		s.rollbackKey(idemKey, id)
-		return nil, false, err
+		return nil, false, s.specWriteError(j, err)
 	}
 
 	s.mu.Lock()
@@ -514,6 +526,22 @@ func (s *Service) persistJob(j *job) error {
 	return writeJSONAtomic(filepath.Join(j.dir, specFileName), pj)
 }
 
+// specWriteError classifies a failed spec write. A full disk degrades the
+// service and asks the client to retry later, as a degraded admission
+// does; any other failure is the daemon's, not the request's.
+func (s *Service) specWriteError(j *job, err error) error {
+	if !ckptstore.IsDiskFull(err) {
+		return fmt.Errorf("%w: persisting %s: %v", ErrStorage, j.id, err)
+	}
+	s.enterDegraded(fmt.Sprintf("disk full persisting %s: %v", j.id, err))
+	s.kickGC()
+	s.mu.Lock()
+	s.shed.DegradedRejected++
+	after := s.drain.retryAfter(s.queue.Len())
+	s.mu.Unlock()
+	return &RetryAfterError{Err: fmt.Errorf("%w: %v", ErrDegraded, err), After: after}
+}
+
 // dispatch is the scheduling loop: it starts the fair-share pick whenever
 // a job, the admission capacity for it, and the circuit breaker's consent
 // are all available. A half-open breaker admits exactly one probe job;
@@ -572,26 +600,68 @@ func (s *Service) runJob(j *job) {
 		return
 	}
 	j.cancel = cancel
+	fresh := j.fresh
+	j.fresh = false
 	j.mu.Unlock()
 	j.setState(StateRunning)
 
-	store, err := ckptstore.Open(filepath.Join(j.dir, ckptDirName), ckptstore.Options{Retain: s.cfg.Retain})
-	if err != nil {
-		s.finishJob(j, StateFailed, &JobResult{Error: err.Error()})
-		s.brk.onFailure()
+	err := s.runLeg(ctx, j, fresh)
+	if err == nil {
 		return
 	}
-	gens, err := store.Generations()
-	if err != nil {
-		s.finishJob(j, StateFailed, &JobResult{Error: err.Error()})
-		s.brk.onFailure()
-		return
+	if ckptstore.IsDiskFull(err) {
+		j.mu.Lock()
+		userCancel := j.userCancel
+		j.mu.Unlock()
+		switch {
+		case s.ctx.Err() != nil && !userCancel:
+			// Shutdown caught the job mid-disk-full: its completed
+			// steps are checkpointed (or re-derivable); park it for
+			// the next daemon instead of failing it.
+			j.setState(StateQueued)
+			s.cfg.Logf("service: %s parked at shutdown during disk-full", j.id)
+			return
+		case userCancel:
+			s.finishJob(j, StateCanceled, &JobResult{Error: "canceled while disk full"})
+			return
+		}
+	}
+	s.finishJob(j, StateFailed, &JobResult{Error: err.Error()})
+	s.brk.onFailure()
+}
+
+// runLeg runs one leg of a job and records its outcome; an error fails
+// the job unless runJob can park or cancel it.
+//
+// A job's spec is its first durable point and, once it completes, its
+// result file is its last. So the first leg of a job submitted to this
+// daemon reports the cheapest checkpoint publish the daemon has measured
+// to the harness, which then publishes no step before the cadence calls
+// for one and leaves a completed run's final publish to the result file.
+// A job restored at Open, or a leg that finds generations on disk,
+// reports no cost and publishes its first step, so every crash schedule
+// still converges. The checkpoint store is created by its first publish.
+func (s *Service) runLeg(ctx context.Context, j *job, fresh bool) error {
+	store := &guardedStore{s: s, dir: filepath.Join(j.dir, ckptDirName), ctx: ctx, jobID: j.id}
+	var gens []uint64
+	if _, err := os.Stat(store.dir); err == nil {
+		if store.store, err = ckptstore.Open(store.dir, ckptstore.Options{Retain: s.cfg.Retain}); err != nil {
+			return err
+		}
+		if gens, err = store.store.Generations(); err != nil {
+			return err
+		}
+	} else if !os.IsNotExist(err) {
+		return fmt.Errorf("service: %w", err)
+	}
+	if fresh && len(gens) == 0 {
+		store.cost = time.Duration(s.cheapestSave.Load())
 	}
 	hopt := harness.Options{
 		Cover: j.opt,
 		// The guard turns ENOSPC into degraded-state retries: a full
 		// disk stalls the job's checkpoints, it does not fail the job.
-		Store:      &guardedStore{s: s, store: store, ctx: ctx, jobID: j.id},
+		Store:      store,
 		Resume:     len(gens) > 0,
 		Deadline:   time.Duration(j.spec.DeadlineSec * float64(time.Second)),
 		OnEvent:    func(e harness.Event) { s.onHarnessEvent(j, e) },
@@ -602,30 +672,8 @@ func (s *Service) runJob(j *job) {
 	}
 	res, err := harness.Run(ctx, j.cohort.Tumor, j.cohort.Normal, hopt)
 	if err != nil {
-		if ckptstore.IsDiskFull(err) {
-			j.mu.Lock()
-			userCancel := j.userCancel
-			j.mu.Unlock()
-			switch {
-			case s.ctx.Err() != nil && !userCancel:
-				// Shutdown caught the job mid-disk-full: its completed
-				// steps are checkpointed (or re-derivable); park it for
-				// the next daemon instead of failing it.
-				j.setState(StateQueued)
-				s.cfg.Logf("service: %s parked at shutdown during disk-full", j.id)
-				return
-			case userCancel:
-				s.finishJob(j, StateCanceled, &JobResult{Error: "canceled while disk full"})
-				return
-			}
-		}
-		s.finishJob(j, StateFailed, &JobResult{Error: err.Error()})
-		s.brk.onFailure()
-		return
+		return err
 	}
-	// The backend executed: any non-error outcome counts as backend
-	// health for the circuit breaker.
-	s.brk.onSuccess()
 
 	result := resultFromHarness(res, j.cohort.GeneSymbols,
 		j.cohort.Tumor.Fingerprint(), j.cohort.Normal.Fingerprint(), res.KernelFingerprint)
@@ -640,15 +688,29 @@ func (s *Service) runJob(j *job) {
 		// completed steps, so leave the job in flight on disk — the next
 		// daemon re-enqueues and resumes it. In-memory state returns to
 		// queued for observers that outlive the shutdown call.
+		s.brk.onSuccess()
 		j.setState(StateQueued)
 		s.cfg.Logf("service: %s parked at shutdown (generation %d)", j.id, res.PersistedGeneration)
-		return
+		return nil
 	}
 	state := StateForStop(res.Stop)
 	if userCancel {
 		state = StateCanceled
 	}
-	s.finishJob(j, state, result)
+	key := CanonicalKey(j.cohort.Tumor, j.cohort.Normal, j.opt)
+	j.mu.Lock()
+	j.result = result
+	j.mu.Unlock()
+	// The result file lands before the job is reported finished: for a
+	// completed run it is the final publish.
+	if err := s.durably(ctx, j.id+" result", func() error { return s.writeResult(j, state, key) }); err != nil {
+		return err
+	}
+	// The backend executed and its outcome is durable: that counts as
+	// backend health for the circuit breaker.
+	s.brk.onSuccess()
+	s.completeJob(j, state, key)
+	return nil
 }
 
 // finishJob records a terminal outcome. Persistence and the cache insert
@@ -662,7 +724,16 @@ func (s *Service) finishJob(j *job, state JobState, result *JobResult) {
 	j.mu.Unlock()
 	key := CanonicalKey(j.cohort.Tumor, j.cohort.Normal, j.opt)
 	s.persistTerminal(j, state, key)
+	s.completeJob(j, state, key)
+}
+
+// completeJob reports a terminal outcome whose result file has been
+// written: it caches a success, then makes the transition.
+func (s *Service) completeJob(j *job, state JobState, key CacheKey) {
 	if state == StateSucceeded {
+		j.mu.Lock()
+		result := j.result
+		j.mu.Unlock()
 		s.mu.Lock()
 		s.cache.Put(key, j.id, result)
 		s.mu.Unlock()
@@ -675,12 +746,21 @@ func (s *Service) finishJob(j *job, state JobState, result *JobResult) {
 // persistTerminal publishes the result file; failures are logged, not
 // fatal (the in-memory state is authoritative until the next restart).
 func (s *Service) persistTerminal(j *job, state JobState, key CacheKey) {
+	if err := s.writeResult(j, state, key); err != nil {
+		s.cfg.Logf("service: persisting %s result: %v", j.id, err)
+	}
+}
+
+// writeResult publishes the job's result file.
+func (s *Service) writeResult(j *job, state JobState, key CacheKey) error {
 	j.mu.Lock()
 	pr := persistedResult{State: state.String(), Key: key, Result: j.result}
 	j.mu.Unlock()
 	if err := writeJSONAtomic(filepath.Join(j.dir, resultFileName), pr); err != nil {
-		s.cfg.Logf("service: persisting %s result: %v", j.id, err)
+		return err
 	}
+	s.resultWrites.Add(1)
+	return nil
 }
 
 // onHarnessEvent translates supervisor events into job events.
@@ -903,7 +983,7 @@ func (s *Service) Stats() Stats {
 		Engines:     engines,
 		Shed:        s.shed,
 		Breaker:     brk,
-		Disk:        s.disk,
+		Disk:        s.diskStatsLocked(),
 	}
 }
 
@@ -932,7 +1012,7 @@ func (s *Service) Readiness() Readiness {
 		MaxQueued:  s.cfg.MaxQueued,
 		Running:    s.adm.running,
 		Breaker:    brk,
-		Disk:       s.disk,
+		Disk:       s.diskStatsLocked(),
 	}
 	if s.closed {
 		r.Ready = false

@@ -142,6 +142,10 @@ var (
 	// exhausted or out of space): it keeps draining admitted jobs but
 	// accepts no new ones until the condition clears.
 	ErrDegraded = errors.New("service: degraded, not admitting")
+	// ErrStorage means the daemon failed to persist an accepted
+	// submission for a reason other than a full disk: the fault is the
+	// daemon's, not the request's.
+	ErrStorage = errors.New("service: storage failure")
 )
 
 // RetryAfterError decorates a rejection with a drain-rate-derived hint
