@@ -17,7 +17,10 @@
 // Entry points:
 //
 //   - in a package with import-path tail "cover": every function whose name
-//     begins with "kernel" (kernelPair, kernel2x1, ... kernel4x1five);
+//     begins with "kernel" (kernelPair, kernel2x1, ... kernel4x1five),
+//     "sparse" or "solveSparse", and the decide and remove methods of the
+//     greedy loop's carried support state (supportState), which run on
+//     every pass;
 //   - in a package with tail "bitmat": the hot word-wise operations, by name
 //     prefix (PopAnd*, AndWords*, AndPop*, AndInto*, ComboPop*, ComboVec,
 //     RowPopCount).
@@ -208,6 +211,12 @@ func isEntryPoint(path string, fn *types.Func) bool {
 		// The sparse merge kernels (sparse2x1 ... sparse3x1) and their
 		// prefix helpers share the dense kernels' invariant: setup
 		// (newSparseEnv, ensureSparse) may allocate, the scan may not.
+		// So do the carried support state's per-pass steps, which walk
+		// every record or index entry of a greedy run on every pass; its
+		// one-time build may allocate.
+		if receiverName(fn) == "supportState" {
+			return fn.Name() == "decide" || fn.Name() == "remove"
+		}
 		return strings.HasPrefix(fn.Name(), "kernel") ||
 			strings.HasPrefix(fn.Name(), "sparse") ||
 			strings.HasPrefix(fn.Name(), "solveSparse")
@@ -232,6 +241,23 @@ func isEntryPoint(path string, fn *types.Func) bool {
 		}
 	}
 	return false
+}
+
+// receiverName returns the name of the named type fn is a method of, or
+// "" for a plain function.
+func receiverName(fn *types.Func) string {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return ""
+	}
+	t := sig.Recv().Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if n, ok := t.(*types.Named); ok {
+		return n.Obj().Name()
+	}
+	return ""
 }
 
 // classifyCall records an intra-package edge or, for cross-package callees,

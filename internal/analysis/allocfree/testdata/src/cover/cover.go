@@ -53,3 +53,33 @@ func kernelScratch(n int) []uint64 {
 func setup(n int) []uint64 {
 	return make([]uint64, n)
 }
+
+// supportState stands in for the greedy loop's carried support: its
+// decide and remove methods are entry points, its build is setup.
+type supportState struct {
+	tp []int32
+}
+
+// decide only reads the state: no findings.
+func (st *supportState) decide() int {
+	best := 0
+	for _, tp := range st.tp {
+		best = max(best, int(tp))
+	}
+	return best
+}
+
+// remove grows the state on the per-pass path.
+func (st *supportState) remove(c int) {
+	st.tp = append(st.tp, int32(c)) // want `append on the kernel scan path`
+}
+
+// build is the one-time setup: it allocates freely and is never reported.
+func (st *supportState) build(n int) {
+	st.tp = make([]int32, n)
+}
+
+// otherState has a decide method too, but it is not the support state's.
+type otherState struct{}
+
+func (otherState) decide(n int) []int { return make([]int, n) }

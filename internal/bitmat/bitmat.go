@@ -117,10 +117,20 @@ func (m *Matrix) check(g, s int) {
 // i, j (and k) once per thread instead of re-indexing the full matrix in the
 // innermost loop.
 func (m *Matrix) Row(g int) []uint64 {
-	if g < 0 || g >= m.genes {
-		panic(fmt.Sprintf("bitmat: row %d out of range %d", g, m.genes))
+	if uint(g) >= uint(m.genes) {
+		panic(rowRangeError{g, m.genes})
 	}
-	return m.bits[g*m.words : (g+1)*m.words : (g+1)*m.words]
+	lo := g * m.words
+	return m.bits[lo : lo+m.words : lo+m.words]
+}
+
+// rowRangeError is Row's panic value. It formats its message only when
+// printed, which keeps Row cheap enough for the compiler to inline into
+// the kernels that call it per candidate.
+type rowRangeError struct{ g, genes int }
+
+func (e rowRangeError) Error() string {
+	return fmt.Sprintf("bitmat: row %d out of range %d", e.g, e.genes)
 }
 
 // RowPopCount returns the number of set bits in gene g's row — the number of

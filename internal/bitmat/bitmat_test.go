@@ -67,6 +67,8 @@ func TestOutOfRangePanics(t *testing.T) {
 		func() { m.Get(0, 10) },
 		func() { m.Set(-1, 0) },
 		func() { m.Row(5) },
+		func() { m.Row(2) },
+		func() { m.Row(-1) },
 	} {
 		func() {
 			defer func() {

@@ -181,8 +181,10 @@ func newKernel(tumor, normal *bitmat.Matrix, opt Options) (*kernelize.Kernel, er
 // caller.
 //
 // Each pass goes to the support pass first (unless NoPrune), then to the
-// scan. BitSplice is the loop's only per-pass variation: each scan drops
-// the genes splicing has emptied (splicePass), and each step splices its
+// scan. The support state is the loop's: built once, on the first pass
+// whose support fits the budget, and updated by every step after it.
+// BitSplice is the loop's only per-pass variation: each scan drops the
+// genes splicing has emptied (splicePass), and each step splices its
 // covered samples out of kern.Tumor, after which kactive is all-ones at
 // the new width.
 func greedy(ctx context.Context, kern *kernelize.Kernel, kactive *bitmat.Vec, denom float64, opt Options, hooks Hooks, res *Result) error {
@@ -196,6 +198,7 @@ func greedy(ctx context.Context, kern *kernelize.Kernel, kactive *bitmat.Vec, de
 	}
 	staticDrop := full - kernDomain
 	var coverBuf []uint64
+	var support supportState
 
 	for opt.MaxIterations == 0 || len(res.Steps) < opt.MaxIterations {
 		remaining := popWords(kern.TumorWeights, kactive.Words())
@@ -221,7 +224,7 @@ func greedy(ctx context.Context, kern *kernelize.Kernel, kactive *bitmat.Vec, de
 		var cnt Counts
 		settled := false
 		if !opt.NoPrune {
-			if best, cnt, settled, err = supportPass(ctx, p); err != nil {
+			if best, cnt, settled, err = support.pass(ctx, p); err != nil {
 				return err
 			}
 		}
@@ -265,6 +268,7 @@ func greedy(ctx context.Context, kern *kernelize.Kernel, kactive *bitmat.Vec, de
 			break
 		}
 		res.Covered += covered
+		support.remove(cov.Words())
 		if opt.BitSplice {
 			if err := failpoint.Check("cover/splice"); err != nil {
 				return err

@@ -2,6 +2,7 @@ package cover
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -316,4 +317,132 @@ func bruteSupport(tumor, normal *bitmat.Matrix, h int) (supported uint64, witnes
 	}
 	rec(nil, 0)
 	return supported, witnessTP
+}
+
+// TestSupportCarriedMatchesFresh checks the support state greedy carries
+// across passes against one built fresh on the same pass: on every pass
+// the carried state settles, the step's winner (genes and F bits) and its
+// Evaluated/Pruned must equal supportPass's. It covers h = 2–4 in mask,
+// kernelized and BitSplice mode over registry cohorts and seeds, and
+// requires a resume from every step, which rebuilds the state on its
+// first pass, to reproduce the uninterrupted run's per-step counts.
+func TestSupportCarriedMatchesFresh(t *testing.T) {
+	var specs []dataset.Spec
+	for _, code := range []string{"ACC", "BRCA", "LGG", "LUAD"} {
+		spec, err := dataset.ByCode(code)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, spec)
+	}
+	modes := []struct {
+		name string
+		opt  Options
+	}{
+		{"mask", Options{}},
+		{"kernel", Options{Kernelize: true}},
+		{"splice", Options{BitSplice: true}},
+	}
+	carried := 0
+	for _, spec := range specs {
+		for seed := int64(1); seed <= 3; seed++ {
+			c := pruneCohort(t, spec, 30, seed)
+			for hits := 2; hits <= 4; hits++ {
+				for _, m := range modes {
+					opt := m.opt
+					opt.Hits, opt.Workers = hits, 2
+					name := fmt.Sprintf("%s/seed %d/h=%d/%s", spec.Code, seed, hits, m.name)
+					want, cps, n := carriedRun(t, name, c, opt)
+					carried += n
+					for i, cp := range cps {
+						got, err := Resume(c.Tumor, c.Normal, opt, cp)
+						if err != nil {
+							t.Fatal(err)
+						}
+						sameCounts(t, fmt.Sprintf("%s resumed after step %d", name, i), got, want, i+1)
+					}
+				}
+			}
+		}
+	}
+	if carried == 0 {
+		t.Fatal("no settled pass came after the support state was built")
+	}
+	t.Logf("%d settled passes decided from carried state", carried)
+}
+
+// carriedRun runs greedy, checking each settled step against a fresh
+// supportPass on its pass, and returns the result, a checkpoint after each
+// step, and how many settled passes followed the run's first settled one.
+func carriedRun(t *testing.T, name string, c *dataset.Cohort, opt Options) (*Result, []*Checkpoint, int) {
+	t.Helper()
+	resolved, err := opt.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	kern, err := newKernel(c.Tumor, c.Normal, resolved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, _ := domainSize(c.Tumor.Genes(), opt.Hits)
+	kept, _ := domainSize(len(kern.Keep), opt.Hits)
+	var (
+		fresh    reduce.Combo
+		freshCnt Counts
+		pending  bool
+		settled  int
+		cps      []*Checkpoint
+	)
+	hooks := Hooks{
+		Settled: func(p Pass) {
+			best, cnt, ok, err := supportPass(context.Background(), p)
+			if err != nil || !ok {
+				t.Fatalf("%s step %d: carried state settled the pass, a fresh build did not (ok=%v, %v)",
+					name, p.Step, ok, err)
+			}
+			fresh, freshCnt, pending = kern.RemapCombo(best), cnt, true
+			settled++
+		},
+		Commit: func(res *Result) error {
+			cps = append(cps, res.ToCheckpoint(c.Tumor, c.Normal))
+			if !pending {
+				return nil
+			}
+			pending = false
+			st := res.Steps[len(res.Steps)-1]
+			if st.Combo.Genes != fresh.Genes || math.Float64bits(st.Combo.F) != math.Float64bits(fresh.F) {
+				t.Fatalf("%s step %d: carried state chose %v (F bits %#x), fresh build %v (F bits %#x)",
+					name, len(res.Steps)-1, st.Combo, math.Float64bits(st.Combo.F), fresh, math.Float64bits(fresh.F))
+			}
+			if st.Evaluated != freshCnt.Evaluated || st.Pruned != freshCnt.Pruned+full-kept {
+				t.Fatalf("%s step %d: carried Evaluated %d Pruned %d, fresh build %d and %d (+%d kernel-dropped)",
+					name, len(res.Steps)-1, st.Evaluated, st.Pruned, freshCnt.Evaluated, freshCnt.Pruned, full-kept)
+			}
+			return nil
+		},
+	}
+	res, err := Greedy(context.Background(), c.Tumor, c.Normal, opt, nil, hooks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, cps, max(settled-1, 0)
+}
+
+// sameCounts requires a resumed run to equal the uninterrupted one: every
+// step's combination and F bits, the per-step counts of the steps it ran
+// itself (from step k on, after k replayed ones), and the run totals.
+func sameCounts(t *testing.T, name string, got, want *Result, k int) {
+	t.Helper()
+	sameResult(t, name, got, want)
+	for i := k; i < len(want.Steps); i++ {
+		g, w := got.Steps[i], want.Steps[i]
+		if g.Evaluated != w.Evaluated || g.Pruned != w.Pruned {
+			t.Fatalf("%s: step %d counted %d+%d, uninterrupted run %d+%d", name, i,
+				g.Evaluated, g.Pruned, w.Evaluated, w.Pruned)
+		}
+	}
+	if got.Evaluated != want.Evaluated || got.Pruned != want.Pruned {
+		t.Fatalf("%s: totals %d+%d, uninterrupted run %d+%d", name,
+			got.Evaluated, got.Pruned, want.Evaluated, want.Pruned)
+	}
 }

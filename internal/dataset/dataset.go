@@ -275,7 +275,7 @@ func Generate(spec Spec, seed int64) (*Cohort, error) {
 
 	// Normal samples: background, with a noisy subpopulation whose driver-
 	// pool genes mutate at an elevated rate.
-	driverPool := map[int]bool{}
+	driverPool := make([]bool, spec.Genes)
 	for _, combo := range c.Planted {
 		for _, g := range combo {
 			driverPool[g] = true

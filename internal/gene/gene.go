@@ -11,6 +11,8 @@ package gene
 import (
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 )
 
 // Gene is one row of the gene×sample matrices.
@@ -67,11 +69,29 @@ type Mutation struct {
 // Barcode formats a TCGA-style barcode for the given cancer code, class and
 // index, e.g. "TCGA-LGG-T0041".
 func Barcode(cancer string, class SampleClass, idx int) string {
-	tag := "T"
+	tag := byte('T')
 	if class == Normal {
-		tag = "N"
+		tag = 'N'
 	}
-	return fmt.Sprintf("TCGA-%s-%s%04d", cancer, tag, idx)
+	if idx < 0 {
+		return fmt.Sprintf("TCGA-%s-%c%04d", cancer, tag, idx)
+	}
+	// The fmt form above, without its per-call formatting cost: Generate
+	// labels every sample of every cohort it builds. The string is sized
+	// exactly, as fmt sizes it: a cohort keeps its barcodes.
+	var digits [20]byte
+	num := strconv.AppendInt(digits[:0], int64(idx), 10)
+	var b strings.Builder
+	b.Grow(len("TCGA--T") + len(cancer) + max(4, len(num)))
+	b.WriteString("TCGA-")
+	b.WriteString(cancer)
+	b.WriteByte('-')
+	b.WriteByte(tag)
+	for range 4 - len(num) {
+		b.WriteByte('0')
+	}
+	b.Write(num)
+	return b.String()
 }
 
 // PositionHistogram bins mutation positions for one gene and sample class

@@ -1,6 +1,9 @@
 package gene
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func TestSampleClassString(t *testing.T) {
 	if Tumor.String() != "tumor" || Normal.String() != "normal" {
@@ -14,6 +17,20 @@ func TestBarcode(t *testing.T) {
 	}
 	if got := Barcode("ACC", Normal, 7); got != "TCGA-ACC-N0007" {
 		t.Errorf("normal barcode = %q", got)
+	}
+	// Barcode builds the "TCGA-%s-%s%04d" form by hand; it must agree
+	// with fmt at every width, past four digits and below zero included.
+	for _, idx := range []int{-12345, -1, 0, 5, 9, 10, 99, 100, 999, 1000, 9999, 10000, 123456} {
+		for _, class := range []SampleClass{Tumor, Normal} {
+			tag := "T"
+			if class == Normal {
+				tag = "N"
+			}
+			want := fmt.Sprintf("TCGA-%s-%s%04d", "BRCA", tag, idx)
+			if got := Barcode("BRCA", class, idx); got != want {
+				t.Errorf("Barcode(BRCA, %v, %d) = %q, want %q", class, idx, got, want)
+			}
+		}
 	}
 }
 

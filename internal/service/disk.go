@@ -1,8 +1,10 @@
 package service
 
 // Storage guardrails (docs/RESILIENCE.md §3). A disk-budget accountant
-// walks the jobs directory on a poll cadence and, when usage exceeds
-// the configured budget, reclaims space in strict safety order:
+// walks the jobs directory on a poll cadence (when a budget is set or the
+// service is degraded; otherwise the stats readers measure on demand)
+// and, when usage exceeds the configured budget, reclaims space in strict
+// safety order:
 //
 //  1. checkpoint directories of terminal jobs (their result file is the
 //     durable artifact; the checkpoints are dead weight),
@@ -90,8 +92,13 @@ func (s *Service) kickGC() {
 	}
 }
 
-// diskTick is one accountant pass.
+// diskTick is one accountant pass. With no budget to enforce and no
+// degraded state to probe it has nothing to decide, so it leaves the
+// walk, whose cost grows with the retained jobs, to refreshUsage.
 func (s *Service) diskTick() {
+	if s.cfg.DiskBudgetBytes <= 0 && s.degradedReason() == "" {
+		return
+	}
 	usage := s.measureUsage()
 	if s.cfg.DiskBudgetBytes > 0 && usage > s.cfg.DiskBudgetBytes {
 		s.enterDegraded(fmt.Sprintf("disk budget exceeded: %d of %d bytes", usage, s.cfg.DiskBudgetBytes))
@@ -101,7 +108,7 @@ func (s *Service) diskTick() {
 		}
 	}
 	s.mu.Lock()
-	s.disk.UsageBytes = usage
+	s.disk.UsageBytes, s.usageAt = usage, time.Now()
 	degraded := s.disk.Degraded != ""
 	s.mu.Unlock()
 	if !degraded {
@@ -115,6 +122,25 @@ func (s *Service) diskTick() {
 	if s.probeWrite() {
 		s.clearDegraded()
 	}
+}
+
+// refreshUsage re-measures DiskStats.UsageBytes for an operator view
+// when the last measurement is at least a poll interval old: at most one
+// walk per DiskPoll, however often the stats are read.
+func (s *Service) refreshUsage() {
+	s.mu.Lock()
+	due := time.Since(s.usageAt) >= s.cfg.DiskPoll
+	if due {
+		s.usageAt = time.Now() // claimed: concurrent readers skip the walk
+	}
+	s.mu.Unlock()
+	if !due {
+		return
+	}
+	usage := s.measureUsage()
+	s.mu.Lock()
+	s.disk.UsageBytes = usage
+	s.mu.Unlock()
 }
 
 // measureUsage walks the jobs directory. Errors under the walk are

@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -103,11 +104,9 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, fmt.Errorf("service: decoding submission: %w", err))
+	spec, err := decodeJobSpec(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	if err != nil {
+		writeError(w, err)
 		return
 	}
 	st, dup, err := s.SubmitIdempotent(spec, r.Header.Get("Idempotency-Key"))
@@ -121,6 +120,18 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusCreated, st)
+}
+
+// decodeJobSpec decodes a submission body, which the caller caps at
+// maxRequestBytes, rejecting fields JobSpec does not define.
+func decodeJobSpec(body io.Reader) (JobSpec, error) {
+	var spec JobSpec
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		return JobSpec{}, fmt.Errorf("service: decoding submission: %w", err)
+	}
+	return spec, nil
 }
 
 func (s *Service) handleList(w http.ResponseWriter, r *http.Request) {

@@ -9,6 +9,7 @@ package service
 import (
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -574,5 +575,50 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 			t.Fatalf("timed out waiting for %s", what)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestUnbudgetedUsageMeasuredOnRead pins the accountant's default: with
+// no budget and a healthy service a tick does not walk the jobs tree,
+// and the stats measure usage when read, at most once per DiskPoll.
+func TestUnbudgetedUsageMeasuredOnRead(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a discovery job")
+	}
+	// An hour-long poll: the monitor never ticks by itself, and every
+	// read below falls inside one poll interval of the first.
+	cfg := Config{DataDir: t.TempDir(), JobWorkers: 2, DiskPoll: time.Hour, Logf: t.Logf}
+	svc, err := Open(cfg)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer svc.Close()
+	st, err := svc.Submit(testSpec())
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if _, err := svc.WaitJob(ctx, st.ID); err != nil {
+		t.Fatalf("WaitJob: %v", err)
+	}
+
+	svc.diskTick()
+	svc.mu.Lock()
+	measured := !svc.usageAt.IsZero()
+	svc.mu.Unlock()
+	if measured {
+		t.Fatal("an unbudgeted, healthy accountant tick walked the jobs directory")
+	}
+	want := svc.measureUsage()
+	if got := svc.Stats().Disk.UsageBytes; got != want || got == 0 {
+		t.Fatalf("Stats usage %d, want the measured %d", got, want)
+	}
+	extra := filepath.Join(cfg.DataDir, jobsDirName, "extra")
+	if err := os.WriteFile(extra, make([]byte, 4096), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := svc.Stats().Disk.UsageBytes; got != want {
+		t.Fatalf("a second read within DiskPoll re-measured: usage %d, want the cached %d", got, want)
 	}
 }

@@ -161,6 +161,8 @@ type Service struct {
 	nextID uint64
 	shed   ShedStats
 	disk   DiskStats
+	// usageAt is when disk.UsageBytes was last measured (refreshUsage).
+	usageAt time.Time
 
 	// cheapestSave is the cheapest checkpoint publish measured in this
 	// daemon life, in nanoseconds (0 = none yet); publishes and
@@ -966,6 +968,7 @@ type Stats struct {
 
 // Stats snapshots the queue, admission, cache, and resilience counters.
 func (s *Service) Stats() Stats {
+	s.refreshUsage()
 	brk := s.brk.status()
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1003,6 +1006,7 @@ type Readiness struct {
 
 // Readiness reports whether the daemon is accepting work.
 func (s *Service) Readiness() Readiness {
+	s.refreshUsage()
 	brk := s.brk.status()
 	s.mu.Lock()
 	defer s.mu.Unlock()
