@@ -30,7 +30,7 @@ func expFiveHit(cfg config) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	res, err := cover.Run5(cohort.Tumor, cohort.Normal, cover.Options5{MaxIterations: 5})
+	res, err := cover.Run(cohort.Tumor, cohort.Normal, cover.Options{Hits: 5, MaxIterations: 5})
 	if err != nil {
 		return "", err
 	}
@@ -38,7 +38,7 @@ func expFiveHit(cfg config) (string, error) {
 		g, cohort.Nt(), cohort.Nn(), len(res.Steps), res.Elapsed.Round(1e6))
 	for i, s := range res.Steps {
 		var syms []string
-		for _, id := range s.Combo.Genes {
+		for _, id := range s.Combo.GeneIDs() {
 			syms = append(syms, cohort.GeneSymbols[id])
 		}
 		fmt.Fprintf(&b, "  %d. %s (F=%.4f, covers %d)\n",

@@ -83,8 +83,8 @@ func TestExitCodeContract(t *testing.T) {
 		name string
 		args []string
 		want int
-		// absent, when set, names a file the run must not have written.
-		absent string
+		// present, when set, names a file the run must have written.
+		present string
 	}{
 		{
 			name: "complete cover exits ExitOK",
@@ -109,16 +109,16 @@ func TestExitCodeContract(t *testing.T) {
 			want: service.ExitFailure,
 		},
 		{
-			name: "checkpoint on the 5-hit path exits ExitFailure",
+			name: "checkpoint on the 5-hit path exits ExitOK",
 			args: []string{"-cancer", "LGG", "-genes", "22", "-hits", "5", "-max-iter", "1",
 				"-checkpoint", fiveHitCkpt},
-			want:   service.ExitFailure,
-			absent: fiveHitCkpt,
+			want:    service.ExitOK,
+			present: fiveHitCkpt,
 		},
 		{
-			name: "splice on the 5-hit path exits ExitFailure",
+			name: "splice on the 5-hit path exits ExitOK",
 			args: []string{"-cancer", "LGG", "-genes", "22", "-hits", "5", "-max-iter", "1", "-splice"},
-			want: service.ExitFailure,
+			want: service.ExitOK,
 		},
 		{
 			name: "expired deadline exits ExitEarlyStop",
@@ -133,9 +133,9 @@ func TestExitCodeContract(t *testing.T) {
 			if got != tc.want {
 				t.Fatalf("exit code %d, want %d\noutput:\n%s", got, tc.want, out)
 			}
-			if tc.absent != "" {
-				if _, err := os.Stat(tc.absent); !errors.Is(err, os.ErrNotExist) {
-					t.Fatalf("%s exists after a rejected run (stat: %v)", tc.absent, err)
+			if tc.present != "" {
+				if _, err := os.Stat(tc.present); err != nil {
+					t.Fatalf("%s was not written: %v", tc.present, err)
 				}
 			}
 		})

@@ -133,7 +133,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if *hits >= 2 && *hits <= 5 {
+		if *hits >= 2 && *hits <= cover.MaxHits {
 			spec.Hits = *hits
 		}
 		// Scale after setting Hits so the planted-combo footprint shrinks
@@ -147,23 +147,6 @@ func main() {
 			fmt.Printf("%s (%s): G=%d, %d tumor / %d normal samples, seed %d\n",
 				spec.Code, spec.Name, spec.Genes, cohort.Nt(), cohort.Nn(), *seed)
 		}
-	}
-
-	if *hits == 5 {
-		if *ckptDir != "" || *resume || *deadline > 0 {
-			fatal(fmt.Errorf("the supervised runner does not support the 5-hit extension path"))
-		}
-		if *kernelize {
-			fatal(fmt.Errorf("-kernelize supports h 2-4; the 5-hit extension path scans unreduced"))
-		}
-		if *checkpoint != "" {
-			fatal(fmt.Errorf("-checkpoint supports h 2-4; the 5-hit extension path does not checkpoint"))
-		}
-		if *splice {
-			fatal(fmt.Errorf("-splice supports h 2-4; the 5-hit extension path masks covered samples"))
-		}
-		run5(cohort, *maxIter)
-		return
 	}
 
 	opt := cover.Options{
@@ -427,7 +410,7 @@ func writeCheckpoint(cohort *dataset.Cohort, res *core.Result, opt cover.Options
 	}
 	for _, combo := range res.Combos {
 		full.Steps = append(full.Steps, cover.Step{
-			Combo:        comboRecord(combo.GeneIDs),
+			Combo:        reduce.NewCombo(0, combo.GeneIDs...),
 			NewlyCovered: combo.NewlyCovered,
 		})
 	}
@@ -442,36 +425,6 @@ func writeCheckpoint(cohort *dataset.Cohort, res *core.Result, opt cover.Options
 		fatal(err)
 	}
 	fmt.Printf("checkpoint written to %s\n", path)
-}
-
-// comboRecord packs gene ids into the reduction record.
-func comboRecord(ids []int) reduce.Combo {
-	c := reduce.Combo{Genes: [4]int32{-1, -1, -1, -1}}
-	for i, g := range ids {
-		c.Genes[i] = int32(g)
-	}
-	return c
-}
-
-// run5 handles the 5-hit extension path (Sec. V).
-func run5(cohort *dataset.Cohort, maxIter int) {
-	start := time.Now()
-	res, err := cover.Run5(cohort.Tumor, cohort.Normal, cover.Options5{MaxIterations: maxIter})
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("\n%d 5-hit combinations in %s (%d combinations scored):\n",
-		len(res.Steps), time.Since(start).Round(time.Millisecond), res.Evaluated)
-	for i, s := range res.Steps {
-		var syms []string
-		for _, id := range s.Combo.Genes {
-			syms = append(syms, cohort.GeneSymbols[id])
-		}
-		fmt.Printf("  %2d. %s (F=%.4f, covers %d)\n",
-			i+1, strings.Join(syms, "+"), s.Combo.F, s.NewlyCovered)
-	}
-	fmt.Printf("\ncovered %d of %d tumor samples; %d uncoverable\n",
-		res.Covered, cohort.Nt(), res.Uncoverable)
 }
 
 func fatal(err error) {

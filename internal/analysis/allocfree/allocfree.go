@@ -17,7 +17,7 @@
 // Entry points:
 //
 //   - in a package with import-path tail "cover": every function whose name
-//     begins with "kernel" (kernelPair, kernel2x1, ... kernel4x1five),
+//     begins with "kernel" (kernelPair, kernel2x1, ... kernel4p1),
 //     "sparse" or "solveSparse", and the decide and remove methods of the
 //     greedy loop's carried support state (supportState), which run on
 //     every pass;

@@ -8,9 +8,9 @@
 // the partition count.
 //
 // The analyzer flags any comparison operator whose operand selects a
-// float64 field named F — the score field of reduce.Combo and cover.Combo5.
-// A deliberate canonical comparator (there is exactly one per record type)
-// carries a //lint:allow floatcompare suppression.
+// float64 field named F — the score field of reduce.Combo, the one
+// combination record for every hit count. A deliberate canonical
+// comparator carries a //lint:allow floatcompare suppression.
 package floatcompare
 
 import (

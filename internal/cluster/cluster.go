@@ -162,7 +162,7 @@ func (w Workload) Validate() error {
 	}
 	switch w.Scheme {
 	case cover.Scheme2x2, cover.Scheme3x1, cover.Scheme2x1, cover.SchemePair,
-		cover.Scheme1x3, cover.Scheme4x1:
+		cover.Scheme1x3, cover.Scheme4x1, cover.Scheme4p1:
 		return nil
 	}
 	return fmt.Errorf("cluster: unsupported scheme %s", w.Scheme)
@@ -177,26 +177,10 @@ func (w Workload) genesEff() int {
 	return w.Genes
 }
 
-// curve builds the workload curve for the scheme.
+// curve builds the workload curve for the scheme over the enumerated
+// gene axis.
 func (w Workload) curve() (sched.Curve, error) {
-	g := uint64(w.genesEff())
-	switch w.Scheme {
-	case cover.SchemePair:
-		return sched.NewFlat(combinat.PairCount(g)), nil
-	case cover.Scheme2x1:
-		return sched.NewTri2x1(g), nil
-	case cover.Scheme2x2:
-		return sched.NewTri2x2(g), nil
-	case cover.Scheme3x1:
-		return sched.NewTetra3x1(g), nil
-	case cover.Scheme1x3:
-		return sched.NewLin1x3(g), nil
-	case cover.Scheme4x1:
-		return sched.NewFlat(combinat.QuadCount(g)), nil
-	}
-	// Workloads arrive from job specs; an unknown scheme is bad input,
-	// not a programmer error.
-	return nil, fmt.Errorf("cluster: unsupported scheme %v", w.Scheme)
+	return cover.SchemeCurve(uint64(w.genesEff()), w.Scheme)
 }
 
 // prefetchRows returns the per-thread prefetch row count for the scheme.
@@ -211,6 +195,9 @@ func (w Workload) prefetchRows() int {
 	case cover.Scheme4x1:
 		// Nothing is loop-invariant: every combination folds all four
 		// rows from scratch.
+		return 4
+	case cover.Scheme4p1:
+		// 3x1 one dimension up: four rows prefetched per thread.
 		return 4
 	}
 	return 0
@@ -229,8 +216,8 @@ func (w Workload) irregularity() float64 {
 		return 1.0
 	case cover.Scheme3x1:
 		return 0.12
-	case cover.Scheme1x3:
-		// Same sequential l-sweep in its innermost loop as 3x1.
+	case cover.Scheme1x3, cover.Scheme4p1:
+		// Same sequential single sweep in the innermost loop as 3x1.
 		return 0.12
 	case cover.Scheme4x1:
 		return 0
@@ -242,7 +229,7 @@ func (w Workload) irregularity() float64 {
 // normalizing the device model's logarithmic memory penalty.
 func (w Workload) spanCap() float64 {
 	switch w.Scheme {
-	case cover.Scheme2x1, cover.Scheme3x1, cover.Scheme1x3:
+	case cover.Scheme2x1, cover.Scheme3x1, cover.Scheme1x3, cover.Scheme4p1:
 		return float64(w.genesEff())
 	case cover.Scheme2x2:
 		g := uint64(w.genesEff())

@@ -319,7 +319,7 @@ func TestDiscoverMatchesCoverRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, hits := range []int{2, 3, 4} {
+	for _, hits := range []int{2, 3, 4, 5} {
 		opt := cover.Options{Hits: hits, Workers: 2}
 		want, err := cover.Run(c.Tumor, c.Normal, opt)
 		if err != nil {
@@ -481,9 +481,11 @@ func TestSpanOfWorkInversions(t *testing.T) {
 	if got < 97 || got > 103 {
 		t.Errorf("1x3 spanOfWork(C(100,3)) = %.2f", got)
 	}
-	w.Scheme = cover.Scheme3x1
-	if w.spanOfWork(42) != 42 {
-		t.Error("3x1 spanOfWork should be identity")
+	for _, scheme := range []cover.Scheme{cover.Scheme3x1, cover.Scheme4p1} {
+		w.Scheme = scheme
+		if w.spanOfWork(42) != 42 {
+			t.Errorf("%s spanOfWork should be identity", scheme)
+		}
 	}
 }
 

@@ -105,8 +105,9 @@ func DiscoverCtx(ctx context.Context, spec Spec, tumor, normal *bitmat.Matrix, o
 		return nil, fmt.Errorf("cluster: Discover uses mask-based exclusion; disable BitSplice")
 	}
 
-	// Resolve scheme/hits defaults through a FindBestRange dry run.
-	if _, _, err := cover.FindBestRange(tumor, normal, nil, opt, 0, 0); err != nil {
+	// Resolve the scheme from the hit count as the engine does.
+	resolved, err := opt.Normalized()
+	if err != nil {
 		return nil, err
 	}
 
@@ -144,22 +145,12 @@ func DiscoverCtx(ctx context.Context, spec Spec, tumor, normal *bitmat.Matrix, o
 		Genes:         tumor.Genes(),
 		TumorSamples:  tumor.Samples(),
 		NormalSamples: normal.Samples(),
-		Scheme:        opt.Scheme,
+		Scheme:        resolved.Scheme,
 		Scheduler:     opt.Scheduler,
 		Iterations:    1,
 	}
 	if kern != nil {
 		w.KernelGenes = scanT.Genes()
-	}
-	if w.Scheme == cover.SchemeAuto {
-		switch opt.Hits {
-		case 2:
-			w.Scheme = cover.SchemePair
-		case 3:
-			w.Scheme = cover.Scheme2x1
-		default:
-			w.Scheme = cover.Scheme3x1
-		}
 	}
 	curve, err := w.curve()
 	if err != nil {

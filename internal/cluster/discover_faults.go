@@ -191,7 +191,9 @@ func DiscoverFaultsCtx(ctx context.Context, spec Spec, tumor, normal *bitmat.Mat
 	if opt.BitSplice {
 		return nil, fmt.Errorf("cluster: DiscoverFaults uses mask-based exclusion; disable BitSplice")
 	}
-	if _, _, err := cover.FindBestRange(tumor, normal, nil, opt, 0, 0); err != nil {
+	// Resolve the scheme from the hit count as the engine does.
+	resolved, err := opt.Normalized()
+	if err != nil {
 		return nil, err
 	}
 
@@ -199,19 +201,9 @@ func DiscoverFaultsCtx(ctx context.Context, spec Spec, tumor, normal *bitmat.Mat
 		Genes:         tumor.Genes(),
 		TumorSamples:  tumor.Samples(),
 		NormalSamples: normal.Samples(),
-		Scheme:        opt.Scheme,
+		Scheme:        resolved.Scheme,
 		Scheduler:     opt.Scheduler,
 		Iterations:    1,
-	}
-	if w.Scheme == cover.SchemeAuto {
-		switch opt.Hits {
-		case 2:
-			w.Scheme = cover.SchemePair
-		case 3:
-			w.Scheme = cover.Scheme2x1
-		default:
-			w.Scheme = cover.Scheme3x1
-		}
 	}
 	curve, err := w.curve()
 	if err != nil {

@@ -155,7 +155,7 @@ func Resume(tumor, normal *bitmat.Matrix, opt Options, cp *Checkpoint) (*Result,
 // replayed step is not recomputed (it scored against a historical active
 // mask) and is reported as 0.
 func replayCombo(ids []int) reduce.Combo {
-	c := reduce.Combo{Genes: [4]int32{-1, -1, -1, -1}}
+	c := reduce.Combo{Genes: reduce.None.Genes}
 	for i, g := range ids {
 		c.Genes[i] = int32(g)
 	}

@@ -44,6 +44,9 @@ import (
 // DefaultAlpha is the paper's true-positive penalty term α.
 const DefaultAlpha = 0.1
 
+// MaxHits is the largest combination size the engine serves.
+const MaxHits = reduce.MaxHits
+
 // DefaultBlockSize is the paper's CUDA thread-block size, used for the
 // in-block reduction stage.
 const DefaultBlockSize = 512
@@ -53,7 +56,8 @@ type Scheme int
 
 const (
 	// SchemeAuto picks the paper's production scheme for the hit count:
-	// flat pairs for h=2, 2x1 for h=3, 3x1 for h=4.
+	// flat pairs for h=2, 2x1 for h=3, 3x1 for h=4, and 4+1 for the
+	// paper's next step, h=5.
 	SchemeAuto Scheme = iota
 	// SchemePair is the 2-hit kernel: C(G,2) threads, one combination each.
 	SchemePair
@@ -72,6 +76,9 @@ const (
 	// Scheme4x1 is the fully flattened 4-hit scheme the paper defines but
 	// rejects: C(G,4) threads, one combination each.
 	Scheme4x1
+	// Scheme4p1 is the 5-hit kernel, 3x1 one dimension up (Sec. V):
+	// C(G,4) threads, each running one inner loop over the fifth gene.
+	Scheme4p1
 )
 
 // String names the scheme as the paper does.
@@ -91,6 +98,8 @@ func (s Scheme) String() string {
 		return "1x3"
 	case Scheme4x1:
 		return "4x1"
+	case Scheme4p1:
+		return "4+1"
 	}
 	return fmt.Sprintf("Scheme(%d)", int(s))
 }
@@ -104,6 +113,8 @@ func (s Scheme) hits() int {
 		return 3
 	case Scheme2x2, Scheme3x1, Scheme1x3, Scheme4x1:
 		return 4
+	case Scheme4p1:
+		return 5
 	}
 	return 0
 }
@@ -114,7 +125,7 @@ func (s Scheme) hits() int {
 // nothing to prune.
 func (s Scheme) prunable() bool {
 	switch s {
-	case Scheme2x1, Scheme2x2, Scheme3x1, Scheme1x3:
+	case Scheme2x1, Scheme2x2, Scheme3x1, Scheme1x3, Scheme4p1:
 		return true
 	}
 	return false
@@ -140,7 +151,7 @@ func (s Scheduler) String() string {
 
 // Options configures a discovery run.
 type Options struct {
-	// Hits is the combination size h (2–4 for the parallel engine).
+	// Hits is the combination size h, 2 to MaxHits.
 	Hits int
 	// Alpha is the true-positive penalty; 0 means DefaultAlpha.
 	Alpha float64
@@ -199,8 +210,8 @@ func (o Options) withDefaults() (Options, error) {
 	if o.Hits == 0 && o.Scheme != SchemeAuto {
 		o.Hits = o.Scheme.hits()
 	}
-	if o.Hits < 2 || o.Hits > 4 {
-		return o, fmt.Errorf("cover: Hits must be 2, 3 or 4, got %d", o.Hits)
+	if o.Hits < 2 || o.Hits > MaxHits {
+		return o, fmt.Errorf("cover: Hits must be 2 to %d, got %d", MaxHits, o.Hits)
 	}
 	if o.Scheme == SchemeAuto {
 		switch o.Hits {
@@ -210,6 +221,8 @@ func (o Options) withDefaults() (Options, error) {
 			o.Scheme = Scheme2x1
 		case 4:
 			o.Scheme = Scheme3x1
+		case 5:
+			o.Scheme = Scheme4p1
 		}
 	}
 	if o.Scheme.hits() != o.Hits {
@@ -455,10 +468,10 @@ func FindBestCtx(ctx context.Context, tumor, normal *bitmat.Matrix, active *bitm
 // work counts. It is the per-GPU unit of work in the distributed
 // pipeline: each MPI rank calls it for the partitions its GPUs own and
 // reduces the results (see internal/cluster). The λ-domain size is
-// C(G, 2) for SchemePair/2x1/2x2 and C(G, 3) for 3x1. Pruning uses a
-// range-local incumbent (distributed callers share no memory), so a lone
-// range prunes less than a full FindBest over the same domain — but
-// returns the identical winner.
+// C(G, 2) for SchemePair/2x1/2x2, C(G, 3) for 3x1 and C(G, 4) for 4+1.
+// Pruning uses a range-local incumbent (distributed callers share no
+// memory), so a lone range prunes less than a full FindBest over the same
+// domain — but returns the identical winner.
 func FindBestRange(tumor, normal *bitmat.Matrix, active *bitmat.Vec, opt Options, lo, hi uint64) (reduce.Combo, Counts, error) {
 	return FindBestRangeCtx(context.Background(), tumor, normal, active, opt, lo, hi)
 }
@@ -640,7 +653,7 @@ func (e *kernelEnv) score(tp, normalHits int) float64 {
 }
 
 // tpop2..tpop5 return the (weighted) tumor-side popcount of the AND of the
-// given packed rows; npop2..npop4 the normal-side equivalents.
+// given packed rows; npop2..npop5 the normal-side equivalents.
 func (e *kernelEnv) tpop2(a, b []uint64) int {
 	if e.tw == nil {
 		return bitmat.PopAnd2(a, b)
@@ -688,6 +701,13 @@ func (e *kernelEnv) npop4(a, b, c, d []uint64) int {
 		return bitmat.PopAnd4(a, b, c, d)
 	}
 	return e.nw.PopAnd4(a, b, c, d)
+}
+
+func (e *kernelEnv) npop5(a, b, c, d, f []uint64) int {
+	if e.nw == nil {
+		return bitmat.PopAnd5(a, b, c, d, f)
+	}
+	return e.nw.PopAnd5(a, b, c, d, f)
 }
 
 // tfold stores a ∧ b into dst and returns its (weighted) tumor popcount —
@@ -813,6 +833,8 @@ func runKernel(ctx context.Context, env *kernelEnv, opt Options, part sched.Part
 		}
 	case Scheme4x1:
 		n.Evaluated = kernel4x1(env, part, observe)
+	case Scheme4p1:
+		n = kernel4p1(env, part, s, observe, skip)
 	}
 	flush()
 	s.blockBests = blockBests

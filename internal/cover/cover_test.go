@@ -3,6 +3,7 @@ package cover
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -320,8 +321,9 @@ func TestOptionsValidation(t *testing.T) {
 	tumor, normal := randomPair(31, 10, 20, 20, 0.3)
 	bad := []Options{
 		{Hits: 1},
-		{Hits: 5},
-		{Hits: 3, Scheme: Scheme3x1}, // scheme serves 4 hits
+		{Hits: MaxHits + 1},
+		{Hits: 5, Engine: EngineSparse}, // 4+1 has no sparse kernel
+		{Hits: 3, Scheme: Scheme3x1},    // scheme serves 4 hits
 		{Hits: 2, Alpha: -1},
 		{Hits: 2, Workers: -1},
 		{Hits: 2, BlockSize: -1},
@@ -415,9 +417,10 @@ func TestAlphaBias(t *testing.T) {
 	}
 }
 
+// TestExhaustiveBest5 checks the sequential reference at h = 5.
 func TestExhaustiveBest5(t *testing.T) {
 	tumor, normal := randomPair(41, 9, 25, 20, 0.5)
-	best, err := ExhaustiveBest5(tumor, normal, nil, 0)
+	best, err := ExhaustiveBest(tumor, normal, nil, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,8 +432,8 @@ func TestExhaustiveBest5(t *testing.T) {
 	if best.F < 0 {
 		t.Fatal("no 5-hit combination scored")
 	}
-	if _, err := ExhaustiveBest5(bitmat.New(4, 3), bitmat.New(4, 3), nil, 0); err == nil {
-		t.Fatal("ExhaustiveBest5 accepted 4 genes")
+	if _, err := ExhaustiveBest(bitmat.New(4, 3), bitmat.New(4, 3), nil, 5, 0); err == nil {
+		t.Fatal("ExhaustiveBest accepted 4 genes for h = 5")
 	}
 }
 
@@ -495,14 +498,16 @@ func TestScheme1x3LimitedParallelism(t *testing.T) {
 	}
 }
 
+// TestRun5MatchesExhaustive checks one 5-hit pass against the sequential
+// reference.
 func TestRun5MatchesExhaustive(t *testing.T) {
 	tumor, normal := randomPair(53, 11, 30, 25, 0.45)
-	want, err := ExhaustiveBest5(tumor, normal, nil, 0)
+	want, err := ExhaustiveBest(tumor, normal, nil, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4, 16} {
-		got, n, err := FindBest5(tumor, normal, nil, Options5{Workers: workers})
+		got, n, err := FindBest(tumor, normal, nil, Options{Hits: 5, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -515,9 +520,11 @@ func TestRun5MatchesExhaustive(t *testing.T) {
 	}
 }
 
+// TestRun5GreedySequence replays a 5-hit greedy run against the
+// sequential reference step by step.
 func TestRun5GreedySequence(t *testing.T) {
 	tumor, normal := randomPair(59, 11, 30, 25, 0.5)
-	res, err := Run5(tumor, normal, Options5{Workers: 3})
+	res, err := Run(tumor, normal, Options{Hits: 5, Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,14 +532,14 @@ func TestRun5GreedySequence(t *testing.T) {
 	active := bitmat.AllOnes(tumor.Samples())
 	buf := make([]uint64, tumor.Words())
 	for step, s := range res.Steps {
-		want, err := ExhaustiveBest5(tumor, normal, active, 0)
+		want, err := ExhaustiveBest(tumor, normal, active, 5, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if s.Combo != want {
 			t.Fatalf("step %d: %+v != %+v", step, s.Combo, want)
 		}
-		tumor.ComboVec(buf, s.Combo.Genes[:]...)
+		tumor.ComboVec(buf, s.Combo.GeneIDs()...)
 		cov := bitmat.NewVec(tumor.Samples())
 		copy(cov.Words(), buf)
 		cov.And(active)
@@ -546,6 +553,8 @@ func TestRun5GreedySequence(t *testing.T) {
 	}
 }
 
+// TestRun5OnPlantedFiveHitCohort checks that a 5-hit run's first step is
+// a planted 5-hit driver combination.
 func TestRun5OnPlantedFiveHitCohort(t *testing.T) {
 	spec := dataset.Spec{
 		Code: "TST5", Name: "five-hit test", Genes: 20, TumorSamples: 80, NormalSamples: 60,
@@ -556,7 +565,7 @@ func TestRun5OnPlantedFiveHitCohort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run5(c.Tumor, c.Normal, Options5{MaxIterations: 4})
+	res, err := Run(c.Tumor, c.Normal, Options{Hits: 5, MaxIterations: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -564,16 +573,10 @@ func TestRun5OnPlantedFiveHitCohort(t *testing.T) {
 		t.Fatal("no 5-hit combinations found")
 	}
 	// The first combination should be a planted 5-hit driver combination.
-	first := res.Steps[0].Combo.Genes
+	first := res.Steps[0].Combo.GeneIDs()
 	matched := false
 	for _, planted := range c.Planted {
-		same := len(planted) == 5
-		for i := 0; same && i < 5; i++ {
-			if planted[i] != first[i] {
-				same = false
-			}
-		}
-		if same {
+		if slices.Equal(planted, first) {
 			matched = true
 		}
 	}
@@ -582,17 +585,18 @@ func TestRun5OnPlantedFiveHitCohort(t *testing.T) {
 	}
 }
 
+// TestRun5Validation checks that a 5-hit run rejects bad inputs.
 func TestRun5Validation(t *testing.T) {
 	tumor, normal := randomPair(61, 4, 10, 10, 0.5)
-	if _, err := Run5(tumor, normal, Options5{}); err == nil {
+	if _, err := Run(tumor, normal, Options{Hits: 5}); err == nil {
 		t.Fatal("accepted 4 genes for 5-hit")
 	}
 	t6, _ := randomPair(61, 6, 10, 10, 0.5)
 	_, n6 := randomPair(62, 7, 10, 10, 0.5)
-	if _, err := Run5(t6, n6, Options5{}); err == nil {
+	if _, err := Run(t6, n6, Options{Hits: 5}); err == nil {
 		t.Fatal("accepted mismatched gene dimensions")
 	}
-	if _, err := Run5(t6, t6.Clone(), Options5{Alpha: -1}); err == nil {
+	if _, err := Run(t6, t6.Clone(), Options{Hits: 5, Alpha: -1}); err == nil {
 		t.Fatal("accepted negative alpha")
 	}
 }

@@ -7,20 +7,23 @@ import (
 	"repro/internal/reduce"
 )
 
-// ExhaustiveBest enumerates every h-hit combination with plain nested loops
-// and returns the best-scoring one under the same deterministic order the
-// parallel engine uses. It is the sequential reference implementation
+// ExhaustiveBest enumerates every h-hit combination in lexicographic order,
+// one row fold per gene, and returns the best-scoring one under the same
+// deterministic order the parallel engine uses. It is the sequential reference implementation
 // (Sec. II-B as originally run on a single CPU): O(G^h), intended for
-// differential testing and tiny problems. Supports h = 2…4; use
-// ExhaustiveBest5 for the paper's future-work hit count. The active vector
-// selects the tumor samples counting toward TP; nil means all.
+// differential testing and tiny problems. Supports h = 2…MaxHits. The
+// active vector selects the tumor samples counting toward TP; nil means
+// all.
 func ExhaustiveBest(tumor, normal *bitmat.Matrix, active *bitmat.Vec, hits int, alpha float64) (reduce.Combo, error) {
-	if hits < 2 || hits > 4 {
-		return reduce.None, fmt.Errorf("cover: ExhaustiveBest supports 2-4 hits, got %d", hits)
+	if hits < 2 || hits > MaxHits {
+		return reduce.None, fmt.Errorf("cover: ExhaustiveBest supports 2-%d hits, got %d", MaxHits, hits)
 	}
 	if tumor.Genes() != normal.Genes() {
 		return reduce.None, fmt.Errorf("cover: tumor has %d genes, normal has %d",
 			tumor.Genes(), normal.Genes())
+	}
+	if tumor.Genes() < hits {
+		return reduce.None, fmt.Errorf("cover: %d genes cannot form %d-hit combinations", tumor.Genes(), hits)
 	}
 	if alpha == 0 {
 		alpha = DefaultAlpha
@@ -37,108 +40,29 @@ func ExhaustiveBest(tumor, normal *bitmat.Matrix, active *bitmat.Vec, hits int, 
 		nn:     normal.Samples(),
 	}
 	g := tumor.Genes()
-	aw := active.Words()
+	// tfold[d] is active ∧ the tumor rows of pick[:d]; nfold[d] the normal
+	// rows of pick[:d] ANDed, with nfold[0] all ones.
+	tfold := foldBuffers(active.Words(), hits-1)
+	nfold := foldBuffers(bitmat.AllOnes(normal.Samples()).Words(), hits-1)
+	pick := make([]int, hits)
 	best := reduce.None
-	consider := func(c reduce.Combo) {
-		if c.Better(best) {
-			best = c
-		}
-	}
-	switch hits {
-	case 2:
-		for i := 0; i < g-1; i++ {
-			for j := i + 1; j < g; j++ {
-				tp := bitmat.PopAnd3(aw, tumor.Row(i), tumor.Row(j))
-				nh := bitmat.PopAnd2(normal.Row(i), normal.Row(j))
-				consider(reduce.NewCombo(env.score(tp, nh), i, j))
+	var walk func(d, from int)
+	walk = func(d, from int) {
+		for i := from; i <= g-(hits-d); i++ {
+			pick[d] = i
+			if d+1 < hits {
+				bitmat.AndWords(tfold[d+1], tfold[d], tumor.Row(i))
+				bitmat.AndWords(nfold[d+1], nfold[d], normal.Row(i))
+				walk(d+1, i+1)
+				continue
 			}
-		}
-	case 3:
-		for i := 0; i < g-2; i++ {
-			for j := i + 1; j < g-1; j++ {
-				for k := j + 1; k < g; k++ {
-					tp := bitmat.PopAnd4(aw, tumor.Row(i), tumor.Row(j), tumor.Row(k))
-					nh := bitmat.PopAnd3(normal.Row(i), normal.Row(j), normal.Row(k))
-					consider(reduce.NewCombo(env.score(tp, nh), i, j, k))
-				}
-			}
-		}
-	case 4:
-		tbuf := make([]uint64, tumor.Words())
-		nbuf := make([]uint64, normal.Words())
-		for i := 0; i < g-3; i++ {
-			for j := i + 1; j < g-2; j++ {
-				for k := j + 1; k < g-1; k++ {
-					bitmat.AndWords(tbuf, aw, tumor.Row(i))
-					bitmat.AndWords(tbuf, tbuf, tumor.Row(j))
-					bitmat.AndWords(tbuf, tbuf, tumor.Row(k))
-					bitmat.AndWords(nbuf, normal.Row(i), normal.Row(j))
-					bitmat.AndWords(nbuf, nbuf, normal.Row(k))
-					for l := k + 1; l < g; l++ {
-						tp := bitmat.PopAnd2(tbuf, tumor.Row(l))
-						nh := bitmat.PopAnd2(nbuf, normal.Row(l))
-						consider(reduce.NewCombo(env.score(tp, nh), i, j, k, l))
-					}
-				}
+			tp := bitmat.PopAnd2(tfold[d], tumor.Row(i))
+			nh := bitmat.PopAnd2(nfold[d], normal.Row(i))
+			if c := reduce.NewCombo(env.score(tp, nh), pick...); c.Better(best) {
+				best = c
 			}
 		}
 	}
-	return best, nil
-}
-
-// Combo5 is a 5-hit combination, used only by the sequential reference (the
-// paper's future-work hit count; the parallel engine and its 20-byte record
-// stop at h = 4).
-type Combo5 struct {
-	Genes [5]int
-	F     float64
-}
-
-// ExhaustiveBest5 enumerates every 5-hit combination sequentially. Ties
-// break to the lexicographically smallest gene tuple.
-func ExhaustiveBest5(tumor, normal *bitmat.Matrix, active *bitmat.Vec, alpha float64) (Combo5, error) {
-	if tumor.Genes() != normal.Genes() {
-		return Combo5{}, fmt.Errorf("cover: tumor has %d genes, normal has %d",
-			tumor.Genes(), normal.Genes())
-	}
-	if alpha == 0 {
-		alpha = DefaultAlpha
-	}
-	if active == nil {
-		active = bitmat.AllOnes(tumor.Samples())
-	}
-	g := tumor.Genes()
-	if g < 5 {
-		return Combo5{}, fmt.Errorf("cover: %d genes cannot form 5-hit combinations", g)
-	}
-	aw := active.Words()
-	denom := float64(tumor.Samples() + normal.Samples())
-	nn := normal.Samples()
-	best := Combo5{F: -1}
-	tbuf := make([]uint64, tumor.Words())
-	nbuf := make([]uint64, normal.Words())
-	for i := 0; i < g-4; i++ {
-		for j := i + 1; j < g-3; j++ {
-			for k := j + 1; k < g-2; k++ {
-				for m := k + 1; m < g-1; m++ {
-					bitmat.AndWords(tbuf, aw, tumor.Row(i))
-					bitmat.AndWords(tbuf, tbuf, tumor.Row(j))
-					bitmat.AndWords(tbuf, tbuf, tumor.Row(k))
-					bitmat.AndWords(tbuf, tbuf, tumor.Row(m))
-					bitmat.AndWords(nbuf, normal.Row(i), normal.Row(j))
-					bitmat.AndWords(nbuf, nbuf, normal.Row(k))
-					bitmat.AndWords(nbuf, nbuf, normal.Row(m))
-					for l := m + 1; l < g; l++ {
-						tp := bitmat.PopAnd2(tbuf, tumor.Row(l))
-						tn := nn - bitmat.PopAnd2(nbuf, normal.Row(l))
-						f := (alpha*float64(tp) + float64(tn)) / denom
-						if c := (Combo5{Genes: [5]int{i, j, k, m, l}, F: f}); better5(c, best) {
-							best = c
-						}
-					}
-				}
-			}
-		}
-	}
+	walk(0, 0)
 	return best, nil
 }

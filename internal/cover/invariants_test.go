@@ -12,7 +12,7 @@ import (
 // execution must satisfy regardless of data.
 func TestRunInvariantsOverRandomInputs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
-	for trial := 0; trial < 30; trial++ {
+	for trial := 0; trial < 40; trial++ {
 		genes := 6 + rng.Intn(10)
 		nt := 5 + rng.Intn(60)
 		nn := 5 + rng.Intn(60)
@@ -20,6 +20,9 @@ func TestRunInvariantsOverRandomInputs(t *testing.T) {
 		tumor, normal := randomPair(rng.Int63(), genes, nt, nn, density)
 
 		hits := 2 + rng.Intn(3)
+		if trial >= 30 {
+			hits = MaxHits // the last trials run the 5-hit scheme
+		}
 		opt := Options{
 			Hits:      hits,
 			Workers:   1 + rng.Intn(8),

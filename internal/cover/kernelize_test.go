@@ -20,7 +20,7 @@ func TestKernelizedRunMatchesPlain(t *testing.T) {
 		pruneCohort(t, dataset.LGG(), 24, 11),
 	}
 	for ci, c := range cohorts {
-		for _, hits := range []int{2, 3, 4} {
+		for _, hits := range []int{2, 3, 4, 5} {
 			full, ok := domainSize(c.Tumor.Genes(), hits)
 			if !ok {
 				t.Fatal("test domain overflows")
@@ -223,10 +223,11 @@ func TestFindBest5OverflowRejected(t *testing.T) {
 	tumor := bitmat.New(genes, 4)
 	normal := bitmat.New(genes, 4)
 	tumor.Set(0, 0)
-	if _, _, err := FindBest5(tumor, normal, nil, Options5{Workers: 1}); err == nil {
-		t.Fatal("FindBest5 accepted a wrapped λ-domain")
+	opt := Options{Hits: 5, Workers: 1}
+	if _, _, err := FindBest(tumor, normal, nil, opt); err == nil {
+		t.Fatal("FindBest accepted a wrapped 5-hit λ-domain")
 	}
-	if _, err := Run5(tumor, normal, Options5{Workers: 1}); err == nil {
-		t.Fatal("Run5 accepted a wrapped λ-domain")
+	if _, err := Run(tumor, normal, opt); err == nil {
+		t.Fatal("Run accepted a wrapped 5-hit λ-domain")
 	}
 }

@@ -34,8 +34,9 @@ import (
 type kernelScratch struct {
 	// t1 holds the hoisted active ∧ row(i) fold of the 1x3 kernel; t2/t3
 	// hold depth-2/depth-3 tumor prefix folds; n2/n3 the normal-side ones.
-	t1, t2, t3 []uint64
-	n2, n3     []uint64
+	// t4/n4 are the seed probe's depth-4 folds for h = 5.
+	t1, t2, t3, t4 []uint64
+	n2, n3, n4     []uint64
 	// st1/st2/st3 and sn2/sn3 are the sparse engine's prefix index lists
 	// (tumor depth-1/2/3 and normal depth-2/3 merges). They stay nil on
 	// dense passes and are sized by ensureSparse at worker setup.
@@ -58,8 +59,10 @@ func newKernelScratch(tumorWords, normalWords int) *kernelScratch {
 		t1: make([]uint64, tumorWords),
 		t2: make([]uint64, tumorWords),
 		t3: make([]uint64, tumorWords),
+		t4: make([]uint64, tumorWords),
 		n2: make([]uint64, normalWords),
 		n3: make([]uint64, normalWords),
+		n4: make([]uint64, normalWords),
 	}
 }
 
@@ -372,6 +375,68 @@ func kernel3x1(env *kernelEnv, part sched.Partition, s *kernelScratch, observe f
 		i, j = 0, j+1
 		if j == k {
 			j, k = 1, k+1
+		}
+	}
+	return n
+}
+
+// kernel4p1 is the 5-hit kernel, kernel3x1 one dimension up: thread
+// (i, j, k, l) runs one inner loop over m = l+1 … G−1. Threads run i
+// fastest, so consecutive threads sharing (j, k, l) form a group that
+// folds active ∧ row(l) ∧ row(k) ∧ row(j) once, and each thread adds only
+// row(i). Pruning checks both levels, as in kernel3x1: a dominated
+// (j, k, l) prefix skips the rest of the group, a dominated (i, j, k, l)
+// prefix skips the thread's normal fold and m loop.
+func kernel4p1(env *kernelEnv, part sched.Partition, s *kernelScratch, observe func(reduce.Combo), skip func(uint64)) Counts {
+	tm, nm := env.tumor, env.normal
+	g := tm.Genes()
+	aw := env.active.Words()
+	tjkl, njkl := s.t2, s.n2
+	tbuf, nbuf := s.t3, s.n3
+	var n Counts
+
+	i, j, k, l := combinat.QuadCoords(part.Lo)
+	for lambda := part.Lo; lambda < part.Hi; {
+		run := min(uint64(j-i), part.Hi-lambda)
+		lambda += run
+		bitmat.AndWords(tjkl, aw, tm.Row(l))
+		bitmat.AndWords(tjkl, tjkl, tm.Row(k))
+		if env.prune(env.tfold(tjkl, tjkl, tm.Row(j))) {
+			n.Pruned += run * uint64(g-l-1)
+			skip(run)
+		} else {
+			nFolded := false
+			for end := i + combinat.ToInt(run); i < end; i++ {
+				best := reduce.None
+				if env.prune(env.tfold(tbuf, tjkl, tm.Row(i))) {
+					n.Pruned += uint64(g - l - 1)
+					observe(best)
+					continue
+				}
+				if !nFolded {
+					bitmat.AndWords(njkl, nm.Row(j), nm.Row(k))
+					bitmat.AndWords(njkl, njkl, nm.Row(l))
+					nFolded = true
+				}
+				bitmat.AndWords(nbuf, njkl, nm.Row(i))
+				for m := l + 1; m < g; m++ {
+					tp := env.tpop2(tbuf, tm.Row(m))
+					nh := env.npop2(nbuf, nm.Row(m))
+					if c := reduce.NewCombo5(env.score(tp, nh), i, j, k, l, m); c.Better(best) {
+						best = c
+						env.offer(c)
+					}
+					n.Evaluated++
+				}
+				observe(best)
+			}
+		}
+		i, j = 0, j+1
+		if j == k {
+			j, k = 1, k+1
+			if k == l {
+				k, l = 2, l+1
+			}
 		}
 	}
 	return n

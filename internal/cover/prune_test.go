@@ -42,6 +42,7 @@ func TestPrunedFindBestMatchesExhaustive(t *testing.T) {
 		{Options{Hits: 4, Scheme: Scheme3x1}},
 		{Options{Hits: 4, Scheme: Scheme1x3}},
 		{Options{Hits: 4, Scheme: Scheme4x1}},
+		{Options{Hits: 5, Scheme: Scheme4p1}},
 	}
 	for ci, c := range cohorts {
 		for _, sc := range schemes {
@@ -100,7 +101,7 @@ func TestPrunedRunMatchesNoPrune(t *testing.T) {
 		pruneCohort(t, dataset.LGG(), 20, 5),
 	}
 	for ci, c := range cohorts {
-		for _, hits := range []int{2, 3, 4} {
+		for _, hits := range []int{2, 3, 4, 5} {
 			for _, splice := range []bool{false, true} {
 				ref, err := Run(c.Tumor, c.Normal, Options{
 					Hits: hits, Workers: 3, BitSplice: splice, NoPrune: true,

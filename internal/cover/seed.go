@@ -106,12 +106,12 @@ func topGenes(env *kernelEnv, m int) []int {
 	return out
 }
 
-// kernelSeed scores every hits-combination (3 or 4) of the ascending gene
-// list and returns the best. It folds prefixes in gene order, while
-// kernel3x1 folds its (j, k) pair first; the F values are bit-identical
-// all the same, because AND commutes and the (weighted) counts that feed
-// score are integers. It prunes against env.shared, which the caller
-// owns.
+// kernelSeed scores every hits-combination (3, 4 or 5) of the ascending
+// gene list and returns the best. It folds prefixes in gene order, while
+// kernel3x1 and kernel4p1 fold their group prefix first; the F values are
+// bit-identical all the same, because AND commutes and the (weighted)
+// counts that feed score are integers. It prunes against env.shared,
+// which the caller owns.
 func kernelSeed(env *kernelEnv, genes []int, hits int, s *kernelScratch) reduce.Combo {
 	tm, nm := env.tumor, env.normal
 	aw := env.active.Words()
@@ -143,13 +143,29 @@ func kernelSeed(env *kernelEnv, genes []int, hits int, s *kernelScratch) reduce.
 					continue
 				}
 				bitmat.AndWords(s.n3, s.n2, nm.Row(k))
-				for d := c + 1; d < m; d++ {
+				for d := c + 1; d <= m-hits+3; d++ {
 					l := genes[d]
-					tp := env.tpop2(s.t3, tm.Row(l))
-					nh := env.npop2(s.n3, nm.Row(l))
-					if cb := reduce.NewCombo4(env.score(tp, nh), i, j, k, l); cb.Better(best) {
-						best = cb
-						env.offer(cb)
+					if hits == 4 {
+						tp := env.tpop2(s.t3, tm.Row(l))
+						nh := env.npop2(s.n3, nm.Row(l))
+						if cb := reduce.NewCombo4(env.score(tp, nh), i, j, k, l); cb.Better(best) {
+							best = cb
+							env.offer(cb)
+						}
+						continue
+					}
+					if env.prune(env.tfold(s.t4, s.t3, tm.Row(l))) {
+						continue
+					}
+					bitmat.AndWords(s.n4, s.n3, nm.Row(l))
+					for e := d + 1; e < m; e++ {
+						x := genes[e]
+						tp := env.tpop2(s.t4, tm.Row(x))
+						nh := env.npop2(s.n4, nm.Row(x))
+						if cb := reduce.NewCombo5(env.score(tp, nh), i, j, k, l, x); cb.Better(best) {
+							best = cb
+							env.offer(cb)
+						}
 					}
 				}
 			}

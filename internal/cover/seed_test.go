@@ -18,6 +18,16 @@ var seedSchemes = []Options{
 	{Hits: 4, Scheme: Scheme2x2},
 	{Hits: 4, Scheme: Scheme3x1},
 	{Hits: 4, Scheme: Scheme1x3},
+	{Hits: 5, Scheme: Scheme4p1},
+}
+
+// seedEngines returns the engines a seeded scheme runs on: both, or dense
+// alone for a scheme with no sparse kernel.
+func seedEngines(s Scheme) []Engine {
+	if !s.sparseCapable() {
+		return []Engine{EngineDense}
+	}
+	return []Engine{EngineDense, EngineSparse}
 }
 
 // partialActive clears every third tumor sample, so the probe and the
@@ -59,7 +69,7 @@ func TestSeededPassMatchesUnseededAndNoPrune(t *testing.T) {
 	for ci, c := range cohorts {
 		for _, active := range []*bitmat.Vec{nil, partialActive(c.Tumor.Samples())} {
 			for _, base := range seedSchemes {
-				for _, engine := range []Engine{EngineDense, EngineSparse} {
+				for _, engine := range seedEngines(base.Scheme) {
 					opt := base
 					opt.Engine = engine
 					label := fmt.Sprintf("cohort %d masked=%v %s %s", ci, active != nil, opt.Scheme, engine)
@@ -158,7 +168,7 @@ func TestSeedFMatchesKernelF(t *testing.T) {
 			}
 			ids := seed.GeneIDs()
 			subT, subN := in.tumor.SelectRows(ids), in.normal.SelectRows(ids)
-			for _, engine := range []Engine{EngineDense, EngineSparse} {
+			for _, engine := range seedEngines(base.Scheme) {
 				opt := base
 				opt.Engine = engine
 				opt.NoPrune = true
@@ -187,7 +197,7 @@ func TestSeedFMatchesKernelF(t *testing.T) {
 func TestFindBestCountsDeterministic(t *testing.T) {
 	c := pruneCohort(t, dataset.BRCA(), 26, 7)
 	for _, base := range seedSchemes {
-		for _, engine := range []Engine{EngineDense, EngineSparse} {
+		for _, engine := range seedEngines(base.Scheme) {
 			opt := base
 			opt.Engine = engine
 			opt.Workers = 3

@@ -63,10 +63,11 @@ func ParseEngine(s string) (Engine, error) {
 // the Kernelize∧BitSplice rejection.
 var ErrSparseBitSplice = errors.New("cover: Engine=Sparse and BitSplice are mutually exclusive (the sparse path has no word splice)")
 
-// sparseCapable reports whether the scheme has a sparse kernel. The set
-// coincides with prunable(): a scheme with no loop-invariant prefix has
-// neither a bound to check nor a prefix list worth materializing.
-func (s Scheme) sparseCapable() bool { return s.prunable() }
+// sparseCapable reports whether the scheme has a sparse kernel: every
+// prunable scheme but the 5-hit 4+1. A scheme with no loop-invariant
+// prefix has neither a bound to check nor a prefix list worth
+// materializing.
+func (s Scheme) sparseCapable() bool { return s.prunable() && s != Scheme4p1 }
 
 // sparseCrossover returns the break-even mean row occupancy — set
 // samples per gene row, density×samples — below which Auto goes sparse

@@ -24,10 +24,14 @@ func (o Options) Normalized() (Options, error) {
 	return o.withDefaults()
 }
 
-// schemeCurve builds the λ-domain work curve of one enumeration pass.
-// PartitionPlan builds every plan from it, so the supervised runner scans
-// exactly the domain the in-process engine would.
-func schemeCurve(genes uint64, s Scheme) (sched.Curve, error) {
+// SchemeCurve builds the λ-domain work curve of one enumeration pass of
+// the scheme over genes genes. PartitionPlan builds every plan from it, so
+// the supervised runner scans exactly the domain the in-process engine
+// would; the cluster model and the service's admission pricing use it too.
+func SchemeCurve(genes uint64, s Scheme) (sched.Curve, error) {
+	if genes < uint64(s.hits()) {
+		return nil, fmt.Errorf("cover: %d genes cannot form %d-hit combinations", genes, s.hits())
+	}
 	switch s {
 	case SchemePair:
 		return sched.NewFlat(combinat.PairCount(genes)), nil
@@ -41,6 +45,8 @@ func schemeCurve(genes uint64, s Scheme) (sched.Curve, error) {
 		return sched.NewLin1x3(genes), nil
 	case Scheme4x1:
 		return sched.NewFlat(combinat.QuadCount(genes)), nil
+	case Scheme4p1:
+		return sched.NewQuad4x1(genes), nil
 	}
 	// Scheme arrives from CLI flags and config files; an unknown value
 	// is untrusted input, not a programmer error.
@@ -69,7 +75,7 @@ func PartitionPlan(genes int, opt Options, chunks int) ([]sched.Partition, error
 	if chunks < 1 {
 		return nil, fmt.Errorf("cover: partition plan needs at least 1 chunk, got %d", chunks)
 	}
-	curve, err := schemeCurve(uint64(genes), opt.Scheme)
+	curve, err := SchemeCurve(uint64(genes), opt.Scheme)
 	if err != nil {
 		return nil, err
 	}

@@ -68,7 +68,7 @@ type supportState struct {
 	// Record r is one supported combination: genes[r] in ascending order,
 	// its (weighted) active tumor count tp[r] and its normal count nh[r]
 	// (-1 until decide first needs it).
-	genes  [][4]int32
+	genes  [][reduce.MaxHits]int32
 	tp, nh []int32
 	// live counts the records with tp > 0.
 	live uint64
@@ -82,7 +82,7 @@ type supportState struct {
 	cols []int32
 	// The witness is the first normal-free combination, searched for once.
 	witnessSearched, witnessFound bool
-	witness                       [4]int
+	witness                       [reduce.MaxHits]int32
 }
 
 // pass decides p from the state, building it first if need be. ok is false
@@ -97,7 +97,9 @@ func (st *supportState) pass(ctx context.Context, p Pass) (best reduce.Combo, cn
 	best, cnt.Evaluated = st.decide(env), st.live
 	if !best.StrictlyAbove(env.score(0, 0)) {
 		if !st.witnessSearched {
-			st.witness, st.witnessFound = firstNormalFree(env.normal, st.h, st.budget)
+			var pick [reduce.MaxHits]int
+			pick, st.witnessFound = firstNormalFree(env.normal, st.h, st.budget)
+			st.witness = pickGenes(pick, st.h)
 			st.witnessSearched = true
 		}
 		if !st.witnessFound {
@@ -109,7 +111,8 @@ func (st *supportState) pass(ctx context.Context, p Pass) (best reduce.Combo, cn
 			// supported one is among the live records.
 			cnt.Evaluated++
 		}
-		if w := env.scorePick(st.witness, st.h, tp); w.Better(best) {
+		w := reduce.Combo{Genes: st.witness, F: env.score(tp, env.pickNH(st.witness, st.h))}
+		if w.Better(best) {
 			best = w
 		}
 	}
@@ -141,7 +144,7 @@ func (st *supportState) build(ctx context.Context, p Pass) (bool, error) {
 	bound := colStart[n]
 	*st = supportState{
 		h: h, full: full, budget: budget,
-		genes:    make([][4]int32, 0, bound),
+		genes:    make([][reduce.MaxHits]int32, 0, bound),
 		tp:       make([]int32, 0, bound),
 		nh:       make([]int32, 0, bound),
 		colStart: colStart,
@@ -190,7 +193,7 @@ func (st *supportState) decide(env *kernelEnv) reduce.Combo {
 		}
 		g := st.genes[r]
 		if st.nh[r] < 0 {
-			st.nh[r] = int32(env.pickNH([4]int{int(g[0]), int(g[1]), int(g[2]), int(g[3])}, st.h))
+			st.nh[r] = int32(env.pickNH(g, st.h))
 		}
 		if c := (reduce.Combo{Genes: g, F: env.score(int(tp), int(st.nh[r]))}); c.Better(best) {
 			best = c
@@ -257,7 +260,7 @@ type supportScan struct {
 	// fold[h] is filled only from the recorded column's word on (see
 	// lowest).
 	fold [][]uint64
-	pick [4]int
+	pick [reduce.MaxHits]int
 	// next[c] is column c's next free slot in st.colRecs.
 	next []int
 }
@@ -326,7 +329,7 @@ func (sc *supportScan) record(s int) {
 
 // pickGenes returns the ascending genes pick[:h] as a combination's gene
 // tuple.
-func pickGenes(pick [4]int, h int) [4]int32 {
+func pickGenes(pick [reduce.MaxHits]int, h int) [reduce.MaxHits]int32 {
 	g := reduce.None.Genes
 	for i := range h {
 		g[i] = int32(pick[i])
@@ -334,43 +337,44 @@ func pickGenes(pick [4]int, h int) [4]int32 {
 	return g
 }
 
-// scorePick scores the ascending genes pick[:h], given their (weighted)
-// active tumor count tp.
-func (e *kernelEnv) scorePick(pick [4]int, h, tp int) reduce.Combo {
-	return reduce.Combo{Genes: pickGenes(pick, h), F: e.score(tp, e.pickNH(pick, h))}
-}
-
-// pickNH returns the (weighted) normal count of the ascending genes
-// pick[:h], through npop{h}.
-func (e *kernelEnv) pickNH(pick [4]int, h int) int {
+// pickNH returns the (weighted) normal count of the h-gene tuple g,
+// through npop{h}.
+func (e *kernelEnv) pickNH(g [reduce.MaxHits]int32, h int) int {
 	nm := e.normal
 	switch h {
 	case 2:
-		return e.npop2(nm.Row(pick[0]), nm.Row(pick[1]))
+		return e.npop2(nm.Row(int(g[0])), nm.Row(int(g[1])))
 	case 3:
-		return e.npop3(nm.Row(pick[0]), nm.Row(pick[1]), nm.Row(pick[2]))
+		return e.npop3(nm.Row(int(g[0])), nm.Row(int(g[1])), nm.Row(int(g[2])))
+	case 4:
+		return e.npop4(nm.Row(int(g[0])), nm.Row(int(g[1])), nm.Row(int(g[2])), nm.Row(int(g[3])))
 	}
-	return e.npop4(nm.Row(pick[0]), nm.Row(pick[1]), nm.Row(pick[2]), nm.Row(pick[3]))
+	return e.npop5(nm.Row(int(g[0])), nm.Row(int(g[1])), nm.Row(int(g[2])), nm.Row(int(g[3])), nm.Row(int(g[4])))
 }
 
-// pickTP returns the (weighted) active tumor count of the ascending genes
-// pick[:h], through tpop{h+1}.
-func (e *kernelEnv) pickTP(pick [4]int, h int) int {
+// pickTP returns the (weighted) active tumor count of the h-gene tuple g,
+// through tpop{h+1}; at h = 5 the active mask and the first row are folded
+// first.
+func (e *kernelEnv) pickTP(g [reduce.MaxHits]int32, h int) int {
 	tm, aw := e.tumor, e.active.Words()
 	switch h {
 	case 2:
-		return e.tpop3(aw, tm.Row(pick[0]), tm.Row(pick[1]))
+		return e.tpop3(aw, tm.Row(int(g[0])), tm.Row(int(g[1])))
 	case 3:
-		return e.tpop4(aw, tm.Row(pick[0]), tm.Row(pick[1]), tm.Row(pick[2]))
+		return e.tpop4(aw, tm.Row(int(g[0])), tm.Row(int(g[1])), tm.Row(int(g[2])))
+	case 4:
+		return e.tpop5(aw, tm.Row(int(g[0])), tm.Row(int(g[1])), tm.Row(int(g[2])), tm.Row(int(g[3])))
 	}
-	return e.tpop5(aw, tm.Row(pick[0]), tm.Row(pick[1]), tm.Row(pick[2]), tm.Row(pick[3]))
+	fold := make([]uint64, len(aw))
+	bitmat.AndWords(fold, aw, tm.Row(int(g[0])))
+	return e.tpop5(fold, tm.Row(int(g[1])), tm.Row(int(g[2])), tm.Row(int(g[3])), tm.Row(int(g[4])))
 }
 
 // firstNormalFree returns the lexicographically first h-combination that
 // no sample of the normal matrix carries in full. found is false when
 // every combination hits a normal sample or the search used up its budget
 // of row folds first.
-func firstNormalFree(normal *bitmat.Matrix, h int, budget uint64) (pick [4]int, found bool) {
+func firstNormalFree(normal *bitmat.Matrix, h int, budget uint64) (pick [reduce.MaxHits]int, found bool) {
 	all := bitmat.AllOnes(normal.Samples()).Words()
 	ws := witnessSearch{nm: normal, h: h, left: budget, fold: foldBuffers(all, h)}
 	if !ws.search(0, 0) {
@@ -386,7 +390,7 @@ type witnessSearch struct {
 	h  int
 	// fold[d] is the normal rows of pick[:d] ANDed; fold[0] is all ones.
 	fold [][]uint64
-	pick [4]int
+	pick [reduce.MaxHits]int
 	left uint64
 }
 

@@ -100,7 +100,7 @@ func supportSize(p Pass) uint64 {
 
 // TestSupportPassMatchesFullScan checks the support pass against the
 // exhaustive scan on every pass of greedy runs over the registry's
-// cohorts, h = 2–4, in mask, kernelized and BitSplice mode, and on
+// cohorts, h = 2–5, in mask, kernelized and BitSplice mode, and on
 // hand-built instances for the tie, no-witness and over-budget branches.
 // Each run must also equal its NoPrune run step for step, and a
 // hand-built first pass must count exactly what it scored.
@@ -117,7 +117,14 @@ func TestSupportPassMatchesFullScan(t *testing.T) {
 	for _, spec := range dataset.FourHitCancers() {
 		for _, genes := range []int{14, 30} {
 			c := pruneCohort(t, spec, genes, 3)
-			for hits := 2; hits <= 4; hits++ {
+			for hits := 2; hits <= MaxHits; hits++ {
+				if hits == 5 && genes == 30 {
+					// The NoPrune reference would scan C(30, 5) per pass,
+					// ten times the rest of the test; at G = 14 the h = 5
+					// runs already settle ~400 passes through both decided
+					// branches.
+					continue
+				}
 				for _, m := range modes {
 					opt := m.opt
 					opt.Hits, opt.Workers = hits, 2
@@ -322,7 +329,7 @@ func bruteSupport(tumor, normal *bitmat.Matrix, h int) (supported uint64, witnes
 // TestSupportCarriedMatchesFresh checks the support state greedy carries
 // across passes against one built fresh on the same pass: on every pass
 // the carried state settles, the step's winner (genes and F bits) and its
-// Evaluated/Pruned must equal supportPass's. It covers h = 2–4 in mask,
+// Evaluated/Pruned must equal supportPass's. It covers h = 2–5 in mask,
 // kernelized and BitSplice mode over registry cohorts and seeds, and
 // requires a resume from every step, which rebuilds the state on its
 // first pass, to reproduce the uninterrupted run's per-step counts.
@@ -347,7 +354,7 @@ func TestSupportCarriedMatchesFresh(t *testing.T) {
 	for _, spec := range specs {
 		for seed := int64(1); seed <= 3; seed++ {
 			c := pruneCohort(t, spec, 30, seed)
-			for hits := 2; hits <= 4; hits++ {
+			for hits := 2; hits <= MaxHits; hits++ {
 				for _, m := range modes {
 					opt := m.opt
 					opt.Hits, opt.Workers = hits, 2

@@ -17,7 +17,7 @@ import (
 // system (combinat.Rank), partitioned evenly across workers, with a
 // suffix-fold stack so advancing the fastest coordinate costs one
 // AND+popcount per matrix. Exact for any K: unlike the per-thread kernels,
-// every combination is offered to the accumulator. Supports h = 2–4.
+// every combination is offered to the accumulator. Supports h = 2–5.
 func FindTopK(tumor, normal *bitmat.Matrix, active *bitmat.Vec, opt Options, k int) ([]reduce.Combo, error) {
 	opt, err := opt.withDefaults()
 	if err != nil {

@@ -74,7 +74,7 @@ func TestHarnessMatchesCoverRun(t *testing.T) {
 		{"splicetrue", func(o *cover.Options) { o.BitSplice = true }},
 		{"kernelize", func(o *cover.Options) { o.Kernelize = true }},
 	}
-	for _, hits := range []int{2, 3, 4} {
+	for _, hits := range []int{2, 3, 4, 5} {
 		for _, mode := range modes {
 			for _, workers := range []int{3, 1} {
 				name := fmt.Sprintf("h%d_%s", hits, mode.name)
@@ -172,6 +172,7 @@ func TestCrashResumeEquivalence(t *testing.T) {
 	}{
 		{"BRCA", 36, 3},
 		{"LGG", 40, 2},
+		{"ACC", 30, 5},
 	} {
 		for _, splice := range []bool{false, true} {
 			for _, workers := range []int{1, 4} {

@@ -21,27 +21,34 @@ import (
 	"repro/internal/failpoint"
 )
 
-// Combo is one candidate multi-hit combination and its weight: four int32
-// gene ids plus a float32 F, 20 bytes — the struct the paper sizes its
-// memory budget around. Unused gene slots (for h < 4) hold -1.
+// MaxHits is the largest combination size h a Combo records.
+const MaxHits = 5
+
+// Combo is one candidate multi-hit combination and its weight: up to
+// MaxHits gene ids plus F. The paper's CUDA record is four int32 gene ids
+// and a float32 F, 20 bytes (BytesPerRecord), and the Sec. III-E memory
+// arithmetic uses that size; the in-memory struct here is wider, with a
+// fifth gene slot and a float64 F. Unused gene slots (for h < MaxHits)
+// hold -1.
 type Combo struct {
 	// Genes holds the gene ids in strictly increasing order; trailing
 	// unused slots are -1.
-	Genes [4]int32
+	Genes [MaxHits]int32
 	// F is the weighted-set-cover score of the combination.
 	F float64
 }
 
 // None is the identity element of the max reduction: no combination,
 // F below every real score.
-var None = Combo{Genes: [4]int32{-1, -1, -1, -1}, F: -1}
+var None = Combo{Genes: [MaxHits]int32{-1, -1, -1, -1, -1}, F: -1}
 
-// NewCombo builds a Combo from 1–4 gene ids (already sorted ascending).
+// NewCombo builds a Combo from 1–MaxHits gene ids (already sorted
+// ascending).
 func NewCombo(f float64, genes ...int) Combo {
-	if len(genes) == 0 || len(genes) > 4 {
-		panic(fmt.Sprintf("reduce: NewCombo takes 1-4 genes, got %d", len(genes)))
+	if len(genes) == 0 || len(genes) > MaxHits {
+		panic(fmt.Sprintf("reduce: NewCombo takes 1-%d genes, got %d", MaxHits, len(genes)))
 	}
-	c := Combo{Genes: [4]int32{-1, -1, -1, -1}, F: f}
+	c := Combo{Genes: None.Genes, F: f}
 	for i, g := range genes {
 		if i > 0 && genes[i-1] >= g {
 			panic(fmt.Sprintf("reduce: genes not strictly increasing: %v", genes))
@@ -62,7 +69,7 @@ func NewCombo2(f float64, a, b int) Combo {
 	if a >= b {
 		panic("reduce: genes not strictly increasing")
 	}
-	return Combo{Genes: [4]int32{int32(a), int32(b), -1, -1}, F: f}
+	return Combo{Genes: [MaxHits]int32{int32(a), int32(b), -1, -1, -1}, F: f}
 }
 
 // NewCombo3 builds a 3-hit Combo from genes a < b < c.
@@ -70,7 +77,7 @@ func NewCombo3(f float64, a, b, c int) Combo {
 	if a >= b || b >= c {
 		panic("reduce: genes not strictly increasing")
 	}
-	return Combo{Genes: [4]int32{int32(a), int32(b), int32(c), -1}, F: f}
+	return Combo{Genes: [MaxHits]int32{int32(a), int32(b), int32(c), -1, -1}, F: f}
 }
 
 // NewCombo4 builds a 4-hit Combo from genes a < b < c < d.
@@ -78,7 +85,15 @@ func NewCombo4(f float64, a, b, c, d int) Combo {
 	if a >= b || b >= c || c >= d {
 		panic("reduce: genes not strictly increasing")
 	}
-	return Combo{Genes: [4]int32{int32(a), int32(b), int32(c), int32(d)}, F: f}
+	return Combo{Genes: [MaxHits]int32{int32(a), int32(b), int32(c), int32(d), -1}, F: f}
+}
+
+// NewCombo5 builds a 5-hit Combo from genes a < b < c < d < e.
+func NewCombo5(f float64, a, b, c, d, e int) Combo {
+	if a >= b || b >= c || c >= d || d >= e {
+		panic("reduce: genes not strictly increasing")
+	}
+	return Combo{Genes: [MaxHits]int32{int32(a), int32(b), int32(c), int32(d), int32(e)}, F: f}
 }
 
 // String renders the combination as "[3 7 12 19] F=0.8342".
@@ -99,7 +114,7 @@ func (c Combo) Hits() int {
 
 // GeneIDs returns the used gene ids as a slice.
 func (c Combo) GeneIDs() []int {
-	ids := make([]int, 0, 4)
+	ids := make([]int, 0, MaxHits)
 	for _, g := range c.Genes {
 		if g >= 0 {
 			ids = append(ids, int(g))
@@ -243,8 +258,9 @@ func PlanStages(records uint64, blockSize, devices, ranks int) Stages {
 	}
 }
 
-// BytesPerRecord is the size of one Combo as laid out by the paper's CUDA
-// struct (4 × int32 + float32).
+// BytesPerRecord is the size of one record as laid out by the paper's CUDA
+// struct (4 × int32 + float32); the Sec. III-E arithmetic sizes the
+// reduction stages with it, not with the wider in-memory Combo.
 const BytesPerRecord = 20
 
 // Bytes returns the storage the given record count occupies at the paper's

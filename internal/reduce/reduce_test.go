@@ -31,9 +31,13 @@ func TestNewComboValidation(t *testing.T) {
 	if ids := c.GeneIDs(); len(ids) != 2 || ids[0] != 3 || ids[1] != 7 {
 		t.Fatalf("GeneIDs = %v", ids)
 	}
+	if c5 := NewCombo(0.5, 1, 2, 3, 4, 5); c5 != NewCombo5(0.5, 1, 2, 3, 4, 5) || c5.Hits() != MaxHits {
+		t.Fatalf("5-gene combo malformed: %v", c5)
+	}
 	for i, fn := range []func(){
 		func() { NewCombo(0.5) },
-		func() { NewCombo(0.5, 1, 2, 3, 4, 5) },
+		func() { NewCombo(0.5, 1, 2, 3, 4, 5, 6) }, // more than MaxHits
+		func() { NewCombo5(0.5, 1, 2, 3, 5, 4) },
 		func() { NewCombo(0.5, 2, 2) },
 		func() { NewCombo(0.5, 5, 3) },
 	} {

@@ -110,41 +110,3 @@ func (s *SharedBest) Best() Combo {
 	defer s.mu.Unlock()
 	return s.best
 }
-
-// SharedBound is the F-only sibling of SharedBest for kernels whose
-// combination payload is not a Combo (the 5-hit scan's Combo5 lives in
-// package cover). It publishes only the monotonically rising F bound —
-// the tie-breaking payload stays in the worker-local fold — so Offer is
-// a lock-free atomic max and ShouldPrune a single load. The same strict
-// comparison discipline as SharedBest applies: equal-F subtrees are
-// never skipped, so pruning changes work done, never the winner.
-type SharedBound struct {
-	bound atomic.Uint64
-}
-
-// NewSharedBound returns a bound holding F = -1, below every real score.
-func NewSharedBound() *SharedBound {
-	s := &SharedBound{}
-	s.bound.Store(sortKey(-1))
-	return s
-}
-
-// Offer raises the bound to f if it improves it (atomic max).
-func (s *SharedBound) Offer(f float64) {
-	k := sortKey(f)
-	for {
-		cur := s.bound.Load()
-		if k <= cur {
-			return
-		}
-		if s.bound.CompareAndSwap(cur, k) {
-			return
-		}
-	}
-}
-
-// ShouldPrune reports whether a subtree whose scores are all ≤ ub is
-// strictly below the bound; strict, so tie-breaks survive pruning.
-func (s *SharedBound) ShouldPrune(ub float64) bool {
-	return sortKey(ub) < s.bound.Load()
-}

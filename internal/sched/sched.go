@@ -237,9 +237,9 @@ func NewLin1x3(g uint64) Curve {
 	return newLevels(fmt.Sprintf("1x3(G=%d)", g), start, work)
 }
 
-// NewQuad4x1 returns the workload curve of the 5-hit "4x1" extension over
-// g genes: C(g, 4) threads, thread (i, j, k, l) doing g−1−l inner
-// iterations — the 3x1 structure one dimension up (see cover.Run5).
+// NewQuad4x1 returns the workload curve of the 5-hit extension over g
+// genes: C(g, 4) threads, thread (i, j, k, l) doing g−1−l inner
+// iterations — the 3x1 structure one dimension up (cover.Scheme4p1).
 func NewQuad4x1(g uint64) Curve {
 	if g < 5 {
 		//lint:allow panicfree startup assertion: gene counts are validated by the dataset loader before curves are built

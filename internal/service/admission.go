@@ -16,7 +16,6 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
-	"repro/internal/combinat"
 	"repro/internal/cover"
 	"repro/internal/dataset"
 	"repro/internal/gpusim"
@@ -42,7 +41,7 @@ type Cost struct {
 // normalized (resolved scheme); the cohort supplies the matrix
 // dimensions.
 func EstimateCost(c *dataset.Cohort, opt cover.Options, device gpusim.DeviceSpec) (Cost, error) {
-	curve, err := admissionCurve(uint64(c.Spec.Genes), opt.Scheme)
+	curve, err := cover.SchemeCurve(uint64(c.Spec.Genes), opt.Scheme)
 	if err != nil {
 		return Cost{}, err
 	}
@@ -71,26 +70,6 @@ func EstimateCost(c *dataset.Cohort, opt cover.Options, device gpusim.DeviceSpec
 	}
 	cost.DeviceSeconds = sec
 	return cost, nil
-}
-
-// admissionCurve mirrors the engine's λ-domain curve per scheme (the
-// service prices exactly the domain the engine enumerates).
-func admissionCurve(genes uint64, s cover.Scheme) (sched.Curve, error) {
-	switch s {
-	case cover.SchemePair:
-		return sched.NewFlat(combinat.PairCount(genes)), nil
-	case cover.Scheme2x1:
-		return sched.NewTri2x1(genes), nil
-	case cover.Scheme2x2:
-		return sched.NewTri2x2(genes), nil
-	case cover.Scheme3x1:
-		return sched.NewTetra3x1(genes), nil
-	case cover.Scheme1x3:
-		return sched.NewLin1x3(genes), nil
-	case cover.Scheme4x1:
-		return sched.NewFlat(combinat.QuadCount(genes)), nil
-	}
-	return nil, fmt.Errorf("service: unresolved scheme %v", s)
 }
 
 // admission tracks the simulated cluster's reserved devices. Not

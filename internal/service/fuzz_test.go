@@ -25,6 +25,8 @@ func FuzzJobSpec(f *testing.F) {
 	f.Add([]byte(`{"cohort":{"code":"LGG","genes":-4,"hits":9},"options":{"workers":-1,"max_iterations":-2}}`))
 	f.Add([]byte(`{"cohort":{"code":"BRCA","genes":12,"hits":4,"seed":-9223372036854775808},"options":{"alpha":1e308}}`))
 	f.Add([]byte(`{"cohort":{"code":"BRCA"},"unknown":1}`))
+	f.Add([]byte(`{"cohort":{"code":"ACC","genes":30,"hits":5,"seed":3},"options":{"kernelize":true,"max_iterations":2}}`))
+	f.Add([]byte(`{"cohort":{"code":"LGG","genes":24,"hits":5,"seed":1},"options":{"engine":"sparse"}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		spec, err := decodeJobSpec(http.MaxBytesReader(nil, io.NopCloser(bytes.NewReader(data)), maxRequestBytes))
 		if err != nil {

@@ -62,8 +62,8 @@ type CohortSpec struct {
 	Code string `json:"code"`
 	// Genes scales the gene universe; 0 keeps the registry default.
 	Genes int `json:"genes,omitempty"`
-	// Hits is the combination size the cohort plants (2-4 for the
-	// supervised engine).
+	// Hits is the combination size the cohort plants, 2 to
+	// cover.MaxHits.
 	Hits int `json:"hits"`
 	// Seed seeds the generator.
 	Seed int64 `json:"seed"`
@@ -76,8 +76,8 @@ func (c CohortSpec) Generate() (*dataset.Cohort, error) {
 	if err != nil {
 		return nil, err
 	}
-	if c.Hits < 2 || c.Hits > 4 {
-		return nil, fmt.Errorf("service: cohort hits must be 2-4, got %d", c.Hits)
+	if c.Hits < 2 || c.Hits > cover.MaxHits {
+		return nil, fmt.Errorf("service: cohort hits must be 2-%d, got %d", cover.MaxHits, c.Hits)
 	}
 	spec.Hits = c.Hits
 	// The registry's positional-mutation profiles assume the study's
@@ -269,10 +269,13 @@ type job struct {
 	spec     JobSpec
 	dir      string
 	cost     Cost
-	// cohort and opt are rebuilt deterministically from the spec (at
-	// submission or restore); they never touch disk.
+	// cohort, opt and key are rebuilt deterministically from the spec (at
+	// submission or restore); they never touch disk. key is the job's
+	// result-cache key. cohort is guarded by mu: it is released when the
+	// job turns terminal, and a resumed partial job's next leg rebuilds it.
 	cohort *dataset.Cohort
 	opt    cover.Options
+	key    CacheKey
 
 	mu          sync.Mutex
 	state       JobState
@@ -449,6 +452,7 @@ func (j *job) setState(s JobState) {
 	default:
 		if s.Terminal() {
 			j.endedAt = time.Now()
+			j.cohort = nil
 			close(j.done)
 		}
 	}

@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"repro/internal/ckptstore"
+	"repro/internal/dataset"
 	"repro/internal/gpusim"
 	"repro/internal/harness"
 )
@@ -263,6 +264,7 @@ func (s *Service) restore() error {
 			// Terminal: restore the outcome; successes re-seed the cache.
 			j.state = pr.terminalState()
 			j.result = pr.Result
+			j.cohort = nil
 			close(j.done)
 			if j.state == StateSucceeded {
 				s.cache.Put(pr.Key, id, pr.Result)
@@ -274,6 +276,7 @@ func (s *Service) restore() error {
 				// landed; finish the transition instead of resurrecting.
 				j.state = StateCanceled
 				j.result = &JobResult{Error: "canceled before completion"}
+				j.cohort = nil
 				close(j.done)
 				s.jobs[id] = j
 				s.persistTerminal(j, StateCanceled, CacheKey{})
@@ -295,7 +298,8 @@ func (s *Service) restore() error {
 
 // buildJob materializes a job record from its spec: regenerates the
 // seeded cohort (deterministic, so fingerprints and partition plans are
-// restart-invariant), resolves options, and prices admission.
+// restart-invariant), resolves options, keys the result cache, and prices
+// admission.
 func (s *Service) buildJob(id string, spec JobSpec) (*job, error) {
 	prio, err := ParsePriority(spec.Priority)
 	if err != nil {
@@ -336,6 +340,7 @@ func (s *Service) buildJob(id string, spec JobSpec) (*job, error) {
 		done:        make(chan struct{}),
 		cohort:      cohort,
 		opt:         opt,
+		key:         CanonicalKey(cohort.Tumor, cohort.Normal, opt),
 	}, nil
 }
 
@@ -412,7 +417,6 @@ func (s *Service) SubmitIdempotent(spec JobSpec, idemKey string) (*JobStatus, bo
 		return nil, false, fmt.Errorf("%w: needs %d simulated GPUs, cluster has %d",
 			ErrOversized, j.cost.GPUs, s.cfg.ClusterGPUs)
 	}
-	key := CanonicalKey(j.cohort.Tumor, j.cohort.Normal, j.opt)
 
 	s.mu.Lock()
 	if s.closed {
@@ -420,12 +424,13 @@ func (s *Service) SubmitIdempotent(spec JobSpec, idemKey string) (*JobStatus, bo
 		s.rollbackKey(idemKey, id)
 		return nil, false, ErrClosed
 	}
-	if cached, from, ok := s.cache.Get(key); ok {
+	if cached, from, ok := s.cache.Get(j.key); ok {
 		hit := *cached
 		hit.CachedFrom = from
 		j.state = StateSucceeded
 		j.result = &hit
 		j.endedAt = time.Now()
+		j.cohort = nil
 		close(j.done)
 		s.jobs[id] = j
 		s.cond.Broadcast()
@@ -433,7 +438,7 @@ func (s *Service) SubmitIdempotent(spec JobSpec, idemKey string) (*JobStatus, bo
 		if err := s.persistJob(j); err != nil {
 			return nil, false, s.specWriteError(j, err)
 		}
-		s.persistTerminal(j, StateSucceeded, key)
+		s.persistTerminal(j, StateSucceeded, j.key)
 		s.cfg.Logf("service: %s answered from cache (produced by %s)", id, from)
 		return j.status(), false, nil
 	}
@@ -604,10 +609,11 @@ func (s *Service) runJob(j *job) {
 	j.cancel = cancel
 	fresh := j.fresh
 	j.fresh = false
+	cohort := j.cohort
 	j.mu.Unlock()
 	j.setState(StateRunning)
 
-	err := s.runLeg(ctx, j, fresh)
+	err := s.runLeg(ctx, j, cohort, fresh)
 	if err == nil {
 		return
 	}
@@ -643,7 +649,16 @@ func (s *Service) runJob(j *job) {
 // A job restored at Open, or a leg that finds generations on disk,
 // reports no cost and publishes its first step, so every crash schedule
 // still converges. The checkpoint store is created by its first publish.
-func (s *Service) runLeg(ctx context.Context, j *job, fresh bool) error {
+//
+// cohort is the job's cohort; nil for a resumed partial job, which
+// released it when it turned terminal and rebuilds it from its spec.
+func (s *Service) runLeg(ctx context.Context, j *job, cohort *dataset.Cohort, fresh bool) error {
+	if cohort == nil {
+		var err error
+		if cohort, err = j.spec.Cohort.Generate(); err != nil {
+			return err
+		}
+	}
 	store := &guardedStore{s: s, dir: filepath.Join(j.dir, ckptDirName), ctx: ctx, jobID: j.id}
 	var gens []uint64
 	if _, err := os.Stat(store.dir); err == nil {
@@ -672,13 +687,13 @@ func (s *Service) runLeg(ctx context.Context, j *job, fresh bool) error {
 	if hopt.Resume {
 		s.cfg.Logf("service: %s resuming from generation %d", j.id, gens[len(gens)-1])
 	}
-	res, err := harness.Run(ctx, j.cohort.Tumor, j.cohort.Normal, hopt)
+	res, err := harness.Run(ctx, cohort.Tumor, cohort.Normal, hopt)
 	if err != nil {
 		return err
 	}
 
-	result := resultFromHarness(res, j.cohort.GeneSymbols,
-		j.cohort.Tumor.Fingerprint(), j.cohort.Normal.Fingerprint(), res.KernelFingerprint)
+	result := resultFromHarness(res, cohort.GeneSymbols,
+		cohort.Tumor.Fingerprint(), cohort.Normal.Fingerprint(), res.KernelFingerprint)
 	j.mu.Lock()
 	j.resumed = j.resumed || res.Resumed
 	j.progress.ReplayedSteps = res.ReplayedSteps
@@ -699,19 +714,18 @@ func (s *Service) runLeg(ctx context.Context, j *job, fresh bool) error {
 	if userCancel {
 		state = StateCanceled
 	}
-	key := CanonicalKey(j.cohort.Tumor, j.cohort.Normal, j.opt)
 	j.mu.Lock()
 	j.result = result
 	j.mu.Unlock()
 	// The result file lands before the job is reported finished: for a
 	// completed run it is the final publish.
-	if err := s.durably(ctx, j.id+" result", func() error { return s.writeResult(j, state, key) }); err != nil {
+	if err := s.durably(ctx, j.id+" result", func() error { return s.writeResult(j, state, j.key) }); err != nil {
 		return err
 	}
 	// The backend executed and its outcome is durable: that counts as
 	// backend health for the circuit breaker.
 	s.brk.onSuccess()
-	s.completeJob(j, state, key)
+	s.completeJob(j, state, j.key)
 	return nil
 }
 
@@ -724,9 +738,8 @@ func (s *Service) finishJob(j *job, state JobState, result *JobResult) {
 	j.mu.Lock()
 	j.result = result
 	j.mu.Unlock()
-	key := CanonicalKey(j.cohort.Tumor, j.cohort.Normal, j.opt)
-	s.persistTerminal(j, state, key)
-	s.completeJob(j, state, key)
+	s.persistTerminal(j, state, j.key)
+	s.completeJob(j, state, j.key)
 }
 
 // completeJob reports a terminal outcome whose result file has been

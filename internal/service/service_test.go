@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/combinat"
+	"repro/internal/cover"
 	"repro/internal/failpoint"
 	"repro/internal/harness"
 )
@@ -420,4 +422,166 @@ func TestEngineSubmissionsShareCacheEntry(t *testing.T) {
 	if _, err := svc.Submit(bad); err == nil {
 		t.Fatal("submit with unknown engine succeeded")
 	}
+}
+
+// TestFiveHitJob: a small 5-hit job is priced on the 4+1 scheme's curve,
+// admitted, and completed with exactly cover.Run's cover, work counts
+// included.
+func TestFiveHitJob(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a discovery job")
+	}
+	svc, err := Open(Config{DataDir: t.TempDir(), JobWorkers: 2, Logf: t.Logf})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer svc.Close()
+
+	spec := JobSpec{
+		Tenant:  "alice",
+		Cohort:  CohortSpec{Code: "ACC", Genes: 30, Hits: 5, Seed: 3},
+		Options: OptionsSpec{Workers: 2},
+	}
+	st, err := svc.Submit(spec)
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	svc.mu.Lock()
+	j := svc.jobs[st.ID]
+	svc.mu.Unlock()
+	if j.opt.Scheme != cover.Scheme4p1 {
+		t.Fatalf("5-hit job resolved scheme %s, want %s", j.opt.Scheme, cover.Scheme4p1)
+	}
+	if j.cost.Threads != combinat.QuadCount(30) || j.cost.GPUs < 1 || j.cost.DeviceSeconds <= 0 {
+		t.Fatalf("5-hit job priced %+v, want C(30, 4) = %d threads on ≥1 GPU", j.cost, combinat.QuadCount(30))
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	final, err := svc.WaitJob(ctx, st.ID)
+	if err != nil {
+		t.Fatalf("WaitJob: %v", err)
+	}
+	if final.State != StateSucceeded.String() || final.StartedAt.IsZero() {
+		t.Fatalf("5-hit job ended %s (started %v), want admitted and succeeded", final.State, final.StartedAt)
+	}
+
+	cohort, err := spec.Cohort.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := cover.Run(cohort.Tumor, cohort.Normal, cover.Options{Hits: 5, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Steps) == 0 {
+		t.Fatal("the 5-hit cohort has no cover; the test is vacuous")
+	}
+	assertMatchesDirect(t, final.Result, &harness.Result{
+		Steps: want.Steps, Covered: want.Covered, Uncoverable: want.Uncoverable,
+		Evaluated: want.Evaluated, Pruned: want.Pruned,
+	})
+}
+
+// holdsCohort reports whether the daemon's record of job id still holds
+// its cohort.
+func holdsCohort(svc *Service, id string) bool {
+	svc.mu.Lock()
+	j := svc.jobs[id]
+	svc.mu.Unlock()
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.cohort != nil
+}
+
+// TestTerminalJobReleasesCohort: a job lets go of its cohort's matrices
+// when it turns terminal — by completing, by a cache hit, on restore, and
+// by stopping early — while result reads, cache hits, restarts and the
+// resume of an early-stopped job keep working.
+func TestTerminalJobReleasesCohort(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs discovery jobs")
+	}
+	cfg := Config{DataDir: t.TempDir(), JobWorkers: 2, Logf: t.Logf}
+	svc, err := Open(cfg)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	spec := testSpec()
+	want := directRun(t, spec)
+	st, err := svc.Submit(spec)
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	if _, err := svc.WaitJob(ctx, st.ID); err != nil {
+		t.Fatalf("WaitJob: %v", err)
+	}
+	if holdsCohort(svc, st.ID) {
+		t.Fatal("completed job still holds its cohort")
+	}
+	hit, err := svc.Submit(spec)
+	if err != nil {
+		t.Fatalf("resubmit: %v", err)
+	}
+	if hit.Result == nil || hit.Result.CachedFrom != st.ID {
+		t.Fatalf("resubmission was not a cache hit: %+v", hit.Result)
+	}
+	if holdsCohort(svc, hit.ID) {
+		t.Fatal("cache-hit job holds a cohort")
+	}
+
+	// A job stopped by its deadline is terminal (partial) and releases
+	// its cohort; resuming it rebuilds the cohort for the next leg.
+	early := testSpec()
+	early.Cohort.Seed = 12
+	early.DeadlineSec = 1e-9
+	pst, err := svc.Submit(early)
+	if err != nil {
+		t.Fatalf("submit early-stopping job: %v", err)
+	}
+	if p, err := svc.WaitJob(ctx, pst.ID); err != nil || p.State != StatePartial.String() {
+		t.Fatalf("deadline job ended %+v (%v), want partial", p, err)
+	}
+	if holdsCohort(svc, pst.ID) {
+		t.Fatal("partial job still holds its cohort")
+	}
+	if _, err := svc.Resume(pst.ID); err != nil {
+		t.Fatalf("Resume: %v", err)
+	}
+	if p, err := svc.WaitJob(ctx, pst.ID); err != nil || p.State != StatePartial.String() {
+		t.Fatalf("resumed deadline job ended %+v (%v), want partial again", p, err)
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	// A restarted daemon restores the terminal jobs without their
+	// cohorts, serves their results, and answers resubmissions from the
+	// re-seeded cache.
+	svc2, err := Open(cfg)
+	if err != nil {
+		t.Fatalf("reopening: %v", err)
+	}
+	defer svc2.Close()
+	for _, id := range []string{st.ID, hit.ID, pst.ID} {
+		if holdsCohort(svc2, id) {
+			t.Fatalf("restored terminal job %s holds its cohort", id)
+		}
+	}
+	restored, err := svc2.WaitJob(ctx, st.ID)
+	if err != nil {
+		t.Fatalf("reading the restored result: %v", err)
+	}
+	assertMatchesDirect(t, restored.Result, want)
+	again, err := svc2.Submit(spec)
+	if err != nil {
+		t.Fatalf("resubmit after restart: %v", err)
+	}
+	if again.Result == nil || again.Result.CachedFrom == "" {
+		t.Fatalf("resubmission after restart was not a cache hit: %+v", again.Result)
+	}
+	assertMatchesDirect(t, again.Result, want)
 }
