@@ -1,8 +1,8 @@
 // Command chaossoak is the end-to-end resilience soak for the discovery
 // daemon (docs/RESILIENCE.md §5). Each round it runs the real service as
 // a child process under a seeded, randomized failpoint schedule — torn
-// temp files, transient disk-full windows, slow fsyncs, straggler and
-// failing partitions — SIGKILLs the daemon mid-job one or more times,
+// temp files, torn journal records, transient disk-full windows, slow
+// fsyncs, straggler and failing partitions — SIGKILLs the daemon mid-job one or more times,
 // and drives everything through internal/client's retrying API. After
 // the dust settles the round must uphold four invariants:
 //
@@ -468,6 +468,8 @@ func (s *soak) benignSchedule() string {
 //     degraded mode + ENOSPC retry (docs/RESILIENCE.md §3);
 //   - rename panics kill the daemon mid-write, leaving a torn temp file
 //     for the store sweep — the supervisor restarts the daemon;
+//   - torn-journal panics kill the daemon halfway through writing a
+//     result record, leaving half a frame that replay truncates;
 //   - partition error windows stay within the harness's per-partition
 //     retry budget (width 2 < 1+MaxRetries attempts), so no quarantine;
 //   - delays produce stragglers and slow fsyncs.
@@ -485,6 +487,9 @@ func (s *soak) chaosSchedule() string {
 	}
 	if s.rng.chance(1, 3) { // torn temp: die between write and rename
 		parts = append(parts, fmt.Sprintf("ckptstore/rename=panic@%d", s.rng.between(6, 16)))
+	}
+	if s.rng.chance(1, 3) { // torn journal record: die halfway through an append
+		parts = append(parts, fmt.Sprintf("ckptstore/journal-torn=panic@%d", s.rng.between(1, 3)))
 	}
 	if s.rng.chance(1, 3) { // slow fsync
 		parts = append(parts, fmt.Sprintf("ckptstore/sync=delay(%dms)%%0.3:%d", s.rng.between(1, 4), s.rng.between(1, 999)))

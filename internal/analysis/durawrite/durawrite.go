@@ -8,19 +8,22 @@
 //
 // Within the scoped packages (ckptstore, cover, harness, multihit,
 // service, multihitd — the layers that produce or consume checkpoint
-// files and the daemon's durable job specs/results), three rules:
+// files and the daemon's job journal), three rules:
 //
 //  1. Raw file-creation APIs (os.Create, os.WriteFile, os.OpenFile) outside
 //     internal/ckptstore are flagged: the checkpoint path has exactly one
 //     blessed writer. ckptstore itself is where the temp+fsync+rename dance
-//     lives, so its own use of those APIs is the implementation, not a
-//     violation. The analyzer exports a DurableWriter fact for the
-//     ckptstore functions that perform the rename publish, and names them
-//     in the diagnostic so the fix is self-evident.
-//  2. A discarded Close or Sync error on an *os.File — a bare `f.Close()`
-//     statement, `_ = f.Close()`, or a `defer f.Close()` on a handle opened
-//     for writing — is flagged. (A deferred Close on a read-only handle is
-//     idiomatic and allowed.)
+//     and the journal's append+fsync live, so its own use of those APIs is
+//     the implementation, not a violation. The analyzer exports a
+//     DurableWriter fact for the ckptstore functions that make bytes
+//     durable — the rename publish, the journal's append and commit — and
+//     names them in the diagnostic so the fix is self-evident.
+//  2. A discarded error is flagged where it is a lost write: a Close or
+//     Sync on an *os.File — a bare `f.Close()` statement, `_ = f.Close()`,
+//     or a `defer f.Close()` on a handle opened for writing (a deferred
+//     Close on a read-only handle is idiomatic and allowed) — and any
+//     call of a DurableWriter whose error result is dropped the same ways
+//     (a bare statement, a blank assignment, a defer).
 //  3. An unbounded read (io.ReadAll, os.ReadFile) is flagged: checkpoint
 //     frames carry a length header with a hard cap, and a truncated or
 //     corrupted header must not make the reader attempt an absurd
@@ -41,8 +44,9 @@ import (
 	"repro/internal/analysis"
 )
 
-// DurableWriter marks a ckptstore function that performs the atomic
-// temp+fsync+rename publish.
+// DurableWriter marks a ckptstore function that makes bytes durable: it
+// performs the atomic temp+fsync+rename publish, writes or fsyncs a file
+// handle (the journal's append and commit), or calls a function that does.
 type DurableWriter struct{}
 
 // AFact marks DurableWriter as a fact.
@@ -80,34 +84,58 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// exportDurableWriters marks the ckptstore functions containing the rename
-// publish step.
+// exportDurableWriters marks the ckptstore functions that make bytes
+// durable: those that rename a published file into place or write or
+// fsync an *os.File, and, to a fixpoint, those that call a marked one
+// (the journal's Commit reaches its fsync through helpers).
 func exportDurableWriters(pass *analysis.Pass) {
+	type decl struct {
+		fn   *types.Func
+		body *ast.BlockStmt
+	}
+	var decls []decl
 	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
+		for _, d := range file.Decls {
+			fd, ok := d.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			renames := false
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if fn := analysis.Callee(pass.TypesInfo, call); isPkgFunc(fn, "os", "Rename") {
-					renames = true
-				}
-				return true
-			})
-			if !renames {
-				continue
-			}
 			if obj, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
-				pass.ExportObjectFact(obj, &DurableWriter{})
+				decls = append(decls, decl{obj, fd.Body})
 			}
 		}
 	}
+	marked := map[*types.Func]bool{}
+	for changed := true; changed; {
+		changed = false
+		for _, d := range decls {
+			if !marked[d.fn] && writesDurably(pass, d.body, marked) {
+				marked[d.fn], changed = true, true
+			}
+		}
+	}
+	for _, d := range decls {
+		if marked[d.fn] {
+			pass.ExportObjectFact(d.fn, &DurableWriter{})
+		}
+	}
+}
+
+// writesDurably reports whether body renames a file into place, writes or
+// fsyncs an *os.File, or calls a function already marked.
+func writesDurably(pass *analysis.Pass, body *ast.BlockStmt, marked map[*types.Func]bool) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || found {
+			return !found
+		}
+		fn := analysis.Callee(pass.TypesInfo, call)
+		found = isPkgFunc(fn, "os", "Rename") || marked[fn] ||
+			isFileMethod(fn, "Write") || isFileMethod(fn, "WriteAt") || isFileMethod(fn, "Sync")
+		return !found
+	})
+	return found
 }
 
 // checkFunc applies the three rules to one function body.
@@ -129,14 +157,25 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, inCkptstore bool) {
 			checkRawWrite(pass, n, inCkptstore)
 			checkUnboundedRead(pass, n)
 		case *ast.ExprStmt:
-			// Bare `f.Close()` / `f.Sync()` statement.
+			// Bare `f.Close()` / `f.Sync()` / durable-writer statement.
 			if call, ok := n.X.(*ast.CallExpr); ok {
 				if name, ok := discardedFileCall(pass, call); ok {
 					pass.Reportf(call.Pos(),
 						"%s error discarded on the checkpoint path; a failed %s is a failed write — check it", name, name)
 				}
+				if name, _, ok := durableWriterCall(pass, call); ok {
+					reportDroppedDurable(pass, call, name)
+				}
 			}
 		case *ast.AssignStmt:
+			// `t, _ := j.Append(rec)` drops a durable writer's error.
+			if len(n.Rhs) == 1 {
+				if call, ok := n.Rhs[0].(*ast.CallExpr); ok {
+					if name, errIdx, ok := durableWriterCall(pass, call); ok && errIdx < len(n.Lhs) && isBlank(n.Lhs[errIdx]) {
+						reportDroppedDurable(pass, call, name)
+					}
+				}
+			}
 			// `_ = f.Close()` discards just as silently.
 			for i, lhs := range n.Lhs {
 				id, ok := lhs.(*ast.Ident)
@@ -151,6 +190,9 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, inCkptstore bool) {
 				}
 			}
 		case *ast.DeferStmt:
+			if name, _, ok := durableWriterCall(pass, n.Call); ok {
+				reportDroppedDurable(pass, n.Call, name)
+			}
 			if name, ok := discardedFileCall(pass, n.Call); ok && name == "Close" {
 				if recv := receiverObject(pass, n.Call); recv != nil && writeHandles[recv] {
 					pass.Reportf(n.Pos(),
@@ -161,6 +203,51 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, inCkptstore bool) {
 		}
 		return true
 	})
+}
+
+// durableWriterCall reports whether call invokes a DurableWriter with an
+// error result, naming it and giving that result's index.
+func durableWriterCall(pass *analysis.Pass, call *ast.CallExpr) (string, int, bool) {
+	fn := analysis.Callee(pass.TypesInfo, call)
+	if fn == nil || !pass.ImportObjectFact(fn.Origin(), new(DurableWriter)) {
+		return "", 0, false
+	}
+	res := fn.Type().(*types.Signature).Results()
+	for i := res.Len() - 1; i >= 0; i-- {
+		if types.Identical(res.At(i).Type(), types.Universe.Lookup("error").Type()) {
+			return writerName(fn), i, true
+		}
+	}
+	return "", 0, false
+}
+
+// reportDroppedDurable flags a durable writer call whose error is dropped.
+func reportDroppedDurable(pass *analysis.Pass, call *ast.CallExpr, name string) {
+	pass.Reportf(call.Pos(),
+		"error from durable writer %s discarded on the checkpoint path; a write that may not have landed must not be reported as done — check it", name)
+}
+
+// isBlank reports whether expr is the blank identifier.
+func isBlank(expr ast.Expr) bool {
+	id, ok := expr.(*ast.Ident)
+	return ok && id.Name == "_"
+}
+
+// writerName names a durable writer as the diagnostics show it: a plain
+// function by its name, a method as Type.Method.
+func writerName(fn *types.Func) string {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return fn.Name()
+	}
+	t := recv.Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if named, ok := t.(*types.Named); ok {
+		return named.Obj().Name() + "." + fn.Name()
+	}
+	return fn.Name()
 }
 
 // recordWriteHandles notes variables assigned from a write-mode open.
@@ -229,7 +316,7 @@ func checkRawWrite(pass *analysis.Pass, call *ast.CallExpr, inCkptstore bool) {
 		return
 	}
 	pass.Reportf(call.Pos(),
-		"raw %s on the checkpoint path; route the write through ckptstore's atomic publish (%s) so a crash cannot leave a torn file",
+		"raw %s on the checkpoint path; route the write through ckptstore's durable writers (%s) so a crash cannot leave a torn file",
 		raw, durableWriterNames(pass))
 }
 
@@ -238,14 +325,29 @@ func checkRawWrite(pass *analysis.Pass, call *ast.CallExpr, inCkptstore bool) {
 func durableWriterNames(pass *analysis.Pass) string {
 	var names []string
 	for _, of := range pass.AllObjectFacts() {
-		if _, ok := of.Fact.(*DurableWriter); ok && ast.IsExported(of.Obj.Name()) {
-			names = append(names, of.Obj.Name())
+		fn, ok := of.Obj.(*types.Func)
+		if _, dw := of.Fact.(*DurableWriter); !dw || !ok {
+			continue
+		}
+		if name := writerName(fn); isExportedPath(name) {
+			names = append(names, name)
 		}
 	}
 	if len(names) == 0 {
 		return "temp+fsync+rename"
 	}
 	return strings.Join(names, ", ")
+}
+
+// isExportedPath reports whether every dot-separated part of a writer
+// name (Func or Type.Method) is exported.
+func isExportedPath(name string) bool {
+	for _, part := range strings.Split(name, ".") {
+		if !ast.IsExported(part) {
+			return false
+		}
+	}
+	return true
 }
 
 // checkUnboundedRead flags io.ReadAll and os.ReadFile. io.ReadAll whose
@@ -304,6 +406,15 @@ func receiverObject(pass *analysis.Pass, call *ast.CallExpr) types.Object {
 		return nil
 	}
 	return pass.TypesInfo.Uses[id]
+}
+
+// isFileMethod reports whether fn is the named method of *os.File.
+func isFileMethod(fn *types.Func, name string) bool {
+	if fn == nil || fn.Name() != name {
+		return false
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	return recv != nil && isOSFile(recv.Type())
 }
 
 // isOSFile reports whether t is *os.File (or os.File).

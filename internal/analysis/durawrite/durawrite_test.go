@@ -9,5 +9,5 @@ import (
 
 func TestDurawrite(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), durawrite.Analyzer,
-		"ckptstore", "multihit")
+		"ckptstore", "multihit", "service")
 }

@@ -1,7 +1,8 @@
 // Package ckptstore is a fixture standing in for the real store: the
-// publish function exports the DurableWriter fact that the multihit
-// fixture's diagnostics name, and raw write APIs inside this package are
-// the implementation rather than a violation.
+// publish function and the journal's Append and Commit export the
+// DurableWriter fact that the multihit and service fixtures' diagnostics
+// name, and raw write APIs inside this package are the implementation
+// rather than a violation.
 package ckptstore
 
 import (
@@ -27,6 +28,40 @@ func WriteFileAtomic(path string, data []byte) error { // wantfact `durawrite: d
 		return err
 	}
 	return os.Rename(tmp, path)
+}
+
+// Journal stands in for the append-only job journal.
+type Journal struct {
+	f *os.File
+}
+
+// Ticket names the fsync that covers an appended record.
+type Ticket struct{ end int64 }
+
+// Append writes a record: a durable writer by its file write.
+func (j *Journal) Append(rec []byte) (Ticket, error) { // wantfact `durawrite: durable-writer`
+	n, err := j.f.Write(rec)
+	return Ticket{end: int64(n)}, err
+}
+
+// Commit reaches its fsync through a helper: a durable writer by the
+// fixpoint.
+func (j *Journal) Commit(t Ticket) error { // wantfact `durawrite: durable-writer`
+	return j.flush()
+}
+
+func (j *Journal) flush() error {
+	return j.f.Sync()
+}
+
+// Size only reads: not a durable writer, so dropping its error is not
+// flagged.
+func (j *Journal) Size() (int64, error) {
+	st, err := j.f.Stat()
+	if err != nil {
+		return 0, err
+	}
+	return st.Size(), nil
 }
 
 // load is bounded: ReadAll through LimitReader passes, and a deferred Close

@@ -13,7 +13,7 @@ import (
 // saveRaw bypasses the publish protocol; the diagnostic names the imported
 // fact-carrying writer.
 func saveRaw(path string, data []byte) error {
-	return os.WriteFile(path, data, 0o644) // want `raw os\.WriteFile on the checkpoint path; route the write through ckptstore's atomic publish \(WriteFileAtomic\)`
+	return os.WriteFile(path, data, 0o644) // want `raw os\.WriteFile on the checkpoint path; route the write through ckptstore's durable writers \(WriteFileAtomic, Journal\.Append, Journal\.Commit\)`
 }
 
 // saveCreate opens a write handle and defers the Close, discarding the

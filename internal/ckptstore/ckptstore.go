@@ -21,6 +21,14 @@
 //
 // The store is payload-agnostic: callers hand it bytes (in this repo, a
 // cover.Checkpoint encoding) and get bytes back.
+//
+// The package also holds the Journal (journal.go): one append-only file
+// of records in the same CRC framing, for many small durable writes —
+// the discovery daemon's job specs and results — that would each cost a
+// temp file, two fsyncs, a rename and a directory fsync through
+// WriteFileAtomic. Appends share fsyncs (group commit), a torn tail is
+// truncated at replay and never hides a later record, and Compact
+// rewrites the journal through WriteFileAtomic.
 package ckptstore
 
 import (
@@ -387,15 +395,24 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Encode frames a payload: magic, format version, then one
 // length+CRC-framed record. (Decode accepts any number of records and
-// concatenates them, so the format can later stream appends.)
+// concatenates them; the Journal streams appends in the same framing.)
 func Encode(payload []byte) []byte {
 	buf := make([]byte, 0, headerSize+frameSize+len(payload))
 	buf = append(buf, magic...)
 	buf = binary.LittleEndian.AppendUint32(buf, formatVersion)
+	return appendFrame(buf, payload)
+}
+
+// appendFrame appends one record to buf: its length, its CRC, its bytes.
+func appendFrame(buf, payload []byte) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, crcTable))
-	buf = append(buf, payload...)
-	return buf
+	return append(buf, payload...)
+}
+
+// frameHeader decodes a record's length and CRC prefix.
+func frameHeader(b []byte) (size, sum uint32) {
+	return binary.LittleEndian.Uint32(b[0:4]), binary.LittleEndian.Uint32(b[4:8])
 }
 
 // Decode validates a framed checkpoint file and returns the concatenated
@@ -403,15 +420,8 @@ func Encode(payload []byte) []byte {
 // allocates beyond the input size, so a hostile length field cannot
 // balloon memory.
 func Decode(data []byte) ([]byte, error) {
-	if len(data) < headerSize {
-		return nil, fmt.Errorf("%w: %d-byte file is shorter than the header", ErrCorrupt, len(data))
-	}
-	if string(data[:len(magic)]) != magic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, data[:len(magic)])
-	}
-	ver := binary.LittleEndian.Uint32(data[len(magic):headerSize])
-	if ver != formatVersion {
-		return nil, fmt.Errorf("%w: format version %d, want %d", ErrCorrupt, ver, formatVersion)
+	if err := checkHeader(data, magic); err != nil {
+		return nil, err
 	}
 	rest := data[headerSize:]
 	if len(rest) == 0 {
@@ -422,8 +432,7 @@ func Decode(data []byte) ([]byte, error) {
 		if len(rest) < frameSize {
 			return nil, fmt.Errorf("%w: record %d: truncated frame (%d trailing bytes)", ErrCorrupt, n, len(rest))
 		}
-		size := binary.LittleEndian.Uint32(rest[0:4])
-		sum := binary.LittleEndian.Uint32(rest[4:8])
+		size, sum := frameHeader(rest)
 		if size > MaxPayload {
 			return nil, fmt.Errorf("%w: record %d: length %d exceeds MaxPayload", ErrCorrupt, n, size)
 		}
@@ -439,4 +448,18 @@ func Decode(data []byte) ([]byte, error) {
 		rest = body[size:]
 	}
 	return payload, nil
+}
+
+// checkHeader validates a file's magic and format version.
+func checkHeader(data []byte, want string) error {
+	if len(data) < headerSize {
+		return fmt.Errorf("%w: %d-byte file is shorter than the header", ErrCorrupt, len(data))
+	}
+	if string(data[:len(want)]) != want {
+		return fmt.Errorf("%w: bad magic %q", ErrCorrupt, data[:len(want)])
+	}
+	if ver := binary.LittleEndian.Uint32(data[len(want):headerSize]); ver != formatVersion {
+		return fmt.Errorf("%w: format version %d, want %d", ErrCorrupt, ver, formatVersion)
+	}
+	return nil
 }

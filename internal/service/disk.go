@@ -1,22 +1,24 @@
 package service
 
 // Storage guardrails (docs/RESILIENCE.md §3). A disk-budget accountant
-// walks the jobs directory on a poll cadence (when a budget is set or the
+// measures the data directory (the job journal plus the jobs directory of
+// checkpoint stores) on a poll cadence (when a budget is set or the
 // service is degraded; otherwise the stats readers measure on demand)
 // and, when usage exceeds the configured budget, reclaims space in strict
 // safety order:
 //
-//  1. checkpoint directories of terminal jobs (their result file is the
-//     durable artifact; the checkpoints are dead weight),
+//  1. checkpoint directories of terminal jobs (their result record is
+//     the durable artifact; the checkpoints are dead weight),
 //  2. old checkpoint generations of live jobs (PruneKeep(1) — the
 //     newest generation, which a resume needs, is never touched).
 //
-// Independently, every checkpoint and result write goes through durably:
+// Independently, every checkpoint publish and result record goes through
+// durably:
 // an ENOSPC (real or injected via the ckptstore/write=diskfull failpoint)
 // flips the service into a degraded state — stop admitting, keep
 // draining — and the write RETRIES in place until space returns or the
 // job's context dies, so an in-flight job survives a full disk instead
-// of failing. A spec write that hits ENOSPC degrades the service too and
+// of failing. A spec record that hits ENOSPC degrades the service too and
 // rejects the submission with Retry-After. The monitor probes the disk
 // each tick and lifts the degraded state when a probe write lands and
 // usage is back under budget.
@@ -37,7 +39,8 @@ const DefaultDiskPoll = 2 * time.Second
 
 // DiskStats is the operator view of the storage guardrails.
 type DiskStats struct {
-	// UsageBytes is the jobs directory's last measured footprint.
+	// UsageBytes is the data directory's last measured footprint: the
+	// journal and the jobs directory.
 	UsageBytes int64 `json:"usage_bytes"`
 	// BudgetBytes is the configured cap (0 = unbudgeted).
 	BudgetBytes int64 `json:"budget_bytes,omitempty"`
@@ -48,7 +51,7 @@ type DiskStats struct {
 	// GCFreedBytes totals the bytes reclaimed by background GC.
 	GCFreedBytes int64 `json:"gc_freed_bytes,omitempty"`
 	// CheckpointPublishes and ResultWrites count the checkpoint
-	// generations and result files this daemon life has written; their
+	// generations and result records this daemon life has written; their
 	// ratio to finished jobs is the durable writes a job costs.
 	CheckpointPublishes uint64 `json:"checkpoint_publishes"`
 	ResultWrites        uint64 `json:"result_writes"`
@@ -56,6 +59,13 @@ type DiskStats struct {
 	// life has measured (0 = none yet): the cost a fresh job's first leg
 	// reports to the harness's publish cadence.
 	CheapestPublishSec float64 `json:"cheapest_publish_sec,omitempty"`
+	// JournalBytes is the job journal's length. JournalAppends and
+	// JournalSyncs count the records this daemon life appended and the
+	// fsyncs that made them durable; appends per sync is what group
+	// commit saves.
+	JournalBytes   int64  `json:"journal_bytes"`
+	JournalAppends uint64 `json:"journal_appends"`
+	JournalSyncs   uint64 `json:"journal_syncs"`
 }
 
 // diskStatsLocked snapshots the disk block; s.mu must be held.
@@ -64,6 +74,8 @@ func (s *Service) diskStatsLocked() DiskStats {
 	d.CheckpointPublishes = s.publishes.Load()
 	d.ResultWrites = s.resultWrites.Load()
 	d.CheapestPublishSec = time.Duration(s.cheapestSave.Load()).Seconds()
+	js := s.journal.Stats()
+	d.JournalBytes, d.JournalAppends, d.JournalSyncs = js.Bytes, js.Appends, js.Syncs
 	return d
 }
 
@@ -143,10 +155,11 @@ func (s *Service) refreshUsage() {
 	s.mu.Unlock()
 }
 
-// measureUsage walks the jobs directory. Errors under the walk are
-// skipped: a file deleted mid-walk must not abort accounting.
+// measureUsage adds the journal's length to a walk of the jobs
+// directory. Errors under the walk are skipped: a file deleted mid-walk
+// must not abort accounting.
 func (s *Service) measureUsage() int64 {
-	var total int64
+	total := s.journal.Stats().Bytes
 	root := filepath.Join(s.cfg.DataDir, jobsDirName)
 	_ = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -169,7 +182,7 @@ func (s *Service) measureUsage() int64 {
 // runGC reclaims space in safety order and returns the bytes freed.
 func (s *Service) runGC() int64 {
 	var freed int64
-	// Phase 1: terminal jobs' checkpoint directories. The result file is
+	// Phase 1: terminal jobs' checkpoint directories. The result record is
 	// the durable artifact; nothing will resume from these stores.
 	s.mu.Lock()
 	var terminal, live []*job
@@ -186,12 +199,11 @@ func (s *Service) runGC() int64 {
 	sortJobsByID(terminal) // oldest jobs reclaimed first
 	sortJobsByID(live)
 	for _, j := range terminal {
-		dir := filepath.Join(j.dir, ckptDirName)
-		n := dirSize(dir)
+		n := dirSize(j.dir)
 		if n == 0 {
 			continue
 		}
-		if err := os.RemoveAll(dir); err == nil {
+		if err := os.RemoveAll(j.dir); err == nil {
 			freed += n
 			s.cfg.Logf("service: gc reclaimed %d bytes of checkpoints from terminal %s", n, j.id)
 		}

@@ -137,6 +137,12 @@ func TestHTTPSubmitPollAndList(t *testing.T) {
 	if err != nil || stats.Jobs != 1 || stats.Cache.Entries != 1 {
 		t.Fatalf("stats = %+v err=%v", stats, err)
 	}
+	// The job's spec and result records, made durable by one or two
+	// fsyncs, are the journal; usage counts it.
+	if d := stats.Disk; d.JournalAppends != 2 || d.JournalSyncs < 1 || d.JournalSyncs > 2 ||
+		d.JournalBytes <= 0 || d.UsageBytes < d.JournalBytes {
+		t.Fatalf("disk stats %+v, want 2 journal appends over 1-2 fsyncs, counted in usage", d)
+	}
 }
 
 // TestHTTPErrorMapping pins the error → status translation.

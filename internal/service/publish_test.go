@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -71,6 +72,53 @@ func generations(t *testing.T, svc *Service, id string) []uint64 {
 	return gens
 }
 
+// writeJournal appends records to the journal in dataDir, as a daemon
+// that died after making them durable would have left it.
+func writeJournal(t testing.TB, dataDir string, recs ...record) {
+	t.Helper()
+	jr, err := ckptstore.OpenJournal(filepath.Join(dataDir, journalName), func([]byte) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([][]byte, len(recs))
+	for i, r := range recs {
+		if data[i], err = json.Marshal(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tk, err := jr.Append(data...)
+	if err == nil {
+		err = jr.Commit(tk)
+	}
+	if err == nil {
+		err = jr.Close()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// journalRecords decodes every record of the journal in dataDir.
+func journalRecords(t *testing.T, dataDir string) []record {
+	t.Helper()
+	var recs []record
+	jr, err := ckptstore.OpenJournal(filepath.Join(dataDir, journalName), func(data []byte) error {
+		var r record
+		if err := json.Unmarshal(data, &r); err != nil {
+			return err
+		}
+		recs = append(recs, r)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
 // cheapSpec is a small job whose cohort differs from testSpec's, so the
 // result cache cannot answer it.
 func cheapSpec(seed int64) JobSpec {
@@ -81,7 +129,7 @@ func cheapSpec(seed int64) JobSpec {
 
 // TestPublishCheapJobLeavesNoCheckpoints: once the daemon has measured a
 // publish, a fresh job cheaper than publishRatio publishes makes its spec
-// and its result file its only durable writes — no checkpoint directory —
+// and result records its only durable writes — no jobs/<id>/ directory —
 // and its result still equals the uninterrupted run.
 func TestPublishCheapJobLeavesNoCheckpoints(t *testing.T) {
 	if testing.Short() {
@@ -108,8 +156,8 @@ func TestPublishCheapJobLeavesNoCheckpoints(t *testing.T) {
 	}
 	final := waitSucceeded(t, svc, st.ID)
 	assertMatchesDirect(t, final.Result, directRun(t, spec))
-	if _, err := os.Stat(filepath.Join(svc.jobDir(st.ID), ckptDirName)); !os.IsNotExist(err) {
-		t.Fatalf("cheap job's checkpoint directory: stat err = %v, want it absent", err)
+	if _, err := os.Stat(svc.jobDir(st.ID)); !os.IsNotExist(err) {
+		t.Fatalf("cheap job's directory: stat err = %v, want it absent", err)
 	}
 	after := svc.Stats().Disk
 	if after.CheckpointPublishes != before.CheckpointPublishes || after.ResultWrites != before.ResultWrites+1 {
@@ -130,16 +178,11 @@ func TestPublishRestoredJobPublishesFirstStep(t *testing.T) {
 	// GPU runs them in order: the first prices a publish, the second
 	// starts with that price known.
 	specs := []JobSpec{testSpec(), cheapSpec(32)}
-	for i, spec := range specs {
-		id := fmt.Sprintf(jobIDPattern, i+1)
-		jobDir := filepath.Join(dir, jobsDirName, id)
-		if err := os.MkdirAll(jobDir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := writeJSONAtomic(filepath.Join(jobDir, specFileName), persistedJob{ID: id, Spec: spec}); err != nil {
-			t.Fatal(err)
-		}
+	var recs []record
+	for i := range specs {
+		recs = append(recs, record{Kind: recordSpec, ID: fmt.Sprintf(jobIDPattern, i+1), Spec: &specs[i]})
 	}
+	writeJournal(t, dir, recs...)
 	if err := failpoint.Enable("ckptstore/write", slowPublish); err != nil {
 		t.Fatal(err)
 	}
@@ -160,8 +203,8 @@ func TestPublishRestoredJobPublishesFirstStep(t *testing.T) {
 }
 
 // TestPublishResultLostToCrashReruns: a daemon that dies after a cheap
-// job's run returns but before its result file lands has left only the
-// spec. The next daemon reruns the job from it, bit-identically.
+// job's run returns but before its result record lands has left only the
+// spec record. The next daemon reruns the job from it, bit-identically.
 func TestPublishResultLostToCrashReruns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs discovery jobs")
@@ -174,11 +217,11 @@ func TestPublishResultLostToCrashReruns(t *testing.T) {
 	}
 	runPricedJob(t, svc)
 
-	// The spec write is the rename's first hit after arming; every later
-	// one fails as a kill between fsync and rename leaves it: temp file
-	// written, result.json absent. The cheap job publishes no
-	// checkpoint, so its next write is its result file.
-	if err := failpoint.Enable("ckptstore/rename", "error@2-1000"); err != nil {
+	// The spec record is the journal's first append after arming; every
+	// later one is torn as a kill in the middle of the write leaves it:
+	// half a frame on disk, no result record. The cheap job publishes no
+	// checkpoint, so its next append is its result record.
+	if err := failpoint.Enable("ckptstore/journal-torn", "error@2-1000"); err != nil {
 		t.Fatal(err)
 	}
 	spec := cheapSpec(33)
@@ -194,15 +237,17 @@ func TestPublishResultLostToCrashReruns(t *testing.T) {
 	}
 	// A result that cannot be made durable fails the job: it is never
 	// reported succeeded with nothing on disk.
-	if lost.State != StateFailed.String() || lost.Result == nil || !strings.Contains(lost.Result.Error, resultFileName) {
-		t.Fatalf("job whose result write failed ended %s (%+v), want failed on %s", lost.State, lost.Result, resultFileName)
+	if lost.State != StateFailed.String() || lost.Result == nil || !strings.Contains(lost.Result.Error, "result record") {
+		t.Fatalf("job whose result write failed ended %s (%+v), want failed on its result record", lost.State, lost.Result)
 	}
 	if err := svc.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	failpoint.Disable("ckptstore/rename")
-	if _, err := os.Stat(filepath.Join(svc.jobDir(st.ID), resultFileName)); !os.IsNotExist(err) {
-		t.Fatalf("result file after the lost write: stat err = %v, want it absent", err)
+	failpoint.Disable("ckptstore/journal-torn")
+	for _, r := range journalRecords(t, cfg.DataDir) {
+		if r.ID == st.ID && r.Kind != recordSpec {
+			t.Fatalf("journal holds a %s record of %s after the lost write", r.Kind, st.ID)
+		}
 	}
 
 	svc2, err := Open(cfg)

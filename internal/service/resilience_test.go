@@ -302,7 +302,7 @@ func TestBreakerTripsOnBackendFailures(t *testing.T) {
 	}
 	defer svc.Close()
 
-	// Queue four jobs, then break the checkpoint path. The spec files are
+	// Queue four jobs, then break the checkpoint path. The spec records are
 	// already persisted, so only the running jobs' stores fail.
 	var ids []string
 	for i := int64(0); i < 4; i++ {
@@ -504,7 +504,7 @@ func TestDiskFullDegradesWithoutFailingInFlight(t *testing.T) {
 
 // TestDiskBudgetGCReclaimsTerminalCheckpoints pins the accountant: over
 // budget, the background GC removes terminal jobs' checkpoint stores
-// (the result file is the durable artifact) and the degraded state
+// (the result record is the durable artifact) and the degraded state
 // clears once usage is back under.
 func TestDiskBudgetGCReclaimsTerminalCheckpoints(t *testing.T) {
 	if testing.Short() {
@@ -533,7 +533,7 @@ func TestDiskBudgetGCReclaimsTerminalCheckpoints(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	// Reopen with a budget the checkpoints bust but the spec/result files
+	// Reopen with a budget the checkpoints bust but the spec/result records
 	// fit: the first tick must degrade, GC, and recover.
 	cfg.DiskBudgetBytes = total - 1
 	if cfg.DiskBudgetBytes <= total-ckptBytes {

@@ -9,9 +9,10 @@
 // from a fingerprint-keyed result cache when an identical submission has
 // already completed.
 //
-// Durability contract: a job's spec is its first durable point and its
-// result file its last. A killed daemon loses at most each in-flight
-// job's work since its last durable point, bounded by the publish cadence
+// Durability contract: a job's spec record is its first durable point and
+// its result record its last, both in one group-committed journal
+// (persist.go). A killed daemon loses at most each in-flight job's work
+// since its last durable point, bounded by the publish cadence
 // (docs/RESILIENCE.md §3). On restart every non-terminal job is
 // re-enqueued and resumes from its own generational store, or reruns from
 // its spec when it published none, completing bit-identically to an
@@ -39,7 +40,7 @@ import (
 
 // Config sizes the daemon.
 type Config struct {
-	// DataDir is the root of the durable state (job specs, results,
+	// DataDir is the root of the durable state (the job journal and the
 	// per-job checkpoint stores).
 	DataDir string
 	// Device is the simulated device model admission prices against;
@@ -79,7 +80,7 @@ type Config struct {
 	// BreakerCooldown is the open → half-open delay; 0 means
 	// DefaultBreakerCooldown.
 	BreakerCooldown time.Duration
-	// DiskBudgetBytes caps the jobs directory footprint; over budget
+	// DiskBudgetBytes caps the data directory's footprint; over budget
 	// the background GC reclaims checkpoints (terminal jobs first) and
 	// the service degrades until usage is back under. 0 disables the
 	// budget (ENOSPC handling stays active regardless).
@@ -151,6 +152,9 @@ type Service struct {
 	brk     *breaker
 	gcKick  chan struct{}
 
+	// journal holds every job's spec and result records.
+	journal *ckptstore.Journal
+
 	mu     sync.Mutex
 	cond   *sync.Cond
 	closed bool
@@ -171,12 +175,14 @@ type Service struct {
 	cheapestSave atomic.Int64
 	publishes    atomic.Uint64
 	resultWrites atomic.Uint64
+	// cohorts counts the cohorts this daemon life has generated.
+	cohorts atomic.Uint64
 }
 
-// Open validates the config, restores persisted jobs from DataDir —
-// terminal results repopulate the cache, in-flight jobs re-enter the
-// queue to resume from their checkpoint stores — and starts the dispatch
-// loop.
+// Open validates the config, restores persisted jobs from the journal in
+// DataDir — terminal results repopulate the cache, in-flight jobs re-enter
+// the queue to resume from their checkpoint stores — and starts the
+// dispatch loop.
 func Open(cfg Config) (*Service, error) {
 	cfg = cfg.withDefaults()
 	if cfg.DataDir == "" {
@@ -219,6 +225,9 @@ func Open(cfg Config) (*Service, error) {
 	}
 	if err := s.restore(); err != nil {
 		cancel()
+		if s.journal != nil {
+			_ = s.journal.Close()
+		}
 		return nil, err
 	}
 	s.wg.Add(2)
@@ -233,79 +242,75 @@ func Open(cfg Config) (*Service, error) {
 	return s, nil
 }
 
-// restore rebuilds the job table from DataDir.
+// restore rebuilds the job table by replaying the journal. A terminal job
+// comes back from its result record alone; only in-flight jobs regenerate
+// their cohorts (buildJob) to re-enter the queue.
 func (s *Service) restore() error {
-	ids, next, err := scanJobDirs(s.cfg.DataDir)
+	if err := checkLayout(s.cfg.DataDir); err != nil {
+		return err
+	}
+	jr, js, err := replayJournal(s.cfg.DataDir, s.cfg.Logf)
 	if err != nil {
 		return err
 	}
-	s.nextID = next
-	for _, id := range ids {
-		dir := s.jobDir(id)
-		var pj persistedJob
-		if err := readJSONBounded(filepath.Join(dir, specFileName), &pj); err != nil {
-			s.cfg.Logf("service: skipping job %s: unreadable spec: %v", id, err)
-			continue
+	s.journal = jr
+	s.nextID = js.next
+	s.compact(js)
+	for _, id := range js.order {
+		st := js.jobs[id]
+		var j *job
+		if st.result != nil || st.spec.Canceled {
+			j, err = s.newJob(id, *st.spec.Spec)
+		} else {
+			j, err = s.buildJob(id, *st.spec.Spec)
 		}
-		j, err := s.buildJob(id, pj.Spec)
 		if err != nil {
 			s.cfg.Logf("service: skipping job %s: %v", id, err)
 			continue
 		}
-		j.idemKey = pj.IdempotencyKey
+		j.idemKey = st.spec.IdempotencyKey
 		// Idempotency keys survive restarts: a retried POST lands on the
 		// restored job instead of executing a second time.
 		if j.idemKey != "" {
 			s.keys[j.idemKey] = id
 		}
-		var pr persistedResult
-		switch rerr := readJSONBounded(filepath.Join(dir, resultFileName), &pr); {
-		case rerr == nil:
+		s.jobs[id] = j
+		switch {
+		case st.result != nil:
 			// Terminal: restore the outcome; successes re-seed the cache.
-			j.state = pr.terminalState()
-			j.result = pr.Result
-			j.cohort = nil
+			j.state = st.result.terminalState()
+			j.result = st.result.Result
+			if st.result.Key != nil {
+				j.key = *st.result.Key
+			}
 			close(j.done)
 			if j.state == StateSucceeded {
-				s.cache.Put(pr.Key, id, pr.Result)
+				s.cache.Put(j.key, id, j.result)
 			}
-			s.jobs[id] = j
-		case os.IsNotExist(rerr):
-			if pj.Canceled {
-				// The cancel was observed but the terminal write never
-				// landed; finish the transition instead of resurrecting.
-				j.state = StateCanceled
-				j.result = &JobResult{Error: "canceled before completion"}
-				j.cohort = nil
-				close(j.done)
-				s.jobs[id] = j
-				s.persistTerminal(j, StateCanceled, CacheKey{})
-				continue
-			}
+		case st.spec.Canceled:
+			// The cancel was observed but the terminal write never
+			// landed; finish the transition instead of resurrecting.
+			j.state = StateCanceled
+			j.result = &JobResult{Error: "canceled before completion"}
+			close(j.done)
+			s.persistTerminal(j, StateCanceled, CacheKey{})
+		default:
 			// In flight when the previous daemon died: re-enqueue. The
 			// job resumes from its checkpoint store (if any generation
 			// was persisted) and re-scans from scratch otherwise.
-			s.jobs[id] = j
 			s.queue.Push(j)
 			s.cfg.Logf("service: restored %s (tenant %s) into the queue", id, j.tenant)
-		default:
-			s.cfg.Logf("service: skipping job %s: unreadable result: %v", id, rerr)
-			delete(s.keys, j.idemKey)
 		}
 	}
 	return nil
 }
 
-// buildJob materializes a job record from its spec: regenerates the
-// seeded cohort (deterministic, so fingerprints and partition plans are
-// restart-invariant), resolves options, keys the result cache, and prices
-// admission.
-func (s *Service) buildJob(id string, spec JobSpec) (*job, error) {
+// newJob resolves a spec into a job record without its cohort: priority,
+// tenant, worker count and normalized engine options. A terminal job
+// restored from its result record needs no more; its cost stays zero
+// until Resume prices it.
+func (s *Service) newJob(id string, spec JobSpec) (*job, error) {
 	prio, err := ParsePriority(spec.Priority)
-	if err != nil {
-		return nil, err
-	}
-	cohort, err := spec.Cohort.Generate()
 	if err != nil {
 		return nil, err
 	}
@@ -320,10 +325,6 @@ func (s *Service) buildJob(id string, spec JobSpec) (*job, error) {
 	if err != nil {
 		return nil, err
 	}
-	cost, err := EstimateCost(cohort, opt, s.cfg.Device)
-	if err != nil {
-		return nil, err
-	}
 	tenant := spec.Tenant
 	if tenant == "" {
 		tenant = "default"
@@ -334,14 +335,47 @@ func (s *Service) buildJob(id string, spec JobSpec) (*job, error) {
 		priority:    prio,
 		spec:        spec,
 		dir:         s.jobDir(id),
-		cost:        cost,
 		state:       StateQueued,
 		submittedAt: time.Now(),
 		done:        make(chan struct{}),
-		cohort:      cohort,
 		opt:         opt,
-		key:         CanonicalKey(cohort.Tumor, cohort.Normal, opt),
 	}, nil
+}
+
+// buildJob is newJob plus the cohort: it regenerates the seeded cohort
+// (deterministic, so fingerprints and partition plans are
+// restart-invariant), prices admission, and keys the result cache.
+func (s *Service) buildJob(id string, spec JobSpec) (*job, error) {
+	j, err := s.newJob(id, spec)
+	if err != nil {
+		return nil, err
+	}
+	cohort, cost, err := s.price(j)
+	if err != nil {
+		return nil, err
+	}
+	j.cohort, j.cost = cohort, cost
+	j.key = CanonicalKey(cohort.Tumor, cohort.Normal, j.opt)
+	return j, nil
+}
+
+// price generates a job's cohort and prices it on the admission model.
+func (s *Service) price(j *job) (*dataset.Cohort, Cost, error) {
+	cohort, err := s.generate(j.spec.Cohort)
+	if err != nil {
+		return nil, Cost{}, err
+	}
+	cost, err := EstimateCost(cohort, j.opt, s.cfg.Device)
+	if err != nil {
+		return nil, Cost{}, err
+	}
+	return cohort, cost, nil
+}
+
+// generate builds a cohort from its spec, counting the generations.
+func (s *Service) generate(spec CohortSpec) (*dataset.Cohort, error) {
+	s.cohorts.Add(1)
+	return spec.Generate()
 }
 
 // Submit accepts one job. On a result-cache hit the returned status is
@@ -425,6 +459,7 @@ func (s *Service) SubmitIdempotent(spec JobSpec, idemKey string) (*JobStatus, bo
 		return nil, false, ErrClosed
 	}
 	if cached, from, ok := s.cache.Get(j.key); ok {
+		s.mu.Unlock()
 		hit := *cached
 		hit.CachedFrom = from
 		j.state = StateSucceeded
@@ -432,13 +467,17 @@ func (s *Service) SubmitIdempotent(spec JobSpec, idemKey string) (*JobStatus, bo
 		j.endedAt = time.Now()
 		j.cohort = nil
 		close(j.done)
-		s.jobs[id] = j
-		s.cond.Broadcast()
-		s.mu.Unlock()
-		if err := s.persistJob(j); err != nil {
+		// The spec and result records share an fsync, and the job is
+		// visible only once both are durable.
+		if err := s.commit(specRecord(j), resultRecord(j, StateSucceeded, j.key)); err != nil {
+			s.rollbackKey(idemKey, id)
 			return nil, false, s.specWriteError(j, err)
 		}
-		s.persistTerminal(j, StateSucceeded, j.key)
+		s.resultWrites.Add(1)
+		s.mu.Lock()
+		s.jobs[id] = j
+		s.cond.Broadcast() // wake duplicate submissions waiting on the key
+		s.mu.Unlock()
 		s.cfg.Logf("service: %s answered from cache (produced by %s)", id, from)
 		return j.status(), false, nil
 	}
@@ -461,7 +500,7 @@ func (s *Service) SubmitIdempotent(spec JobSpec, idemKey string) (*JobStatus, bo
 	s.cond.Broadcast() // wake duplicate submissions waiting on the key
 	s.mu.Unlock()
 
-	if err := s.persistJob(j); err != nil {
+	if err := s.commit(specRecord(j)); err != nil {
 		s.mu.Lock()
 		delete(s.jobs, id)
 		s.mu.Unlock()
@@ -519,18 +558,6 @@ func (s *Service) rollbackKey(idemKey, id string) {
 	}
 	s.cond.Broadcast()
 	s.mu.Unlock()
-}
-
-// persistJob writes the job's spec file (crash point: a spec without a
-// result is an in-flight job to a restarted daemon).
-func (s *Service) persistJob(j *job) error {
-	if err := os.MkdirAll(j.dir, 0o755); err != nil {
-		return fmt.Errorf("service: %w", err)
-	}
-	j.mu.Lock()
-	pj := persistedJob{ID: j.id, Spec: j.spec, Canceled: j.userCancel, IdempotencyKey: j.idemKey}
-	j.mu.Unlock()
-	return writeJSONAtomic(filepath.Join(j.dir, specFileName), pj)
 }
 
 // specWriteError classifies a failed spec write. A full disk degrades the
@@ -641,21 +668,23 @@ func (s *Service) runJob(j *job) {
 // runLeg runs one leg of a job and records its outcome; an error fails
 // the job unless runJob can park or cancel it.
 //
-// A job's spec is its first durable point and, once it completes, its
-// result file is its last. So the first leg of a job submitted to this
-// daemon reports the cheapest checkpoint publish the daemon has measured
-// to the harness, which then publishes no step before the cadence calls
-// for one and leaves a completed run's final publish to the result file.
+// A job's spec record is its first durable point and, once it completes,
+// its result record is its last. So the first leg of a job submitted to
+// this daemon reports the cheapest checkpoint publish the daemon has
+// measured to the harness, which then publishes no step before the
+// cadence calls for one and leaves a completed run's final publish to the
+// result record.
 // A job restored at Open, or a leg that finds generations on disk,
 // reports no cost and publishes its first step, so every crash schedule
 // still converges. The checkpoint store is created by its first publish.
 //
 // cohort is the job's cohort; nil for a resumed partial job, which
-// released it when it turned terminal and rebuilds it from its spec.
+// released it when it turned terminal and rebuilds it from its spec
+// (unless Resume priced it after a restart).
 func (s *Service) runLeg(ctx context.Context, j *job, cohort *dataset.Cohort, fresh bool) error {
 	if cohort == nil {
 		var err error
-		if cohort, err = j.spec.Cohort.Generate(); err != nil {
+		if cohort, err = s.generate(j.spec.Cohort); err != nil {
 			return err
 		}
 	}
@@ -717,8 +746,8 @@ func (s *Service) runLeg(ctx context.Context, j *job, cohort *dataset.Cohort, fr
 	j.mu.Lock()
 	j.result = result
 	j.mu.Unlock()
-	// The result file lands before the job is reported finished: for a
-	// completed run it is the final publish.
+	// The result record is durable before the job is reported finished:
+	// for a completed run it is the final publish.
 	if err := s.durably(ctx, j.id+" result", func() error { return s.writeResult(j, state, j.key) }); err != nil {
 		return err
 	}
@@ -742,7 +771,7 @@ func (s *Service) finishJob(j *job, state JobState, result *JobResult) {
 	s.completeJob(j, state, j.key)
 }
 
-// completeJob reports a terminal outcome whose result file has been
+// completeJob reports a terminal outcome whose result record has been
 // written: it caches a success, then makes the transition.
 func (s *Service) completeJob(j *job, state JobState, key CacheKey) {
 	if state == StateSucceeded {
@@ -758,7 +787,7 @@ func (s *Service) completeJob(j *job, state JobState, key CacheKey) {
 	s.cfg.Logf("service: %s finished %s (exit %d)", j.id, state, state.ExitCode())
 }
 
-// persistTerminal publishes the result file; failures are logged, not
+// persistTerminal writes the result record; failures are logged, not
 // fatal (the in-memory state is authoritative until the next restart).
 func (s *Service) persistTerminal(j *job, state JobState, key CacheKey) {
 	if err := s.writeResult(j, state, key); err != nil {
@@ -766,13 +795,10 @@ func (s *Service) persistTerminal(j *job, state JobState, key CacheKey) {
 	}
 }
 
-// writeResult publishes the job's result file.
+// writeResult makes the job's result record durable.
 func (s *Service) writeResult(j *job, state JobState, key CacheKey) error {
-	j.mu.Lock()
-	pr := persistedResult{State: state.String(), Key: key, Result: j.result}
-	j.mu.Unlock()
-	if err := writeJSONAtomic(filepath.Join(j.dir, resultFileName), pr); err != nil {
-		return err
+	if err := s.commit(resultRecord(j, state, key)); err != nil {
+		return fmt.Errorf("service: %s result record: %w", j.id, err)
 	}
 	s.resultWrites.Add(1)
 	return nil
@@ -899,33 +925,64 @@ func (s *Service) Cancel(id string) error {
 // next leg continues from the checkpoint store.
 func (s *Service) Resume(id string) (*JobStatus, error) {
 	s.mu.Lock()
+	j, ok := s.jobs[id]
+	var cost Cost
+	if ok {
+		cost = j.cost
+	}
+	s.mu.Unlock()
+	if !ok {
+		return nil, ErrNotFound
+	}
+	if err := j.resumable(); err != nil {
+		return nil, err
+	}
+	// A job restored from its result record was never priced.
+	var cohort *dataset.Cohort
+	if cost == (Cost{}) {
+		var err error
+		if cohort, cost, err = s.price(j); err != nil {
+			return nil, err
+		}
+	}
+	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil, ErrClosed
 	}
-	j, ok := s.jobs[id]
-	if !ok {
-		return nil, ErrNotFound
+	// Only Resume leaves the partial state, and it holds s.mu.
+	if err := j.resumable(); err != nil {
+		return nil, err
 	}
+	// Withdraw the result record first, so a crash between here and the
+	// next leg's result record restores the job as in flight.
+	if err := s.commit(record{Kind: recordReopened, ID: id}); err != nil {
+		return nil, fmt.Errorf("%w: reopening %s: %v", ErrStorage, id, err)
+	}
+	j.cost = cost
 	j.mu.Lock()
-	if j.state != StatePartial {
-		j.mu.Unlock()
-		return nil, fmt.Errorf("service: job %s is %s, only partial jobs resume: %w", id, j.state, ErrTerminal)
-	}
 	j.state = StateQueued
 	j.result = nil
 	j.userCancel = false
+	if cohort != nil {
+		j.cohort = cohort
+	}
 	j.done = make(chan struct{})
 	j.publishLocked(Event{Type: "state", JobID: j.id, State: StateQueued.String()})
 	j.mu.Unlock()
-	// Remove the stale terminal file so a crash between here and the next
-	// leg's terminal write restores the job as in-flight.
-	if err := os.Remove(filepath.Join(j.dir, resultFileName)); err != nil && !os.IsNotExist(err) {
-		return nil, fmt.Errorf("service: %w", err)
-	}
 	s.queue.Push(j)
 	s.cond.Signal()
 	return j.status(), nil
+}
+
+// resumable reports why the job cannot resume, if it cannot.
+func (j *job) resumable() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.state != StatePartial {
+		return fmt.Errorf("service: job %s is %s, only partial jobs resume: %w", j.id, j.state, ErrTerminal)
+	}
+	return nil
 }
 
 // WaitJob blocks until the job reaches a terminal state (or ctx ends) and
@@ -1064,5 +1121,5 @@ func (s *Service) Close() error {
 	s.mu.Unlock()
 	s.cancel()
 	s.wg.Wait()
-	return nil
+	return s.journal.Close()
 }
