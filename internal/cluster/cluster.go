@@ -8,11 +8,12 @@
 //     virtual clock. This regenerates the scaling and profiling figures
 //     (Fig. 4, 6, 7, 8 and the ED-vs-EA runtimes) without CUDA hardware.
 //
-//   - Discover executes the actual algorithm distributed across simulated
-//     ranks at reduced scale: every rank runs the real kernels on its λ
-//     partitions and the winning combination is reduced to rank 0 and
-//     broadcast, iteration by iteration — functionally identical to
-//     cover.Run, as the tests assert.
+//   - Discover executes the actual algorithm at reduced scale: cover.Greedy
+//     runs the greedy loop, and each pass it scans is cut into the
+//     machine's per-GPU λ partitions, scored by the real kernels and
+//     reduced in rank 0's total order, so the cover is cover.Run's, as the
+//     tests assert. The virtual clock prices every pass on the ranks and
+//     plays its winner reduce/broadcast through mpisim.
 package cluster
 
 import (

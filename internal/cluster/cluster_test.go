@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/combinat"
 	"repro/internal/cover"
 	"repro/internal/dataset"
 )
@@ -320,42 +321,51 @@ func TestDiscoverMatchesCoverRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, hits := range []int{2, 3, 4, 5} {
-		opt := cover.Options{Hits: hits, Workers: 2}
-		want, err := cover.Run(c.Tumor, c.Normal, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, nodes := range []int{1, 3, 5} {
-			got, err := Discover(Summit(nodes), c.Tumor, c.Normal, opt)
+		for _, noPrune := range []bool{false, true} {
+			opt := cover.Options{Hits: hits, Workers: 2, NoPrune: noPrune}
+			want, err := cover.Run(c.Tumor, c.Normal, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(got.Steps) != len(want.Steps) {
-				t.Fatalf("hits=%d nodes=%d: %d steps, want %d",
-					hits, nodes, len(got.Steps), len(want.Steps))
-			}
-			for i := range want.Steps {
-				if got.Steps[i].Combo != want.Steps[i].Combo {
-					t.Fatalf("hits=%d nodes=%d step %d: %+v != %+v",
-						hits, nodes, i, got.Steps[i].Combo, want.Steps[i].Combo)
+			domain := combinat.MustBinomial(uint64(c.Tumor.Genes()), uint64(hits))
+			for _, nodes := range []int{1, 3, 5} {
+				got, err := Discover(Summit(nodes), c.Tumor, c.Normal, opt)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if got.Steps[i].NewlyCovered != want.Steps[i].NewlyCovered {
-					t.Fatalf("hits=%d nodes=%d step %d: cover counts differ", hits, nodes, i)
+				if len(got.Steps) != len(want.Steps) {
+					t.Fatalf("hits=%d nodes=%d: %d steps, want %d",
+						hits, nodes, len(got.Steps), len(want.Steps))
 				}
-				// The Evaluated/Pruned split depends on the partitioning (and
-				// worker timing); only the scanned total is deterministic.
-				gotScan := got.Steps[i].Evaluated + got.Steps[i].Pruned
-				wantScan := want.Steps[i].Evaluated + want.Steps[i].Pruned
-				if gotScan != wantScan {
-					t.Fatalf("hits=%d nodes=%d step %d: scanned %d, want %d",
-						hits, nodes, i, gotScan, wantScan)
+				for i := range want.Steps {
+					if got.Steps[i].Combo != want.Steps[i].Combo {
+						t.Fatalf("hits=%d nodes=%d step %d: %+v != %+v",
+							hits, nodes, i, got.Steps[i].Combo, want.Steps[i].Combo)
+					}
+					if got.Steps[i].NewlyCovered != want.Steps[i].NewlyCovered {
+						t.Fatalf("hits=%d nodes=%d step %d: cover counts differ", hits, nodes, i)
+					}
+					// The Evaluated/Pruned split depends on the partition plan,
+					// which differs from cover.Run's; the scanned total does not.
+					gotScan := got.Steps[i].Evaluated + got.Steps[i].Pruned
+					wantScan := want.Steps[i].Evaluated + want.Steps[i].Pruned
+					if gotScan != wantScan {
+						t.Fatalf("hits=%d nodes=%d step %d: scanned %d, want %d",
+							hits, nodes, i, gotScan, wantScan)
+					}
+					// Under NoPrune the rank scanner scans every pass, and its
+					// two-level plan still tiles C(G, h) with nothing pruned.
+					if noPrune && (got.Steps[i].Evaluated != domain || got.Steps[i].Pruned != 0) {
+						t.Fatalf("hits=%d nodes=%d step %d: NoPrune counts %d/%d, want %d/0",
+							hits, nodes, i, got.Steps[i].Evaluated, got.Steps[i].Pruned, domain)
+					}
 				}
-			}
-			if got.Covered != want.Covered || got.Uncoverable != want.Uncoverable {
-				t.Fatalf("hits=%d nodes=%d: totals differ", hits, nodes)
-			}
-			if got.VirtualSeconds <= 0 {
-				t.Fatal("no virtual time accounted")
+				if got.Covered != want.Covered || got.Uncoverable != want.Uncoverable {
+					t.Fatalf("hits=%d nodes=%d: totals differ", hits, nodes)
+				}
+				if got.VirtualSeconds <= 0 {
+					t.Fatal("no virtual time accounted")
+				}
 			}
 		}
 	}

@@ -3,14 +3,9 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/bitmat"
-	"repro/internal/combinat"
 	"repro/internal/cover"
-	"repro/internal/gpusim"
-	"repro/internal/kernelize"
-	"repro/internal/mpisim"
 	"repro/internal/reduce"
 	"repro/internal/sched"
 )
@@ -27,12 +22,14 @@ type DiscoverResult struct {
 	// VirtualSeconds is the modeled job time under the virtual clock.
 	VirtualSeconds float64
 	// PruningRatio is the measured fraction of the scanned combination
-	// space that bound-and-prune skipped: Pruned / (Evaluated + Pruned)
-	// over the whole run, every enumeration pass included. Zero when
-	// pruning is disabled (or never fired). The virtual clock does NOT
-	// apply this discount — the device model prices the sched curve's
-	// full combination count, an upper bound; see Workload.PruneRatio for
-	// the opt-in pricing discount.
+	// space that the run skipped: Pruned / (Evaluated + Pruned) over the
+	// whole run, every enumeration pass included, with the Pruned counts
+	// of passes the support pass settles (docs/PRUNING.md §7) and of
+	// kernel-dropped combinations. Zero when pruning is disabled (or
+	// never fired). The virtual clock does NOT apply this discount — the
+	// device model prices the sched curve's full combination count, an
+	// upper bound; see Workload.PruneRatio for the opt-in pricing
+	// discount.
 	PruningRatio float64
 	// Ranks is the per-rank compute/communication ledger.
 	Ranks []RankReport
@@ -72,12 +69,14 @@ func discoverPerNode(curve sched.Curve, scheduler cover.Scheduler, nodes, gpn in
 	return tl.PerNode, nil
 }
 
-// Discover runs the full greedy cover distributed across the simulated
-// cluster: each MPI rank executes the real kernels over its GPUs' λ
-// partitions, per-rank winners are reduced to rank 0 and broadcast, and
-// every rank updates its active-sample mask identically. The discovered
-// cover is bit-for-bit the one cover.Run finds on a single machine; the
-// virtual clock prices each rank's GPU work with the device model.
+// Discover runs the full greedy cover on the simulated cluster: cover.Greedy
+// picks every step, and each enumeration pass it does not settle from the
+// support (docs/PRUNING.md §7) is scanned partition by partition over the
+// machine's two-level λ schedule (Fig. 1), one unseeded partition per GPU,
+// with the winners reduced in the total order rank 0 reduces them in. The
+// discovered cover is therefore cover.Run's; the virtual clock prices one
+// full-domain pass per greedy pass with the device model, plus the
+// per-pass reduce/broadcast of the winner and its work counts.
 //
 // Every rank holds the full input matrices (as on Summit, where the
 // compressed inputs are small); only the 20-byte winners cross the fabric.
@@ -85,209 +84,74 @@ func Discover(spec Spec, tumor, normal *bitmat.Matrix, opt cover.Options) (*Disc
 	return DiscoverCtx(context.Background(), spec, tumor, normal, opt)
 }
 
-// DiscoverCtx is Discover under a caller-supplied context. Every rank
-// checks the context at each iteration and each per-GPU scan observes it
-// between partitions (cover.FindBestRangeCtx), so a cancelled campaign
-// stops within one partition of kernel work instead of finishing the
-// multi-iteration cover.
+// DiscoverCtx is Discover under a caller-supplied context. The rank
+// scanner checks the context before each GPU partition, so a cancelled
+// campaign stops within one partition of kernel work instead of finishing
+// the multi-pass cover. It is DiscoverFaultsCtx under the empty plan,
+// without the Recovery section.
 func DiscoverCtx(ctx context.Context, spec Spec, tumor, normal *bitmat.Matrix, opt cover.Options) (*DiscoverResult, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	if tumor.Genes() != normal.Genes() {
-		return nil, fmt.Errorf("cluster: tumor has %d genes, normal has %d",
-			tumor.Genes(), normal.Genes())
-	}
-	if tumor.Samples() == 0 {
-		return nil, fmt.Errorf("cluster: no tumor samples")
-	}
-	if opt.BitSplice {
-		return nil, fmt.Errorf("cluster: Discover uses mask-based exclusion; disable BitSplice")
-	}
-
-	// Resolve the scheme from the hit count as the engine does.
-	resolved, err := opt.Normalized()
+	res, err := DiscoverFaultsCtx(ctx, spec, tumor, normal, opt, FaultPlan{})
 	if err != nil {
 		return nil, err
 	}
-
-	// Under Kernelize the ranks scan a gene-axis reduction (dominated-gene
-	// elimination only — the sample axis is untouched, so the active masks
-	// and exclusion vectors keep indexing original columns and the scores
-	// stay exact without weights). Every rank derives the same kernel from
-	// the same matrices; winners are remapped to original gene ids before
-	// the exclusion, and the dropped genes' combinations are credited to
-	// Pruned so Evaluated+Pruned still tallies C(G, h) per pass.
-	scanT, scanN := tumor, normal
-	var kern *kernelize.Kernel
-	var staticDrop uint64
-	if opt.Kernelize {
-		var kerr error
-		kern, kerr = kernelize.ReduceGenes(tumor, normal, opt.Hits)
-		if kerr != nil {
-			return nil, kerr
-		}
-		scanT, scanN = kern.Tumor, kern.Normal
-		full, ok := combinat.Binomial(uint64(tumor.Genes()), uint64(opt.Hits))
-		if !ok {
-			return nil, fmt.Errorf("cluster: domain C(%d, %d) overflows uint64",
-				tumor.Genes(), opt.Hits)
-		}
-		kd, ok := combinat.Binomial(uint64(scanT.Genes()), uint64(opt.Hits))
-		if !ok {
-			return nil, fmt.Errorf("cluster: kernel domain C(%d, %d) overflows uint64",
-				scanT.Genes(), opt.Hits)
-		}
-		staticDrop = full - kd
-	}
-
-	w := Workload{
-		Genes:         tumor.Genes(),
-		TumorSamples:  tumor.Samples(),
-		NormalSamples: normal.Samples(),
-		Scheme:        resolved.Scheme,
-		Scheduler:     opt.Scheduler,
-		Iterations:    1,
-	}
-	if kern != nil {
-		w.KernelGenes = scanT.Genes()
-	}
-	curve, err := w.curve()
-	if err != nil {
-		return nil, err
-	}
-	// Hierarchical schedule, as on the real machine.
-	perNode, err := discoverPerNode(curve, opt.Scheduler, spec.Nodes, spec.GPUsPerNode)
-	if err != nil {
-		return nil, err
-	}
-	rowWords := w.words(tumor.Samples())
-	prefetch := w.prefetchRows()
-	irr := w.irregularity()
-	spanCap := w.spanCap()
-
-	res := &DiscoverResult{}
-	var mu sync.Mutex // guards res writes from rank 0
-	var grand cover.Counts
-	sumCounts := func(a, b any) any {
-		x, y := a.(cover.Counts), b.(cover.Counts)
-		return cover.Counts{Evaluated: x.Evaluated + y.Evaluated, Pruned: x.Pruned + y.Pruned}
-	}
-
-	world := mpisim.NewWorld(spec.Nodes, spec.Comm)
-	err = world.Run(func(r *mpisim.Rank) error {
-		active := bitmat.AllOnes(tumor.Samples())
-		buf := make([]uint64, tumor.Words())
-		for iter := 0; opt.MaxIterations == 0 || iter < opt.MaxIterations; iter++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if active.PopCount() == 0 {
-				break
-			}
-			// Each of this rank's GPUs evaluates its partition.
-			local := reduce.None
-			var counts cover.Counts
-			busiest := 0.0
-			for d := 0; d < spec.GPUsPerNode; d++ {
-				g := r.ID()*spec.GPUsPerNode + d
-				part := perNode[r.ID()][d]
-				best, n, err := cover.FindBestRangeCtx(ctx, scanT, scanN, active, opt, part.Lo, part.Hi)
-				if err != nil {
-					return err
-				}
-				if best.Better(local) {
-					local = best
-				}
-				counts.Evaluated += n.Evaluated
-				counts.Pruned += n.Pruned
-				m := spec.Device.Simulate(gpusim.Job{
-					Threads:      part.Size(),
-					Combos:       curve.PrefixWork(part.Hi) - curve.PrefixWork(part.Lo),
-					RowWords:     rowWords,
-					PrefetchRows: prefetch,
-					Irregularity: irr,
-					SpanCap:      spanCap,
-					DeviceIndex:  g,
-				})
-				if m.BusySeconds > busiest {
-					busiest = m.BusySeconds
-				}
-			}
-			r.Compute(busiest + spec.IterOverheadSec)
-
-			folded := r.Reduce(local, reduce.BytesPerRecord, combineCombo)
-			winner := r.Bcast(folded, reduce.BytesPerRecord).(reduce.Combo)
-			// The work tally is a Counts pair now — 16 bytes on the wire
-			// instead of the old 8-byte evaluated sum.
-			evalSum := r.Reduce(counts, 2*8, sumCounts)
-			total := r.Bcast(evalSum, 2*8).(cover.Counts)
-			// The kernel's dropped genes are pruned work on every pass.
-			total.Pruned += staticDrop
-			if r.ID() == 0 {
-				mu.Lock()
-				grand.Evaluated += total.Evaluated
-				grand.Pruned += total.Pruned
-				mu.Unlock()
-			}
-
-			if winner == reduce.None {
-				break
-			}
-			if kern != nil {
-				// Remap to original gene ids before the exclusion — every
-				// rank applies the same deterministic map, so the masks
-				// stay identical across the world.
-				winner = kern.RemapCombo(winner)
-			}
-			// Every rank applies the identical exclusion.
-			tumor.ComboVec(buf, winner.GeneIDs()...)
-			cov := bitmat.NewVec(tumor.Samples())
-			copy(cov.Words(), buf)
-			cov.And(active)
-			newly := cov.PopCount()
-			if newly == 0 {
-				if r.ID() == 0 {
-					res.Uncoverable = active.PopCount()
-				}
-				break
-			}
-			active.AndNot(cov)
-			if r.ID() == 0 {
-				mu.Lock()
-				res.Steps = append(res.Steps, cover.Step{
-					Combo:        winner,
-					NewlyCovered: newly,
-					ActiveAfter:  active.PopCount(),
-					Evaluated:    total.Evaluated,
-					Pruned:       total.Pruned,
-				})
-				res.Covered += newly
-				mu.Unlock()
-			}
-		}
-		if r.ID() == 0 && res.Uncoverable == 0 {
-			res.Uncoverable = active.PopCount()
-			if opt.MaxIterations > 0 && len(res.Steps) == opt.MaxIterations {
-				res.Uncoverable = 0
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.VirtualSeconds = spec.StartupSec + world.MaxClock()
-	if scanned := grand.Scanned(); scanned > 0 {
-		res.PruningRatio = float64(grand.Pruned) / float64(scanned)
-	}
-	for n := 0; n < spec.Nodes; n++ {
-		res.Ranks = append(res.Ranks, RankReport{
-			Rank:       n,
-			ComputeSec: world.ComputeTime(n),
-			CommSec:    world.CommTime(n),
-			WaitSec:    world.WaitTime(n),
-		})
-	}
+	res.Recovery = nil
 	return res, nil
+}
+
+// discoverGreedy runs cover.Greedy with a rank scanner: each scanned pass
+// is cut by discoverPerNode for the full machine, and every GPU partition
+// is scored by an unseeded cover.ScanPartitionWeighted, since ranks share
+// no incumbent. It returns the greedy result with every Step.Elapsed
+// zeroed (the cluster's clock is virtual), the number of passes the
+// distributed world runs (settled passes and the terminal probe
+// included), and the gene count the passes scan — the kernel's under
+// Kernelize.
+func discoverGreedy(ctx context.Context, spec Spec, tumor, normal *bitmat.Matrix, opt cover.Options) (*cover.Result, int, int, error) {
+	if opt.BitSplice {
+		return nil, 0, 0, fmt.Errorf("cluster: Discover scans an active-sample mask; disable BitSplice")
+	}
+	passes, genes := 0, tumor.Genes()
+	count := func(p cover.Pass) {
+		passes++
+		genes = p.Tumor.Genes()
+	}
+	scan := func(ctx context.Context, p cover.Pass) (reduce.Combo, cover.Counts, error) {
+		count(p)
+		curve, err := cover.SchemeCurve(uint64(p.Tumor.Genes()), p.Opt.Scheme)
+		if err != nil {
+			return reduce.None, cover.Counts{}, err
+		}
+		perNode, err := discoverPerNode(curve, p.Opt.Scheduler, spec.Nodes, spec.GPUsPerNode)
+		if err != nil {
+			return reduce.None, cover.Counts{}, err
+		}
+		best := reduce.None
+		var total cover.Counts
+		for _, gpus := range perNode {
+			for _, part := range gpus {
+				if err := ctx.Err(); err != nil {
+					return best, total, err
+				}
+				b, n, err := cover.ScanPartitionWeighted(p.Tumor, p.Normal, p.Active,
+					p.TumorWeights, p.NormalWeights, p.Opt, part, p.Denom, reduce.None)
+				total.Evaluated += n.Evaluated
+				total.Pruned += n.Pruned
+				if err != nil {
+					return best, total, err
+				}
+				if b.Better(best) {
+					best = b
+				}
+			}
+		}
+		return best, total, nil
+	}
+	res, err := cover.Greedy(ctx, tumor, normal, opt, nil, cover.Hooks{Scan: scan, Settled: count})
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	for i := range res.Steps {
+		res.Steps[i].Elapsed = 0
+	}
+	return res, passes, genes, nil
 }

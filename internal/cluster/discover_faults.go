@@ -13,13 +13,13 @@ package cluster
 //     reducing the same total-order winner; every subsequent iteration
 //     runs the full domain on the shrunken machine.
 //
-// The winners themselves are computed once, host-side, by replaying
-// Discover's per-iteration semantics with full-domain FindBest — the
-// result every fault-free rank program converges to. The leg worlds price
-// the virtual time of reaching it: each leg runs the alive machine with at
-// most one armed failure, and recovery bookings stitch the legs together.
-// Arming a single failure per leg keeps the run deterministic — with two
-// armed ranks the recovered root cause would race in real time.
+// The winners themselves are computed once, by discoverGreedy: cover.Greedy
+// over the full machine's rank partitions, the result every fault-free
+// world converges to. The leg worlds price the virtual time of reaching
+// it: each leg runs the alive machine with at most one armed failure, and
+// recovery bookings stitch the legs together. Arming a single failure per
+// leg keeps the run deterministic — with two armed ranks the recovered
+// root cause would race in real time.
 
 import (
 	"context"
@@ -32,72 +32,6 @@ import (
 	"repro/internal/reduce"
 	"repro/internal/sched"
 )
-
-// hostGreedy is the authoritative greedy outcome plus the number of
-// iterations the distributed world executes to reach it (including a
-// terminal probe iteration that finds no coverable winner).
-type hostGreedy struct {
-	steps       []cover.Step
-	covered     int
-	uncoverable int
-	worldIters  int
-	counts      cover.Counts
-}
-
-// runHostGreedy replays Discover's per-iteration loop with full-domain
-// enumeration. Full-domain Scanned (Evaluated + Pruned) equals the sum
-// over any partitioning, so the steps match Discover's on every
-// deterministic field; the Evaluated/Pruned split differs, because a
-// full-domain scan seeds its partitions' incumbents (cover.SeedIncumbent)
-// while per-range scans start range-local incumbents at None.
-func runHostGreedy(ctx context.Context, tumor, normal *bitmat.Matrix, opt cover.Options) (*hostGreedy, error) {
-	active := bitmat.AllOnes(tumor.Samples())
-	buf := make([]uint64, tumor.Words())
-	hg := &hostGreedy{}
-	for iter := 0; opt.MaxIterations == 0 || iter < opt.MaxIterations; iter++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if active.PopCount() == 0 {
-			break
-		}
-		winner, cnt, err := cover.FindBestCtx(ctx, tumor, normal, active, opt)
-		if err != nil {
-			return nil, err
-		}
-		hg.worldIters++
-		hg.counts.Evaluated += cnt.Evaluated
-		hg.counts.Pruned += cnt.Pruned
-		if winner == reduce.None {
-			break
-		}
-		tumor.ComboVec(buf, winner.GeneIDs()...)
-		cov := bitmat.NewVec(tumor.Samples())
-		copy(cov.Words(), buf)
-		cov.And(active)
-		newly := cov.PopCount()
-		if newly == 0 {
-			hg.uncoverable = active.PopCount()
-			break
-		}
-		active.AndNot(cov)
-		hg.steps = append(hg.steps, cover.Step{
-			Combo:        winner,
-			NewlyCovered: newly,
-			ActiveAfter:  active.PopCount(),
-			Evaluated:    cnt.Evaluated,
-			Pruned:       cnt.Pruned,
-		})
-		hg.covered += newly
-	}
-	if hg.uncoverable == 0 {
-		hg.uncoverable = active.PopCount()
-		if opt.MaxIterations > 0 && len(hg.steps) == opt.MaxIterations {
-			hg.uncoverable = 0
-		}
-	}
-	return hg, nil
-}
 
 // discoverBusiest prices each alive rank's per-iteration compute block:
 // the busiest of its GPUs over their λ partitions. In mask mode the job is
@@ -124,9 +58,9 @@ func discoverBusiest(spec Spec, w Workload, plan FaultPlan, curve sched.Curve,
 }
 
 // runDiscoverLeg plays iterations [progress, totalIters) of the
-// distributed greedy on a world of len(busiest) ranks, reproducing
-// Discover's per-iteration collective pattern (combo reduce/bcast plus the
-// evaluated-count reduce/bcast). With armedIdx ≥ 0 the rank dies at relFail
+// distributed greedy on a world of len(busiest) ranks: each iteration is
+// one rank-local compute block, then the winner's reduce/bcast and the
+// work-count reduce/bcast. With armedIdx ≥ 0 the rank dies at relFail
 // seconds of virtual time; the returned entered counter then reports how
 // many leg iterations its Compute reached — deterministic, because the
 // armed rank's own trajectory up to its death is scheduling-independent.
@@ -153,8 +87,7 @@ func runDiscoverLeg(spec Spec, plan FaultPlan, busiest []float64,
 			r.Compute(block)
 			folded := r.Reduce(reduce.None, reduce.BytesPerRecord, combineCombo)
 			r.Bcast(folded, reduce.BytesPerRecord)
-			// Mirror Discover's 16-byte Counts tally collective so both
-			// paths price identical traffic.
+			// The Evaluated/Pruned tally is a 16-byte Counts pair.
 			evalSum := r.Reduce(cover.Counts{}, 2*8, sumCounts)
 			r.Bcast(evalSum, 2*8)
 		}
@@ -164,16 +97,17 @@ func runDiscoverLeg(spec Spec, plan FaultPlan, busiest []float64,
 }
 
 // DiscoverFaults runs Discover under the fault plan. The returned Steps
-// are identical to the fault-free run's under either recovery policy;
+// are the fault-free run's, field for field, under either recovery policy;
 // VirtualSeconds carries the recovery overhead and Recovery itemises it.
-// An empty plan reproduces Discover's virtual time exactly.
+// An empty plan reproduces Discover's virtual time exactly, Kernelize
+// included.
 func DiscoverFaults(spec Spec, tumor, normal *bitmat.Matrix, opt cover.Options, plan FaultPlan) (*DiscoverResult, error) {
 	return DiscoverFaultsCtx(context.Background(), spec, tumor, normal, opt, plan)
 }
 
 // DiscoverFaultsCtx is DiscoverFaults under a caller-supplied context: the
-// host-side greedy replay (the only real kernel work in this path) observes
-// cancellation between iterations and between partitions.
+// greedy (the only real kernel work in this path) observes cancellation
+// between passes and before each GPU partition.
 func DiscoverFaultsCtx(ctx context.Context, spec Spec, tumor, normal *bitmat.Matrix, opt cover.Options, plan FaultPlan) (*DiscoverResult, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -181,18 +115,7 @@ func DiscoverFaultsCtx(ctx context.Context, spec Spec, tumor, normal *bitmat.Mat
 	if err := plan.Validate(spec.Nodes); err != nil {
 		return nil, err
 	}
-	if tumor.Genes() != normal.Genes() {
-		return nil, fmt.Errorf("cluster: tumor has %d genes, normal has %d",
-			tumor.Genes(), normal.Genes())
-	}
-	if tumor.Samples() == 0 {
-		return nil, fmt.Errorf("cluster: no tumor samples")
-	}
-	if opt.BitSplice {
-		return nil, fmt.Errorf("cluster: DiscoverFaults uses mask-based exclusion; disable BitSplice")
-	}
-	// Resolve the scheme from the hit count as the engine does.
-	resolved, err := opt.Normalized()
+	greedy, passes, genes, err := discoverGreedy(ctx, spec, tumor, normal, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -201,9 +124,12 @@ func DiscoverFaultsCtx(ctx context.Context, spec Spec, tumor, normal *bitmat.Mat
 		Genes:         tumor.Genes(),
 		TumorSamples:  tumor.Samples(),
 		NormalSamples: normal.Samples(),
-		Scheme:        resolved.Scheme,
+		Scheme:        greedy.Options.Scheme,
 		Scheduler:     opt.Scheduler,
 		Iterations:    1,
+	}
+	if opt.Kernelize {
+		w.KernelGenes = genes
 	}
 	curve, err := w.curve()
 	if err != nil {
@@ -211,11 +137,6 @@ func DiscoverFaultsCtx(ctx context.Context, spec Spec, tumor, normal *bitmat.Mat
 	}
 	rowWords := w.words(tumor.Samples())
 	gpn := spec.GPUsPerNode
-
-	hg, err := runHostGreedy(ctx, tumor, normal, opt)
-	if err != nil {
-		return nil, err
-	}
 
 	// Fault-free anchor: the pristine machine, no stragglers, no
 	// checkpoint cost — Discover's own virtual time.
@@ -228,7 +149,7 @@ func DiscoverFaultsCtx(ctx context.Context, spec Spec, tumor, normal *bitmat.Mat
 		return nil, err
 	}
 	cleanBusiest := discoverBusiest(spec, w, plan, curve, fullPerNode, fullNodes, rowWords, false)
-	cleanWorld, _, err := runDiscoverLeg(spec, FaultPlan{}, cleanBusiest, 0, hg.worldIters, -1, 0)
+	cleanWorld, _, err := runDiscoverLeg(spec, FaultPlan{}, cleanBusiest, 0, passes, -1, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -248,7 +169,7 @@ func DiscoverFaultsCtx(ctx context.Context, spec Spec, tumor, normal *bitmat.Mat
 	}
 	elapsed := 0.0
 	progress := 0
-	for progress < hg.worldIters {
+	for progress < passes {
 		perNode := fullPerNode
 		if len(alive) != spec.Nodes {
 			perNode, err = discoverPerNode(curve, opt.Scheduler, len(alive), gpn)
@@ -268,7 +189,7 @@ func DiscoverFaultsCtx(ctx context.Context, spec Spec, tumor, normal *bitmat.Mat
 		} else {
 			armedIdx = -1
 		}
-		world, entered, runErr := runDiscoverLeg(spec, plan, busiest, progress, hg.worldIters, armedIdx, rel)
+		world, entered, runErr := runDiscoverLeg(spec, plan, busiest, progress, passes, armedIdx, rel)
 		if runErr == nil {
 			elapsed += world.MaxClock()
 			for ai, phys := range alive {
@@ -277,14 +198,14 @@ func DiscoverFaultsCtx(ctx context.Context, spec Spec, tumor, normal *bitmat.Mat
 				ledger[phys].WaitSec += world.WaitTime(ai)
 			}
 			if plan.CheckpointEvery > 0 {
-				for it := progress; it < hg.worldIters; it++ {
+				for it := progress; it < passes; it++ {
 					if (it+1)%plan.CheckpointEvery == 0 {
 						rec.CheckpointsTaken++
 						rec.CheckpointCostSec += plan.CheckpointCostSec
 					}
 				}
 			}
-			progress = hg.worldIters
+			progress = passes
 			break
 		}
 		var fe *mpisim.FailureError
@@ -378,15 +299,15 @@ func DiscoverFaultsCtx(ctx context.Context, spec Spec, tumor, normal *bitmat.Mat
 
 	rec.SurvivingRanks = len(alive)
 	res := &DiscoverResult{
-		Steps:          hg.steps,
-		Covered:        hg.covered,
-		Uncoverable:    hg.uncoverable,
+		Steps:          greedy.Steps,
+		Covered:        greedy.Covered,
+		Uncoverable:    greedy.Uncoverable,
 		VirtualSeconds: spec.StartupSec + elapsed,
 		Ranks:          ledger,
 		Recovery:       rec,
 	}
-	if scanned := hg.counts.Scanned(); scanned > 0 {
-		res.PruningRatio = float64(hg.counts.Pruned) / float64(scanned)
+	if scanned := greedy.Evaluated + greedy.Pruned; scanned > 0 {
+		res.PruningRatio = float64(greedy.Pruned) / float64(scanned)
 	}
 	rec.OverheadSec = res.VirtualSeconds - faultFree
 	return res, nil

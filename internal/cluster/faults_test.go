@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -9,9 +11,9 @@ import (
 )
 
 // sameCover reports whether two step sequences describe the same
-// discovered cover. The Evaluated/Pruned split is not compared directly —
-// it depends on the domain partitioning and worker timing — only its
-// deterministic sum (the scanned total), alongside every other field.
+// discovered cover, field for field: both cluster entry points run one
+// greedy over one partition plan, so even the Evaluated/Pruned split is
+// deterministic.
 func sameCover(a, b []cover.Step) bool {
 	if len(a) != len(b) {
 		return false
@@ -20,7 +22,7 @@ func sameCover(a, b []cover.Step) bool {
 		x, y := a[i], b[i]
 		if x.Combo != y.Combo || x.NewlyCovered != y.NewlyCovered ||
 			x.ActiveAfter != y.ActiveAfter ||
-			x.Evaluated+x.Pruned != y.Evaluated+y.Pruned {
+			x.Evaluated != y.Evaluated || x.Pruned != y.Pruned {
 			return false
 		}
 	}
@@ -276,23 +278,42 @@ func TestDiscoverFaultsRecoversIdenticalCombos(t *testing.T) {
 func TestDiscoverFaultsEmptyPlanMatchesDiscover(t *testing.T) {
 	c, opt := discoverFixture(t)
 	spec := Summit(3)
-	want, err := Discover(spec, c.Tumor, c.Normal, opt)
-	if err != nil {
-		t.Fatal(err)
+	kopt := opt
+	kopt.Kernelize = true
+	for _, o := range []cover.Options{opt, kopt} {
+		want, err := Discover(spec, c.Tumor, c.Normal, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DiscoverFaults(spec, c.Tumor, c.Normal, o, FaultPlan{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.VirtualSeconds != want.VirtualSeconds {
+			t.Fatalf("kernelize=%v: empty plan changed virtual time: %g != %g",
+				o.Kernelize, got.VirtualSeconds, want.VirtualSeconds)
+		}
+		if !sameCover(got.Steps, want.Steps) {
+			t.Fatalf("kernelize=%v: empty plan changed the discovered cover", o.Kernelize)
+		}
+		if got.Recovery.OverheadSec != 0 {
+			t.Fatalf("kernelize=%v: empty plan has overhead %g", o.Kernelize, got.Recovery.OverheadSec)
+		}
 	}
-	got, err := DiscoverFaults(spec, c.Tumor, c.Normal, opt, FaultPlan{})
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestDiscoverCanceled pins cancellation on both cluster entry points: a
+// canceled context ends the run with context.Canceled and no result.
+func TestDiscoverCanceled(t *testing.T) {
+	c, opt := discoverFixture(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if res, err := DiscoverCtx(ctx, Summit(3), c.Tumor, c.Normal, opt); !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("DiscoverCtx under a canceled context: %v, %v", res, err)
 	}
-	if got.VirtualSeconds != want.VirtualSeconds {
-		t.Fatalf("empty plan changed virtual time: %g != %g",
-			got.VirtualSeconds, want.VirtualSeconds)
-	}
-	if !sameCover(got.Steps, want.Steps) {
-		t.Fatal("empty plan changed the discovered cover")
-	}
-	if got.Recovery.OverheadSec != 0 {
-		t.Fatalf("empty plan has overhead %g", got.Recovery.OverheadSec)
+	plan := FaultPlan{Failures: []RankFailure{{Rank: 1, AtSec: 1}}}
+	if res, err := DiscoverFaultsCtx(ctx, Summit(3), c.Tumor, c.Normal, opt, plan); !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("DiscoverFaultsCtx under a canceled context: %v, %v", res, err)
 	}
 }
 

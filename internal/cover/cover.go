@@ -444,9 +444,7 @@ func FindBest(tumor, normal *bitmat.Matrix, active *bitmat.Vec, opt Options) (re
 
 // FindBestCtx is FindBest under a caller-supplied context. Workers observe
 // cancellation between partitions, so a cancelled pass returns within one
-// partition of work with the partial counts and the context's error —
-// the variant iteration drivers (internal/cluster) must call so a cancelled
-// campaign stops mid-pass instead of finishing the leg.
+// partition of work with the partial counts and the context's error.
 func FindBestCtx(ctx context.Context, tumor, normal *bitmat.Matrix, active *bitmat.Vec, opt Options) (reduce.Combo, Counts, error) {
 	opt, err := opt.withDefaults()
 	if err != nil {
@@ -461,53 +459,6 @@ func FindBestCtx(ctx context.Context, tumor, normal *bitmat.Matrix, active *bitm
 	}
 	return findBest(ctx, Pass{Tumor: tumor, Normal: normal, Active: active,
 		Denom: float64(tumor.Samples() + normal.Samples()), Opt: opt})
-}
-
-// FindBestRange runs the scheme kernel over a single λ-range [lo, hi) of
-// the combination space and returns that range's best combination and
-// work counts. It is the per-GPU unit of work in the distributed
-// pipeline: each MPI rank calls it for the partitions its GPUs own and
-// reduces the results (see internal/cluster). The λ-domain size is
-// C(G, 2) for SchemePair/2x1/2x2, C(G, 3) for 3x1 and C(G, 4) for 4+1.
-// Pruning uses a range-local incumbent (distributed callers share no
-// memory), so a lone range prunes less than a full FindBest over the same
-// domain — but returns the identical winner.
-func FindBestRange(tumor, normal *bitmat.Matrix, active *bitmat.Vec, opt Options, lo, hi uint64) (reduce.Combo, Counts, error) {
-	return FindBestRangeCtx(context.Background(), tumor, normal, active, opt, lo, hi)
-}
-
-// FindBestRangeCtx is FindBestRange under a caller-supplied context. The
-// kernel checks the context at its partition-internal stripe boundaries, so
-// a cancelled rank abandons the range within one stripe and returns
-// ctx.Err() alongside the partial counts.
-func FindBestRangeCtx(ctx context.Context, tumor, normal *bitmat.Matrix, active *bitmat.Vec, opt Options, lo, hi uint64) (reduce.Combo, Counts, error) {
-	opt, err := opt.withDefaults()
-	if err != nil {
-		return reduce.None, Counts{}, err
-	}
-	if tumor.Genes() != normal.Genes() {
-		return reduce.None, Counts{}, fmt.Errorf("cover: tumor has %d genes, normal has %d",
-			tumor.Genes(), normal.Genes())
-	}
-	if active == nil {
-		active = bitmat.AllOnes(tumor.Samples())
-	}
-	if hi < lo {
-		return reduce.None, Counts{}, fmt.Errorf("cover: inverted range [%d, %d)", lo, hi)
-	}
-	if lo == hi {
-		return reduce.None, Counts{}, nil
-	}
-	env := newKernelEnv(tumor, normal, active, nil, nil, opt.Alpha,
-		float64(tumor.Samples()+normal.Samples()))
-	env.shared = incumbent(opt, reduce.None)
-	s := newKernelScratch(tumor.Words(), normal.Words())
-	if resolveEngine(&opt, tumor, normal) == EngineSparse {
-		env.sparse = newSparseEnv(tumor, normal, active, nil, nil)
-		s.ensureSparse(env.sparse)
-	}
-	best, n := runKernel(ctx, env, opt, sched.Partition{Lo: lo, Hi: hi}, s)
-	return best, n, ctx.Err()
 }
 
 // findBest partitions the λ-domain, runs the scheme kernel across a worker

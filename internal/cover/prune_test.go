@@ -6,6 +6,7 @@ import (
 	"repro/internal/combinat"
 	"repro/internal/dataset"
 	"repro/internal/reduce"
+	"repro/internal/sched"
 )
 
 // pruneCohort generates a small seeded cohort from a registry spec — the
@@ -138,8 +139,9 @@ func TestPrunedRunMatchesNoPrune(t *testing.T) {
 	}
 }
 
-// TestFindBestRangePrunedPartitioning checks the distributed unit of work:
-// disjoint pruned ranges reduce to the full-domain winner, and their
+// TestFindBestRangePrunedPartitioning checks the distributed unit of work
+// (an unseeded ScanPartition, as a cluster rank runs it): disjoint pruned
+// ranges reduce to the full-domain winner, and their
 // scanned counts tile the domain exactly (range-local incumbents prune
 // less than a shared one, never differently).
 func TestFindBestRangePrunedPartitioning(t *testing.T) {
@@ -149,10 +151,11 @@ func TestFindBestRangePrunedPartitioning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// FindBestRange's [lo, hi) is over the λ thread domain — C(G, 3)
-	// for Scheme3x1 — while Counts tallies scored combinations.
+	// A partition's [lo, hi) is over the λ thread domain — C(G, 3) for
+	// Scheme3x1 — while Counts tallies scored combinations.
 	lambda := combinat.MustBinomial(uint64(c.Tumor.Genes()), 3)
 	domain := cnt.Scanned()
+	denom := float64(c.Tumor.Samples() + c.Normal.Samples())
 	for _, cuts := range []int{1, 3, 8} {
 		best := reduce.None
 		var total Counts
@@ -163,7 +166,8 @@ func TestFindBestRangePrunedPartitioning(t *testing.T) {
 			if i == cuts-1 {
 				hi = lambda
 			}
-			got, n, err := FindBestRange(c.Tumor, c.Normal, nil, opt, lo, hi)
+			got, n, err := ScanPartition(c.Tumor, c.Normal, nil, opt,
+				sched.Partition{Lo: lo, Hi: hi}, denom, reduce.None)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -183,8 +187,8 @@ func TestFindBestRangePrunedPartitioning(t *testing.T) {
 	}
 }
 
-// TestNoPruneRangeMatchesPruned pins FindBestRange's NoPrune escape hatch:
-// same winner, full evaluation, zero pruned.
+// TestNoPruneRangeMatchesPruned pins an unseeded ScanPartition's NoPrune
+// escape hatch: same winner, full evaluation, zero pruned.
 func TestNoPruneRangeMatchesPruned(t *testing.T) {
 	c := pruneCohort(t, dataset.LGG(), 22, 17)
 	opt := Options{Hits: 3, Scheme: Scheme2x1, MemOpt1: true, MemOpt2: true}
@@ -197,7 +201,9 @@ func TestNoPruneRangeMatchesPruned(t *testing.T) {
 	off := opt
 	off.NoPrune = true
 	lambda := combinat.PairCount(uint64(c.Tumor.Genes()))
-	got, n, err := FindBestRange(c.Tumor, c.Normal, nil, off, 0, lambda)
+	denom := float64(c.Tumor.Samples() + c.Normal.Samples())
+	got, n, err := ScanPartition(c.Tumor, c.Normal, nil, off,
+		sched.Partition{Lo: 0, Hi: lambda}, denom, reduce.None)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -124,7 +124,7 @@ func ResolveEngine(opt Options, tumor, normal *bitmat.Matrix) Engine {
 
 // resolveEngine resolves opt.Engine in place against the matrices about
 // to be scanned — the safety net for the scan entry points not reached
-// through RunCtx (FindBestCtx, FindBestRangeCtx, ScanPartition).
+// through RunCtx (FindBestCtx, ScanPartition).
 func resolveEngine(opt *Options, tumor, normal *bitmat.Matrix) Engine {
 	opt.Engine = ResolveEngine(*opt, tumor, normal)
 	return opt.Engine

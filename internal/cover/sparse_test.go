@@ -8,6 +8,8 @@ import (
 
 	"repro/internal/bitmat"
 	"repro/internal/dataset"
+	"repro/internal/reduce"
+	"repro/internal/sched"
 )
 
 // TestSparseFindBestMatchesDense is the engine-differential core: on
@@ -143,21 +145,23 @@ func TestSparseRunMatchesDense(t *testing.T) {
 	}
 }
 
-// TestSparseRangeMatchesDense pins the distributed unit of work
-// (FindBestRange) across engines on a λ sub-range.
+// TestSparseRangeMatchesDense pins the distributed unit of work (an
+// unseeded ScanPartition) across engines on a λ sub-range.
 func TestSparseRangeMatchesDense(t *testing.T) {
 	c := pruneCohort(t, dataset.BRCA(), 24, 13)
 	base := Options{Hits: 4, Scheme: Scheme3x1}
+	denom := float64(c.Tumor.Samples() + c.Normal.Samples())
 	for _, rng := range [][2]uint64{{0, 500}, {300, 1100}} {
 		d := base
 		d.Engine = EngineDense
-		dBest, dCnt, err := FindBestRange(c.Tumor, c.Normal, nil, d, rng[0], rng[1])
+		part := sched.Partition{Lo: rng[0], Hi: rng[1]}
+		dBest, dCnt, err := ScanPartition(c.Tumor, c.Normal, nil, d, part, denom, reduce.None)
 		if err != nil {
 			t.Fatal(err)
 		}
 		s := base
 		s.Engine = EngineSparse
-		sBest, sCnt, err := FindBestRange(c.Tumor, c.Normal, nil, s, rng[0], rng[1])
+		sBest, sCnt, err := ScanPartition(c.Tumor, c.Normal, nil, s, part, denom, reduce.None)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -65,9 +65,10 @@ func Reduce(tumor, normal *bitmat.Matrix, hits int) (*Kernel, error) {
 }
 
 // ReduceGenes runs only the dominated-gene elimination, keeping the
-// sample axes (and therefore all counts) unweighted. The distributed
-// driver (internal/cluster) uses this form: its per-rank exclusion masks
-// index original sample columns.
+// sample axes (and therefore all counts) unweighted. Its one user is
+// simscale's -kernelize estimate, which needs only the surviving gene
+// count to price a workload; the engine and the cluster scan Reduce's
+// kernel.
 func ReduceGenes(tumor, normal *bitmat.Matrix, hits int) (*Kernel, error) {
 	k := &Kernel{Genes: tumor.Genes(), Tumor: tumor, Normal: normal}
 	if err := k.validate(tumor, normal, hits); err != nil {

@@ -57,9 +57,6 @@ type record struct {
 	// Spec records: the submission plus the fields Submit resolved, so a
 	// restarted daemon re-runs identically.
 	Spec *JobSpec `json:"spec,omitempty"`
-	// Canceled records a user cancellation observed before the terminal
-	// write, so a restart does not resurrect the job.
-	Canceled bool `json:"canceled,omitempty"`
 	// IdempotencyKey carries the submission's key across restarts so a
 	// retried POST still lands on this job instead of re-executing.
 	IdempotencyKey string `json:"idempotency_key,omitempty"`
@@ -77,7 +74,7 @@ func specRecord(j *job) record {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	spec := j.spec
-	return record{Kind: recordSpec, ID: j.id, Spec: &spec, Canceled: j.userCancel, IdempotencyKey: j.idemKey}
+	return record{Kind: recordSpec, ID: j.id, Spec: &spec, IdempotencyKey: j.idemKey}
 }
 
 // resultRecord is the job's result record for a terminal state.

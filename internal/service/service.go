@@ -259,7 +259,7 @@ func (s *Service) restore() error {
 	for _, id := range js.order {
 		st := js.jobs[id]
 		var j *job
-		if st.result != nil || st.spec.Canceled {
+		if st.result != nil {
 			j, err = s.newJob(id, *st.spec.Spec)
 		} else {
 			j, err = s.buildJob(id, *st.spec.Spec)
@@ -275,31 +275,23 @@ func (s *Service) restore() error {
 			s.keys[j.idemKey] = id
 		}
 		s.jobs[id] = j
-		switch {
-		case st.result != nil:
-			// Terminal: restore the outcome; successes re-seed the cache.
-			j.state = st.result.terminalState()
-			j.result = st.result.Result
-			if st.result.Key != nil {
-				j.key = *st.result.Key
-			}
-			close(j.done)
-			if j.state == StateSucceeded {
-				s.cache.Put(j.key, id, j.result)
-			}
-		case st.spec.Canceled:
-			// The cancel was observed but the terminal write never
-			// landed; finish the transition instead of resurrecting.
-			j.state = StateCanceled
-			j.result = &JobResult{Error: "canceled before completion"}
-			close(j.done)
-			s.persistTerminal(j, StateCanceled, CacheKey{})
-		default:
+		if st.result == nil {
 			// In flight when the previous daemon died: re-enqueue. The
 			// job resumes from its checkpoint store (if any generation
 			// was persisted) and re-scans from scratch otherwise.
 			s.queue.Push(j)
 			s.cfg.Logf("service: restored %s (tenant %s) into the queue", id, j.tenant)
+			continue
+		}
+		// Terminal: restore the outcome; successes re-seed the cache.
+		j.state = st.result.terminalState()
+		j.result = st.result.Result
+		if st.result.Key != nil {
+			j.key = *st.result.Key
+		}
+		close(j.done)
+		if j.state == StateSucceeded {
+			s.cache.Put(j.key, id, j.result)
 		}
 	}
 	return nil
