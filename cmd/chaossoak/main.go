@@ -15,6 +15,14 @@
 //  4. The store stays within its configured disk budget once the
 //     background GC has caught up.
 //
+// Each round then runs a pre-acknowledgement phase: once the daemon has
+// measured a checkpoint publish, a fresh submission that finds the queue
+// empty starts at once and its POST waits, up to a budget of
+// harness.PublishRatio publish costs, for the job's first durable write.
+// The phase prices a daemon life, SIGKILLs it while such submissions
+// are unanswered, restarts it with a failpoint on the deferred spec
+// commit, and holds the phase's jobs to invariants 1-3 as well.
+//
 // The chaos child is this same binary re-exec'd with -serve, so the soak
 // needs no separately built daemon and every SIGKILL hits a real
 // process whose only durable state is the round's data directory.
@@ -167,6 +175,11 @@ type soak struct {
 	// degradations counts the times a daemon life entered the disk-full
 	// degraded state, summed over the campaign.
 	degradations int
+	// preAckKills counts the submissions still unanswered when a
+	// pre-acknowledgement phase killed their daemon, and withdrawals the
+	// jobs a daemon life withdrew before acknowledging them, over the
+	// campaign.
+	preAckKills, withdrawals int
 	// lives holds every daemon the current round started, so the round
 	// can kill them all however it ends.
 	lives []*daemon
@@ -218,8 +231,14 @@ func (s *soak) run(work string) int {
 		s.logf("FAIL: %d rounds provoked no disk-full degradation", s.rounds)
 		return 1
 	}
-	s.logf("PASS: %d/%d rounds, %d daemon lives (%d injected-crash restarts beyond the %d planned kills per round), %d disk-full degradations",
-		s.rounds, s.rounds, s.started, s.unplanned, s.kills, s.degradations)
+	// Nor did one whose kills never caught a submission before its
+	// acknowledgement test the deferred spec commit.
+	if s.preAckKills == 0 {
+		s.logf("FAIL: %d rounds killed no daemon during an unanswered submission", s.rounds)
+		return 1
+	}
+	s.logf("PASS: %d/%d rounds, %d daemon lives (%d injected-crash restarts beyond the %d planned kills per round), %d disk-full degradations, %d submissions killed before their answer, %d jobs withdrawn before acknowledgement",
+		s.rounds, s.rounds, s.started, s.unplanned, s.kills, s.degradations, s.preAckKills, s.withdrawals)
 	if !s.keep {
 		_ = os.RemoveAll(work)
 	}
@@ -356,11 +375,147 @@ func (s *soak) round(parent context.Context, exe, roundDir string, r int, tl *ta
 		}
 	}
 
+	if err := s.preAckPhase(ctx, cli, &d, exe, roundDir, boundAddr, r, tl); err != nil {
+		return fmt.Errorf("pre-acknowledgement phase: %w", err)
+	}
+
 	// Invariant 4: the store converges back under its disk budget.
 	if s.diskBudget > 0 {
 		if err := s.awaitDiskBudget(ctx, cli, d); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// preAckJobs is how many submissions a pre-acknowledgement phase makes
+// before its kill.
+const preAckJobs = 2
+
+// preAckPhase runs a round's pre-acknowledgement phase (see the package
+// comment) on the round's daemon, whose jobs are all terminal.
+func (s *soak) preAckPhase(ctx context.Context, cli *client.Client, d **daemon, exe, roundDir, addr string, r int, tl *tailBuf) error {
+	// Slow fsyncs price every publish at 25 ms or more, so the wait
+	// budget is at least 200 ms; slow partitions make each job outlive it.
+	priced := fmt.Sprintf("harness/partition=delay(%dms);ckptstore/sync=delay(25ms)", s.rng.between(2, 6))
+	(*d).kill()
+	var err error
+	if *d, err = s.start(exe, roundDir, addr, priced, tl); err != nil {
+		return err
+	}
+	if err := waitHealthy(ctx, cli, *d); err != nil {
+		return err
+	}
+	// A fresh daemon life has measured no publish: its first job
+	// publishes its first step and prices the rest.
+	pricing := s.randomSpec()
+	st, _, err := cli.Submit(ctx, pricing, fmt.Sprintf("soak-r%03d-pricing", r))
+	if err != nil {
+		return fmt.Errorf("submitting the pricing job: %w", err)
+	}
+	if _, err := s.awaitTerminal(ctx, cli, d, exe, roundDir, addr, []string{st.ID}, tl); err != nil {
+		return err
+	}
+	stats, err := cli.Stats(ctx)
+	if err != nil {
+		return err
+	}
+	budget := time.Duration(harness.PublishRatio * stats.Disk.CheapestPublishSec * float64(time.Second))
+	if budget <= 0 {
+		return fmt.Errorf("the pricing job measured no publish")
+	}
+
+	// Submit, then kill the daemon inside the wait budget, while the
+	// jobs run and their POSTs are unanswered.
+	specs := make([]service.JobSpec, preAckJobs)
+	keys := make([]string, preAckJobs)
+	ids := make([]string, preAckJobs)
+	errs := make([]error, preAckJobs)
+	var answered sync.WaitGroup
+	var mu sync.Mutex
+	unanswered := preAckJobs
+	for i := range specs {
+		specs[i] = s.randomSpec()
+		keys[i] = fmt.Sprintf("soak-r%03d-preack%d", r, i)
+		answered.Add(1)
+		go func(i int) {
+			defer answered.Done()
+			st, _, err := cli.Submit(ctx, specs[i], keys[i])
+			mu.Lock()
+			defer mu.Unlock()
+			if unanswered--; err == nil {
+				ids[i] = st.ID
+			}
+			errs[i] = err
+		}(i)
+	}
+	sleepMs(ctx, s.rng.between(10, int(budget/time.Millisecond)/2))
+	(*d).kill()
+	mu.Lock()
+	s.preAckKills += unanswered
+	mu.Unlock()
+	// The next life fails its first deferred spec commit. (No panic: the
+	// submitter may make that commit on its HTTP handler goroutine, whose
+	// panics net/http recovers rather than crashing the process.)
+	fault := []string{"error@1", "diskfull@1"}[s.rng.between(0, 1)]
+	if *d, err = s.start(exe, roundDir, addr, priced+";service/deferred-spec="+fault, tl); err != nil {
+		return err
+	}
+	answered.Wait()
+	// A POST whose retries ran out was never acknowledged: submit again
+	// under its key until one is, restarting a daemon the fault killed.
+	for i := range specs {
+		for ids[i] == "" {
+			if err := ctx.Err(); err != nil {
+				return fmt.Errorf("submitting %s: %v (last error %v)", keys[i], err, errs[i])
+			}
+			if (*d).dead() {
+				s.unplanned++
+				if *d, err = s.start(exe, roundDir, addr, s.benignSchedule(), tl); err != nil {
+					return err
+				}
+			}
+			if err := waitHealthy(ctx, cli, *d); err != nil {
+				continue
+			}
+			st, _, err := cli.Submit(ctx, specs[i], keys[i])
+			if err == nil {
+				ids[i] = st.ID
+			}
+			errs[i] = err
+		}
+	}
+
+	// Invariants 1-3 for the phase's jobs.
+	final, err := s.awaitTerminal(ctx, cli, d, exe, roundDir, addr, ids, tl)
+	if err != nil {
+		return err
+	}
+	for i, st := range final {
+		if st.State != service.StateSucceeded.String() || st.Result == nil {
+			return fmt.Errorf("job %s (key %s) ended %q, want succeeded", st.ID, keys[i], st.State)
+		}
+		ref, err := s.reference(ctx, specs[i])
+		if err != nil {
+			return fmt.Errorf("reference run for %s: %w", keys[i], err)
+		}
+		if err := compareResult(st.Result, ref); err != nil {
+			return fmt.Errorf("job %s diverged from the fault-free reference: %w", st.ID, err)
+		}
+		again, dup, err := cli.Submit(ctx, specs[i], keys[i])
+		if err != nil {
+			return fmt.Errorf("replaying key %s: %w", keys[i], err)
+		}
+		if !dup || again.ID != ids[i] {
+			return fmt.Errorf("replayed key %s: dup=%t id=%s, want duplicate of %s", keys[i], dup, again.ID, ids[i])
+		}
+	}
+	all, err := cli.List(ctx, "")
+	if err != nil {
+		return err
+	}
+	if want := s.jobs + 1 + preAckJobs; len(all) != want {
+		return fmt.Errorf("daemon holds %d jobs, want %d — an idempotent submit executed twice", len(all), want)
 	}
 	return nil
 }
@@ -630,9 +785,10 @@ func (c *lineCounter) count() int {
 type daemon struct {
 	cmd    *exec.Cmd
 	exited chan struct{}
-	// degraded counts the life's log lines announcing a disk-full
-	// degradation; it is complete once the life has exited.
-	degraded *lineCounter
+	// degraded and withdrawn count the life's log lines announcing a
+	// disk-full degradation and a job withdrawn before acknowledgement;
+	// they are complete once the life has exited.
+	degraded, withdrawn *lineCounter
 }
 
 func (d *daemon) dead() bool {
@@ -650,6 +806,7 @@ func (s *soak) killLives() {
 	for _, d := range s.lives {
 		d.kill()
 		s.degradations += d.degraded.count()
+		s.withdrawals += d.withdrawn.count()
 	}
 	s.lives = nil
 }
@@ -678,8 +835,13 @@ func (s *soak) start(exe, roundDir, addr, schedule string, log *tailBuf) (*daemo
 		}
 	}
 	cmd.Env = append(kept, failpoint.EnvVar+"="+schedule)
-	d := &daemon{cmd: cmd, exited: make(chan struct{}), degraded: &lineCounter{mark: []byte("DEGRADED: disk full")}}
-	out := io.MultiWriter(log, d.degraded)
+	d := &daemon{
+		cmd:       cmd,
+		exited:    make(chan struct{}),
+		degraded:  &lineCounter{mark: []byte("DEGRADED: disk full")},
+		withdrawn: &lineCounter{mark: []byte("withdrawn before acknowledgement")},
+	}
+	out := io.MultiWriter(log, d.degraded, d.withdrawn)
 	cmd.Stdout, cmd.Stderr = out, out
 	if err := cmd.Start(); err != nil {
 		return nil, fmt.Errorf("starting daemon: %w", err)

@@ -1,6 +1,7 @@
 package bitmat
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 )
@@ -150,30 +151,40 @@ func PopAnd5(a, b, c, d, e []uint64) int {
 // original order), the original column index of each surviving column, and
 // each surviving column's multiplicity. When no column repeats it returns
 // (m, nil, nil) without copying — the caller treats nil as "identity".
+//
+// Columns are compared on their sparse row lists from one Columns
+// transpose, so the cost is O(genes × words + nnz) rather than a bit probe
+// per gene and sample.
 func DedupColumns(m *Matrix) (*Matrix, []int, []int) {
 	s := m.Samples()
-	g := m.Genes()
-	keyLen := (g + 7) / 8
+	all := make([]uint64, m.words)
+	for w := range all {
+		all[w] = ^uint64(0)
+	}
+	if len(all) > 0 {
+		all[len(all)-1] = m.tailMask()
+	}
+	start, rows := m.Columns(all)
+	// A column's key is its ascending row list, four little-endian bytes a
+	// row; every key is a substring of one string, so the map holds no
+	// per-column copy.
+	buf := make([]byte, 4*len(rows))
+	for i, r := range rows {
+		binary.LittleEndian.PutUint32(buf[4*i:], uint32(r))
+	}
+	keys := string(buf)
 	slots := make(map[string]int, s)
 	var keep []int
 	var mult []int
-	buf := make([]byte, keyLen)
 	remove := NewVec(s)
 	for j := 0; j < s; j++ {
-		for b := range buf {
-			buf[b] = 0
-		}
-		for i := 0; i < g; i++ {
-			if m.Get(i, j) {
-				buf[i>>3] |= 1 << (uint(i) & 7)
-			}
-		}
-		if idx, ok := slots[string(buf)]; ok {
+		key := keys[4*start[j] : 4*start[j+1]]
+		if idx, ok := slots[key]; ok {
 			mult[idx]++
 			remove.Set(j)
 			continue
 		}
-		slots[string(buf)] = len(keep)
+		slots[key] = len(keep)
 		keep = append(keep, j)
 		mult = append(mult, 1)
 	}

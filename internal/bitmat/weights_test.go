@@ -189,3 +189,132 @@ func TestDedupColumnsRandomInvariant(t *testing.T) {
 		}
 	}
 }
+
+// dedupColumnsByGet is the original DedupColumns, which keyed each column
+// on a G-bit pattern read with one Get per gene and sample: the oracle for
+// the transpose-keyed implementation.
+func dedupColumnsByGet(m *Matrix) (*Matrix, []int, []int) {
+	s := m.Samples()
+	g := m.Genes()
+	slots := make(map[string]int, s)
+	var keep, mult []int
+	buf := make([]byte, (g+7)/8)
+	remove := NewVec(s)
+	for j := 0; j < s; j++ {
+		for b := range buf {
+			buf[b] = 0
+		}
+		for i := 0; i < g; i++ {
+			if m.Get(i, j) {
+				buf[i>>3] |= 1 << (uint(i) & 7)
+			}
+		}
+		if idx, ok := slots[string(buf)]; ok {
+			mult[idx]++
+			remove.Set(j)
+			continue
+		}
+		slots[string(buf)] = len(keep)
+		keep = append(keep, j)
+		mult = append(mult, 1)
+	}
+	if len(keep) == s {
+		return m, nil, nil
+	}
+	return m.Splice(remove), keep, mult
+}
+
+// TestDedupColumnsMatchesGetOracle: on random matrices — gene counts off
+// multiples of 8 and 64, sample counts on and off word boundaries, empty
+// columns, and matrices whose columns are all one pattern — the
+// transpose-keyed DedupColumns keeps the same columns with the same
+// multiplicities and splices the same matrix as the Get-keyed original.
+func TestDedupColumnsMatchesGetOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	geneCounts := []int{1, 3, 7, 8, 9, 63, 64, 65, 130}
+	sampleCounts := []int{1, 2, 31, 63, 64, 65, 127, 128, 200}
+	for trial := 0; trial < 200; trial++ {
+		genes := geneCounts[rng.Intn(len(geneCounts))]
+		samples := sampleCounts[rng.Intn(len(sampleCounts))]
+		m := New(genes, samples)
+		switch trial % 4 {
+		case 0: // all duplicates: every column carries one pattern
+			for g := 0; g < genes; g++ {
+				if rng.Intn(2) == 0 {
+					for s := 0; s < samples; s++ {
+						m.Set(g, s)
+					}
+				}
+			}
+		case 1: // sparse, so empty columns are common
+			for g := 0; g < genes; g++ {
+				for s := 0; s < samples; s++ {
+					if rng.Intn(4*genes) == 0 {
+						m.Set(g, s)
+					}
+				}
+			}
+		default: // columns drawn from a few patterns, some left empty
+			patterns := make([][]int, 1+rng.Intn(6))
+			for p := range patterns {
+				for g := 0; g < genes; g++ {
+					if rng.Intn(3) == 0 {
+						patterns[p] = append(patterns[p], g)
+					}
+				}
+			}
+			for s := 0; s < samples; s++ {
+				if rng.Intn(5) == 0 {
+					continue
+				}
+				for _, g := range patterns[rng.Intn(len(patterns))] {
+					m.Set(g, s)
+				}
+			}
+		}
+		orig := m.Clone()
+		ded, keep, mult := DedupColumns(m)
+		want, wantKeep, wantMult := dedupColumnsByGet(orig)
+		if !m.Equal(orig) {
+			t.Fatalf("trial %d: DedupColumns modified its input", trial)
+		}
+		if (keep == nil) != (wantKeep == nil) {
+			t.Fatalf("trial %d (%dx%d): keep=%v, oracle keep=%v", trial, genes, samples, keep, wantKeep)
+		}
+		if keep == nil {
+			if ded != m {
+				t.Fatalf("trial %d: all-distinct columns were copied", trial)
+			}
+			continue
+		}
+		if len(keep) != len(wantKeep) || len(mult) != len(wantMult) {
+			t.Fatalf("trial %d: kept %d columns, oracle %d", trial, len(keep), len(wantKeep))
+		}
+		for i := range keep {
+			if keep[i] != wantKeep[i] || mult[i] != wantMult[i] {
+				t.Fatalf("trial %d: keep=%v mult=%v, oracle %v / %v", trial, keep, mult, wantKeep, wantMult)
+			}
+		}
+		if !ded.Equal(want) {
+			t.Fatalf("trial %d: spliced matrix differs from the oracle's", trial)
+		}
+	}
+}
+
+// BenchmarkDedupColumns prices dedup on an ACC-shaped matrix (100 genes,
+// 92 samples, low occupancy).
+func BenchmarkDedupColumns(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	m := New(100, 92)
+	for g := 0; g < 100; g++ {
+		for s := 0; s < 92; s++ {
+			if rng.Intn(20) == 0 {
+				m.Set(g, s)
+			}
+		}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		DedupColumns(m)
+	}
+}

@@ -91,8 +91,11 @@ type Options struct {
 	// even the first step waits for the cadence, and a completed run
 	// publishes its leftover steps only when a publish is due: the
 	// caller must then hold a durable point as of the start (the
-	// service's job spec record) and make the result durable itself (its
-	// result record). A leg that is killed before its first publish should
+	// service's job spec record), or keep the job unacknowledged until
+	// its first durable write (a job the service starts at submission
+	// commits its spec record with its first Save or its result record),
+	// and make the result durable itself (its result record). A leg that
+	// is killed before its first publish should
 	// be rerun without a cost, or a crash schedule may never make
 	// progress. Deadline and cancel stops publish every committed step
 	// either way.

@@ -68,7 +68,7 @@ func upTo(n int) []int {
 
 func TestPublishCadence(t *testing.T) {
 	// A committed step is published when the leg has not published yet,
-	// or once publishRatio times the cheapest publish the leg measured has
+	// or once PublishRatio times the cheapest publish the leg measured has
 	// passed since the last one; every stop publishes what is left.
 	ctx := context.Background()
 
@@ -209,7 +209,7 @@ func (s costedStore) PublishCost() time.Duration { return s.cost }
 
 func TestPublishWithKnownCost(t *testing.T) {
 	// A Store that reports a publish cost makes the leg's start count as
-	// its last publish: no step is published before publishRatio times
+	// its last publish: no step is published before PublishRatio times
 	// the cost has passed, and a completed run leaves its leftover steps
 	// unpublished unless a publish is due. Deadline and cancel stops
 	// still publish every committed step.
@@ -243,7 +243,7 @@ func TestPublishWithKnownCost(t *testing.T) {
 	t.Run("slow_steps_publish_on_the_cadence", func(t *testing.T) {
 		// Each Save takes as long as the reported cost, so the cheapest
 		// publish the leg can measure is the cost itself, and every gap
-		// before a publish must be at least publishRatio times it.
+		// before a publish must be at least PublishRatio times it.
 		const cost = 5 * time.Millisecond
 		tumor, normal := cohort(t, "BRCA", 30, 2, 5)
 		slowSteps(t)
@@ -262,8 +262,8 @@ func TestPublishWithKnownCost(t *testing.T) {
 		}
 		last := start
 		for i, begin := range store.begins {
-			if gap := begin.Sub(last); gap < publishRatio*cost {
-				t.Fatalf("publish %d began %v after the last durable point, want ≥ %v", i+1, gap, publishRatio*cost)
+			if gap := begin.Sub(last); gap < PublishRatio*cost {
+				t.Fatalf("publish %d began %v after the last durable point, want ≥ %v", i+1, gap, PublishRatio*cost)
 			}
 			if i > 0 && steps[i] <= steps[i-1] {
 				t.Fatalf("published step counts %v do not grow", steps)

@@ -81,11 +81,13 @@ func Run(ctx context.Context, tumor, normal *bitmat.Matrix, opt Options) (*Resul
 	return r.out, err
 }
 
-// publishRatio is how many times the cheapest publish a leg has measured
+// PublishRatio is how many times the cheapest publish a leg has measured
 // must pass between two of its step publishes: publishing then takes at
-// most about 1/publishRatio of the leg's wall time, and a crash loses at
-// most the work of that interval plus the step in flight.
-const publishRatio = 8
+// most about 1/PublishRatio of the leg's wall time, and a crash loses at
+// most the work of that interval plus the step in flight. The discovery
+// service waits the same interval before it commits the spec record of a
+// job it started at submission on its own.
+const PublishRatio = 8
 
 // run is the mutable state of one supervised leg.
 type run struct {
@@ -158,14 +160,14 @@ func (r *run) commit(res *cover.Result) error {
 // publishDue reports whether the step just committed is published: always
 // when the leg has not published yet, so every leg that commits a step
 // makes durable progress and any crash schedule converges; otherwise once
-// publishRatio times the cheapest publish has passed since the last one.
+// PublishRatio times the cheapest publish has passed since the last one.
 // A leg whose Store reported a cost counts its start as a publish, so its
 // first step waits for the cadence too.
 // The cheapest, not the latest, sets the cadence, so a stalled Save (a
 // slow fsync, the service's disk-full retry) does not stretch the loss
 // window after it.
 func (r *run) publishDue() bool {
-	return r.published.IsZero() || time.Since(r.published) >= publishRatio*r.cheapest
+	return r.published.IsZero() || time.Since(r.published) >= PublishRatio*r.cheapest
 }
 
 // markStopped records why the run stopped early.

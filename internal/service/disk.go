@@ -199,11 +199,12 @@ func (s *Service) runGC() int64 {
 	sortJobsByID(terminal) // oldest jobs reclaimed first
 	sortJobsByID(live)
 	for _, j := range terminal {
-		n := dirSize(j.dir)
+		dir := s.jobDir(j.id)
+		n := dirSize(dir)
 		if n == 0 {
 			continue
 		}
-		if err := os.RemoveAll(j.dir); err == nil {
+		if err := os.RemoveAll(dir); err == nil {
 			freed += n
 			s.cfg.Logf("service: gc reclaimed %d bytes of checkpoints from terminal %s", n, j.id)
 		}
@@ -211,7 +212,7 @@ func (s *Service) runGC() int64 {
 	// Phase 2: shrink live jobs' retained history to the single newest
 	// generation — exactly what a resume needs, nothing more.
 	for _, j := range live {
-		dir := filepath.Join(j.dir, ckptDirName)
+		dir := filepath.Join(s.jobDir(j.id), ckptDirName)
 		if dirSize(dir) == 0 {
 			continue
 		}
@@ -330,16 +331,19 @@ func (s *Service) notePublish(d time.Duration) {
 
 // guardedStore is a job's checkpoint store behind the ENOSPC guard
 // (durably); it satisfies harness.Store. The store directory is created
-// by the first Save, so a job that never publishes leaves none. cost is
+// by the first Save, so a job that never publishes leaves none; a job
+// whose spec record is still deferred commits it before that. cost is
 // the publish cost reported to the harness (0 = unknown; see runLeg).
 type guardedStore struct {
 	s     *Service
-	dir   string
+	j     *job
 	store *ckptstore.Store // nil until opened
 	cost  time.Duration
 	ctx   context.Context
-	jobID string
 }
+
+// dir is the job's checkpoint store directory.
+func (g *guardedStore) dir() string { return filepath.Join(g.s.jobDir(g.j.id), ckptDirName) }
 
 func (g *guardedStore) PublishCost() time.Duration { return g.cost }
 
@@ -348,10 +352,13 @@ func (g *guardedStore) PublishCost() time.Duration { return g.cost }
 func (g *guardedStore) Load() (*ckptstore.Snapshot, error) { return g.store.Load() }
 
 func (g *guardedStore) Save(payload []byte) (gen uint64, err error) {
-	err = g.s.durably(g.ctx, g.jobID+" checkpoint", func() error {
+	if err := g.j.pending.carry(carrierCheckpoint, func() error { return g.s.commitSpec(g.j) }); err != nil {
+		return 0, withdrawnError(err)
+	}
+	err = g.s.durably(g.ctx, g.j.id+" checkpoint", func() error {
 		start := time.Now()
 		if g.store == nil {
-			store, err := ckptstore.Open(g.dir, ckptstore.Options{Retain: g.s.cfg.Retain})
+			store, err := ckptstore.Open(g.dir(), ckptstore.Options{Retain: g.s.cfg.Retain})
 			if err != nil {
 				return err
 			}

@@ -267,7 +267,6 @@ type job struct {
 	tenant   string
 	priority Priority
 	spec     JobSpec
-	dir      string
 	cost     Cost
 	// cohort, opt and key are rebuilt deterministically from the spec (at
 	// submission or restore); they never touch disk. key is the job's
@@ -290,6 +289,10 @@ type job struct {
 	fresh       bool          // submitted to this daemon and not yet started
 	idemKey     string        // idempotency key the submission carried
 	done        chan struct{} // closed on terminal transition
+	// pending is the spec record of a job started at submission until its
+	// first durable write decides it (preack.go); nil for every other job.
+	// Set before the job starts and never reassigned.
+	pending *pendingSpec
 
 	// Event history ring. Publishing appends (never blocks), trimming
 	// drops the oldest frames, and subscribers pull at their own pace —

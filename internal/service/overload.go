@@ -208,6 +208,17 @@ func (b *breaker) allowed() (ok, probe bool) {
 	}
 }
 
+// isClosed reports whether the breaker lets every job through: closed,
+// or disabled. It never moves an open breaker to half-open.
+func (b *breaker) isClosed() bool {
+	if b.threshold <= 0 {
+		return true
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.state == breakerClosed
+}
+
 // beginProbe marks the half-open probe as in flight. Called only after
 // a job has actually been picked, so an empty queue cannot strand the
 // probe slot.

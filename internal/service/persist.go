@@ -9,10 +9,12 @@ package service
 //	                   (with jobs/<id>/) by its first publish
 //
 // A job writes three kinds of record: spec (the submission with its
-// resolved worker count, idempotency key and cancel flag), result (the
-// terminal state, result and cache key) and reopened (Resume withdrew the
-// result). Replay reads them in order, so a crash at any instant leaves a
-// job in one of three legible states:
+// resolved worker count and idempotency key), result (the terminal state,
+// result and cache key) and reopened (Resume withdrew the result). A
+// job's spec record is durable before its submission is answered and
+// before jobs/<id>/ exists; a job started at submission commits it with
+// its first durable write (preack.go). Replay reads them in order, so a
+// crash at any instant leaves a job in one of three legible states:
 //
 //   - absent: no spec record is durable, so the submission was never
 //     acknowledged;

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
@@ -98,11 +97,24 @@ func writeJournal(t testing.TB, dataDir string, recs ...record) {
 	}
 }
 
-// journalRecords decodes every record of the journal in dataDir.
+// journalRecords decodes every record of the journal in dataDir. It reads
+// a copy, so a live daemon's journal is never cut at a record it is still
+// writing.
 func journalRecords(t *testing.T, dataDir string) []record {
 	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dataDir, journalName))
+	if os.IsNotExist(err) {
+		return nil
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := filepath.Join(t.TempDir(), journalName)
+	if err := os.WriteFile(cp, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	var recs []record
-	jr, err := ckptstore.OpenJournal(filepath.Join(dataDir, journalName), func(data []byte) error {
+	jr, err := ckptstore.OpenJournal(cp, func(data []byte) error {
 		var r record
 		if err := json.Unmarshal(data, &r); err != nil {
 			return err
@@ -128,7 +140,7 @@ func cheapSpec(seed int64) JobSpec {
 }
 
 // TestPublishCheapJobLeavesNoCheckpoints: once the daemon has measured a
-// publish, a fresh job cheaper than publishRatio publishes makes its spec
+// publish, a fresh job cheaper than PublishRatio publishes makes its spec
 // and result records its only durable writes — no jobs/<id>/ directory —
 // and its result still equals the uninterrupted run.
 func TestPublishCheapJobLeavesNoCheckpoints(t *testing.T) {
@@ -202,9 +214,11 @@ func TestPublishRestoredJobPublishesFirstStep(t *testing.T) {
 	}
 }
 
-// TestPublishResultLostToCrashReruns: a daemon that dies after a cheap
-// job's run returns but before its result record lands has left only the
-// spec record. The next daemon reruns the job from it, bit-identically.
+// TestPublishResultLostToCrashReruns: a daemon that dies after a job's
+// run returns but before its result record lands has left only the spec
+// record (and the job's checkpoints). The job is never reported terminal
+// by the daemon that lost the record, and the next daemon reruns it from
+// what is on disk, bit-identically.
 func TestPublishResultLostToCrashReruns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs discovery jobs")
@@ -215,13 +229,17 @@ func TestPublishResultLostToCrashReruns(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	runPricedJob(t, svc)
 
-	// The spec record is the journal's first append after arming; every
-	// later one is torn as a kill in the middle of the write leaves it:
-	// half a frame on disk, no result record. The cheap job publishes no
-	// checkpoint, so its next append is its result record.
+	// A fresh daemon has measured no publish, so the submission commits
+	// its spec record alone: the journal's first append after arming.
+	// Every later append is torn as a kill in the middle of the write
+	// leaves it: half a frame on disk, no result record. The first
+	// partition's delay keeps the run from reaching its result before the
+	// spec record lands.
 	if err := failpoint.Enable("ckptstore/journal-torn", "error@2-1000"); err != nil {
+		t.Fatal(err)
+	}
+	if err := failpoint.Enable("harness/partition", "delay(20ms)@1"); err != nil {
 		t.Fatal(err)
 	}
 	spec := cheapSpec(33)
@@ -231,19 +249,15 @@ func TestPublishResultLostToCrashReruns(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	lost, err := svc.WaitJob(ctx, st.ID)
-	if err != nil {
-		t.Fatalf("WaitJob: %v", err)
-	}
-	// A result that cannot be made durable fails the job: it is never
-	// reported succeeded with nothing on disk.
-	if lost.State != StateFailed.String() || lost.Result == nil || !strings.Contains(lost.Result.Error, "result record") {
-		t.Fatalf("job whose result write failed ended %s (%+v), want failed on its result record", lost.State, lost.Result)
+	// A result that cannot be made durable parks the job in flight: it is
+	// never reported terminal with nothing on disk to say so.
+	if lost := waitSettled(t, ctx, svc, st.ID); lost.State != StateQueued.String() {
+		t.Fatalf("job whose result write failed reports %s (%+v), want it parked as queued", lost.State, lost.Result)
 	}
 	if err := svc.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	failpoint.Disable("ckptstore/journal-torn")
+	failpoint.DisableAll()
 	for _, r := range journalRecords(t, cfg.DataDir) {
 		if r.ID == st.ID && r.Kind != recordSpec {
 			t.Fatalf("journal holds a %s record of %s after the lost write", r.Kind, st.ID)

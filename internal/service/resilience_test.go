@@ -302,8 +302,14 @@ func TestBreakerTripsOnBackendFailures(t *testing.T) {
 	}
 	defer svc.Close()
 
-	// Queue four jobs, then break the checkpoint path. The spec records are
-	// already persisted, so only the running jobs' stores fail.
+	// Break the checkpoint path, then queue four jobs. The fault is on the
+	// store's rename, which journal appends do not make: the spec records
+	// and the failed jobs' result records stay durable, and only the
+	// running jobs' stores fail. No publish has landed, so every job
+	// publishes its first step.
+	if err := failpoint.Enable("ckptstore/rename", "error"); err != nil {
+		t.Fatalf("arming rename failpoint: %v", err)
+	}
 	var ids []string
 	for i := int64(0); i < 4; i++ {
 		spec := testSpec()
@@ -313,9 +319,6 @@ func TestBreakerTripsOnBackendFailures(t *testing.T) {
 			t.Fatalf("submission %d: %v", i, err)
 		}
 		ids = append(ids, st.ID)
-	}
-	if err := failpoint.Enable("ckptstore/write", "error"); err != nil {
-		t.Fatalf("arming write failpoint: %v", err)
 	}
 
 	// Two jobs fail → the breaker opens with ≥2 jobs still queued.

@@ -11,8 +11,10 @@
 //
 // Durability contract: a job's spec record is its first durable point and
 // its result record its last, both in one group-committed journal
-// (persist.go). A killed daemon loses at most each in-flight job's work
-// since its last durable point, bounded by the publish cadence
+// (persist.go); no submission is answered before its spec record is
+// durable, and a job started at submission commits it with its first
+// durable write (preack.go). A killed daemon loses at most each in-flight
+// job's work since its last durable point, bounded by the publish cadence
 // (docs/RESILIENCE.md §3). On restart every non-terminal job is
 // re-enqueued and resumes from its own generational store, or reruns from
 // its spec when it published none, completing bit-identically to an
@@ -177,6 +179,8 @@ type Service struct {
 	resultWrites atomic.Uint64
 	// cohorts counts the cohorts this daemon life has generated.
 	cohorts atomic.Uint64
+	// submits counts the submissions started at once (preack.go).
+	submits submitCounters
 }
 
 // Open validates the config, restores persisted jobs from the journal in
@@ -326,7 +330,6 @@ func (s *Service) newJob(id string, spec JobSpec) (*job, error) {
 		tenant:      tenant,
 		priority:    prio,
 		spec:        spec,
-		dir:         s.jobDir(id),
 		state:       StateQueued,
 		submittedAt: time.Now(),
 		done:        make(chan struct{}),
@@ -372,8 +375,11 @@ func (s *Service) generate(spec CohortSpec) (*dataset.Cohort, error) {
 
 // Submit accepts one job. On a result-cache hit the returned status is
 // already terminal (StateSucceeded with Result.CachedFrom set) and no
-// scan runs; otherwise the job is persisted, queued, and dispatched
-// under fair share and admission.
+// scan runs. A job that finds nothing queued, the breaker closed and its
+// devices free starts at once, and its spec record rides on its first
+// durable write (preack.go): when that is its result record, the
+// returned status is terminal too. Any other job is persisted, queued,
+// and dispatched under fair share and admission.
 func (s *Service) Submit(spec JobSpec) (*JobStatus, error) {
 	st, _, err := s.SubmitIdempotent(spec, "")
 	return st, err
@@ -473,6 +479,12 @@ func (s *Service) SubmitIdempotent(spec JobSpec, idemKey string) (*JobStatus, bo
 		s.cfg.Logf("service: %s answered from cache (produced by %s)", id, from)
 		return j.status(), false, nil
 	}
+	if s.startableLocked(j) {
+		j.pending = newPendingSpec()
+		s.startLocked(j)
+		s.mu.Unlock()
+		return s.awaitSpec(j, idemKey)
+	}
 	depth := s.queue.Len()
 	if depth >= s.cfg.MaxQueued {
 		s.shed.QueueFull++
@@ -488,21 +500,19 @@ func (s *Service) SubmitIdempotent(spec JobSpec, idemKey string) (*JobStatus, bo
 		s.rollbackKey(idemKey, id)
 		return nil, false, &RetryAfterError{Err: ErrShed, After: after}
 	}
-	s.jobs[id] = j
-	s.cond.Broadcast() // wake duplicate submissions waiting on the key
 	s.mu.Unlock()
 
 	if err := s.commit(specRecord(j)); err != nil {
-		s.mu.Lock()
-		delete(s.jobs, id)
-		s.mu.Unlock()
 		s.rollbackKey(idemKey, id)
 		return nil, false, s.specWriteError(j, err)
 	}
 
+	// Visible only once durable: Get, List and a duplicate submission
+	// waiting on the key see an acknowledged job.
 	s.mu.Lock()
+	s.jobs[id] = j
 	s.queue.Push(j)
-	s.cond.Broadcast()
+	s.cond.Broadcast() // wake the dispatcher and duplicate submissions waiting on the key
 	s.mu.Unlock()
 	s.cfg.Logf("service: queued %s (tenant %s, %s, %d simulated GPUs)",
 		id, j.tenant, j.priority, j.cost.GPUs)
@@ -597,21 +607,24 @@ func (s *Service) dispatch() {
 			s.brk.beginProbe()
 			s.cfg.Logf("service: breaker half-open, %s is the probe job", next.id)
 		}
-		s.adm.reserve(next.cost)
+		s.startLocked(next)
 		s.mu.Unlock()
-
-		s.wg.Add(1)
-		go func(j *job) {
-			defer s.wg.Done()
-			defer func() {
-				s.mu.Lock()
-				s.adm.release(j.cost)
-				s.cond.Broadcast()
-				s.mu.Unlock()
-			}()
-			s.runJob(j)
-		}(next)
 	}
+}
+
+// execute runs a job whose devices startLocked reserved, then releases
+// them. Every way a run ends decides a deferred spec record (the result
+// record, a checkpoint, park or a withdrawal), so a submitter never
+// commits one after the run.
+func (s *Service) execute(j *job) {
+	defer s.wg.Done()
+	defer func() {
+		s.mu.Lock()
+		s.adm.release(j.cost)
+		s.cond.Broadcast()
+		s.mu.Unlock()
+	}()
+	s.runJob(j)
 }
 
 // runJob drives one job through the durable runner.
@@ -622,7 +635,7 @@ func (s *Service) runJob(j *job) {
 	if j.userCancel || j.state.Terminal() {
 		// Canceled between dequeue and start.
 		j.mu.Unlock()
-		s.finishJob(j, StateCanceled, &JobResult{Error: "canceled before start"})
+		_ = s.finishJob(j, StateCanceled, &JobResult{Error: "canceled before start"})
 		return
 	}
 	j.cancel = cancel
@@ -630,10 +643,20 @@ func (s *Service) runJob(j *job) {
 	j.fresh = false
 	cohort := j.cohort
 	j.mu.Unlock()
+	if j.pending.withdrawn() {
+		// Its submitter gave up on the spec record before the run began.
+		s.withdraw(j, errWithdrawn)
+		return
+	}
 	j.setState(StateRunning)
 
 	err := s.runLeg(ctx, j, cohort, fresh)
 	if err == nil {
+		return
+	}
+	if j.pending.withdrawn() {
+		// The deferred spec record failed: the job leaves no trace.
+		s.withdraw(j, err)
 		return
 	}
 	if ckptstore.IsDiskFull(err) {
@@ -645,15 +668,14 @@ func (s *Service) runJob(j *job) {
 			// Shutdown caught the job mid-disk-full: its completed
 			// steps are checkpointed (or re-derivable); park it for
 			// the next daemon instead of failing it.
-			j.setState(StateQueued)
-			s.cfg.Logf("service: %s parked at shutdown during disk-full", j.id)
+			s.park(j, "service: %s parked at shutdown during disk-full", j.id)
 			return
 		case userCancel:
-			s.finishJob(j, StateCanceled, &JobResult{Error: "canceled while disk full"})
+			_ = s.finishJob(j, StateCanceled, &JobResult{Error: "canceled while disk full"})
 			return
 		}
 	}
-	s.finishJob(j, StateFailed, &JobResult{Error: err.Error()})
+	_ = s.finishJob(j, StateFailed, &JobResult{Error: err.Error()})
 	s.brk.onFailure()
 }
 
@@ -669,6 +691,9 @@ func (s *Service) runJob(j *job) {
 // A job restored at Open, or a leg that finds generations on disk,
 // reports no cost and publishes its first step, so every crash schedule
 // still converges. The checkpoint store is created by its first publish.
+// A fresh job has no store to look for: jobs/<id>/ is created only by a
+// publish that follows the job's durable spec record, and a job id whose
+// spec record is durable is never issued again.
 //
 // cohort is the job's cohort; nil for a resumed partial job, which
 // released it when it turned terminal and rebuilds it from its spec
@@ -680,10 +705,12 @@ func (s *Service) runLeg(ctx context.Context, j *job, cohort *dataset.Cohort, fr
 			return err
 		}
 	}
-	store := &guardedStore{s: s, dir: filepath.Join(j.dir, ckptDirName), ctx: ctx, jobID: j.id}
+	store := &guardedStore{s: s, j: j, ctx: ctx}
 	var gens []uint64
-	if _, err := os.Stat(store.dir); err == nil {
-		if store.store, err = ckptstore.Open(store.dir, ckptstore.Options{Retain: s.cfg.Retain}); err != nil {
+	if fresh {
+		store.cost = time.Duration(s.cheapestSave.Load())
+	} else if _, err := os.Stat(store.dir()); err == nil {
+		if store.store, err = ckptstore.Open(store.dir(), ckptstore.Options{Retain: s.cfg.Retain}); err != nil {
 			return err
 		}
 		if gens, err = store.store.Generations(); err != nil {
@@ -691,9 +718,6 @@ func (s *Service) runLeg(ctx context.Context, j *job, cohort *dataset.Cohort, fr
 		}
 	} else if !os.IsNotExist(err) {
 		return fmt.Errorf("service: %w", err)
-	}
-	if fresh && len(gens) == 0 {
-		store.cost = time.Duration(s.cheapestSave.Load())
 	}
 	hopt := harness.Options{
 		Cover: j.opt,
@@ -727,8 +751,7 @@ func (s *Service) runLeg(ctx context.Context, j *job, cohort *dataset.Cohort, fr
 		// daemon re-enqueues and resumes it. In-memory state returns to
 		// queued for observers that outlive the shutdown call.
 		s.brk.onSuccess()
-		j.setState(StateQueued)
-		s.cfg.Logf("service: %s parked at shutdown (generation %d)", j.id, res.PersistedGeneration)
+		s.park(j, "service: %s parked at shutdown (generation %d)", j.id, res.PersistedGeneration)
 		return nil
 	}
 	state := StateForStop(res.Stop)
@@ -754,13 +777,32 @@ func (s *Service) runLeg(ctx context.Context, j *job, cohort *dataset.Cohort, fr
 // happen BEFORE the terminal state transition: closing the job's done
 // channel is the signal observers (WaitJob, SSE terminal frame) rely on,
 // so everything the outcome implies must already be published when it
-// fires.
-func (s *Service) finishJob(j *job, state JobState, result *JobResult) {
+// fires. The result record retries in place on a full disk, as runLeg's
+// does; a record that cannot be made durable (shutdown, a failed write)
+// parks the job in flight instead, for the next daemon to run, so no job
+// is reported terminal that a restart would not restore as such.
+func (s *Service) finishJob(j *job, state JobState, result *JobResult) error {
 	j.mu.Lock()
 	j.result = result
 	j.mu.Unlock()
-	s.persistTerminal(j, state, j.key)
+	err := s.durably(s.ctx, j.id+" result", func() error { return s.writeResult(j, state, j.key) })
+	if err != nil {
+		s.park(j, "service: %s parked: its %s result record is not durable: %v", j.id, state, err)
+		return fmt.Errorf("%w: %v", ErrStorage, err)
+	}
 	s.completeJob(j, state, j.key)
+	return nil
+}
+
+// park leaves a job in flight on disk: it reports queued in memory, and
+// the next daemon restores it from its spec record. A job whose deferred
+// spec record never became durable is withdrawn instead.
+func (s *Service) park(j *job, format string, args ...any) {
+	if s.withdraw(j, ErrClosed) {
+		return
+	}
+	j.setState(StateQueued)
+	s.cfg.Logf(format, args...)
 }
 
 // completeJob reports a terminal outcome whose result record has been
@@ -779,18 +821,22 @@ func (s *Service) completeJob(j *job, state JobState, key CacheKey) {
 	s.cfg.Logf("service: %s finished %s (exit %d)", j.id, state, state.ExitCode())
 }
 
-// persistTerminal writes the result record; failures are logged, not
-// fatal (the in-memory state is authoritative until the next restart).
-func (s *Service) persistTerminal(j *job, state JobState, key CacheKey) {
-	if err := s.writeResult(j, state, key); err != nil {
-		s.cfg.Logf("service: persisting %s result: %v", j.id, err)
-	}
-}
-
-// writeResult makes the job's result record durable.
+// writeResult makes the job's result record durable. A job whose spec
+// record is still deferred commits both in one append; when that append
+// fails the job is withdrawn and the error wraps errWithdrawn.
 func (s *Service) writeResult(j *job, state JobState, key CacheKey) error {
-	if err := s.commit(resultRecord(j, state, key)); err != nil {
-		return fmt.Errorf("service: %s result record: %w", j.id, err)
+	rec := resultRecord(j, state, key)
+	carried := false
+	if err := j.pending.carry(carrierResult, func() error {
+		carried = true
+		return s.commitSpec(j, rec)
+	}); err != nil {
+		return withdrawnError(err)
+	}
+	if !carried {
+		if err := s.commit(rec); err != nil {
+			return fmt.Errorf("service: %s result record: %w", j.id, err)
+		}
 	}
 	s.resultWrites.Add(1)
 	return nil
@@ -904,8 +950,7 @@ func (s *Service) Cancel(id string) error {
 	s.mu.Unlock()
 
 	if queued {
-		s.finishJob(j, StateCanceled, &JobResult{Error: "canceled while queued"})
-		return nil
+		return s.finishJob(j, StateCanceled, &JobResult{Error: "canceled while queued"})
 	}
 	if cancel != nil {
 		cancel() // runJob observes userCancel and finishes as canceled
@@ -1026,6 +1071,8 @@ type Stats struct {
 	Shed    ShedStats     `json:"shed"`
 	Breaker BreakerStatus `json:"breaker"`
 	Disk    DiskStats     `json:"disk"`
+	// Submit counts the fresh jobs started at submission (preack.go).
+	Submit SubmitStats `json:"submit"`
 }
 
 // Stats snapshots the queue, admission, cache, and resilience counters.
@@ -1049,6 +1096,7 @@ func (s *Service) Stats() Stats {
 		Shed:        s.shed,
 		Breaker:     brk,
 		Disk:        s.diskStatsLocked(),
+		Submit:      s.submits.stats(),
 	}
 }
 
