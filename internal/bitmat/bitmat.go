@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"slices"
 )
 
 // WordBits is the number of samples packed into one matrix word.
@@ -149,10 +150,17 @@ func (m *Matrix) RowPopCount(g int) int {
 // is empty. active must have the matrix's word count. One sweep counts
 // each column's rows and a second fills them, O(genes × words + nnz).
 func (m *Matrix) Columns(active []uint64) (start []int, rows []int32) {
+	return m.ColumnsInto(active, nil, nil)
+}
+
+// ColumnsInto is Columns writing into start and rows, whose capacity it
+// reuses when it suffices.
+func (m *Matrix) ColumnsInto(active []uint64, start []int, rows []int32) ([]int, []int32) {
 	if len(active) != m.words {
 		panic(fmt.Sprintf("bitmat: active mask has %d words, matrix rows have %d", len(active), m.words))
 	}
-	start = make([]int, m.samples+1)
+	start = slices.Grow(start[:0], m.samples+1)[:m.samples+1]
+	clear(start)
 	for g := 0; g < m.genes; g++ {
 		for w, x := range m.Row(g) {
 			for x &= active[w]; x != 0; x &= x - 1 {
@@ -163,18 +171,20 @@ func (m *Matrix) Columns(active []uint64) (start []int, rows []int32) {
 	for s := 1; s <= m.samples; s++ {
 		start[s] += start[s-1]
 	}
-	rows = make([]int32, start[m.samples])
-	next := make([]int, m.samples)
-	copy(next, start)
+	rows = slices.Grow(rows[:0], start[m.samples])[:start[m.samples]]
+	// start[s] is column s's fill cursor, which ends at start[s+1]; the
+	// offsets are shifted back once every row is placed.
 	for g := 0; g < m.genes; g++ {
 		for w, x := range m.Row(g) {
 			for x &= active[w]; x != 0; x &= x - 1 {
 				s := w*WordBits + bits.TrailingZeros64(x)
-				rows[next[s]] = int32(g)
-				next[s]++
+				rows[start[s]] = int32(g)
+				start[s]++
 			}
 		}
 	}
+	copy(start[1:], start[:m.samples])
+	start[0] = 0
 	return start, rows
 }
 

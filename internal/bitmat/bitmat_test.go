@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -601,9 +602,13 @@ func BenchmarkAndWordsPop(b *testing.B) {
 	}
 }
 
+// TestColumnsTransposesActiveColumns checks Columns, and ColumnsInto
+// reusing the previous case's buffers, dirty and of any size.
 func TestColumnsTransposesActiveColumns(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	for _, samples := range []int{1, 63, 64, 65, 130} {
+	var startBuf []int
+	var rowsBuf []int32
+	for _, samples := range []int{1, 63, 64, 65, 130, 64, 1} {
 		m := New(9, samples)
 		active := NewVec(samples)
 		for s := 0; s < samples; s++ {
@@ -617,6 +622,10 @@ func TestColumnsTransposesActiveColumns(t *testing.T) {
 			}
 		}
 		start, rows := m.Columns(active.Words())
+		startBuf, rowsBuf = m.ColumnsInto(active.Words(), startBuf, rowsBuf)
+		if !slices.Equal(startBuf, start) || !slices.Equal(rowsBuf, rows) {
+			t.Fatalf("samples=%d: ColumnsInto gave %v %v, Columns %v %v", samples, startBuf, rowsBuf, start, rows)
+		}
 		if len(start) != samples+1 {
 			t.Fatalf("samples=%d: %d offsets", samples, len(start))
 		}

@@ -2,7 +2,9 @@ package cover
 
 import (
 	"context"
+	"math"
 	"math/bits"
+	"sync/atomic"
 
 	"repro/internal/bitmat"
 	"repro/internal/combinat"
@@ -18,11 +20,11 @@ import (
 //
 //   - the support is built only when Σ C(deg_s, h) over the active
 //     columns s is at most C(G, h)/seedShare, the seed probe's budget;
-//   - each active column's h-subsets are enumerated from the tumor
-//     transpose, and a subset is recorded only at the lowest active
-//     column that contains it, so every supported combination is recorded
-//     once, with its active tumor count (its normal count is taken when a
-//     pass first needs it);
+//   - each active column's h-subsets are enumerated from its gene list
+//     and looked up by their genes, so every supported combination is
+//     recorded once, at its first sighting, with its active tumor count
+//     summed over its carriers (its normal count is taken when a pass
+//     first needs it);
 //   - a supported best strictly above score(0, 0) beats every unsupported
 //     combination and wins outright;
 //   - otherwise the winner is the better of the supported best and the
@@ -38,8 +40,10 @@ import (
 // never changes, so greedy builds the support once and carries it
 // (supportState): each step subtracts its covered columns' weights from
 // the tumor counts of the combinations those columns carry, and each later
-// pass decides from the combinations whose count is still above zero. The
-// witness depends on the normal matrix alone and is searched for once.
+// pass decides from the combinations whose count is still above zero,
+// walking them in build-time count order and stopping at the first that
+// cannot win. The witness depends on the normal matrix alone and is
+// searched for once.
 //
 // A decided pass counts the supported combinations as Evaluated and the
 // rest of C(G, h) as Pruned. The counts, like the winner, are a function
@@ -58,18 +62,21 @@ func supportPass(ctx context.Context, p Pass) (best reduce.Combo, cnt Counts, ok
 // supportState is one greedy run's carried support. The zero value is
 // unbuilt; pass builds it on the first pass whose support fits the budget,
 // and remove keeps it current after each step. It holds Σ C(deg_s, h)
-// int32 index entries plus one record per supported combination, and lives
-// as long as the run.
+// int32 index entries plus one compact record per supported combination,
+// and lives as long as the run.
 type supportState struct {
 	built bool
 	h     int
 	// full is C(G, h) of the pass domain; budget is full/seedShare.
 	full, budget uint64
-	// Record r is one supported combination: genes[r] in ascending order,
-	// its (weighted) active tumor count tp[r] and its normal count nh[r]
-	// (-1 until decide first needs it).
-	genes  [][reduce.MaxHits]int32
+	// Record r is one supported combination: its ascending genes, its
+	// (weighted) active tumor count tp[r] and its normal count nh[r] (-1
+	// until decide first needs it). The records are numbered by their
+	// tumor count at the build, descending, and runs splits them into the
+	// runs that share one build-time count.
+	genes  recordGenes
 	tp, nh []int32
+	runs   []tpRun
 	// live counts the records with tp > 0.
 	live uint64
 	// Build column c carries the records colRecs[colStart[c]:colStart[c+1]],
@@ -83,6 +90,51 @@ type supportState struct {
 	// The witness is the first normal-free combination, searched for once.
 	witnessSearched, witnessFound bool
 	witness                       [reduce.MaxHits]int32
+}
+
+// tpRun ends a run of records that share one build-time tumor count tp:
+// the run is the records from the previous run's end up to end.
+type tpRun struct {
+	end, tp int32
+}
+
+// recordGenes holds h gene ids per record, record r at [r*h, (r+1)*h):
+// uint16 ids (narrow) while the pass has at most 65,535 genes, int32 ids
+// (wide) past that.
+type recordGenes struct {
+	h      int
+	narrow []uint16
+	wide   []int32
+}
+
+// maxNarrowGenes is the largest gene count whose ids fit recordGenes'
+// uint16 form.
+const maxNarrowGenes = math.MaxUint16
+
+// newRecordGenes makes room for the given number of records of h ids
+// each, drawn from a pass of the given gene count.
+func newRecordGenes(genes, h, records int) recordGenes {
+	if genes <= maxNarrowGenes {
+		return recordGenes{h: h, narrow: make([]uint16, records*h)}
+	}
+	return recordGenes{h: h, wide: make([]int32, records*h)}
+}
+
+// geneID is the type of the gene ids records store: recordGenes' uint16
+// or int32 form.
+type geneID interface{ uint16 | int32 }
+
+// tuple returns record r's genes as a combination's gene tuple.
+func (rg *recordGenes) tuple(r int) [reduce.MaxHits]int32 {
+	g := reduce.None.Genes
+	if rg.narrow != nil {
+		for i, x := range rg.narrow[r*rg.h : (r+1)*rg.h] {
+			g[i] = int32(x)
+		}
+		return g
+	}
+	copy(g[:], rg.wide[r*rg.h:(r+1)*rg.h])
+	return g
 }
 
 // pass decides p from the state, building it first if need be. ok is false
@@ -121,7 +173,6 @@ func (st *supportState) pass(ctx context.Context, p Pass) (best reduce.Combo, cn
 }
 
 // build records pass p's support, or reports false when it is over budget.
-// The records are pre-sized to the support bound, which they never exceed.
 func (st *supportState) build(ctx context.Context, p Pass) (bool, error) {
 	h := p.Opt.Hits
 	full, err := domainSizeChecked(p.Tumor.Genes(), h)
@@ -129,26 +180,24 @@ func (st *supportState) build(ctx context.Context, p Pass) (bool, error) {
 		return false, err
 	}
 	budget := full / seedShare
-	start, rows := p.Tumor.Columns(p.Active.Words())
-	n := len(start) - 1
+	b := takeSupportScratch()
+	defer b.release()
+	b.start, b.rows = p.Tumor.ColumnsInto(p.Active.Words(), b.start, b.rows)
+	n := len(b.start) - 1
 	colStart := make([]int, n+1)
 	var size uint64
 	for s := range n {
-		c, fits := domainSize(start[s+1]-start[s], h)
+		c, fits := domainSize(b.start[s+1]-b.start[s], h)
 		if !fits || c > budget-size {
 			return false, nil
 		}
 		size += c
 		colStart[s+1] = combinat.ToInt(size)
 	}
-	bound := colStart[n]
 	*st = supportState{
 		h: h, full: full, budget: budget,
-		genes:    make([][reduce.MaxHits]int32, 0, bound),
-		tp:       make([]int32, 0, bound),
-		nh:       make([]int32, 0, bound),
 		colStart: colStart,
-		colRecs:  make([]int32, bound),
+		colRecs:  make([]int32, colStart[n]),
 	}
 	if w := p.TumorWeights; w != nil {
 		st.weight = make([]int32, n)
@@ -162,41 +211,96 @@ func (st *supportState) build(ctx context.Context, p Pass) (bool, error) {
 			st.cols[c] = int32(c)
 		}
 	}
-
-	env := newKernelEnv(p.Tumor, p.Normal, p.Active, p.TumorWeights, p.NormalWeights, p.Opt.Alpha, p.Denom)
-	sc := supportScan{env: env, st: st, h: h, fold: foldBuffers(p.Active.Words(), h), next: make([]int, n)}
-	copy(sc.next, colStart)
-	for s := range n {
-		if start[s+1]-start[s] < h {
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			return false, err
-		}
-		sc.subsets(s, rows[start[s]:start[s+1]], 0, 0)
+	if err := b.enumerate(ctx, st, p.Tumor.Genes()); err != nil {
+		return false, err
 	}
+	st.number(b, p.Tumor.Genes())
 	st.live = uint64(len(st.tp))
 	st.built = true
 	return true, nil
 }
 
-// decide returns the best live record, scored through env. A record
-// whose bound score(tp, 0) falls strictly below the best so far cannot
-// win or tie, so its normal count is left untaken; a record's normal count
+// number stores the enumerated records in st, compactly and numbered by
+// tumor count, descending: a counting sort over the counts, stable, so
+// records of one count keep their enumeration order. The index entries
+// are renumbered to match.
+func (st *supportState) number(b *supportScratch, genes int) {
+	n, h := b.records, st.h
+	b.tp = b.tp[:n]
+	top := int32(0)
+	for _, tp := range b.tp {
+		top = max(top, tp)
+	}
+	// at[tp] counts the records of each count, then becomes the next
+	// number a record of that count takes.
+	at := resize(b.at, int(top)+1)
+	clear(at)
+	runs := 0
+	for _, tp := range b.tp {
+		if at[tp]++; at[tp] == 1 {
+			runs++
+		}
+	}
+	st.runs = make([]tpRun, 0, runs)
+	next := int32(0)
+	for tp := top; tp >= 0; tp-- {
+		if c := at[tp]; c > 0 {
+			at[tp] = next
+			next += c
+			st.runs = append(st.runs, tpRun{end: next, tp: tp})
+		}
+	}
+	st.genes = newRecordGenes(genes, h, n)
+	st.tp = make([]int32, n)
+	order := resize(b.order, n)
+	for r, tp := range b.tp {
+		to := at[tp]
+		at[tp]++
+		order[r] = to
+		st.tp[to] = tp
+	}
+	if st.genes.narrow != nil {
+		permuteGenes(st.genes.narrow, b.narrow, order, h)
+	} else {
+		permuteGenes(st.genes.wide, b.wide, order, h)
+	}
+	st.nh = make([]int32, n)
+	for r := range st.nh {
+		st.nh[r] = -1 // taken by decide when first needed
+	}
+	for i, r := range st.colRecs {
+		st.colRecs[i] = order[r]
+	}
+	b.at, b.order = at, order
+}
+
+// decide returns the best live record, scored through env. The records
+// come in build-time tumor count order, and a record's count only falls
+// after the build, so once a run's bound score(tp, 0) is strictly below
+// the best so far, no record from there on can win or tie, and decide
+// stops. A record whose own bound score(tp, 0) falls strictly below the
+// best is skipped with its normal count untaken; a record's normal count
 // is taken the first time it is needed and kept, since the normal side
 // never changes.
 func (st *supportState) decide(env *kernelEnv) reduce.Combo {
 	best := reduce.None
-	for r, tp := range st.tp {
-		if tp == 0 || best.StrictlyAbove(env.score(int(tp), 0)) {
-			continue
+	r := 0
+	for _, run := range st.runs {
+		if best.StrictlyAbove(env.score(int(run.tp), 0)) {
+			break
 		}
-		g := st.genes[r]
-		if st.nh[r] < 0 {
-			st.nh[r] = int32(env.pickNH(g, st.h))
-		}
-		if c := (reduce.Combo{Genes: g, F: env.score(int(tp), int(st.nh[r]))}); c.Better(best) {
-			best = c
+		for ; r < int(run.end); r++ {
+			tp := st.tp[r]
+			if tp == 0 || best.StrictlyAbove(env.score(int(tp), 0)) {
+				continue
+			}
+			g := st.genes.tuple(r)
+			if st.nh[r] < 0 {
+				st.nh[r] = int32(env.pickNH(g, st.h))
+			}
+			if c := (reduce.Combo{Genes: g, F: env.score(int(tp), int(st.nh[r]))}); c.Better(best) {
+				best = c
+			}
 		}
 	}
 	return best
@@ -251,80 +355,193 @@ func foldBuffers(base []uint64, h int) [][]uint64 {
 	return fold
 }
 
-// supportScan records the supported combinations of one pass.
-type supportScan struct {
-	env *kernelEnv
-	st  *supportState
-	h   int
-	// fold[d] is active ∧ the tumor rows of pick[:d]; fold[0] is active.
-	// fold[h] is filled only from the recorded column's word on (see
-	// lowest).
-	fold [][]uint64
-	pick [reduce.MaxHits]int
-	// next[c] is column c's next free slot in st.colRecs.
-	next []int
+// supportScratch is a build's transient working set. A finished build
+// leaves it for the next one (takeSupportScratch), so a run of small
+// builds allocates only the state it keeps.
+type supportScratch struct {
+	// start and rows are the active tumor columns' gene lists
+	// (bitmat.Matrix.ColumnsInto).
+	start []int
+	rows  []int32
+	// table finds a subset's record from its genes by open addressing: a
+	// slot holds the subset hash's low 32 bits over the record number + 1,
+	// and 0 when empty. Its size is a power of two above 5/4 of the
+	// subset count, and a subset's probe starts at its hash's top bits.
+	table []uint64
+	shift uint
+	// pick is the subset being filed; filed counts the index entries
+	// written so far.
+	pick  [reduce.MaxHits]int32
+	filed int
+	// The records in first-sighting order, records of them: h gene ids
+	// each, in narrow or wide as the state stores them, and the tumor
+	// count.
+	records int
+	narrow  []uint16
+	wide    []int32
+	tp      []int32
+	// at and order are number's counting-sort scratch.
+	at, order []int32
 }
 
-// subsets extends pick[:d] with the column's genes from index from on,
-// in lexicographic order, and records each completed h-subset whose
-// lowest active column is s.
-func (sc *supportScan) subsets(s int, genes []int32, d, from int) {
-	for i := from; i <= len(genes)-(sc.h-d); i++ {
-		sc.pick[d] = int(genes[i])
-		row := sc.env.tumor.Row(sc.pick[d])
-		if d+1 < sc.h {
-			bitmat.AndWords(sc.fold[d+1], sc.fold[d], row)
-			sc.subsets(s, genes, d+1, i+1)
-			continue
-		}
-		if sc.lowest(s, row) {
-			sc.record(s)
-		}
+// spareSupportScratch holds at most one finished build's scratch.
+var spareSupportScratch atomic.Pointer[supportScratch]
+
+// supportScratchKeep bounds the bytes of scratch kept between builds: a
+// large build's scratch goes to the collector instead.
+const supportScratchKeep = 1 << 20
+
+func takeSupportScratch() *supportScratch {
+	if b := spareSupportScratch.Swap(nil); b != nil {
+		return b
+	}
+	return new(supportScratch)
+}
+
+// release offers the scratch to the next build if it is small enough.
+func (b *supportScratch) release() {
+	bytes := 8*(cap(b.start)+cap(b.table)) + 2*cap(b.narrow) +
+		4*(cap(b.rows)+cap(b.wide)+cap(b.tp)+cap(b.at)+cap(b.order))
+	if bytes <= supportScratchKeep {
+		spareSupportScratch.Store(b)
 	}
 }
 
-// lowest reports whether s is the lowest active column carrying pick[:h],
-// whose last gene has the tumor row row. Only then does it fold the row
-// into fold[h], from column s's word on: the words below it are empty.
-func (sc *supportScan) lowest(s int, row []uint64) bool {
-	prefix, w := sc.fold[sc.h-1], s/bitmat.WordBits
-	for k := range w {
-		if prefix[k]&row[k] != 0 {
+// resize returns buf resized to n, reallocated only when its capacity is
+// short; the contents are unspecified.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// subsetHash is the multiplier of the subset hash, which folds in one
+// gene at a time: x' = (x ^ gene) · subsetHash.
+const subsetHash = 0x9e3779b97f4a7c15
+
+// enumerate records every h-subset of the active columns' gene lists in
+// st, columns in ascending order and each column's subsets in
+// lexicographic order. A subset's first sighting, at its lowest carrying
+// column, makes its record; every sighting adds the column's weight to
+// the record's tumor count and files the record under the column. The
+// context is checked before each column's subsets.
+func (b *supportScratch) enumerate(ctx context.Context, st *supportState, geneCount int) error {
+	// A column's subsets are distinct, so there are at most as many
+	// records as index entries, and the table is at most 4/5 full.
+	bound := len(st.colRecs)
+	size := 1 << bits.Len(uint(bound+bound/4))
+	b.table = resize(b.table, size)
+	clear(b.table)
+	b.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	narrow := geneCount <= maxNarrowGenes
+	if narrow {
+		b.narrow = resize(b.narrow, bound*st.h)
+	} else {
+		b.wide = resize(b.wide, bound*st.h)
+	}
+	b.tp = resize(b.tp, bound)
+	b.records, b.filed = 0, 0
+	for c := range len(b.start) - 1 {
+		genes := b.rows[b.start[c]:b.start[c+1]]
+		if len(genes) < st.h {
+			continue
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		wt := int32(1)
+		if st.weight != nil {
+			wt = st.weight[c]
+		}
+		if narrow {
+			fileSubsets(b, st, genes, wt, b.narrow)
+		} else {
+			fileSubsets(b, st, genes, wt, b.wide)
+		}
+	}
+	return nil
+}
+
+// fileSubsets files each h-subset of one column's genes, whose weight is
+// wt, in st, in lexicographic order; recGenes is b's records' genes.
+// idx[:h] walks the subsets' positions in genes like an odometer, with its
+// last wheel turned in the innermost loop, and x[d] is the hash of
+// pick[:d].
+func fileSubsets[G geneID](b *supportScratch, st *supportState, genes []int32, wt int32, recGenes []G) {
+	h, n := st.h, len(genes)
+	table, mask, shift := b.table, uint64(len(b.table)-1), b.shift
+	recTP, colRecs := b.tp, st.colRecs
+	records, filed := b.records, b.filed
+	pick := b.pick[:h]
+	var idx [reduce.MaxHits]int
+	var x [reduce.MaxHits]uint64
+	for d := 0; ; {
+		for ; d < h-1; d++ {
+			g := genes[idx[d]]
+			pick[d] = g
+			x[d+1] = (x[d] ^ uint64(g)) * subsetHash
+			idx[d+1] = idx[d] + 1
+		}
+		for _, g := range genes[idx[h-1]:] {
+			pick[h-1] = g
+			y := (x[h-1] ^ uint64(g)) * subsetHash
+			// Find pick's record: probe from the hash's top bits for
+			// an empty slot, which makes the record, or a slot whose
+			// tag and genes match.
+			tag, r := y<<32, 0
+			for i := y >> shift; ; i = (i + 1) & mask {
+				e := table[i]
+				if e == 0 {
+					r = records
+					records++
+					table[i] = tag | uint64(r+1)
+					for k, g := range pick {
+						recGenes[r*h+k] = G(g)
+					}
+					recTP[r] = 0
+					break
+				}
+				if r = int(uint32(e)) - 1; e&^(1<<32-1) == tag && sameGenes(recGenes[r*h:r*h+h], pick) {
+					break
+				}
+			}
+			recTP[r] += wt
+			colRecs[filed] = int32(r)
+			filed++
+		}
+		// Turn the deepest wheel above the last that has room.
+		d = h - 2
+		for d >= 0 && idx[d] == n-h+d {
+			d--
+		}
+		if d < 0 {
+			break
+		}
+		idx[d]++
+	}
+	b.records, b.filed = records, filed
+}
+
+// sameGenes reports whether a record's stored genes are pick.
+func sameGenes[G geneID](stored []G, pick []int32) bool {
+	for k, g := range pick {
+		if stored[k] != G(g) {
 			return false
 		}
 	}
-	if prefix[w]&row[w]&(1<<(uint(s)%bitmat.WordBits)-1) != 0 {
-		return false
-	}
-	bitmat.AndWords(sc.fold[sc.h][w:], prefix[w:], row[w:])
 	return true
 }
 
-// record appends the completed pick, whose lowest carrier is column s, as
-// a record, and indexes it under every active column that carries it, the
-// set bits of fold[h]; its tumor count is the carriers' total weight.
-func (sc *supportScan) record(s int) {
-	st, next, weight := sc.st, sc.next, sc.st.weight
-	r := int32(len(st.tp))
-	tp := 0
-	// The carriers' words below column s are empty.
-	for w, x := range sc.fold[sc.h][s/bitmat.WordBits:] {
-		if weight == nil {
-			tp += bits.OnesCount64(x)
-		}
-		base := (w + s/bitmat.WordBits) * bitmat.WordBits
-		for ; x != 0; x &= x - 1 {
-			col := base + bits.TrailingZeros64(x)
-			st.colRecs[next[col]] = r
-			next[col]++
-			if weight != nil {
-				tp += int(weight[col])
-			}
+// permuteGenes copies record r's h gene ids in src to record order[r] in
+// dst.
+func permuteGenes[G geneID](dst, src []G, order []int32, h int) {
+	for r, to := range order {
+		d, s := dst[int(to)*h:int(to)*h+h], src[r*h:r*h+h]
+		for k := range d {
+			d[k] = s[k]
 		}
 	}
-	st.genes = append(st.genes, pickGenes(sc.pick, sc.h))
-	st.tp = append(st.tp, int32(tp))
-	st.nh = append(st.nh, -1) // taken by decide when first needed
 }
 
 // pickGenes returns the ascending genes pick[:h] as a combination's gene

@@ -4,7 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
+	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/bitmat"
@@ -451,5 +454,449 @@ func sameCounts(t *testing.T, name string, got, want *Result, k int) {
 	if got.Evaluated != want.Evaluated || got.Pruned != want.Pruned {
 		t.Fatalf("%s: totals %d+%d, uninterrupted run %d+%d", name,
 			got.Evaluated, got.Pruned, want.Evaluated, want.Pruned)
+	}
+}
+
+// foldSupport is the support build the hashed build replaced, kept as its
+// oracle: each active column's h-subsets are enumerated with the tumor
+// fold active ∧ rows carried down the prefix, and a subset is recorded
+// only at the lowest set bit of the full fold, its lowest carrying
+// column, and filed under every set bit.
+type foldSupport struct {
+	h     int
+	genes [][reduce.MaxHits]int32
+	tp    []int32
+	// recs[c] lists the records build column c carries; weight[c] is its
+	// multiplicity (nil: 1).
+	recs   [][]int32
+	weight []int32
+}
+
+func buildFoldSupport(p Pass) *foldSupport {
+	h := p.Opt.Hits
+	start, rows := p.Tumor.Columns(p.Active.Words())
+	n := len(start) - 1
+	fs := &foldSupport{h: h, recs: make([][]int32, n)}
+	if w := p.TumorWeights; w != nil {
+		fs.weight = make([]int32, n)
+		for c := range n {
+			fs.weight[c] = int32(w.Weight(c))
+		}
+	}
+	sc := foldScan{tumor: p.Tumor, fs: fs, fold: foldBuffers(p.Active.Words(), h)}
+	for s := range n {
+		if start[s+1]-start[s] >= h {
+			sc.subsets(s, rows[start[s]:start[s+1]], 0, 0)
+		}
+	}
+	return fs
+}
+
+// foldScan is foldSupport's enumeration state.
+type foldScan struct {
+	tumor *bitmat.Matrix
+	fs    *foldSupport
+	// fold[d] is active ∧ the tumor rows of pick[:d].
+	fold [][]uint64
+	pick [reduce.MaxHits]int
+}
+
+func (sc *foldScan) subsets(s int, genes []int32, d, from int) {
+	h := sc.fs.h
+	for i := from; i <= len(genes)-(h-d); i++ {
+		sc.pick[d] = int(genes[i])
+		bitmat.AndWords(sc.fold[d+1], sc.fold[d], sc.tumor.Row(sc.pick[d]))
+		if d+1 < h {
+			sc.subsets(s, genes, d+1, i+1)
+			continue
+		}
+		if lowest := firstBit(sc.fold[h]); lowest == s {
+			sc.record()
+		}
+	}
+}
+
+// firstBit is the lowest set bit of words, or -1.
+func firstBit(words []uint64) int {
+	for w, x := range words {
+		if x != 0 {
+			return w*bitmat.WordBits + bits.TrailingZeros64(x)
+		}
+	}
+	return -1
+}
+
+func (sc *foldScan) record() {
+	fs := sc.fs
+	r := int32(len(fs.tp))
+	tp := int32(0)
+	for w, x := range sc.fold[fs.h] {
+		for ; x != 0; x &= x - 1 {
+			c := w*bitmat.WordBits + bits.TrailingZeros64(x)
+			fs.recs[c] = append(fs.recs[c], r)
+			tp += fs.columnWeight(c)
+		}
+	}
+	fs.genes = append(fs.genes, pickGenes(sc.pick, fs.h))
+	fs.tp = append(fs.tp, tp)
+}
+
+func (fs *foldSupport) columnWeight(c int) int32 {
+	if fs.weight == nil {
+		return 1
+	}
+	return fs.weight[c]
+}
+
+// remove takes the build columns cols out: each one's weight leaves the
+// tumor count of every record it carries.
+func (fs *foldSupport) remove(cols []int) {
+	for _, c := range cols {
+		for _, r := range fs.recs[c] {
+			fs.tp[r] -= fs.columnWeight(c)
+		}
+	}
+}
+
+// decideAll is decide without its stop rule or its bound: the
+// Better-maximum over every record with tp > 0, and their count.
+func (fs *foldSupport) decideAll(env *kernelEnv) (reduce.Combo, uint64) {
+	best, live := reduce.None, uint64(0)
+	for r, tp := range fs.tp {
+		if tp == 0 {
+			continue
+		}
+		live++
+		g := fs.genes[r]
+		if c := (reduce.Combo{Genes: g, F: env.score(int(tp), env.pickNH(g, fs.h))}); c.Better(best) {
+			best = c
+		}
+	}
+	return best, live
+}
+
+// supportOracleCase is one random instance for TestSupportBuildMatchesFoldOracle.
+type supportOracleCase struct {
+	genes, tumor, normal, hits int
+	weighted, splice           bool
+	// pool, when set, is the genes the tumor columns draw from; dup makes
+	// every tumor column carry the same genes.
+	pool []int32
+	dup  bool
+}
+
+// TestSupportBuildMatchesFoldOracle checks the hashed build against the
+// fold-based oracle on random instances: h = 2–5, tumor and normal
+// weights on and off, BitSplice on and off, gene counts just below, at
+// and above the 8-, 12- and 16-bit gene id boundaries (the last is where
+// records switch from uint16 to int32 ids), and cohorts with empty and
+// all-duplicate columns. The build must hold the oracle's (genes, tp)
+// records and file the same records under each column; then, over
+// greedy-like steps that remove covered columns from both, every decide
+// must return the winner (genes and F bits) of a decide over all records,
+// and Evaluated must count the oracle's live records.
+func TestSupportBuildMatchesFoldOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	var cases []supportOracleCase
+	for hits := 2; hits <= MaxHits; hits++ {
+		// Gene counts whose support budget, C(G, h)/16, the random
+		// columns fit.
+		small := map[int][]int{2: {60, 200}, 3: {30, 60}, 4: {24, 40}, 5: {22, 30}}
+		for _, genes := range small[hits] {
+			for _, nt := range []int{1, 63, 64, 65, 130} {
+				cases = append(cases, supportOracleCase{genes: genes, tumor: nt, normal: 20, hits: hits})
+			}
+		}
+		boundaries := []int{255, 256, 257, 65535, 65536, 65537}
+		if hits == 5 {
+			// C(65537, 5) overflows the domain count, so h = 5 takes
+			// the 12-bit boundary instead of the 16-bit one.
+			boundaries = []int{255, 256, 257, 4095, 4096, 4097}
+		}
+		for _, genes := range boundaries {
+			// Columns draw from the lowest and the highest ids, so the
+			// widest ids land in records.
+			pool := []int32{0, 1, 2, 3, int32(genes / 2), int32(genes - 4), int32(genes - 3), int32(genes - 2), int32(genes - 1)}
+			cases = append(cases, supportOracleCase{genes: genes, tumor: 70, normal: 9, hits: hits, pool: pool})
+		}
+		cases = append(cases, supportOracleCase{genes: 100, tumor: 40, normal: 9, hits: hits, dup: true})
+	}
+	built := 0
+	for i, sc := range cases {
+		for _, weighted := range []bool{false, true} {
+			for _, splice := range []bool{false, true} {
+				sc.weighted, sc.splice = weighted, splice
+				name := fmt.Sprintf("case %d (G=%d Nt=%d h=%d weighted=%v splice=%v dup=%v)",
+					i, sc.genes, sc.tumor, sc.hits, weighted, splice, sc.dup)
+				if checkSupportOracle(t, name, sc, rng) {
+					built++
+				}
+			}
+		}
+	}
+	if built < len(cases)*3 {
+		t.Fatalf("only %d of %d instances fit the support budget", built, len(cases)*4)
+	}
+	t.Logf("%d instances checked", built)
+}
+
+// checkSupportOracle builds one random instance's support both ways and
+// compares them through a run of steps; it reports false when the
+// instance is over the support budget.
+func checkSupportOracle(t *testing.T, name string, sc supportOracleCase, rng *rand.Rand) bool {
+	t.Helper()
+	tumor := bitmat.New(sc.genes, sc.tumor)
+	var shared []int32
+	for s := range sc.tumor {
+		if s%7 == 3 {
+			continue // an empty column
+		}
+		genes := shared
+		if genes == nil {
+			genes = randomColumn(rng, sc)
+			if sc.dup {
+				shared = genes
+			}
+		}
+		for _, g := range genes {
+			tumor.Set(int(g), s)
+		}
+	}
+	normal := bitmat.New(sc.genes, sc.normal)
+	for s := range sc.normal {
+		for range rng.Intn(3) {
+			normal.Set(rng.Intn(sc.genes), s)
+		}
+	}
+	opt, err := Options{Hits: sc.hits, BitSplice: sc.splice}.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	active := bitmat.AllOnes(sc.tumor)
+	if !sc.splice {
+		for s := range sc.tumor {
+			if s%5 == 1 {
+				active.Clear(s)
+			}
+		}
+	}
+	p := Pass{Tumor: tumor, Normal: normal, Active: active, Opt: opt,
+		Denom: float64(sc.tumor + sc.normal)}
+	if sc.weighted {
+		p.TumorWeights = randomWeights(rng, sc.tumor)
+		p.NormalWeights = randomWeights(rng, sc.normal)
+		p.Denom = float64(p.TumorWeights.Total() + p.NormalWeights.Total())
+	}
+
+	var st supportState
+	ok, err := st.build(context.Background(), p)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if !ok {
+		return false
+	}
+	fs := buildFoldSupport(p)
+	sameRecords(t, name, &st, fs)
+
+	// cur maps the current columns to build columns: under BitSplice each
+	// step splices its covered columns out, otherwise it is the identity
+	// and the active mask shrinks instead.
+	cur := make([]int, sc.tumor)
+	for c := range cur {
+		cur[c] = c
+	}
+	for step := 0; ; step++ {
+		env := newKernelEnv(p.Tumor, p.Normal, p.Active, p.TumorWeights, p.NormalWeights, p.Opt.Alpha, p.Denom)
+		got := st.decide(env)
+		want, live := fs.decideAll(env)
+		if got.Genes != want.Genes || math.Float64bits(got.F) != math.Float64bits(want.F) {
+			t.Fatalf("%s step %d: decide chose %v (F bits %#x), a decide over all records %v (F bits %#x)",
+				name, step, got, math.Float64bits(got.F), want, math.Float64bits(want.F))
+		}
+		if st.live != live {
+			t.Fatalf("%s step %d: Evaluated %d, the oracle has %d live records", name, step, st.live, live)
+		}
+		if live == 0 {
+			return true
+		}
+		// Cover the winner's carriers, or, when it has none left, one
+		// random live column.
+		var covered []int
+		for i, c := range cur {
+			if p.Active.Get(c) && carries(tumor, c, want) {
+				covered = append(covered, i)
+			}
+		}
+		if len(covered) == 0 {
+			for i, c := range cur {
+				if p.Active.Get(c) && len(fs.recs[c]) > 0 && tumor.Get(int(want.Genes[0]), c) {
+					covered = append(covered, i)
+					break
+				}
+			}
+		}
+		if len(covered) == 0 {
+			t.Fatalf("%s step %d: no active column carries a live record", name, step)
+		}
+		mask := bitmat.NewVec(len(cur))
+		builds := make([]int, len(covered))
+		for k, i := range covered {
+			mask.Set(i)
+			builds[k] = cur[i]
+		}
+		st.remove(mask.Words())
+		fs.remove(builds)
+		if sc.splice {
+			for k := len(covered) - 1; k >= 0; k-- {
+				cur = slices.Delete(cur, covered[k], covered[k]+1)
+			}
+		}
+		// The oracle's carriers and decideAll read the active mask in
+		// build columns, so covered columns leave it in either mode.
+		for _, c := range builds {
+			p.Active.Clear(c)
+		}
+	}
+}
+
+// randomColumn draws a tumor column's genes: up to h+2 of them, from the
+// case's pool or the whole gene range.
+func randomColumn(rng *rand.Rand, sc supportOracleCase) []int32 {
+	n := rng.Intn(sc.hits + 3)
+	var genes []int32
+	for range n {
+		if sc.pool != nil {
+			genes = append(genes, sc.pool[rng.Intn(len(sc.pool))])
+		} else {
+			genes = append(genes, int32(rng.Intn(min(sc.genes, sc.hits+6))))
+		}
+	}
+	slices.Sort(genes)
+	return slices.Compact(genes)
+}
+
+func randomWeights(rng *rand.Rand, n int) *bitmat.Weights {
+	mult := make([]int, n)
+	for i := range mult {
+		mult[i] = 1 + rng.Intn(4)
+	}
+	return bitmat.NewWeights(mult)
+}
+
+// carries reports whether tumor column c holds every gene of combo.
+func carries(tumor *bitmat.Matrix, c int, combo reduce.Combo) bool {
+	for _, g := range combo.GeneIDs() {
+		if !tumor.Get(g, c) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameRecords requires st to hold fs's (genes, tp) records, and each
+// build column to carry the same records in both.
+func sameRecords(t *testing.T, name string, st *supportState, fs *foldSupport) {
+	t.Helper()
+	type rec struct {
+		genes [reduce.MaxHits]int32
+		tp    int32
+	}
+	cmp := func(a, b rec) int {
+		if c := slices.Compare(a.genes[:], b.genes[:]); c != 0 {
+			return c
+		}
+		return int(a.tp - b.tp)
+	}
+	var got, want []rec
+	for r := range st.tp {
+		got = append(got, rec{st.genes.tuple(r), st.tp[r]})
+	}
+	for r := range fs.tp {
+		want = append(want, rec{fs.genes[r], fs.tp[r]})
+	}
+	slices.SortFunc(got, cmp)
+	slices.SortFunc(want, cmp)
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s: %d records, the oracle %d; first records %v, oracle %v",
+			name, len(got), len(want), got[:min(len(got), 4)], want[:min(len(want), 4)])
+	}
+	tuples := func(recs []int32, tuple func(int32) [reduce.MaxHits]int32) [][reduce.MaxHits]int32 {
+		out := make([][reduce.MaxHits]int32, len(recs))
+		for i, r := range recs {
+			out[i] = tuple(r)
+		}
+		slices.SortFunc(out, func(a, b [reduce.MaxHits]int32) int { return slices.Compare(a[:], b[:]) })
+		return out
+	}
+	for c := range fs.recs {
+		g := tuples(st.colRecs[st.colStart[c]:st.colStart[c+1]], func(r int32) [reduce.MaxHits]int32 { return st.genes.tuple(int(r)) })
+		w := tuples(fs.recs[c], func(r int32) [reduce.MaxHits]int32 { return fs.genes[r] })
+		if !slices.Equal(g, w) {
+			t.Fatalf("%s: column %d carries %v, the oracle %v", name, c, g, w)
+		}
+	}
+}
+
+// TestSupportScratchSharedAcrossRuns runs greedy on several cohorts from
+// concurrent goroutines, which take, grow and hand back the one kept
+// build scratch in any order, and requires every run to equal the same
+// run made alone: no state may keep a reference into a scratch that a
+// later build reuses.
+func TestSupportScratchSharedAcrossRuns(t *testing.T) {
+	type run struct {
+		c   *dataset.Cohort
+		opt Options
+	}
+	var runs []run
+	for i, code := range []string{"ACC", "BRCA", "LGG", "LUAD"} {
+		spec, err := dataset.ByCode(code)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, genes := range []int{30, 60} {
+			runs = append(runs, run{pruneCohort(t, spec, genes, int64(i+1)),
+				Options{Hits: 2 + i%3, MaxIterations: 6, Workers: 1, Kernelize: genes == 60}})
+		}
+	}
+	want := make([]*Result, len(runs))
+	for i, r := range runs {
+		res, err := Run(r.c.Tumor, r.c.Normal, r.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = res
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 4*len(runs))
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range runs {
+				i := (k + g) % len(runs)
+				res, err := Run(runs[i].c.Tumor, runs[i].c.Normal, runs[i].opt)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if len(res.Steps) != len(want[i].Steps) {
+					errs <- fmt.Errorf("run %d took %d steps, alone %d", i, len(res.Steps), len(want[i].Steps))
+					return
+				}
+				for s := range want[i].Steps {
+					if res.Steps[s].Combo != want[i].Steps[s].Combo ||
+						res.Steps[s].Evaluated != want[i].Steps[s].Evaluated {
+						errs <- fmt.Errorf("run %d step %d differs from the run made alone", i, s)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 
 	"repro/internal/bitmat"
 	"repro/internal/gene"
@@ -164,16 +165,25 @@ func Generate(spec Spec, seed int64) (*Cohort, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(seed))
+	// src replays rand.NewSource(seed)'s stream and rng draws from it.
+	// The background mutations, one rng.Float64() < rate per gene and
+	// sample, are drawn a sample at a time into draws and compared as
+	// integers against below(rate).
+	src := newLagSource(seed)
+	rng := rand.New(src)
+	draws := make([]uint64, spec.Genes)
+	tumorBackground := below(spec.TumorBackground)
+	normalBackground, noisyNormalRate := below(spec.NormalBackground), below(spec.NoisyNormalRate)
 	c := &Cohort{
 		Spec:        spec,
 		GeneSymbols: make([]string, spec.Genes),
 		Tumor:       bitmat.New(spec.Genes, spec.TumorSamples),
 		Normal:      bitmat.New(spec.Genes, spec.NormalSamples),
+
+		TumorBarcodes:  gene.Barcodes(spec.Code, gene.Tumor, spec.TumorSamples),
+		NormalBarcodes: gene.Barcodes(spec.Code, gene.Normal, spec.NormalSamples),
 	}
-	for g := range c.GeneSymbols {
-		c.GeneSymbols[g] = fmt.Sprintf("G%05d", g)
-	}
+	placeholderSymbols(c.GeneSymbols)
 
 	// Assign profiled genes to fixed ids (after the shuffle-free naming so
 	// ids stay deterministic): profiled genes take the highest ids, except
@@ -254,7 +264,6 @@ func Generate(spec Spec, seed int64) (*Cohort, error) {
 		}
 	}
 	for s := 0; s < spec.TumorSamples; s++ {
-		c.TumorBarcodes = append(c.TumorBarcodes, gene.Barcode(spec.Code, gene.Tumor, s))
 		combo := c.Planted[pickCombo()]
 		if rng.Float64() < spec.DriverMutProb {
 			for _, g := range combo {
@@ -266,8 +275,9 @@ func Generate(spec Spec, seed int64) (*Cohort, error) {
 				markDriver(combo[idx], s)
 			}
 		}
-		for g := 0; g < spec.Genes; g++ {
-			if rng.Float64() < spec.TumorBackground {
+		src.draws(draws)
+		for g, x := range draws {
+			if x < tumorBackground {
 				c.Tumor.Set(g, s)
 			}
 		}
@@ -282,14 +292,14 @@ func Generate(spec Spec, seed int64) (*Cohort, error) {
 		}
 	}
 	for s := 0; s < spec.NormalSamples; s++ {
-		c.NormalBarcodes = append(c.NormalBarcodes, gene.Barcode(spec.Code, gene.Normal, s))
 		noisy := rng.Float64() < spec.NoisyNormalFrac
-		for g := 0; g < spec.Genes; g++ {
-			rate := spec.NormalBackground
+		src.draws(draws)
+		for g, x := range draws {
+			rate := normalBackground
 			if noisy && driverPool[g] {
-				rate = spec.NoisyNormalRate
+				rate = noisyNormalRate
 			}
-			if rng.Float64() < rate {
+			if x < rate {
 				c.Normal.Set(g, s)
 			}
 		}
@@ -406,6 +416,27 @@ func (c *Cohort) Split(trainFrac float64, seed int64) (train, test *Cohort) {
 	train = c.subset(tumorTrain, normalTrain, true)
 	test = c.subset(tumorTrain, normalTrain, false)
 	return train, test
+}
+
+// placeholderSymbols names gene g "G%05d" in syms[g], every name cut from
+// one string.
+func placeholderSymbols(syms []string) {
+	var buf []byte
+	for g := range syms {
+		buf = append(buf, 'G')
+		for x := max(g, 1); x < 10000; x *= 10 {
+			buf = append(buf, '0')
+		}
+		buf = strconv.AppendInt(buf, int64(g), 10)
+	}
+	all := string(buf)
+	for g := range syms {
+		l := len("G00000")
+		for x := g / 100000; x > 0; x /= 10 {
+			l++
+		}
+		syms[g], all = all[:l], all[l:]
+	}
 }
 
 // pickSet returns a membership mask selecting round(n·frac) indices.

@@ -191,6 +191,37 @@ func TestByCode(t *testing.T) {
 	}
 }
 
+// TestByCodeSpecIsOwnCopy mutates the specs ByCode, LGG and
+// FourHitCancers return, and requires the next lookups to see the
+// registry's values.
+func TestByCodeSpecIsOwnCopy(t *testing.T) {
+	a, err := ByCode("LGG")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a.Profiled) == 0 {
+		t.Fatal("LGG has no profiled genes")
+	}
+	sym, codons := a.Profiled[0].Symbol, a.Profiled[0].Codons
+	a.Profiled[0].Symbol, a.Profiled[0].Codons = "MUTATED", -1
+	a.Profiled = append(a.Profiled[:1], ProfiledGene{Symbol: "EXTRA"})
+	a.Genes = 7
+	LGG().Profiled[0].Symbol = "MUTATED"
+	for _, s := range FourHitCancers() {
+		if s.Code == "LGG" {
+			s.Profiled[0].Codons = -2
+		}
+	}
+	b, err := ByCode("LGG")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Genes == 7 || len(b.Profiled) != 4 || b.Profiled[0].Symbol != sym || b.Profiled[0].Codons != codons ||
+		b.Profiled[1].Symbol == "EXTRA" {
+		t.Fatalf("a mutated copy leaked into the registry: LGG is now %+v", b)
+	}
+}
+
 func TestSplitSizes(t *testing.T) {
 	c, err := Generate(small(), 11)
 	if err != nil {

@@ -1,6 +1,9 @@
 package dataset
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // The registry mirrors the paper's study population. The paper names four
 // cohorts and their roles explicitly — BRCA (largest, 911 tumor samples,
@@ -26,9 +29,27 @@ func defaultRates() Spec {
 	}
 }
 
+// fourHit is the registry's table of the 11 four-hit specs, built once.
+// Callers get copies of its entries (Spec.clone), never the entries.
+var fourHit = fourHitSpecs()
+
 // FourHitCancers returns the 11 cancer-type specs used for the 4-hit study
-// (Fig. 9), in a stable order.
+// (Fig. 9), in a stable order. The specs are the caller's own.
 func FourHitCancers() []Spec {
+	out := make([]Spec, len(fourHit))
+	for i, s := range fourHit {
+		out[i] = s.clone()
+	}
+	return out
+}
+
+// clone returns a copy of s that shares no slice with it.
+func (s Spec) clone() Spec {
+	s.Profiled = slices.Clone(s.Profiled)
+	return s
+}
+
+func fourHitSpecs() []Spec {
 	mk := func(code, name string, genes, nt, nn int, driverProb float64, combos int) Spec {
 		s := defaultRates()
 		s.Code, s.Name = code, name
@@ -74,34 +95,32 @@ func BRCA() Spec {
 // ACC returns the adrenocortical carcinoma spec, the smallest dataset, used
 // for the Fig. 6 per-GPU utilization profile.
 func ACC() Spec {
-	for _, s := range FourHitCancers() {
-		if s.Code == "ACC" {
-			return s
-		}
-	}
-	panic("dataset: ACC missing from registry")
+	return mustCode("ACC")
 }
 
 // LGG returns the brain lower grade glioma spec with its profiled genes.
 func LGG() Spec {
-	for _, s := range FourHitCancers() {
-		if s.Code == "LGG" {
-			return s
-		}
+	return mustCode("LGG")
+}
+
+func mustCode(code string) Spec {
+	s, err := ByCode(code)
+	if err != nil {
+		panic(err)
 	}
-	panic("dataset: LGG missing from registry")
+	return s
 }
 
 // ByCode returns the spec with the given TCGA study code (including BRCA),
-// or an error listing the known codes.
+// or an error listing the known codes. The spec is the caller's own.
 func ByCode(code string) (Spec, error) {
 	if code == "BRCA" {
 		return BRCA(), nil
 	}
 	known := ""
-	for _, s := range FourHitCancers() {
+	for _, s := range fourHit {
 		if s.Code == code {
-			return s, nil
+			return s.clone(), nil
 		}
 		known += " " + s.Code
 	}

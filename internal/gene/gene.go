@@ -69,29 +69,67 @@ type Mutation struct {
 // Barcode formats a TCGA-style barcode for the given cancer code, class and
 // index, e.g. "TCGA-LGG-T0041".
 func Barcode(cancer string, class SampleClass, idx int) string {
-	tag := byte('T')
-	if class == Normal {
-		tag = 'N'
-	}
 	if idx < 0 {
-		return fmt.Sprintf("TCGA-%s-%c%04d", cancer, tag, idx)
+		return fmt.Sprintf("TCGA-%s-%c%04d", cancer, class.tag(), idx)
 	}
-	// The fmt form above, without its per-call formatting cost: Generate
-	// labels every sample of every cohort it builds. The string is sized
-	// exactly, as fmt sizes it: a cohort keeps its barcodes.
+	var b strings.Builder
+	b.Grow(barcodeLen(cancer, idx))
+	writeBarcode(&b, cancer, class, idx)
+	return b.String()
+}
+
+// Barcodes returns the barcodes of samples 0 to n-1 of a class, as
+// Barcode formats them, cut from one string: Generate labels every sample
+// of every cohort it builds, and a cohort keeps all of its labels.
+func Barcodes(cancer string, class SampleClass, n int) []string {
+	size := 0
+	for idx := range n {
+		size += barcodeLen(cancer, idx)
+	}
+	var b strings.Builder
+	b.Grow(size)
+	for idx := range n {
+		writeBarcode(&b, cancer, class, idx)
+	}
+	all, out := b.String(), make([]string, n)
+	for idx := range out {
+		l := barcodeLen(cancer, idx)
+		out[idx], all = all[:l], all[l:]
+	}
+	return out
+}
+
+// tag is the class letter of a barcode.
+func (c SampleClass) tag() byte {
+	if c == Normal {
+		return 'N'
+	}
+	return 'T'
+}
+
+// barcodeLen is the length of a barcode of a non-negative index: the
+// index takes at least four digits.
+func barcodeLen(cancer string, idx int) int {
+	digits := 4
+	for x := idx / 10000; x > 0; x /= 10 {
+		digits++
+	}
+	return len("TCGA--T") + len(cancer) + digits
+}
+
+// writeBarcode is the fmt form "TCGA-%s-%c%04d" of a non-negative index,
+// without fmt's per-call formatting cost.
+func writeBarcode(b *strings.Builder, cancer string, class SampleClass, idx int) {
 	var digits [20]byte
 	num := strconv.AppendInt(digits[:0], int64(idx), 10)
-	var b strings.Builder
-	b.Grow(len("TCGA--T") + len(cancer) + max(4, len(num)))
 	b.WriteString("TCGA-")
 	b.WriteString(cancer)
 	b.WriteByte('-')
-	b.WriteByte(tag)
+	b.WriteByte(class.tag())
 	for range 4 - len(num) {
 		b.WriteByte('0')
 	}
 	b.Write(num)
-	return b.String()
 }
 
 // PositionHistogram bins mutation positions for one gene and sample class

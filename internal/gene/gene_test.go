@@ -34,6 +34,25 @@ func TestBarcode(t *testing.T) {
 	}
 }
 
+// TestBarcodes requires Barcodes to equal Barcode at every index, across
+// the four- and five-digit widths.
+func TestBarcodes(t *testing.T) {
+	for _, class := range []SampleClass{Tumor, Normal} {
+		got := Barcodes("LUAD", class, 10003)
+		if len(got) != 10003 {
+			t.Fatalf("%d barcodes, want 10003", len(got))
+		}
+		for idx, b := range got {
+			if want := Barcode("LUAD", class, idx); b != want {
+				t.Fatalf("Barcodes(LUAD, %v)[%d] = %q, want %q", class, idx, b, want)
+			}
+		}
+	}
+	if got := Barcodes("ACC", Tumor, 0); len(got) != 0 {
+		t.Fatalf("Barcodes(ACC, Tumor, 0) = %q", got)
+	}
+}
+
 func TestHistogramPositions(t *testing.T) {
 	muts := []Mutation{
 		{GeneSymbol: "IDH1", Class: Tumor, Position: 132},

@@ -33,11 +33,8 @@ import (
 // reduce, and ckptstore points the scan and persistence pass through.
 func Run(ctx context.Context, tumor, normal *bitmat.Matrix, opt Options) (*Result, error) {
 	start := time.Now()
-	r := &run{opt: opt.withDefaults(), out: &Result{}}
+	r := &run{opt: opt.withDefaults(), out: &Result{}, tumor: tumor, normal: normal}
 	if r.opt.Store != nil {
-		// The inputs are fixed for the leg, so every publish reuses one
-		// hash of each.
-		r.tumorFP, r.normalFP = tumor.Fingerprint(), normal.Fingerprint()
 		if pc, ok := r.opt.Store.(publishCoster); ok {
 			if cost := pc.PublishCost(); cost > 0 {
 				// The caller holds a durable point as of the leg's start
@@ -91,8 +88,14 @@ const PublishRatio = 8
 
 // run is the mutable state of one supervised leg.
 type run struct {
-	opt               Options
-	tumorFP, normalFP uint64 // the inputs' fingerprints, when Store is set
+	opt           Options
+	tumor, normal *bitmat.Matrix
+	// tumorFP and normalFP are the inputs' fingerprints, hashed at the
+	// leg's first publish (hashed) and reused by every later one: the
+	// inputs are fixed for the leg, and a leg that never publishes never
+	// hashes them.
+	tumorFP, normalFP uint64
+	hashed            bool
 
 	// res is the loop's result as of the last commit, in the engine's own
 	// Result shape, so checkpoints serialize through cover's
@@ -197,6 +200,9 @@ func (r *run) persist() error {
 	if r.opt.Store == nil {
 		r.dirty = false
 		return nil
+	}
+	if !r.hashed {
+		r.tumorFP, r.normalFP, r.hashed = r.tumor.Fingerprint(), r.normal.Fingerprint(), true
 	}
 	start := time.Now()
 	cp := r.res.CheckpointFor(r.tumorFP, r.normalFP)

@@ -47,13 +47,11 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
-// writeJSON encodes one response.
+// writeJSON encodes one response, compact, on one line.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 // writeError maps service errors onto HTTP statuses. Rejections wrapped

@@ -272,7 +272,10 @@ type job struct {
 	// submission or restore); they never touch disk. key is the job's
 	// result-cache key. cohort is guarded by mu: it is released when the
 	// job turns terminal, and a resumed partial job's next leg rebuilds it.
+	// keyed, guarded by mu with cohort, reports that key was computed
+	// from cohort, so its fingerprints are cohort's.
 	cohort *dataset.Cohort
+	keyed  bool
 	opt    cover.Options
 	key    CacheKey
 

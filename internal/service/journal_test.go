@@ -373,6 +373,9 @@ func TestRestoredPartialJobResumes(t *testing.T) {
 	}
 	if p, err := svc2.WaitJob(ctx, st.ID); err != nil || p.State != StatePartial.String() {
 		t.Fatalf("resumed deadline job ended %+v (%v), want partial again", p, err)
+	} else {
+		// Its key came from its result record, its cohort from Resume.
+		assertCohortFingerprints(t, p.Result, spec.Cohort)
 	}
 	if err := svc2.Close(); err != nil {
 		t.Fatalf("Close: %v", err)

@@ -350,7 +350,7 @@ func (s *Service) buildJob(id string, spec JobSpec) (*job, error) {
 		return nil, err
 	}
 	j.cohort, j.cost = cohort, cost
-	j.key = CanonicalKey(cohort.Tumor, cohort.Normal, j.opt)
+	j.key, j.keyed = CanonicalKey(cohort.Tumor, cohort.Normal, j.opt), true
 	return j, nil
 }
 
@@ -641,7 +641,7 @@ func (s *Service) runJob(j *job) {
 	j.cancel = cancel
 	fresh := j.fresh
 	j.fresh = false
-	cohort := j.cohort
+	cohort, keyed := j.cohort, j.keyed
 	j.mu.Unlock()
 	if j.pending.withdrawn() {
 		// Its submitter gave up on the spec record before the run began.
@@ -650,7 +650,7 @@ func (s *Service) runJob(j *job) {
 	}
 	j.setState(StateRunning)
 
-	err := s.runLeg(ctx, j, cohort, fresh)
+	err := s.runLeg(ctx, j, cohort, keyed, fresh)
 	if err == nil {
 		return
 	}
@@ -697,13 +697,16 @@ func (s *Service) runJob(j *job) {
 //
 // cohort is the job's cohort; nil for a resumed partial job, which
 // released it when it turned terminal and rebuilds it from its spec
-// (unless Resume priced it after a restart).
-func (s *Service) runLeg(ctx context.Context, j *job, cohort *dataset.Cohort, fresh bool) error {
+// (unless Resume priced it after a restart). keyed reports that the job's
+// cache key was computed from cohort: the result then carries the key's
+// fingerprints instead of hashing the matrices again.
+func (s *Service) runLeg(ctx context.Context, j *job, cohort *dataset.Cohort, keyed, fresh bool) error {
 	if cohort == nil {
 		var err error
 		if cohort, err = s.generate(j.spec.Cohort); err != nil {
 			return err
 		}
+		keyed = false
 	}
 	store := &guardedStore{s: s, j: j, ctx: ctx}
 	var gens []uint64
@@ -737,8 +740,11 @@ func (s *Service) runLeg(ctx context.Context, j *job, cohort *dataset.Cohort, fr
 		return err
 	}
 
-	result := resultFromHarness(res, cohort.GeneSymbols,
-		cohort.Tumor.Fingerprint(), cohort.Normal.Fingerprint(), res.KernelFingerprint)
+	tumorFP, normalFP := j.key.TumorFP, j.key.NormalFP
+	if !keyed {
+		tumorFP, normalFP = cohort.Tumor.Fingerprint(), cohort.Normal.Fingerprint()
+	}
+	result := resultFromHarness(res, cohort.GeneSymbols, tumorFP, normalFP, res.KernelFingerprint)
 	j.mu.Lock()
 	j.resumed = j.resumed || res.Resumed
 	j.progress.ReplayedSteps = res.ReplayedSteps
@@ -1002,7 +1008,8 @@ func (s *Service) Resume(id string) (*JobStatus, error) {
 	j.result = nil
 	j.userCancel = false
 	if cohort != nil {
-		j.cohort = cohort
+		// The job's key came from its result record, not this cohort.
+		j.cohort, j.keyed = cohort, false
 	}
 	j.done = make(chan struct{})
 	j.publishLocked(Event{Type: "state", JobID: j.id, State: StateQueued.String()})

@@ -44,6 +44,19 @@ func directRun(t *testing.T, spec JobSpec) *harness.Result {
 // assertMatchesDirect pins the issue's acceptance bar: combos, cover, and
 // the Evaluated/Pruned work counters of a service job must be
 // bit-identical to the uninterrupted direct run.
+// assertCohortFingerprints requires a result to carry the fingerprints
+// of the cohort its spec generates, however the daemon came by them.
+func assertCohortFingerprints(t *testing.T, got *JobResult, spec CohortSpec) {
+	t.Helper()
+	c, err := spec.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == nil || got.TumorFingerprint != c.Tumor.Fingerprint() || got.NormalFingerprint != c.Normal.Fingerprint() {
+		t.Fatalf("result fingerprints are not the cohort's: %+v, cohort %#x/%#x", got, c.Tumor.Fingerprint(), c.Normal.Fingerprint())
+	}
+}
+
 func assertMatchesDirect(t *testing.T, got *JobResult, want *harness.Result) {
 	t.Helper()
 	if got == nil {
@@ -247,7 +260,9 @@ func TestKernelizedSubmissionDoesNotHitPlainCache(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit kernelized: %v", err)
 	}
-	if st2.State == StateSucceeded.String() {
+	// A fresh job may finish within its own POST (preack.go), so a
+	// terminal answer alone is no cache hit: its cache provenance is.
+	if st2.Result != nil && st2.Result.CachedFrom != "" {
 		t.Fatal("kernelized submission was served from the plain run's cache entry")
 	}
 	final, err := svc.WaitJob(ctx, st2.ID)
@@ -553,6 +568,8 @@ func TestTerminalJobReleasesCohort(t *testing.T) {
 	}
 	if p, err := svc.WaitJob(ctx, pst.ID); err != nil || p.State != StatePartial.String() {
 		t.Fatalf("resumed deadline job ended %+v (%v), want partial again", p, err)
+	} else {
+		assertCohortFingerprints(t, p.Result, early.Cohort)
 	}
 	if err := svc.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -576,6 +593,7 @@ func TestTerminalJobReleasesCohort(t *testing.T) {
 		t.Fatalf("reading the restored result: %v", err)
 	}
 	assertMatchesDirect(t, restored.Result, want)
+	assertCohortFingerprints(t, restored.Result, spec.Cohort)
 	again, err := svc2.Submit(spec)
 	if err != nil {
 		t.Fatalf("resubmit after restart: %v", err)
