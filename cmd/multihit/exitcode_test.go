@@ -78,12 +78,11 @@ func TestExitCodeContract(t *testing.T) {
 		t.Skip("builds and runs the real binary")
 	}
 	ckptDir := t.TempDir()
-	fiveHitCkpt := filepath.Join(ckptDir, "five.json")
 	cases := []struct {
 		name string
 		args []string
 		want int
-		// present, when set, names a file the run must have written.
+		// present, when set, is a glob that must match a file the run wrote.
 		present string
 	}{
 		{
@@ -103,6 +102,32 @@ func TestExitCodeContract(t *testing.T) {
 			want: service.ExitFailure,
 		},
 		{
+			name: "unknown flag exits ExitFailure",
+			args: []string{"-bogus"},
+			want: service.ExitFailure,
+		},
+		{
+			name: "malformed flag value exits ExitFailure",
+			args: []string{"-genes", "notanumber"},
+			want: service.ExitFailure,
+		},
+		{
+			name: "removed -splice flag exits ExitFailure",
+			args: []string{"-cancer", "LGG", "-genes", "22", "-hits", "5", "-max-iter", "1", "-splice"},
+			want: service.ExitFailure,
+		},
+		{
+			name: "removed -checkpoint flag exits ExitFailure",
+			args: []string{"-cancer", "LGG", "-genes", "22", "-hits", "5", "-max-iter", "1",
+				"-checkpoint", filepath.Join(ckptDir, "five.json")},
+			want: service.ExitFailure,
+		},
+		{
+			name: "help exits ExitOK",
+			args: []string{"-h"},
+			want: service.ExitOK,
+		},
+		{
 			name: "resume without a store exits ExitFailure",
 			args: []string{"-cancer", "ACC", "-genes", "24", "-hits", "2",
 				"-checkpoint-dir", filepath.Join(ckptDir, "empty"), "-resume"},
@@ -111,14 +136,9 @@ func TestExitCodeContract(t *testing.T) {
 		{
 			name: "checkpoint on the 5-hit path exits ExitOK",
 			args: []string{"-cancer", "LGG", "-genes", "22", "-hits", "5", "-max-iter", "1",
-				"-checkpoint", fiveHitCkpt},
+				"-checkpoint-dir", filepath.Join(ckptDir, "five")},
 			want:    service.ExitOK,
-			present: fiveHitCkpt,
-		},
-		{
-			name: "splice on the 5-hit path exits ExitOK",
-			args: []string{"-cancer", "LGG", "-genes", "22", "-hits", "5", "-max-iter", "1", "-splice"},
-			want: service.ExitOK,
+			present: filepath.Join(ckptDir, "five", "*.mhc"),
 		},
 		{
 			name: "expired deadline exits ExitEarlyStop",
@@ -134,8 +154,8 @@ func TestExitCodeContract(t *testing.T) {
 				t.Fatalf("exit code %d, want %d\noutput:\n%s", got, tc.want, out)
 			}
 			if tc.present != "" {
-				if _, err := os.Stat(tc.present); err != nil {
-					t.Fatalf("%s was not written: %v", tc.present, err)
+				if m, err := filepath.Glob(tc.present); err != nil || len(m) == 0 {
+					t.Fatalf("nothing matching %s was written (%v)", tc.present, err)
 				}
 			}
 		})

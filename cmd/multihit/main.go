@@ -4,7 +4,7 @@
 // Usage:
 //
 //	multihit -cancer LGG -genes 70 -hits 4
-//	multihit -cancer BRCA -genes 300 -hits 3 -scheduler ED -splice
+//	multihit -cancer BRCA -genes 300 -hits 3 -scheduler ED
 //	multihit -cancer ACC -hits 2 -max-iter 5 -v
 //	multihit -tumor-maf tumor.maf -normal-maf normal.maf -hits 2
 //	multihit -cancer LGG -genes 22 -hits 5
@@ -21,18 +21,19 @@
 //
 //	0 (service.ExitOK)        complete cover: the greedy loop ran to its
 //	                          natural end
-//	1 (service.ExitFailure)   failure: bad usage, IO error, failed resume,
-//	                          engine error
+//	1 (service.ExitFailure)   failure: bad usage (an unknown flag or a
+//	                          malformed value included), IO error, failed
+//	                          resume, engine error
 //	3 (service.ExitEarlyStop) early stop: deadline or signal ended the run
 //	                          with a best-so-far cover checkpointed for the
 //	                          next leg
 //
-// Batch scripts branch on 3 to schedule the next leg instead of alerting;
+// -h prints the flags and exits 0. Batch scripts branch on 3 to schedule
+// the next leg (-checkpoint-dir, then -resume) instead of alerting;
 // exitcode_test.go pins all three paths.
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -48,12 +49,14 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/failpoint"
 	"repro/internal/harness"
-	"repro/internal/reduce"
 	"repro/internal/service"
 	"repro/internal/stats"
 )
 
 func main() {
+	// ContinueOnError so a flag error exits with the contract's failure
+	// code (flag.ExitOnError would exit 2).
+	flag.CommandLine.Init(os.Args[0], flag.ContinueOnError)
 	cancer := flag.String("cancer", "BRCA", "TCGA study code (BRCA or one of the 11 four-hit cancers)")
 	genes := flag.Int("genes", 70, "scaled gene-universe size")
 	hits := flag.Int("hits", 4, "combination size h (2-5)")
@@ -64,19 +67,23 @@ func main() {
 	scheduler := flag.String("scheduler", "EA", "workload scheduler: EA or ED")
 	engine := flag.String("engine", "auto", "scan engine: auto (density-driven), dense, sparse; see docs/SPARSE.md")
 	workers := flag.Int("workers", 0, "worker count (0 = GOMAXPROCS)")
-	splice := flag.Bool("splice", false, "enable BitSplicing of covered samples")
 	kernelize := flag.Bool("kernelize", false, "reduce the instance (dominated genes, duplicate sample columns) before enumeration; see docs/KERNELIZATION.md")
 	maxIter := flag.Int("max-iter", 0, "cap on discovered combinations (0 = run to completion)")
 	seed := flag.Int64("seed", 42, "cohort generation seed")
 	verbose := flag.Bool("v", false, "print per-iteration details")
-	checkpoint := flag.String("checkpoint", "", "legacy single-file checkpoint: resumed from if present, written after the run")
 	ckptDir := flag.String("checkpoint-dir", "", "supervised mode: generational crash-safe checkpoint store directory")
 	resume := flag.Bool("resume", false, "supervised mode: resume from -checkpoint-dir (fails if there is nothing to resume)")
 	deadline := flag.Duration("deadline", 0, "supervised mode: wall-clock budget; on expiry the best-so-far cover is checkpointed and printed")
 	chaos := flag.String("chaos", "", "failpoint specs to arm, e.g. 'harness/crash=panic@1;cover/kernel=delay(5ms)'")
 	jsonOut := flag.Bool("json", false, "emit the result as JSON on stdout (machine-readable)")
 	topk := flag.Int("topk", 0, "instead of the greedy cover, print the K best combinations of one pass")
-	flag.Parse()
+	if err := flag.CommandLine.Parse(os.Args[1:]); err != nil {
+		// The flag package has already printed the error and the usage.
+		if errors.Is(err, flag.ErrHelp) {
+			os.Exit(service.ExitOK)
+		}
+		os.Exit(service.ExitFailure)
+	}
 
 	// Chaos first: failpoints from the environment, then the flag, so a
 	// scripted scenario can arm injection before any IO happens.
@@ -152,7 +159,6 @@ func main() {
 	opt := cover.Options{
 		Hits:          *hits,
 		Workers:       *workers,
-		BitSplice:     *splice,
 		Kernelize:     *kernelize,
 		MaxIterations: *maxIter,
 	}
@@ -205,25 +211,9 @@ func main() {
 	}
 
 	start := time.Now()
-	var res *core.Result
-	if *checkpoint != "" {
-		if _, statErr := os.Stat(*checkpoint); statErr == nil {
-			res = resumeFromCheckpoint(cohort, opt, *checkpoint)
-		} else if !errors.Is(statErr, os.ErrNotExist) {
-			// Never silently start fresh because the checkpoint could not
-			// be examined — that would discard the prior leg's work.
-			fatal(fmt.Errorf("checkpoint %s: %w", *checkpoint, statErr))
-		}
-	}
-	if res == nil {
-		var err error
-		res, err = core.Discover(cohort, opt)
-		if err != nil {
-			fatal(err)
-		}
-	}
-	if *checkpoint != "" {
-		writeCheckpoint(cohort, res, opt, *checkpoint)
+	res, err := core.Discover(cohort, opt)
+	if err != nil {
+		fatal(err)
 	}
 
 	if *jsonOut {
@@ -304,22 +294,14 @@ func runSupervised(cohort *dataset.Cohort, opt cover.Options, dir string, resume
 		}
 	}
 
-	out := &core.Result{
-		Cancer:      cohort.Spec.Code,
+	out := core.FromCover(cohort, &cover.Result{
+		Steps:       res.Steps,
 		Covered:     res.Covered,
 		Uncoverable: res.Uncoverable,
 		Evaluated:   res.Evaluated,
-		Engine:      res.Options.Engine.String(),
 		Elapsed:     res.Elapsed,
-	}
-	for _, step := range res.Steps {
-		ids := step.Combo.GeneIDs()
-		combo := core.Combo{GeneIDs: ids, F: step.Combo.F, NewlyCovered: step.NewlyCovered}
-		for _, id := range ids {
-			combo.Symbols = append(combo.Symbols, cohort.GeneSymbols[id])
-		}
-		out.Combos = append(out.Combos, combo)
-	}
+		Options:     res.Options,
+	})
 
 	if jsonOut {
 		enc := json.NewEncoder(os.Stdout)
@@ -366,65 +348,6 @@ func runSupervised(cohort *dataset.Cohort, opt cover.Options, dir string, resume
 		// schedule the next leg.
 		os.Exit(code)
 	}
-}
-
-// resumeFromCheckpoint loads a checkpoint and continues the run.
-func resumeFromCheckpoint(cohort *dataset.Cohort, opt cover.Options, path string) *core.Result {
-	f, err := os.Open(path)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	cp, err := cover.ReadCheckpoint(f)
-	if err != nil {
-		fatal(err)
-	}
-	run, err := cover.Resume(cohort.Tumor, cohort.Normal, opt, cp)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("resumed from %s: %d combinations replayed\n", path, len(cp.Combos))
-	res := &core.Result{
-		Cancer:      cohort.Spec.Code,
-		Covered:     run.Covered,
-		Uncoverable: run.Uncoverable,
-		Evaluated:   run.Evaluated,
-		Elapsed:     run.Elapsed,
-	}
-	for _, step := range run.Steps {
-		ids := step.Combo.GeneIDs()
-		combo := core.Combo{GeneIDs: ids, F: step.Combo.F, NewlyCovered: step.NewlyCovered}
-		for _, id := range ids {
-			combo.Symbols = append(combo.Symbols, cohort.GeneSymbols[id])
-		}
-		res.Combos = append(res.Combos, combo)
-	}
-	return res
-}
-
-// writeCheckpoint saves the run for a later leg.
-func writeCheckpoint(cohort *dataset.Cohort, res *core.Result, opt cover.Options, path string) {
-	full := &cover.Result{Options: opt, Evaluated: res.Evaluated}
-	if full.Options.Alpha == 0 {
-		full.Options.Alpha = cover.DefaultAlpha
-	}
-	for _, combo := range res.Combos {
-		full.Steps = append(full.Steps, cover.Step{
-			Combo:        reduce.NewCombo(0, combo.GeneIDs...),
-			NewlyCovered: combo.NewlyCovered,
-		})
-	}
-	cp := full.ToCheckpoint(cohort.Tumor, cohort.Normal)
-	var buf bytes.Buffer
-	if err := cp.Write(&buf); err != nil {
-		fatal(err)
-	}
-	// Publish through the store's atomic temp+fsync+rename dance so a crash
-	// mid-write cannot leave a torn checkpoint behind.
-	if err := ckptstore.WriteFileAtomic(path, buf.Bytes(), 0o644); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("checkpoint written to %s\n", path)
 }
 
 func fatal(err error) {

@@ -1,7 +1,6 @@
 // BRCA 4-hit discovery: the paper's principal workload at CPU-enumerable
-// scale, exercising both 4-hit parallelization schemes (2x2 and 3x1), the
-// two schedulers, and BitSplicing — and verifying they all find the
-// identical cover.
+// scale, exercising both 4-hit parallelization schemes (2x2 and 3x1) and
+// the two schedulers — and verifying they all find the identical cover.
 //
 //	go run ./examples/brca4hit
 package main
@@ -37,8 +36,6 @@ func main() {
 		{"3x1 scheme, equi-distance", cover.Options{Hits: 4, Scheme: cover.Scheme3x1,
 			Scheduler: cover.EquiDistance, MaxIterations: 15}},
 		{"2x2 scheme, equi-area", cover.Options{Hits: 4, Scheme: cover.Scheme2x2, MaxIterations: 15}},
-		{"3x1 + BitSplicing", cover.Options{Hits: 4, Scheme: cover.Scheme3x1, BitSplice: true,
-			MaxIterations: 15}},
 	}
 
 	var reference []string

@@ -7,11 +7,6 @@
 // unsigned long long int", Sec. II-C), giving the paper's 32× memory
 // reduction over a byte-per-cell layout and letting a single AND+popcount
 // evaluate 64 samples of a gene combination at once.
-//
-// The package also implements BitSplicing (Sec. III-D): after each iteration
-// of the cover loop, the tumor samples just covered are physically spliced
-// out of the matrix, shrinking every row and removing their words from all
-// subsequent AND chains.
 package bitmat
 
 import (
@@ -380,10 +375,10 @@ func (m *Matrix) Density() float64 {
 }
 
 // Splice returns a new matrix with every column whose bit is set in remove
-// spliced out, preserving the relative order of the remaining columns. This
-// is BitSplicing (Sec. III-D): covered tumor samples leave the matrix
-// entirely, so every subsequent AND chain touches fewer words. The remove
-// vector must span this matrix's samples.
+// spliced out, preserving the relative order of the remaining columns (the
+// paper's BitSplicing primitive, Sec. III-D; here it drops duplicate
+// columns in DedupColumns and filtered samples in the dataset loader). The
+// remove vector must span this matrix's samples.
 func (m *Matrix) Splice(remove *Vec) *Matrix {
 	if remove.n != m.samples {
 		panic(fmt.Sprintf("bitmat: Splice vector spans %d samples, matrix has %d", remove.n, m.samples))
@@ -426,13 +421,11 @@ func (m *Matrix) Splice(remove *Vec) *Matrix {
 }
 
 // SelectRows returns a new matrix holding the given rows in order — the
-// gene-compaction counterpart of Splice. After BitSplicing shrinks the
-// sample axis, genes whose remaining tumor row is all-zero can never raise
-// TP again; the cover loop drops them by selecting only the live rows (for
-// both matrices, with the same index list) and remapping the winner's gene
-// ids back through keep. The indices must be valid rows; they are copied
-// in the order given, so an ascending keep list preserves the strictly
-// increasing gene order the reduction relies on.
+// gene-axis counterpart of Splice, which kernelization uses to drop
+// dominated genes from both matrices with one index list. The indices
+// must be valid rows; they are copied in the order given, so an ascending
+// keep list preserves the strictly increasing gene order the reduction
+// relies on.
 func (m *Matrix) SelectRows(keep []int) *Matrix {
 	out := New(len(keep), m.samples)
 	for i, g := range keep {
@@ -655,27 +648,6 @@ func (v *Vec) Clone() *Vec {
 	c := &Vec{n: v.n, bits: make([]uint64, len(v.bits))}
 	copy(c.bits, v.bits)
 	return c
-}
-
-// Splice returns a new vector with the columns selected by remove spliced
-// out, mirroring Matrix.Splice so an active mask stays aligned with a
-// spliced matrix.
-func (v *Vec) Splice(remove *Vec) *Vec {
-	if remove.n != v.n {
-		panic("bitmat: Vec.Splice length mismatch")
-	}
-	out := NewVec(v.n - remove.PopCount())
-	pos := 0
-	for s := 0; s < v.n; s++ {
-		if remove.Get(s) {
-			continue
-		}
-		if v.Get(s) {
-			out.Set(pos)
-		}
-		pos++
-	}
-	return out
 }
 
 // Fingerprint returns an FNV-1a hash over the matrix dimensions and

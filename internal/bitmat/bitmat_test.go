@@ -290,24 +290,6 @@ func TestAllOnesTail(t *testing.T) {
 	}
 }
 
-func TestVecSplice(t *testing.T) {
-	v := NewVec(10)
-	v.Set(1)
-	v.Set(5)
-	v.Set(9)
-	remove := NewVec(10)
-	remove.Set(0)
-	remove.Set(5)
-	out := v.Splice(remove)
-	if out.Len() != 8 {
-		t.Fatalf("spliced length %d, want 8", out.Len())
-	}
-	// Old col 1 → new col 0; old col 9 → new col 7; old col 5 removed.
-	if !out.Get(0) || !out.Get(7) || out.PopCount() != 2 {
-		t.Fatal("Vec.Splice produced wrong bits")
-	}
-}
-
 func TestVecAndPopCount(t *testing.T) {
 	v := AllOnes(130)
 	words := make([]uint64, len(v.Words()))
@@ -491,7 +473,6 @@ func TestVecOpLengthMismatchPanics(t *testing.T) {
 		func() { a.And(b) },
 		func() { a.Or(b) },
 		func() { a.AndNot(b) },
-		func() { a.Splice(b) },
 		func() { a.AndPopCount(make([]uint64, 5)) },
 	} {
 		func() {

@@ -2,12 +2,12 @@ package bitmat
 
 import "testing"
 
-// FuzzSelectRows exercises the gene-compaction remap: for an arbitrary
-// matrix and keep list, SelectRows must copy exactly the kept rows in
-// order — compacted row i bit-identical to original row keep[i] — so a
-// winner found in the compacted space maps back through keep without
-// changing a single bit. The keep list is derived from fuzz bytes the way
-// the cover loop builds it: ascending, duplicate-free, possibly empty.
+// FuzzSelectRows exercises kernelization's row selection: for an
+// arbitrary matrix and keep list, SelectRows must copy exactly the kept
+// rows in order — selected row i bit-identical to original row keep[i] —
+// so a winner found on the kernel maps back through keep without changing
+// a single bit. The keep list is derived from fuzz bytes the way
+// kernelize builds it: ascending, duplicate-free, possibly empty.
 func FuzzSelectRows(f *testing.F) {
 	f.Add(uint16(7), uint16(70), []byte{0b1010101})
 	f.Add(uint16(1), uint16(1), []byte{1})

@@ -382,10 +382,6 @@ func TestDiscoverRejectsBadInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := Discover(Summit(2), c.Tumor, c.Normal,
-		cover.Options{Hits: 2, BitSplice: true}); err == nil {
-		t.Error("Discover accepted BitSplice")
-	}
-	if _, err := Discover(Summit(2), c.Tumor, c.Normal,
 		cover.Options{Hits: 9}); err == nil {
 		t.Error("Discover accepted bad hit count")
 	}

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/bitmat"
 	"repro/internal/cover"
@@ -107,9 +106,6 @@ func DiscoverCtx(ctx context.Context, spec Spec, tumor, normal *bitmat.Matrix, o
 // included), and the gene count the passes scan — the kernel's under
 // Kernelize.
 func discoverGreedy(ctx context.Context, spec Spec, tumor, normal *bitmat.Matrix, opt cover.Options) (*cover.Result, int, int, error) {
-	if opt.BitSplice {
-		return nil, 0, 0, fmt.Errorf("cluster: Discover scans an active-sample mask; disable BitSplice")
-	}
 	passes, genes := 0, tumor.Genes()
 	count := func(p cover.Pass) {
 		passes++

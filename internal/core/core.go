@@ -67,6 +67,12 @@ func Discover(c *dataset.Cohort, opt cover.Options) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: discovery on %s: %w", c.Spec.Code, err)
 	}
+	return FromCover(c, res), nil
+}
+
+// FromCover converts an engine result on cohort c into a Result, attaching
+// the cohort's gene symbols to every combination.
+func FromCover(c *dataset.Cohort, res *cover.Result) *Result {
 	out := &Result{
 		Cancer:      c.Spec.Code,
 		Covered:     res.Covered,
@@ -83,7 +89,7 @@ func Discover(c *dataset.Cohort, opt cover.Options) (*Result, error) {
 		}
 		out.Combos = append(out.Combos, combo)
 	}
-	return out, nil
+	return out
 }
 
 // TrainTestResult is a trained classifier with its held-out evaluation.

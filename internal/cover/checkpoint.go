@@ -35,11 +35,8 @@ const maxCheckpointBytes = 64 << 20
 // It records the combinations chosen so far plus a fingerprint binding it
 // to the exact input matrices; Resume replays the recorded exclusions in
 // O(steps) matrix operations and continues the greedy loop, skipping every
-// already-completed enumeration pass.
-//
-// A checkpoint binds to the ORIGINAL matrices in both sample-axis modes:
-// a BitSplice run's spliced matrix is derived state, which a continued
-// BitSplice leg rebuilds by splicing the replayed steps' samples out.
+// already-completed enumeration pass. A checkpoint binds to the ORIGINAL
+// matrices, never to a Kernelize kernel, which a continued leg rebuilds.
 type Checkpoint struct {
 	// Version guards the wire format.
 	Version int `json:"version"`
@@ -138,11 +135,8 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 // combinations are re-applied (and re-verified) without re-enumerating
 // their iterations, then the greedy loop continues to completion (or to
 // opt.MaxIterations, counted from the beginning, for another bounded leg).
-// The matrices must be the ones the checkpoint was taken from. Either
-// sample-axis mode may continue a checkpoint from either; a BitSplice leg
-// continuing a BitSplice run equals the uninterrupted run, counts
-// included. Resume is Greedy from cp with the default scanner and no
-// commit.
+// The matrices must be the ones the checkpoint was taken from. Resume is
+// Greedy from cp with the default scanner and no commit.
 func Resume(tumor, normal *bitmat.Matrix, opt Options, cp *Checkpoint) (*Result, error) {
 	res, err := Greedy(context.Background(), tumor, normal, opt, cp, Hooks{})
 	if err != nil {

@@ -211,39 +211,6 @@ func TestMultiLegCheckpointing(t *testing.T) {
 	}
 }
 
-func TestCheckpointResumeFromBitSpliceRun(t *testing.T) {
-	// A checkpoint taken from a BitSplice run binds to the ORIGINAL
-	// matrices (the splice is derived state), so it must resume in mask
-	// mode and converge to the same cover as an uninterrupted mask run.
-	tumor, normal := randomPair(79, 14, 60, 50, 0.4)
-	full, err := Run(tumor, normal, Options{Hits: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(full.Steps) < 3 {
-		t.Skipf("need ≥3 steps to split, got %d", len(full.Steps))
-	}
-	partial, err := Run(tumor, normal, Options{Hits: 3, BitSplice: true, MaxIterations: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp := partial.ToCheckpoint(tumor, normal)
-	resumed, err := Resume(tumor, normal, Options{Hits: 3}, cp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resumed.Steps) != len(full.Steps) || resumed.Covered != full.Covered {
-		t.Fatalf("resume from a spliced run: %d steps / %d covered, want %d / %d",
-			len(resumed.Steps), resumed.Covered, len(full.Steps), full.Covered)
-	}
-	for i := range full.Steps {
-		if resumed.Steps[i].Combo.GeneIDs()[0] != full.Steps[i].Combo.GeneIDs()[0] ||
-			resumed.Steps[i].NewlyCovered != full.Steps[i].NewlyCovered {
-			t.Fatalf("step %d diverges: %v vs %v", i, resumed.Steps[i], full.Steps[i])
-		}
-	}
-}
-
 // cadence returns a Greedy commit callback that checkpoints the run after
 // every every-th step into *cps.
 func cadence(tumor, normal *bitmat.Matrix, every int, cps *[]*Checkpoint) func(*Result) error {
@@ -302,67 +269,6 @@ func TestCommitErrorEndsRun(t *testing.T) {
 	}
 	if res == nil || len(res.Steps) != 2 {
 		t.Fatalf("run ended with %v, want the 2 committed steps", res)
-	}
-}
-
-func TestCheckpointCadenceUnderBitSplice(t *testing.T) {
-	// Cadence checkpoints taken DURING a splice run must each resume
-	// against the original matrices.
-	tumor, normal := randomPair(83, 13, 50, 40, 0.45)
-	full, err := Run(tumor, normal, Options{Hits: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cps []*Checkpoint
-	_, err = Greedy(context.Background(), tumor, normal, Options{Hits: 3, BitSplice: true}, nil,
-		Hooks{Commit: cadence(tumor, normal, 1, &cps)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cps) == 0 {
-		t.Fatal("no cadence checkpoints taken")
-	}
-	for i, cp := range cps {
-		resumed, err := Resume(tumor, normal, Options{Hits: 3}, cp)
-		if err != nil {
-			t.Fatalf("checkpoint %d does not resume: %v", i, err)
-		}
-		if len(resumed.Steps) != len(full.Steps) || resumed.Covered != full.Covered {
-			t.Fatalf("checkpoint %d resume diverges from the mask run", i)
-		}
-	}
-}
-
-func TestBitSpliceResumeMatchesUninterrupted(t *testing.T) {
-	// A BitSplice leg continuing a BitSplice checkpoint equals the
-	// uninterrupted BitSplice run step for step: combinations, F bits,
-	// cover counts and per-step work counts, from every split point.
-	c := pruneCohort(t, dataset.BRCA(), 30, 7)
-	for _, hits := range []int{2, 3} {
-		opt := Options{Hits: hits, Workers: 2, BitSplice: true}
-		var cps []*Checkpoint
-		full, err := Greedy(context.Background(), c.Tumor, c.Normal, opt, nil,
-			Hooks{Commit: cadence(c.Tumor, c.Normal, 1, &cps)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(cps) < 3 {
-			t.Fatalf("h=%d: need ≥3 steps to split, got %d", hits, len(cps))
-		}
-		for split, cp := range cps[:len(cps)-1] {
-			resumed, err := Resume(c.Tumor, c.Normal, opt, cp)
-			if err != nil {
-				t.Fatalf("h=%d split %d: %v", hits, split+1, err)
-			}
-			label := fmt.Sprintf("h=%d split %d", hits, split+1)
-			sameStepsAfter(t, label, resumed, full, split+1)
-			if resumed.Evaluated != full.Evaluated || resumed.Pruned != full.Pruned ||
-				resumed.Covered != full.Covered || resumed.Uncoverable != full.Uncoverable {
-				t.Fatalf("%s: totals %d/%d/%d/%d, want %d/%d/%d/%d", label,
-					resumed.Evaluated, resumed.Pruned, resumed.Covered, resumed.Uncoverable,
-					full.Evaluated, full.Pruned, full.Covered, full.Uncoverable)
-			}
-		}
 	}
 }
 

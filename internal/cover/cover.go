@@ -170,17 +170,13 @@ type Options struct {
 	// the 2x2/3x1 4-hit kernels always run fully prefetched, as in the
 	// paper's production configuration.
 	MemOpt1, MemOpt2 bool
-	// BitSplice physically splices covered tumor samples out of the matrix
-	// after each iteration instead of masking them.
-	BitSplice bool
 	// Kernelize shrinks the instance once before enumeration
 	// (internal/kernelize, docs/KERNELIZATION.md): duplicate sample
 	// columns merge into weighted columns and dominated genes leave G.
 	// The kernel is static for the whole run, as in internal/harness.
 	// Both reductions preserve the tie-broken winner bit-identically;
 	// dropped combinations count as Pruned, so Scanned stays C(G, h) per
-	// pass. Mutually exclusive with BitSplice (the kernel owns the sample
-	// axis).
+	// pass.
 	Kernelize bool
 	// Engine selects the scan representation (docs/SPARSE.md):
 	// EngineAuto (zero value) measures the instance's density after
@@ -189,13 +185,11 @@ type Options struct {
 	// kernels. Purely an execution knob: winners, Counts, and checkpoints
 	// are bit-identical across engines, so checkpoints do not record it
 	// and the service result cache canonicalizes it away. Sparse requires
-	// a prunable scheme (2x1/2x2/3x1/1x3) and is mutually exclusive with
-	// BitSplice (ErrSparseBitSplice).
+	// a prunable scheme (2x1/2x2/3x1/1x3).
 	Engine Engine
 	// NoPrune disables the bound-and-prune layer (docs/PRUNING.md): the
 	// seed probe and the per-partition incumbents, the kernels' prefix
-	// upper-bound checks, the per-iteration gene compaction of BitSplice
-	// runs, and the greedy loop's support pass.
+	// upper-bound checks, and the greedy loop's support pass.
 	// Pruning never changes which combinations are returned — only how
 	// many are scored — so NoPrune exists for differential testing and for
 	// measuring the pruning ratio against an exhaustive scan.
@@ -247,14 +241,8 @@ func (o Options) withDefaults() (Options, error) {
 	if o.BlockSize < 0 {
 		return o, fmt.Errorf("cover: BlockSize must be non-negative, got %d", o.BlockSize)
 	}
-	if o.Kernelize && o.BitSplice {
-		return o, fmt.Errorf("cover: Kernelize and BitSplice are mutually exclusive")
-	}
 	if o.Engine < EngineAuto || o.Engine > EngineSparse {
 		return o, fmt.Errorf("cover: unknown engine %d", o.Engine)
-	}
-	if o.Engine == EngineSparse && o.BitSplice {
-		return o, ErrSparseBitSplice
 	}
 	if o.Engine == EngineSparse && !o.Scheme.sparseCapable() {
 		return o, fmt.Errorf("cover: scheme %s has no sparse kernel (only 2x1, 2x2, 3x1 and 1x3 do)", o.Scheme)
@@ -276,7 +264,7 @@ type Step struct {
 	// iteration.
 	Evaluated uint64
 	// Pruned is the number of combinations skipped by bound-and-prune this
-	// iteration, including whole gene-compaction eliminations and, when
+	// iteration, including the combinations a Kernelize kernel removes and, when
 	// the support pass decided the iteration (docs/PRUNING.md §7), every
 	// combination outside the active samples' h-subsets. The sum
 	// Evaluated + Pruned equals the enumeration size of the pass(es). The
@@ -327,7 +315,7 @@ func (r *Result) Combos() []reduce.Combo {
 
 // Run executes the full greedy cover loop on the given tumor/normal
 // matrices. The matrices must share the gene dimension. Run never modifies
-// its inputs: BitSplicing scans spliced copies.
+// its inputs.
 func Run(tumor, normal *bitmat.Matrix, opt Options) (*Result, error) {
 	return RunCtx(context.Background(), tumor, normal, opt)
 }
@@ -349,44 +337,6 @@ func vecFromWords(n int, words []uint64) *bitmat.Vec {
 	v := bitmat.NewVec(n)
 	copy(v.Words(), words)
 	return v
-}
-
-// compactKeep returns the ascending gene indices whose tumor rows still
-// carry at least one active sample, or nil when no gene can be dropped.
-// The keep list stays ascending, so remapping compacted gene ids back
-// through it preserves both strict ordering inside a combination and the
-// lexicographic order between combinations. The common no-drop iteration
-// allocates nothing: the keep slice materializes only after the first
-// droppable row is seen.
-func compactKeep(tumor *bitmat.Matrix) []int {
-	g := tumor.Genes()
-	var keep []int
-	for i := 0; i < g; i++ {
-		if tumor.RowPopCount(i) == 0 {
-			if keep == nil {
-				keep = make([]int, 0, g-1)
-				for j := 0; j < i; j++ {
-					keep = append(keep, j)
-				}
-			}
-			continue
-		}
-		if keep != nil {
-			keep = append(keep, i)
-		}
-	}
-	return keep
-}
-
-// remapCombo translates a combination found on a compacted matrix back to
-// the original gene ids through the keep list.
-func remapCombo(c reduce.Combo, keep []int) reduce.Combo {
-	for i, g := range c.Genes {
-		if g >= 0 {
-			c.Genes[i] = int32(keep[g])
-		}
-	}
-	return c
 }
 
 // domainSize returns C(genes, hits) — the enumeration size of one full

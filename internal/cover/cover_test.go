@@ -195,47 +195,15 @@ func TestRunGreedySequenceMatchesManualGreedy(t *testing.T) {
 	}
 }
 
-func TestBitSpliceEquivalence(t *testing.T) {
-	// Splicing covered samples out must choose the same combinations, with
-	// the same F values, as masking them.
-	for seed := int64(0); seed < 3; seed++ {
-		tumor, normal := randomPair(100+seed, 14, 50, 40, 0.35)
-		masked, err := Run(tumor, normal, Options{Hits: 3, Workers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		spliced, err := Run(tumor, normal, Options{Hits: 3, Workers: 4, BitSplice: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(masked.Steps) != len(spliced.Steps) {
-			t.Fatalf("seed %d: masked ran %d steps, spliced %d",
-				seed, len(masked.Steps), len(spliced.Steps))
-		}
-		for i := range masked.Steps {
-			if masked.Steps[i].Combo != spliced.Steps[i].Combo {
-				t.Fatalf("seed %d step %d: masked %+v != spliced %+v",
-					seed, i, masked.Steps[i].Combo, spliced.Steps[i].Combo)
-			}
-			if masked.Steps[i].NewlyCovered != spliced.Steps[i].NewlyCovered {
-				t.Fatalf("seed %d step %d: cover counts differ", seed, i)
-			}
-		}
-		if masked.Covered != spliced.Covered || masked.Uncoverable != spliced.Uncoverable {
-			t.Fatalf("seed %d: totals differ", seed)
-		}
-	}
-}
-
 func TestRunDoesNotMutateInputs(t *testing.T) {
 	tumor, normal := randomPair(23, 12, 40, 30, 0.35)
 	tc, nc := tumor.Clone(), normal.Clone()
-	for _, splice := range []bool{false, true} {
-		if _, err := Run(tumor, normal, Options{Hits: 3, BitSplice: splice}); err != nil {
+	for _, kernelized := range []bool{false, true} {
+		if _, err := Run(tumor, normal, Options{Hits: 3, Kernelize: kernelized}); err != nil {
 			t.Fatal(err)
 		}
 		if !tumor.Equal(tc) || !normal.Equal(nc) {
-			t.Fatalf("Run(splice=%v) mutated its inputs", splice)
+			t.Fatalf("Run(kernelize=%v) mutated its inputs", kernelized)
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/bitmat"
-	"repro/internal/failpoint"
 	"repro/internal/kernelize"
 	"repro/internal/reduce"
 )
@@ -28,9 +27,7 @@ import (
 // A Pass is one enumeration pass of the greedy loop: the instance a
 // Scanner scores and the options to score it with. Under Kernelize the
 // matrices are the kernel's and the weights its column multiplicities;
-// under BitSplice Tumor is the spliced working matrix, possibly
-// gene-compacted, and Active is all-ones; otherwise the matrices are the
-// run's inputs and the weights are nil.
+// otherwise the matrices are the run's inputs and the weights are nil.
 type Pass struct {
 	// Step is the 0-based greedy step the pass chooses.
 	Step          int
@@ -75,14 +72,12 @@ type Hooks struct {
 //
 // from, when non-nil, is the checkpoint to continue: its steps are
 // replayed and re-verified without enumeration, and MaxIterations counts
-// from the first replayed step. nil starts a fresh run. A checkpoint
-// taken with or without BitSplice continues either way.
+// from the first replayed step. nil starts a fresh run.
 //
 // A nil Result comes back only when the options, the matrices or the
 // checkpoint are rejected. Otherwise the result holds every committed
 // step; on an error (a canceled context included) it also holds the
-// counts of the work done before it. Greedy never modifies its inputs:
-// BitSplicing scans spliced copies.
+// counts of the work done before it. Greedy never modifies its inputs.
 func Greedy(ctx context.Context, tumor, normal *bitmat.Matrix, opt Options, from *Checkpoint, hooks Hooks) (*Result, error) {
 	start := time.Now()
 	opt, err := opt.withDefaults()
@@ -130,14 +125,6 @@ func Greedy(ctx context.Context, tumor, normal *bitmat.Matrix, opt Options, from
 	res.Options = opt
 
 	kactive := kern.MapActive(active)
-	if opt.BitSplice && from != nil {
-		// The working splice is derived state: a continued leg splices
-		// the replayed steps' covered samples out of the input.
-		covered := bitmat.AllOnes(tumor.Samples())
-		covered.AndNot(active)
-		kern.Tumor = tumor.Splice(covered)
-		kactive = bitmat.AllOnes(kern.Tumor.Samples())
-	}
 	if hooks.Scan == nil {
 		hooks.Scan = findBest
 	}
@@ -162,8 +149,7 @@ func popWords(w *bitmat.Weights, words []uint64) int {
 
 // newKernel builds the instance the greedy loop scans: kernelize.Reduce's
 // kernel under Kernelize, the identity kernel otherwise. The identity
-// kernel shares the input matrices; a BitSplice run replaces its Tumor
-// with spliced copies and never writes into the original.
+// kernel shares the input matrices and never writes into them.
 func newKernel(tumor, normal *bitmat.Matrix, opt Options) (*kernelize.Kernel, error) {
 	if opt.Kernelize {
 		return kernelize.Reduce(tumor, normal, opt.Hits)
@@ -183,10 +169,6 @@ func newKernel(tumor, normal *bitmat.Matrix, opt Options) (*kernelize.Kernel, er
 // Each pass goes to the support pass first (unless NoPrune), then to the
 // scan. The support state is the loop's: built once, on the first pass
 // whose support fits the budget, and updated by every step after it.
-// BitSplice is the loop's only per-pass variation: each scan drops the
-// genes splicing has emptied (splicePass), and each step splices its
-// covered samples out of kern.Tumor, after which kactive is all-ones at
-// the new width.
 func greedy(ctx context.Context, kern *kernelize.Kernel, kactive *bitmat.Vec, denom float64, opt Options, hooks Hooks, res *Result) error {
 	full, err := domainSizeChecked(kern.Genes, opt.Hits)
 	if err != nil {
@@ -197,7 +179,7 @@ func greedy(ctx context.Context, kern *kernelize.Kernel, kactive *bitmat.Vec, de
 		return err
 	}
 	staticDrop := full - kernDomain
-	var coverBuf []uint64
+	coverBuf := make([]uint64, kern.Tumor.Words())
 	var support supportState
 
 	for opt.MaxIterations == 0 || len(res.Steps) < opt.MaxIterations {
@@ -228,15 +210,10 @@ func greedy(ctx context.Context, kern *kernelize.Kernel, kactive *bitmat.Vec, de
 				return err
 			}
 		}
-		switch {
-		case settled:
-			if hooks.Settled != nil {
-				hooks.Settled(p)
-			}
-		case opt.BitSplice && !opt.NoPrune:
-			best, cnt, err = splicePass(ctx, hooks.Scan, p)
-		default:
+		if !settled {
 			best, cnt, err = hooks.Scan(ctx, p)
+		} else if hooks.Settled != nil {
+			hooks.Settled(p)
 		}
 		if err == nil {
 			// Completed pass: kernel-removed combinations count as pruned,
@@ -252,9 +229,6 @@ func greedy(ctx context.Context, kern *kernelize.Kernel, kactive *bitmat.Vec, de
 			break
 		}
 
-		if len(coverBuf) != kern.Tumor.Words() {
-			coverBuf = make([]uint64, kern.Tumor.Words())
-		}
 		kern.Tumor.ComboVec(coverBuf, best.GeneIDs()...)
 		cov := vecFromWords(kern.Tumor.Samples(), coverBuf)
 		cov.And(kactive)
@@ -269,15 +243,7 @@ func greedy(ctx context.Context, kern *kernelize.Kernel, kactive *bitmat.Vec, de
 		}
 		res.Covered += covered
 		support.remove(cov.Words())
-		if opt.BitSplice {
-			if err := failpoint.Check("cover/splice"); err != nil {
-				return err
-			}
-			kern.Tumor = kern.Tumor.Splice(cov)
-			kactive = bitmat.AllOnes(kern.Tumor.Samples())
-		} else {
-			kactive.AndNot(cov)
-		}
+		kactive.AndNot(cov)
 		activeAfter := popWords(kern.TumorWeights, kactive.Words())
 
 		res.Steps = append(res.Steps, Step{
@@ -306,48 +272,4 @@ func greedy(ctx context.Context, kern *kernelize.Kernel, kactive *bitmat.Vec, de
 		}
 	}
 	return nil
-}
-
-// splicePass is one enumeration pass of a pruned BitSplice run, with gene
-// compaction (docs/PRUNING.md): once splicing has removed all tumor
-// samples a gene was mutated in, no combination containing it can have
-// TP > 0, so the scan runs on the surviving genes only and every dropped
-// combination counts as pruned. With fewer than h surviving genes every
-// combination has TP = 0: the whole pass is pruned and no winner is
-// returned, which ends the loop with the remaining samples uncoverable.
-func splicePass(ctx context.Context, scan Scanner, p Pass) (reduce.Combo, Counts, error) {
-	keep := compactKeep(p.Tumor) // nil when no gene can be dropped
-	if keep == nil {
-		return scan(ctx, p)
-	}
-	full, err := domainSizeChecked(p.Tumor.Genes(), p.Opt.Hits)
-	if err != nil {
-		return reduce.None, Counts{}, err
-	}
-	if len(keep) < p.Opt.Hits {
-		return reduce.None, Counts{Pruned: full}, nil
-	}
-	sub := p
-	sub.Tumor, sub.Normal = p.Tumor.SelectRows(keep), p.Normal.SelectRows(keep)
-	best, cnt, err := scan(ctx, sub)
-	if err != nil {
-		return best, cnt, err
-	}
-	subDomain, err := domainSizeChecked(len(keep), p.Opt.Hits)
-	if err != nil {
-		return best, cnt, err
-	}
-	cnt.Pruned += full - subDomain
-	if best != reduce.None && best.StrictlyAbove(float64(p.Normal.Samples())/p.Denom) {
-		// The compacted winner's F exceeds score(0, 0), which every
-		// dropped-gene combination is capped at, so it wins the full
-		// domain outright; remap its gene ids back.
-		return remapCombo(best, keep), cnt, nil
-	}
-	// A dropped-gene combination could tie the compacted winner on F and
-	// beat it lexicographically: rescan the full domain so the tie-break
-	// is exact.
-	best, rescan, err := scan(ctx, p)
-	cnt.add(rescan)
-	return best, cnt, err
 }

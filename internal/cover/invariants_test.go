@@ -28,13 +28,8 @@ func TestRunInvariantsOverRandomInputs(t *testing.T) {
 			Workers:   1 + rng.Intn(8),
 			BlockSize: 1 + rng.Intn(600),
 		}
-		// The sample-axis mode: mask, splice or kernelize.
-		switch rng.Intn(3) {
-		case 1:
-			opt.BitSplice = true
-		case 2:
-			opt.Kernelize = true
-		}
+		// The sample axis: the plain active mask or the kernelized one.
+		opt.Kernelize = rng.Intn(2) == 1
 		if rng.Intn(2) == 1 {
 			opt.Scheduler = EquiDistance
 		}

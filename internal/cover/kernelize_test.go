@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/bitmat"
 	"repro/internal/dataset"
-	"repro/internal/reduce"
 )
 
 // TestKernelizedRunMatchesPlain is the tentpole differential guarantee:
@@ -162,56 +161,6 @@ func TestReplayRejectsKernelizeMismatch(t *testing.T) {
 		if _, err := Resume(c.Tumor, c.Normal, flipped, cp); err == nil {
 			t.Fatalf("kernelize=%v checkpoint resumed under kernelize=%v", kernelized, !kernelized)
 		}
-	}
-}
-
-// TestKernelizeBitSpliceRejected: the two exclusion regimes are mutually
-// exclusive — a kernel's merged columns cannot be spliced per-sample.
-func TestKernelizeBitSpliceRejected(t *testing.T) {
-	tumor, normal := randomPair(31, 9, 20, 16, 0.3)
-	if _, err := Run(tumor, normal, Options{Hits: 2, Kernelize: true, BitSplice: true}); err == nil {
-		t.Fatal("Kernelize+BitSplice accepted")
-	}
-}
-
-// TestCompactKeepNilAndRemap pins the compactKeep contract after the
-// satellite rewrite: nil when every row survives (the caller skips the
-// rebuild entirely), an explicit ascending keep otherwise — and
-// remapCombo through an explicit identity keep is the identity, so the
-// two forms can never remap a winner differently.
-func TestCompactKeepNilAndRemap(t *testing.T) {
-	dense := bitmat.New(4, 8)
-	for g := 0; g < 4; g++ {
-		dense.Set(g, g)
-	}
-	if keep := compactKeep(dense); keep != nil {
-		t.Fatalf("compactKeep on a dense matrix returned %v, want nil", keep)
-	}
-
-	sparse := bitmat.New(4, 8)
-	sparse.Set(0, 0)
-	sparse.Set(2, 1)
-	sparse.Set(3, 2)
-	keep := compactKeep(sparse)
-	want := []int{0, 2, 3}
-	if len(keep) != len(want) {
-		t.Fatalf("compactKeep=%v, want %v", keep, want)
-	}
-	for i := range want {
-		if keep[i] != want[i] {
-			t.Fatalf("compactKeep=%v, want %v", keep, want)
-		}
-	}
-
-	combo := reduce.NewCombo2(0.25, 1, 2)
-	identity := []int{0, 1, 2, 3}
-	if got := remapCombo(combo, identity); got != combo {
-		t.Fatalf("identity remap changed %v to %v", combo, got)
-	}
-	remapped := remapCombo(combo, keep)
-	ids := remapped.GeneIDs()
-	if ids[0] != 2 || ids[1] != 3 {
-		t.Fatalf("remapped ids %v, want [2 3]", ids)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/combinat"
 	"repro/internal/dataset"
+	"repro/internal/kernelize"
 	"repro/internal/reduce"
 	"repro/internal/sched"
 )
@@ -94,8 +95,7 @@ func TestPrunedFindBestMatchesExhaustive(t *testing.T) {
 
 // TestPrunedRunMatchesNoPrune asserts the greedy loop's full output —
 // the discovered combinations, in order — is bit-identical with and
-// without pruning, in both exclusion modes, including the gene-compaction
-// path that BitSplice enables.
+// without pruning.
 func TestPrunedRunMatchesNoPrune(t *testing.T) {
 	cohorts := []*dataset.Cohort{
 		pruneCohort(t, dataset.BRCA(), 22, 3),
@@ -103,37 +103,30 @@ func TestPrunedRunMatchesNoPrune(t *testing.T) {
 	}
 	for ci, c := range cohorts {
 		for _, hits := range []int{2, 3, 4, 5} {
-			for _, splice := range []bool{false, true} {
-				ref, err := Run(c.Tumor, c.Normal, Options{
-					Hits: hits, Workers: 3, BitSplice: splice, NoPrune: true,
-				})
-				if err != nil {
-					t.Fatal(err)
+			ref, err := Run(c.Tumor, c.Normal, Options{Hits: hits, Workers: 3, NoPrune: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Run(c.Tumor, c.Normal, Options{Hits: hits, Workers: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantCombos, gotCombos := ref.Combos(), got.Combos()
+			if len(wantCombos) != len(gotCombos) {
+				t.Fatalf("cohort %d hits=%d: %d steps, want %d",
+					ci, hits, len(gotCombos), len(wantCombos))
+			}
+			for i := range wantCombos {
+				if gotCombos[i] != wantCombos[i] {
+					t.Fatalf("cohort %d hits=%d step %d: %v != %v",
+						ci, hits, i, gotCombos[i], wantCombos[i])
 				}
-				got, err := Run(c.Tumor, c.Normal, Options{
-					Hits: hits, Workers: 3, BitSplice: splice,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantCombos, gotCombos := ref.Combos(), got.Combos()
-				if len(wantCombos) != len(gotCombos) {
-					t.Fatalf("cohort %d hits=%d splice=%v: %d steps, want %d",
-						ci, hits, splice, len(gotCombos), len(wantCombos))
-				}
-				for i := range wantCombos {
-					if gotCombos[i] != wantCombos[i] {
-						t.Fatalf("cohort %d hits=%d splice=%v step %d: %v != %v",
-							ci, hits, splice, i, gotCombos[i], wantCombos[i])
-					}
-				}
-				if got.Covered != ref.Covered || got.Uncoverable != ref.Uncoverable {
-					t.Fatalf("cohort %d hits=%d splice=%v: totals differ", ci, hits, splice)
-				}
-				if ref.Pruned != 0 {
-					t.Fatalf("cohort %d hits=%d splice=%v: NoPrune run pruned %d",
-						ci, hits, splice, ref.Pruned)
-				}
+			}
+			if got.Covered != ref.Covered || got.Uncoverable != ref.Uncoverable {
+				t.Fatalf("cohort %d hits=%d: totals differ", ci, hits)
+			}
+			if ref.Pruned != 0 {
+				t.Fatalf("cohort %d hits=%d: NoPrune run pruned %d", ci, hits, ref.Pruned)
 			}
 		}
 	}
@@ -215,17 +208,24 @@ func TestNoPruneRangeMatchesPruned(t *testing.T) {
 	}
 }
 
-// TestCompactionDropsGenes drives the splice loop until compaction has
-// something to drop, then asserts the remapped winners still carry
-// original gene ids (monotone, in range) and the conservation invariant
-// holds per step.
+// TestCompactionDropsGenes runs a kernelized cover on a cohort whose kernel
+// drops dominated genes, then asserts the winners, remapped through the
+// kernel's keep list, carry original gene ids (in range, strictly
+// increasing) and equal the plain NoPrune run's.
 func TestCompactionDropsGenes(t *testing.T) {
-	c := pruneCohort(t, dataset.BRCA(), 18, 29)
-	res, err := Run(c.Tumor, c.Normal, Options{Hits: 3, Workers: 2, BitSplice: true})
+	c := pruneCohort(t, dataset.ACC(), 18, 3)
+	k, err := kernelize.Reduce(c.Tumor, c.Normal, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := c.Tumor.Genes()
+	if len(k.Keep) == g {
+		t.Fatalf("the kernel kept all %d genes; the test needs a dropped one", g)
+	}
+	res, err := Run(c.Tumor, c.Normal, Options{Hits: 3, Workers: 2, Kernelize: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, s := range res.Steps {
 		ids := s.Combo.GeneIDs()
 		for j, id := range ids {
@@ -237,13 +237,16 @@ func TestCompactionDropsGenes(t *testing.T) {
 			}
 		}
 	}
-	ref, err := Run(c.Tumor, c.Normal, Options{Hits: 3, Workers: 2, BitSplice: true, NoPrune: true})
+	ref, err := Run(c.Tumor, c.Normal, Options{Hits: 3, Workers: 2, NoPrune: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(res.Steps) != len(ref.Steps) {
+		t.Fatalf("kernelized run took %d steps, NoPrune %d", len(res.Steps), len(ref.Steps))
+	}
 	for i := range ref.Steps {
 		if res.Steps[i].Combo != ref.Steps[i].Combo {
-			t.Fatalf("step %d: compacted %v != NoPrune %v", i, res.Steps[i].Combo, ref.Steps[i].Combo)
+			t.Fatalf("step %d: kernelized %v != NoPrune %v", i, res.Steps[i].Combo, ref.Steps[i].Combo)
 		}
 	}
 }

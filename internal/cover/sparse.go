@@ -1,7 +1,6 @@
 package cover
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/bitmat"
@@ -57,12 +56,6 @@ func ParseEngine(s string) (Engine, error) {
 	return EngineAuto, fmt.Errorf("cover: unknown engine %q (want auto, dense or sparse)", s)
 }
 
-// ErrSparseBitSplice rejects Engine=Sparse combined with BitSplice: the
-// sparse path has no word splice (covered samples are masked out of the
-// merge instead), so the combination is a configuration error, mirroring
-// the Kernelize∧BitSplice rejection.
-var ErrSparseBitSplice = errors.New("cover: Engine=Sparse and BitSplice are mutually exclusive (the sparse path has no word splice)")
-
 // sparseCapable reports whether the scheme has a sparse kernel: every
 // prunable scheme but the 5-hit 4+1. A scheme with no loop-invariant
 // prefix has neither a bound to check nor a prefix list worth
@@ -101,14 +94,14 @@ func SparseCrossover(s Scheme) float64 { return sparseCrossover(s) }
 // for kernelized runs the post-reduction matrices, which is why callers
 // resolve after kernelization. A non-Auto engine is returned unchanged;
 // Auto falls back to dense whenever the sparse path is structurally
-// unavailable (BitSplice, non-sparse-capable scheme), otherwise it
+// unavailable (a non-sparse-capable scheme), otherwise it
 // compares the matrices' mean row occupancy against the scheme
 // crossover.
 func ResolveEngine(opt Options, tumor, normal *bitmat.Matrix) Engine {
 	if opt.Engine != EngineAuto {
 		return opt.Engine
 	}
-	if opt.BitSplice || !opt.Scheme.sparseCapable() {
+	if !opt.Scheme.sparseCapable() {
 		return EngineDense
 	}
 	rows := float64(tumor.Genes() + normal.Genes())

@@ -3,7 +3,6 @@ package cover
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"testing"
 
 	"repro/internal/bitmat"
@@ -171,15 +170,10 @@ func TestSparseRangeMatchesDense(t *testing.T) {
 	}
 }
 
-// TestEngineValidation pins the Options-level rejections: Sparse∧BitSplice
-// is the typed ErrSparseBitSplice, prefix-free schemes have no sparse
-// kernel, and unknown engine values are refused.
+// TestEngineValidation pins the Options-level rejections: prefix-free
+// schemes have no sparse kernel, and unknown engine values are refused.
 func TestEngineValidation(t *testing.T) {
 	c := pruneCohort(t, dataset.BRCA(), 18, 1)
-	_, err := Run(c.Tumor, c.Normal, Options{Hits: 3, Engine: EngineSparse, BitSplice: true})
-	if !errors.Is(err, ErrSparseBitSplice) {
-		t.Fatalf("Sparse+BitSplice: got %v, want ErrSparseBitSplice", err)
-	}
 	for _, scheme := range []Scheme{SchemePair, Scheme4x1} {
 		_, _, err := FindBest(c.Tumor, c.Normal, nil, Options{
 			Hits: scheme.hits(), Scheme: scheme, Engine: EngineSparse,
@@ -232,11 +226,7 @@ func TestResolveEngineAuto(t *testing.T) {
 	if got := ResolveEngine(norm(Options{Hits: 4, Scheme: Scheme3x1}), mt, mn); got != EngineSparse {
 		t.Fatalf("mid-density 3x1 auto = %v, want sparse", got)
 	}
-	// Structural gates: BitSplice and prefix-free schemes force dense.
-	opt = norm(Options{Hits: 3, BitSplice: true})
-	if got := ResolveEngine(opt, c.Tumor, c.Normal); got != EngineDense {
-		t.Fatalf("BitSplice auto = %v, want dense", got)
-	}
+	// Structural gate: a prefix-free scheme forces dense.
 	opt = norm(Options{Hits: 2})
 	if got := ResolveEngine(opt, c.Tumor, c.Normal); got != EngineDense {
 		t.Fatalf("pair-scheme auto = %v, want dense", got)

@@ -88,8 +88,8 @@ func PartitionPlan(genes int, opt Options, chunks int) ([]sched.Partition, error
 // ScanPartition scores one λ-partition of one enumeration pass and
 // returns the partition's best combination and exact work counts. denom
 // pins the F denominator (pass the ORIGINAL cohort size so scores stay
-// comparable when a BitSplice working matrix has shrunk; pass
-// tumor.Samples()+normal.Samples() otherwise).
+// comparable when a Kernelize kernel has merged duplicate sample columns;
+// pass tumor.Samples()+normal.Samples() otherwise).
 //
 // The scan prunes against a partition-local incumbent that starts at
 // seed: pass the pass's SeedIncumbent, or reduce.None for no head start.

@@ -84,9 +84,6 @@ type supportState struct {
 	colStart []int
 	colRecs  []int32
 	weight   []int32
-	// cols maps the current columns to build columns under BitSplice,
-	// where each step splices its covered columns out; nil otherwise.
-	cols []int32
 	// The witness is the first normal-free combination, searched for once.
 	witnessSearched, witnessFound bool
 	witness                       [reduce.MaxHits]int32
@@ -205,12 +202,6 @@ func (st *supportState) build(ctx context.Context, p Pass) (bool, error) {
 			st.weight[c] = int32(w.Weight(c))
 		}
 	}
-	if p.Opt.BitSplice {
-		st.cols = make([]int32, n)
-		for c := range n {
-			st.cols[c] = int32(c)
-		}
-	}
 	if err := b.enumerate(ctx, st, p.Tumor.Genes()); err != nil {
 		return false, err
 	}
@@ -306,10 +297,9 @@ func (st *supportState) decide(env *kernelEnv) reduce.Combo {
 	return best
 }
 
-// remove takes the covered columns (a mask over the current columns) out
-// of the state: each one's weight leaves the tumor count of every record
-// it carries. Under BitSplice the columns are then spliced out of the
-// column map, as the step splices them out of the tumor matrix.
+// remove takes the covered columns (a mask over the build columns) out of
+// the state: each one's weight leaves the tumor count of every record it
+// carries.
 func (st *supportState) remove(covered []uint64) {
 	if !st.built {
 		return
@@ -317,9 +307,6 @@ func (st *supportState) remove(covered []uint64) {
 	for w, x := range covered {
 		for ; x != 0; x &= x - 1 {
 			c := w*bitmat.WordBits + bits.TrailingZeros64(x)
-			if st.cols != nil {
-				c = int(st.cols[c])
-			}
 			wt := int32(1)
 			if st.weight != nil {
 				wt = st.weight[c]
@@ -331,17 +318,6 @@ func (st *supportState) remove(covered []uint64) {
 			}
 		}
 	}
-	if st.cols == nil {
-		return
-	}
-	kept := 0
-	for c, b := range st.cols {
-		if covered[c/bitmat.WordBits]>>(uint(c)%bitmat.WordBits)&1 == 0 {
-			st.cols[kept] = b
-			kept++
-		}
-	}
-	st.cols = st.cols[:kept]
 }
 
 // foldBuffers returns h+1 prefix-fold buffers: base, then h fresh ones of

@@ -26,11 +26,8 @@ const (
 // supportChecker compares every pass of a greedy run against the NoPrune
 // scan of the same pass and tallies the support pass's outcomes.
 type supportChecker struct {
-	t    *testing.T
-	name string
-	// genes is the run's gene count; a BitSplice pass over fewer genes is
-	// splicePass's compacted sub-pass, which the support pass never sees.
-	genes    int
+	t        *testing.T
+	name     string
 	outcomes map[string]int
 }
 
@@ -41,9 +38,7 @@ func (sc *supportChecker) hooks() Hooks {
 	return Hooks{
 		Settled: func(p Pass) { sc.check(p, true) },
 		Scan: func(ctx context.Context, p Pass) (reduce.Combo, Counts, error) {
-			if !p.Opt.BitSplice || p.Tumor.Genes() == sc.genes {
-				sc.check(p, false)
-			}
+			sc.check(p, false)
 			return findBest(ctx, p)
 		},
 	}
@@ -103,7 +98,7 @@ func supportSize(p Pass) uint64 {
 
 // TestSupportPassMatchesFullScan checks the support pass against the
 // exhaustive scan on every pass of greedy runs over the registry's
-// cohorts, h = 2–5, in mask, kernelized and BitSplice mode, and on
+// cohorts, h = 2–5, in mask and kernelized mode, and on
 // hand-built instances for the tie, no-witness and over-budget branches.
 // Each run must also equal its NoPrune run step for step, and a
 // hand-built first pass must count exactly what it scored.
@@ -115,7 +110,6 @@ func TestSupportPassMatchesFullScan(t *testing.T) {
 	}{
 		{"mask", Options{}},
 		{"kernel", Options{Kernelize: true}},
-		{"splice", Options{BitSplice: true}},
 	}
 	for _, spec := range dataset.FourHitCancers() {
 		for _, genes := range []int{14, 30} {
@@ -132,7 +126,7 @@ func TestSupportPassMatchesFullScan(t *testing.T) {
 					opt := m.opt
 					opt.Hits, opt.Workers = hits, 2
 					name := spec.Code + "/" + m.name
-					sc := &supportChecker{t: t, name: name, genes: genes, outcomes: outcomes}
+					sc := &supportChecker{t: t, name: name, outcomes: outcomes}
 					got, err := Greedy(context.Background(), c.Tumor, c.Normal, opt, nil, sc.hooks())
 					if err != nil {
 						t.Fatal(err)
@@ -148,7 +142,7 @@ func TestSupportPassMatchesFullScan(t *testing.T) {
 		}
 	}
 	for _, hc := range supportCases() {
-		sc := &supportChecker{t: t, name: hc.name, genes: hc.tumor.Genes(), outcomes: outcomes}
+		sc := &supportChecker{t: t, name: hc.name, outcomes: outcomes}
 		got, err := Greedy(context.Background(), hc.tumor, hc.normal, hc.opt, nil, sc.hooks())
 		if err != nil {
 			t.Fatal(err)
@@ -332,8 +326,8 @@ func bruteSupport(tumor, normal *bitmat.Matrix, h int) (supported uint64, witnes
 // TestSupportCarriedMatchesFresh checks the support state greedy carries
 // across passes against one built fresh on the same pass: on every pass
 // the carried state settles, the step's winner (genes and F bits) and its
-// Evaluated/Pruned must equal supportPass's. It covers h = 2–5 in mask,
-// kernelized and BitSplice mode over registry cohorts and seeds, and
+// Evaluated/Pruned must equal supportPass's. It covers h = 2–5 in mask
+// and kernelized mode over registry cohorts and seeds, and
 // requires a resume from every step, which rebuilds the state on its
 // first pass, to reproduce the uninterrupted run's per-step counts.
 func TestSupportCarriedMatchesFresh(t *testing.T) {
@@ -351,7 +345,6 @@ func TestSupportCarriedMatchesFresh(t *testing.T) {
 	}{
 		{"mask", Options{}},
 		{"kernel", Options{Kernelize: true}},
-		{"splice", Options{BitSplice: true}},
 	}
 	carried := 0
 	for _, spec := range specs {
@@ -578,7 +571,7 @@ func (fs *foldSupport) decideAll(env *kernelEnv) (reduce.Combo, uint64) {
 // supportOracleCase is one random instance for TestSupportBuildMatchesFoldOracle.
 type supportOracleCase struct {
 	genes, tumor, normal, hits int
-	weighted, splice           bool
+	weighted                   bool
 	// pool, when set, is the genes the tumor columns draw from; dup makes
 	// every tumor column carry the same genes.
 	pool []int32
@@ -587,7 +580,7 @@ type supportOracleCase struct {
 
 // TestSupportBuildMatchesFoldOracle checks the hashed build against the
 // fold-based oracle on random instances: h = 2–5, tumor and normal
-// weights on and off, BitSplice on and off, gene counts just below, at
+// weights on and off, gene counts just below, at
 // and above the 8-, 12- and 16-bit gene id boundaries (the last is where
 // records switch from uint16 to int32 ids), and cohorts with empty and
 // all-duplicate columns. The build must hold the oracle's (genes, tp)
@@ -624,18 +617,16 @@ func TestSupportBuildMatchesFoldOracle(t *testing.T) {
 	built := 0
 	for i, sc := range cases {
 		for _, weighted := range []bool{false, true} {
-			for _, splice := range []bool{false, true} {
-				sc.weighted, sc.splice = weighted, splice
-				name := fmt.Sprintf("case %d (G=%d Nt=%d h=%d weighted=%v splice=%v dup=%v)",
-					i, sc.genes, sc.tumor, sc.hits, weighted, splice, sc.dup)
-				if checkSupportOracle(t, name, sc, rng) {
-					built++
-				}
+			sc.weighted = weighted
+			name := fmt.Sprintf("case %d (G=%d Nt=%d h=%d weighted=%v dup=%v)",
+				i, sc.genes, sc.tumor, sc.hits, weighted, sc.dup)
+			if checkSupportOracle(t, name, sc, rng) {
+				built++
 			}
 		}
 	}
-	if built < len(cases)*3 {
-		t.Fatalf("only %d of %d instances fit the support budget", built, len(cases)*4)
+	if 2*built < 3*len(cases) {
+		t.Fatalf("only %d of %d instances fit the support budget", built, len(cases)*2)
 	}
 	t.Logf("%d instances checked", built)
 }
@@ -668,16 +659,14 @@ func checkSupportOracle(t *testing.T, name string, sc supportOracleCase, rng *ra
 			normal.Set(rng.Intn(sc.genes), s)
 		}
 	}
-	opt, err := Options{Hits: sc.hits, BitSplice: sc.splice}.withDefaults()
+	opt, err := Options{Hits: sc.hits}.withDefaults()
 	if err != nil {
 		t.Fatal(err)
 	}
 	active := bitmat.AllOnes(sc.tumor)
-	if !sc.splice {
-		for s := range sc.tumor {
-			if s%5 == 1 {
-				active.Clear(s)
-			}
+	for s := range sc.tumor {
+		if s%5 == 1 {
+			active.Clear(s)
 		}
 	}
 	p := Pass{Tumor: tumor, Normal: normal, Active: active, Opt: opt,
@@ -699,13 +688,6 @@ func checkSupportOracle(t *testing.T, name string, sc supportOracleCase, rng *ra
 	fs := buildFoldSupport(p)
 	sameRecords(t, name, &st, fs)
 
-	// cur maps the current columns to build columns: under BitSplice each
-	// step splices its covered columns out, otherwise it is the identity
-	// and the active mask shrinks instead.
-	cur := make([]int, sc.tumor)
-	for c := range cur {
-		cur[c] = c
-	}
 	for step := 0; ; step++ {
 		env := newKernelEnv(p.Tumor, p.Normal, p.Active, p.TumorWeights, p.NormalWeights, p.Opt.Alpha, p.Denom)
 		got := st.decide(env)
@@ -723,15 +705,15 @@ func checkSupportOracle(t *testing.T, name string, sc supportOracleCase, rng *ra
 		// Cover the winner's carriers, or, when it has none left, one
 		// random live column.
 		var covered []int
-		for i, c := range cur {
+		for c := range sc.tumor {
 			if p.Active.Get(c) && carries(tumor, c, want) {
-				covered = append(covered, i)
+				covered = append(covered, c)
 			}
 		}
 		if len(covered) == 0 {
-			for i, c := range cur {
+			for c := range sc.tumor {
 				if p.Active.Get(c) && len(fs.recs[c]) > 0 && tumor.Get(int(want.Genes[0]), c) {
-					covered = append(covered, i)
+					covered = append(covered, c)
 					break
 				}
 			}
@@ -739,22 +721,13 @@ func checkSupportOracle(t *testing.T, name string, sc supportOracleCase, rng *ra
 		if len(covered) == 0 {
 			t.Fatalf("%s step %d: no active column carries a live record", name, step)
 		}
-		mask := bitmat.NewVec(len(cur))
-		builds := make([]int, len(covered))
-		for k, i := range covered {
-			mask.Set(i)
-			builds[k] = cur[i]
+		mask := bitmat.NewVec(sc.tumor)
+		for _, c := range covered {
+			mask.Set(c)
 		}
 		st.remove(mask.Words())
-		fs.remove(builds)
-		if sc.splice {
-			for k := len(covered) - 1; k >= 0; k-- {
-				cur = slices.Delete(cur, covered[k], covered[k]+1)
-			}
-		}
-		// The oracle's carriers and decideAll read the active mask in
-		// build columns, so covered columns leave it in either mode.
-		for _, c := range builds {
+		fs.remove(covered)
+		for _, c := range covered {
 			p.Active.Clear(c)
 		}
 	}

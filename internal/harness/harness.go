@@ -8,15 +8,14 @@
 // commit persists completed greedy steps to a crash-safe on-disk store
 // (internal/ckptstore) so a killed process resumes losslessly. Because
 // the loop is cover's, a fault-free run equals cover.Run step for step,
-// Evaluated and Pruned included, in every sample-axis mode.
+// Evaluated and Pruned included, with and without Kernelize.
 //
 // Guarantees (docs/ROBUSTNESS.md has the full contract):
 //
 //   - Determinism: with the default partition-local pruning, a resumed
 //     run reproduces an uninterrupted run exactly — same combination
 //     list, same cover counts, same Evaluated/Pruned totals — for any
-//     crash point at or between greedy steps, any worker count, and
-//     BitSplice on or off.
+//     crash point at or between greedy steps, and any worker count.
 //   - Supervision: each partition scan runs under recover; failures are
 //     retried with exponential backoff and deterministic jitter, and a
 //     partition that keeps failing is quarantined after MaxRetries
@@ -72,7 +71,7 @@ type publishCoster interface {
 // Options configures a supervised run.
 type Options struct {
 	// Cover configures the underlying engine (hits, scheme, scheduler,
-	// workers, alpha, BitSplice, Kernelize, NoPrune, MaxIterations).
+	// workers, alpha, Kernelize, NoPrune, MaxIterations).
 	Cover cover.Options
 
 	// Store, when non-nil, receives a checkpoint at every stop and after
@@ -139,8 +138,6 @@ type Options struct {
 // Progress is one per-partition progress report of the supervised scan.
 // Within a pass, Done climbs monotonically to Total; a resumed leg starts
 // at the first unreplayed step, so Step is the absolute greedy step index.
-// A step is one pass, except a BitSplice step whose gene-compacted pass
-// must be rescanned over all genes to settle a tie: it reports two climbs.
 // A pass the engine decides from the active samples' own h-subsets
 // (cover's support pass, docs/PRUNING.md §7) scans no partitions: it
 // reports once, with Done == Total == 0.

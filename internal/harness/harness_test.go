@@ -64,14 +64,15 @@ func sameSteps(t *testing.T, label string, got, want []cover.Step) {
 func TestHarnessMatchesCoverRun(t *testing.T) {
 	// Without faults the supervised run must reproduce the plain engine's
 	// cover exactly, step by step — combinations, F bits, cover counts and
-	// work counts — for every scheme family, sample-axis mode and both
-	// partition plans.
+	// work counts — for every scheme family, with and without Kernelize,
+	// and both partition plans. The plain mode keeps its "splicefalse"
+	// name, so the subtests are named as before the splicing option was
+	// removed.
 	modes := []struct {
 		name string
 		set  func(*cover.Options)
 	}{
 		{"splicefalse", func(*cover.Options) {}},
-		{"splicetrue", func(o *cover.Options) { o.BitSplice = true }},
 		{"kernelize", func(o *cover.Options) { o.Kernelize = true }},
 	}
 	for _, hits := range []int{2, 3, 4, 5} {
@@ -163,8 +164,9 @@ func TestCrashResumeEquivalence(t *testing.T) {
 	// The acceptance property: killing the run after EVERY greedy step
 	// (injected panic) and resuming from disk yields the identical
 	// combination list, cover counts, and Evaluated/Pruned totals as an
-	// uninterrupted run — across BitSplice on/off and ≥2 worker counts,
-	// on two seeded cohorts.
+	// uninterrupted run — across ≥2 worker counts, on three seeded
+	// cohorts. The subtests keep their "splicefalse" infix from when
+	// splicing was an option, so they are named as before.
 	for _, tc := range []struct {
 		code  string
 		genes int
@@ -174,33 +176,90 @@ func TestCrashResumeEquivalence(t *testing.T) {
 		{"LGG", 40, 2},
 		{"ACC", 30, 5},
 	} {
-		for _, splice := range []bool{false, true} {
-			for _, workers := range []int{1, 4} {
-				name := fmt.Sprintf("%s_splice%v_w%d", tc.code, splice, workers)
-				t.Run(name, func(t *testing.T) {
-					tumor, normal := cohort(t, tc.code, tc.genes, tc.hits, 11)
-					opt := Options{Cover: cover.Options{
-						Hits: tc.hits, Workers: workers, BitSplice: splice,
-					}}
-					ref, err := Run(context.Background(), tumor, normal, opt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got := crashResume(t, tumor, normal, opt, "panic@1")
-					sameSteps(t, "crash-resume vs uninterrupted", got.Steps, ref.Steps)
-					if got.Covered != ref.Covered || got.Uncoverable != ref.Uncoverable {
-						t.Fatal("cover totals differ after crash-resume")
-					}
-					if got.Evaluated != ref.Evaluated || got.Pruned != ref.Pruned {
-						t.Fatalf("work totals differ: %d/%d vs %d/%d",
-							got.Evaluated, got.Pruned, ref.Evaluated, ref.Pruned)
-					}
-					if !got.Resumed || got.ReplayedSteps == 0 {
-						t.Fatalf("final leg did not resume: %+v", got)
-					}
-				})
-			}
+		for _, workers := range []int{1, 4} {
+			name := fmt.Sprintf("%s_splicefalse_w%d", tc.code, workers)
+			t.Run(name, func(t *testing.T) {
+				tumor, normal := cohort(t, tc.code, tc.genes, tc.hits, 11)
+				opt := Options{Cover: cover.Options{Hits: tc.hits, Workers: workers}}
+				ref, err := Run(context.Background(), tumor, normal, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := crashResume(t, tumor, normal, opt, "panic@1")
+				sameSteps(t, "crash-resume vs uninterrupted", got.Steps, ref.Steps)
+				if got.Covered != ref.Covered || got.Uncoverable != ref.Uncoverable {
+					t.Fatal("cover totals differ after crash-resume")
+				}
+				if got.Evaluated != ref.Evaluated || got.Pruned != ref.Pruned {
+					t.Fatalf("work totals differ: %d/%d vs %d/%d",
+						got.Evaluated, got.Pruned, ref.Evaluated, ref.Pruned)
+				}
+				if !got.Resumed || got.ReplayedSteps == 0 {
+					t.Fatalf("final leg did not resume: %+v", got)
+				}
+			})
 		}
+	}
+}
+
+// TestResumeFromSplicedRunCheckpoint resumes, under the active mask, the
+// store that a run with the former sample-splicing option wrote to
+// testdata/bitsplice-brca-g30-h3 (multihit -cancer BRCA -genes 30 -hits 3
+// -workers 2 -splice -checkpoint-dir <dir> -max-iter 2). The checkpoint
+// format never recorded the option, so the run must finish as the
+// uninterrupted mask run does: the same combinations, F bits and
+// NewlyCovered, with Evaluated + Pruned = C(G, h) on every continued pass.
+func TestResumeFromSplicedRunCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	src, err := filepath.Glob("testdata/bitsplice-brca-g30-h3/*.mhc")
+	if err != nil || len(src) == 0 {
+		t.Fatalf("fixture generations %v (%v)", src, err)
+	}
+	for _, path := range src {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, filepath.Base(path)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store, err := ckptstore.Open(dir, ckptstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := dataset.BRCA()
+	spec.Hits = 3
+	c, err := dataset.Generate(spec.Scaled(30), 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copt := cover.Options{Hits: 3, Workers: 2}
+	ref, err := cover.Run(c.Tumor, c.Normal, copt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Run(context.Background(), c.Tumor, c.Normal, Options{Cover: copt, Store: store, Resume: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Resumed || got.ReplayedSteps != 2 {
+		t.Fatalf("resumed=%v with %d replayed steps, want the fixture's 2", got.Resumed, got.ReplayedSteps)
+	}
+	sameSteps(t, "spliced-run checkpoint resumed under the mask", got.Steps, ref.Steps)
+	domain, _ := combinat.Binomial(30, 3)
+	for i, w := range ref.Steps {
+		g := got.Steps[i]
+		if math.Float64bits(g.Combo.F) != math.Float64bits(w.Combo.F) {
+			t.Fatalf("step %d: F %v, want %v", i, g.Combo.F, w.Combo.F)
+		}
+		if i >= got.ReplayedSteps && g.Evaluated+g.Pruned != domain {
+			t.Fatalf("continued step %d scanned %d+%d, want C(30, 3) = %d", i, g.Evaluated, g.Pruned, domain)
+		}
+	}
+	if got.Covered != ref.Covered || got.Uncoverable != ref.Uncoverable {
+		t.Fatalf("covered %d / uncoverable %d, want %d / %d",
+			got.Covered, got.Uncoverable, ref.Covered, ref.Uncoverable)
 	}
 }
 
@@ -645,61 +704,5 @@ func TestQuarantinedSeedPartitionKeepsBestSurvivor(t *testing.T) {
 	}
 	if len(res.Steps) != 1 || res.Steps[0].Combo != want {
 		t.Fatalf("steps %+v, want winner %v", res.Steps, want)
-	}
-}
-
-func TestCancelDuringSpliceRescanDiscardsThePass(t *testing.T) {
-	// A BitSplice step whose gene-compacted pass must be rescanned over
-	// all genes scans twice. Canceling during the rescan discards the
-	// whole step, the completed compacted pass included: the result and
-	// the checkpoint carry the committed steps' counts only, so a resumed
-	// leg still totals exactly what the uninterrupted run does.
-	tumor, normal := cohort(t, "BRCA", 40, 3, 7)
-	copt := cover.Options{Hits: 3, Workers: 1, BitSplice: true}
-	ref, err := Run(context.Background(), tumor, normal, Options{Cover: copt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	store, err := ckptstore.Open(t.TempDir(), ckptstore.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	climbs := map[int]int{}
-	res, err := Run(ctx, tumor, normal, Options{
-		Cover: copt,
-		Store: store,
-		OnProgress: func(p Progress) {
-			if p.Done == 1 {
-				if climbs[p.Step]++; climbs[p.Step] == 2 {
-					cancel()
-				}
-			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stop != StopCanceled || len(res.Steps) == 0 {
-		t.Fatalf("stop = %v after %d steps; the cohort needs a rescan after the first step", res.Stop, len(res.Steps))
-	}
-	var committed cover.Counts
-	for _, s := range res.Steps {
-		committed.Evaluated += s.Evaluated
-		committed.Pruned += s.Pruned
-	}
-	if res.Evaluated != committed.Evaluated || res.Pruned != committed.Pruned {
-		t.Fatalf("stopped run counts %d/%d, committed steps %d/%d",
-			res.Evaluated, res.Pruned, committed.Evaluated, committed.Pruned)
-	}
-	resumed, err := Run(context.Background(), tumor, normal, Options{Cover: copt, Store: store, Resume: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameSteps(t, "resume after a canceled rescan", resumed.Steps, ref.Steps)
-	if resumed.Evaluated != ref.Evaluated || resumed.Pruned != ref.Pruned {
-		t.Fatalf("resumed totals %d/%d, uninterrupted %d/%d",
-			resumed.Evaluated, resumed.Pruned, ref.Evaluated, ref.Pruned)
 	}
 }
