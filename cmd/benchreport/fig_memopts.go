@@ -35,10 +35,12 @@ func expFig5(cfg config) (string, error) {
 		name string
 		opt  cover.Options
 	}
+	// NoPrune: the support pass would decide every pass without entering
+	// the 3-hit kernel the MemOpt toggles change (docs/PRUNING.md §7).
 	variants := []variant{
-		{"no optimizations", cover.Options{Hits: 3}},
-		{"+MemOpt1 (prefetch rows i)", cover.Options{Hits: 3, MemOpt1: true}},
-		{"+MemOpt2 (prefetch+fold rows i,j)", cover.Options{Hits: 3, MemOpt1: true, MemOpt2: true}},
+		{"no optimizations", cover.Options{Hits: 3, NoPrune: true}},
+		{"+MemOpt1 (prefetch rows i)", cover.Options{Hits: 3, NoPrune: true, MemOpt1: true}},
+		{"+MemOpt2 (prefetch+fold rows i,j)", cover.Options{Hits: 3, NoPrune: true, MemOpt1: true, MemOpt2: true}},
 	}
 
 	var b strings.Builder

@@ -61,7 +61,8 @@ type CacheStats struct {
 	Evictions uint64 `json:"evictions"`
 }
 
-// resultCache is an LRU of terminal job results. Not self-locking: the
+// resultCache is an LRU of terminal job results, in the form finished
+// jobs keep them (finished.go). Not self-locking: the
 // Service's mutex guards it.
 type resultCache struct {
 	capacity int
@@ -73,7 +74,7 @@ type resultCache struct {
 type cacheEntry struct {
 	key    CacheKey
 	jobID  string // producing job, for CachedFrom provenance
-	result *JobResult
+	result *finalResult
 }
 
 // newResultCache builds a cache holding up to capacity entries; capacity
@@ -87,7 +88,7 @@ func newResultCache(capacity int) *resultCache {
 }
 
 // Get returns the cached result and its producing job id.
-func (c *resultCache) Get(key CacheKey) (*JobResult, string, bool) {
+func (c *resultCache) Get(key CacheKey) (*finalResult, string, bool) {
 	el, ok := c.entries[key]
 	if !ok {
 		c.stats.Misses++
@@ -102,8 +103,8 @@ func (c *resultCache) Get(key CacheKey) (*JobResult, string, bool) {
 // Put stores a terminal result, evicting the least recently used entry
 // when full. Partial results are not cached: a resumable or failed run
 // is not the answer to the submission, only a prefix of it.
-func (c *resultCache) Put(key CacheKey, jobID string, res *JobResult) {
-	if c.capacity < 1 || res == nil || res.Partial || res.Error != "" {
+func (c *resultCache) Put(key CacheKey, jobID string, res *finalResult) {
+	if c.capacity < 1 || res == nil || res.partial || res.err != "" {
 		return
 	}
 	if el, ok := c.entries[key]; ok {

@@ -88,8 +88,8 @@ func TestCanonicalKeySeparatesKernelizeAndInputs(t *testing.T) {
 	}
 }
 
-func completeResult(fp uint64) *JobResult {
-	return &JobResult{Covered: 16, Evaluated: 28, TumorFingerprint: fp}
+func completeResult(fp uint64) *finalResult {
+	return compactResult(&JobResult{Covered: 16, Evaluated: 28, TumorFingerprint: fp})
 }
 
 // TestCacheHitMissEviction drives the LRU through its lifecycle.
@@ -105,7 +105,7 @@ func TestCacheHitMissEviction(t *testing.T) {
 	c.Put(k1, "job-1", completeResult(1))
 	c.Put(k2, "job-2", completeResult(2))
 	res, from, ok := c.Get(k1)
-	if !ok || from != "job-1" || res.TumorFingerprint != 1 {
+	if !ok || from != "job-1" || res.tumorFP != 1 {
 		t.Fatalf("Get(k1) = %+v from %q ok=%v", res, from, ok)
 	}
 	// k1 is now most recently used; inserting k3 must evict k2.
@@ -132,8 +132,8 @@ func TestCacheHitMissEviction(t *testing.T) {
 // of the answer, not the answer.
 func TestCacheRejectsIncompleteResults(t *testing.T) {
 	c := newResultCache(4)
-	c.Put(CacheKey{TumorFP: 1}, "job-1", &JobResult{Partial: true})
-	c.Put(CacheKey{TumorFP: 2}, "job-2", &JobResult{Error: "boom"})
+	c.Put(CacheKey{TumorFP: 1}, "job-1", compactResult(&JobResult{Partial: true}))
+	c.Put(CacheKey{TumorFP: 2}, "job-2", compactResult(&JobResult{Error: "boom"}))
 	c.Put(CacheKey{TumorFP: 3}, "job-3", nil)
 	if st := c.Stats(); st.Entries != 0 {
 		t.Fatalf("cache accepted %d incomplete results", st.Entries)

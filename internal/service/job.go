@@ -272,38 +272,43 @@ type job struct {
 	// submission or restore); they never touch disk. key is the job's
 	// result-cache key. cohort is guarded by mu: it is released when the
 	// job turns terminal, and a resumed partial job's next leg rebuilds it.
-	// keyed, guarded by mu with cohort, reports that key was computed
-	// from cohort, so its fingerprints are cohort's.
+	// keyed (below) reports that key was computed from cohort.
 	cohort *dataset.Cohort
-	keyed  bool
 	opt    cover.Options
 	key    CacheKey
 
 	mu          sync.Mutex
 	state       JobState
 	progress    ProgressStatus
-	result      *JobResult
-	resumed     bool
+	result      *JobResult   // the outcome until the terminal transition compacts it
+	final       *finalResult // a terminal job's result (finished.go)
 	submittedAt time.Time
 	startedAt   time.Time
 	endedAt     time.Time
-	cancel      func()        // non-nil while running
-	userCancel  bool          // cancel requested by the submitter
-	fresh       bool          // submitted to this daemon and not yet started
-	idemKey     string        // idempotency key the submission carried
-	done        chan struct{} // closed on terminal transition
+	cancel      func() // non-nil while running
+	userCancel  bool   // cancel requested by the submitter
+	fresh       bool   // submitted to this daemon and not yet started
+	resumed     bool
+	// keyed, guarded by mu with cohort, reports that key was computed
+	// from cohort, so its fingerprints are cohort's.
+	keyed   bool
+	idemKey string        // idempotency key the submission carried
+	done    chan struct{} // closed on terminal transition
 	// pending is the spec record of a job started at submission until its
 	// first durable write decides it (preack.go); nil for every other job.
-	// Set before the job starts and never reassigned.
+	// Set before the job starts; the terminal transition releases it.
 	pending *pendingSpec
 
 	// Event history ring. Publishing appends (never blocks), trimming
 	// drops the oldest frames, and subscribers pull at their own pace —
-	// a stalled consumer costs retained frames, never job progress.
+	// a stalled consumer costs retained frames, never job progress. The
+	// terminal transition encodes the ring into history (finished.go),
+	// and a publish after it (Resume) decodes it back.
 	seq      uint64        // last assigned event sequence (1-based)
 	events   []Event       // retained events, ascending seq
-	firstSeq uint64        // seq of events[0] (when non-empty)
-	notify   chan struct{} // closed and replaced on every publish
+	history  []byte        // a finished job's retained events, encoded
+	firstSeq uint64        // seq of the first retained event (when any)
+	notify   chan struct{} // nil, or made by a waiting subscriber and closed by the next publish
 }
 
 // Event is one job lifecycle or progress notification, streamed over SSE
@@ -353,9 +358,45 @@ func (j *job) status() *JobStatus {
 	if j.state.Terminal() {
 		code := j.state.ExitCode()
 		st.ExitCode = &code
-		st.Result = j.result
+		st.Result = j.resultLocked()
 	}
 	return st
+}
+
+// resultLocked returns the job's result in full. j.mu must be held.
+func (j *job) resultLocked() *JobResult {
+	if j.result != nil {
+		return j.result
+	}
+	return j.final.expand()
+}
+
+// keptResult compacts the job's result, once, and returns the kept form.
+func (j *job) keptResult() *finalResult {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.keptResultLocked()
+}
+
+func (j *job) keptResultLocked() *finalResult {
+	if j.result != nil {
+		j.final, j.result = compactResult(j.result), nil
+	}
+	return j.final
+}
+
+// finishLocked shrinks a job at its terminal transition to what it keeps
+// (finished.go). j.mu must be held.
+func (j *job) finishLocked() {
+	j.keptResultLocked()
+	j.history, j.events = encodeHistory(j.events), nil
+	j.cohort = nil
+	j.done = closedDone
+	// Only a job started at submission has one, and only its own run
+	// reads it without j.mu, before this transition.
+	if j.pending != nil {
+		j.pending = nil
+	}
 }
 
 // jobEventHistory bounds the per-job event ring. A subscriber that
@@ -374,6 +415,9 @@ func (j *job) publish(e Event) {
 }
 
 func (j *job) publishLocked(e Event) {
+	if j.history != nil {
+		j.events, j.history = decodeHistory(j.history, j.id, j.firstSeq), nil
+	}
 	j.seq++
 	e.Seq = j.seq
 	if len(j.events) == 0 {
@@ -386,8 +430,8 @@ func (j *job) publishLocked(e Event) {
 	}
 	if j.notify != nil {
 		close(j.notify)
+		j.notify = nil
 	}
-	j.notify = make(chan struct{})
 }
 
 // Subscription is a pull-based cursor over a job's event history. Each
@@ -397,6 +441,10 @@ func (j *job) publishLocked(e Event) {
 type Subscription struct {
 	j      *job
 	cursor uint64 // last seq delivered (0 = nothing yet)
+	// In a finished job's encoded history, the frame with seq at starts
+	// at r.off, when r.b is the job's history.
+	r  frameReader
+	at uint64
 }
 
 // Next blocks until an event past the cursor is available, the job's
@@ -420,10 +468,9 @@ func (sub *Subscription) Next(ctx context.Context) (Event, bool) {
 				j.mu.Unlock()
 				return e, true
 			}
-			e := j.events[sub.cursor+1-j.firstSeq]
-			sub.cursor = e.Seq
+			e, ok := sub.nextLocked()
 			j.mu.Unlock()
-			return e, true
+			return e, ok
 		}
 		if j.state.Terminal() {
 			j.mu.Unlock()
@@ -443,13 +490,44 @@ func (sub *Subscription) Next(ctx context.Context) (Event, bool) {
 	}
 }
 
-// setState transitions the job and publishes the change. Terminal
-// transitions stick: once terminal, later transitions are ignored.
-func (j *job) setState(s JobState) {
+// nextLocked returns the retained event after the cursor and moves the
+// cursor to it; false means a finished job's history did not decode.
+// j.mu must be held.
+func (sub *Subscription) nextLocked() (Event, bool) {
+	j := sub.j
+	next := sub.cursor + 1
+	if j.history == nil {
+		e := j.events[next-j.firstSeq]
+		sub.cursor = e.Seq
+		return e, true
+	}
+	if len(sub.r.b) == 0 || &sub.r.b[0] != &j.history[0] || sub.at != next {
+		// First read of this history, or after a dropped frame: walk to
+		// the cursor once; later reads continue from the offset.
+		sub.r, sub.at = frameReader{b: j.history}, j.firstSeq
+		for ; sub.at < next; sub.at++ {
+			if _, ok := sub.r.next(j.id, sub.at); !ok {
+				return Event{}, false
+			}
+		}
+	}
+	e, ok := sub.r.next(j.id, next)
+	if !ok {
+		return Event{}, false
+	}
+	sub.at++
+	sub.cursor = next
+	return e, true
+}
+
+// setState transitions the job and publishes the change, reporting
+// whether it did. Terminal transitions stick: once terminal, later
+// transitions are ignored.
+func (j *job) setState(s JobState) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state.Terminal() || j.state == s {
-		return
+		return false
 	}
 	j.state = s
 	switch s {
@@ -458,11 +536,14 @@ func (j *job) setState(s JobState) {
 	default:
 		if s.Terminal() {
 			j.endedAt = time.Now()
-			j.cohort = nil
 			close(j.done)
 		}
 	}
 	j.publishLocked(Event{Type: "state", JobID: j.id, State: s.String()})
+	if s.Terminal() {
+		j.finishLocked()
+	}
+	return true
 }
 
 // sortJobsByID orders job records by id (ids are zero-padded, so

@@ -515,9 +515,11 @@ func TestOpenRefusesLegacyLayout(t *testing.T) {
 	}
 }
 
-// BenchmarkOpenLongJournal prices a daemon start on a journal of 10,000
-// finished jobs, which Open restores from their result records alone.
-func BenchmarkOpenLongJournal(b *testing.B) {
+// BenchmarkOpenFinishedJobs prices a daemon start on a journal of 10,000
+// finished jobs, which Open restores from their result records alone in
+// the form finished jobs keep, and reports the heap they retain.
+func BenchmarkOpenFinishedJobs(b *testing.B) {
+	const jobs = 10_000
 	dir := b.TempDir()
 	spec := testSpec()
 	spec.Options.Workers = 2
@@ -526,7 +528,7 @@ func BenchmarkOpenLongJournal(b *testing.B) {
 		Covered: 40, Evaluated: 780, Stop: "completed", ElapsedSec: 0.004,
 	}
 	var recs []record
-	for i := 1; i <= 10_000; i++ {
+	for i := 1; i <= jobs; i++ {
 		id := fmt.Sprintf(jobIDPattern, i)
 		s := spec
 		s.Cohort.Seed = int64(i)
@@ -537,17 +539,28 @@ func BenchmarkOpenLongJournal(b *testing.B) {
 	}
 	writeJournal(b, dir, recs...)
 	cfg := Config{DataDir: dir, Logf: quiet}
+	var retained float64
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		before, _ := liveHeap()
+		b.StartTimer()
 		svc, err := Open(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
+		b.StopTimer()
+		after, _ := liveHeap()
+		retained = float64(after) - float64(before)
 		if n := svc.cohorts.Load(); n != 0 {
 			b.Fatalf("Open generated %d cohorts", n)
 		}
 		if err := svc.Close(); err != nil {
 			b.Fatal(err)
 		}
+		b.StartTimer()
 	}
+	b.ReportMetric(retained/(1<<20), "retained-MB")
+	b.ReportMetric(retained/jobs, "retained-B/job")
 }

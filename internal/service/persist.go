@@ -83,7 +83,7 @@ func specRecord(j *job) record {
 func resultRecord(j *job, state JobState, key CacheKey) record {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return record{Kind: recordResult, ID: j.id, State: state.String(), Key: &key, Result: j.result}
+	return record{Kind: recordResult, ID: j.id, State: state.String(), Key: &key, Result: j.resultLocked()}
 }
 
 // terminalState decodes a result record's state, degrading unknown or

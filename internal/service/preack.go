@@ -159,8 +159,7 @@ func (s *Service) startLocked(j *job) {
 // awaitSpec answers the submission of a job started by startLocked once
 // its spec record is decided: by the job's own first durable write, or by
 // the submitter when the wait budget runs out.
-func (s *Service) awaitSpec(j *job, idemKey string) (*JobStatus, bool, error) {
-	p := j.pending
+func (s *Service) awaitSpec(j *job, p *pendingSpec, idemKey string) (*JobStatus, bool, error) {
 	if budget := harness.PublishRatio * time.Duration(s.cheapestSave.Load()); budget > 0 {
 		t := time.NewTimer(budget)
 		select {
@@ -189,7 +188,7 @@ func (s *Service) awaitSpec(j *job, idemKey string) (*JobStatus, bool, error) {
 		s.submits.answered.Add(1)
 	}
 	s.mu.Lock()
-	s.jobs[j.id] = j
+	s.addJobLocked(j)
 	s.cond.Broadcast() // wake duplicate submissions waiting on the key
 	s.mu.Unlock()
 	return j.status(), false, nil

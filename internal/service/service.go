@@ -27,9 +27,11 @@ package service
 import (
 	"context"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/metrics"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -181,6 +183,10 @@ type Service struct {
 	cohorts atomic.Uint64
 	// submits counts the submissions started at once (preack.go).
 	submits submitCounters
+	// engines counts the jobs in jobs by requested engine; finished
+	// counts the terminal ones.
+	engines  map[string]int
+	finished atomic.Int64
 }
 
 // Open validates the config, restores persisted jobs from the journal in
@@ -211,6 +217,7 @@ func Open(cfg Config) (*Service, error) {
 		adm:     admission{capacity: cfg.ClusterGPUs},
 		cache:   newResultCache(cfg.CacheEntries),
 		keys:    map[string]string{},
+		engines: map[string]int{},
 		gcKick:  make(chan struct{}, 1),
 		limiter: newRateLimiter(cfg.TenantRatePerSec, cfg.TenantBurst, time.Now),
 		drain:   newDrainEstimator(time.Now),
@@ -278,7 +285,7 @@ func (s *Service) restore() error {
 		if j.idemKey != "" {
 			s.keys[j.idemKey] = id
 		}
-		s.jobs[id] = j
+		s.addJobLocked(j)
 		if st.result == nil {
 			// In flight when the previous daemon died: re-enqueue. The
 			// job resumes from its checkpoint store (if any generation
@@ -287,18 +294,26 @@ func (s *Service) restore() error {
 			s.cfg.Logf("service: restored %s (tenant %s) into the queue", id, j.tenant)
 			continue
 		}
-		// Terminal: restore the outcome; successes re-seed the cache.
+		// Terminal: restore the outcome in its kept form; successes
+		// re-seed the cache.
 		j.state = st.result.terminalState()
-		j.result = st.result.Result
+		j.final = compactResult(st.result.Result)
 		if st.result.Key != nil {
 			j.key = *st.result.Key
 		}
-		close(j.done)
+		j.finishLocked() // not yet shared
+		s.finished.Add(1)
 		if j.state == StateSucceeded {
-			s.cache.Put(j.key, id, j.result)
+			s.cache.Put(j.key, id, j.final)
 		}
 	}
 	return nil
+}
+
+// addJobLocked lists an acknowledged job. s.mu must be held.
+func (s *Service) addJobLocked(j *job) {
+	s.jobs[j.id] = j
+	s.engines[j.opt.Engine.String()]++
 }
 
 // newJob resolves a spec into a job record without its cohort: priority,
@@ -458,13 +473,13 @@ func (s *Service) SubmitIdempotent(spec JobSpec, idemKey string) (*JobStatus, bo
 	}
 	if cached, from, ok := s.cache.Get(j.key); ok {
 		s.mu.Unlock()
+		// The hit shares the cached result's arrays.
 		hit := *cached
-		hit.CachedFrom = from
+		hit.cachedFrom = from
 		j.state = StateSucceeded
-		j.result = &hit
+		j.final = &hit
 		j.endedAt = time.Now()
-		j.cohort = nil
-		close(j.done)
+		j.finishLocked() // not yet shared
 		// The spec and result records share an fsync, and the job is
 		// visible only once both are durable.
 		if err := s.commit(specRecord(j), resultRecord(j, StateSucceeded, j.key)); err != nil {
@@ -472,18 +487,20 @@ func (s *Service) SubmitIdempotent(spec JobSpec, idemKey string) (*JobStatus, bo
 			return nil, false, s.specWriteError(j, err)
 		}
 		s.resultWrites.Add(1)
+		s.finished.Add(1)
 		s.mu.Lock()
-		s.jobs[id] = j
+		s.addJobLocked(j)
 		s.cond.Broadcast() // wake duplicate submissions waiting on the key
 		s.mu.Unlock()
 		s.cfg.Logf("service: %s answered from cache (produced by %s)", id, from)
 		return j.status(), false, nil
 	}
 	if s.startableLocked(j) {
-		j.pending = newPendingSpec()
+		p := newPendingSpec()
+		j.pending = p
 		s.startLocked(j)
 		s.mu.Unlock()
-		return s.awaitSpec(j, idemKey)
+		return s.awaitSpec(j, p, idemKey)
 	}
 	depth := s.queue.Len()
 	if depth >= s.cfg.MaxQueued {
@@ -510,7 +527,7 @@ func (s *Service) SubmitIdempotent(spec JobSpec, idemKey string) (*JobStatus, bo
 	// Visible only once durable: Get, List and a duplicate submission
 	// waiting on the key see an acknowledged job.
 	s.mu.Lock()
-	s.jobs[id] = j
+	s.addJobLocked(j)
 	s.queue.Push(j)
 	s.cond.Broadcast() // wake the dispatcher and duplicate submissions waiting on the key
 	s.mu.Unlock()
@@ -630,7 +647,12 @@ func (s *Service) execute(j *job) {
 // runJob drives one job through the durable runner.
 func (s *Service) runJob(j *job) {
 	ctx, cancel := context.WithCancel(s.ctx)
-	defer cancel()
+	defer func() {
+		j.mu.Lock()
+		j.cancel = nil
+		j.mu.Unlock()
+		cancel()
+	}()
 	j.mu.Lock()
 	if j.userCancel || j.state.Terminal() {
 		// Canceled between dequeue and start.
@@ -815,14 +837,14 @@ func (s *Service) park(j *job, format string, args ...any) {
 // written: it caches a success, then makes the transition.
 func (s *Service) completeJob(j *job, state JobState, key CacheKey) {
 	if state == StateSucceeded {
-		j.mu.Lock()
-		result := j.result
-		j.mu.Unlock()
+		result := j.keptResult()
 		s.mu.Lock()
 		s.cache.Put(key, j.id, result)
 		s.mu.Unlock()
 	}
-	j.setState(state)
+	if j.setState(state) {
+		s.finished.Add(1)
+	}
 	s.drain.completed() // feeds the Retry-After drain-rate estimate
 	s.cfg.Logf("service: %s finished %s (exit %d)", j.id, state, state.ExitCode())
 }
@@ -1005,7 +1027,7 @@ func (s *Service) Resume(id string) (*JobStatus, error) {
 	j.cost = cost
 	j.mu.Lock()
 	j.state = StateQueued
-	j.result = nil
+	j.final = nil
 	j.userCancel = false
 	if cohort != nil {
 		// The job's key came from its result record, not this cohort.
@@ -1014,6 +1036,7 @@ func (s *Service) Resume(id string) (*JobStatus, error) {
 	j.done = make(chan struct{})
 	j.publishLocked(Event{Type: "state", JobID: j.id, State: StateQueued.String()})
 	j.mu.Unlock()
+	s.finished.Add(-1)
 	s.queue.Push(j)
 	s.cond.Signal()
 	return j.status(), nil
@@ -1080,18 +1103,43 @@ type Stats struct {
 	Disk    DiskStats     `json:"disk"`
 	// Submit counts the fresh jobs started at submission (preack.go).
 	Submit SubmitStats `json:"submit"`
+	// Memory is the daemon's heap and what its finished jobs keep.
+	Memory MemoryStats `json:"memory"`
+}
+
+// MemoryStats shows retention from the daemon alone: the live heap over
+// the finished jobs it keeps (docs/SERVICE.md §7).
+type MemoryStats struct {
+	// HeapLiveBytes is the heap the last garbage collection marked live.
+	HeapLiveBytes uint64 `json:"heap_live_bytes"`
+	// GCCycles counts the completed garbage collections.
+	GCCycles uint64 `json:"gc_cycles"`
+	// FinishedJobs counts the terminal jobs the daemon keeps.
+	FinishedJobs int64 `json:"finished_jobs"`
+}
+
+// memoryStats reads the heap figures from runtime/metrics, which does
+// not stop the world.
+func (s *Service) memoryStats() MemoryStats {
+	samples := []metrics.Sample{{Name: "/gc/heap/live:bytes"}, {Name: "/gc/cycles/total:gc-cycles"}}
+	metrics.Read(samples)
+	m := MemoryStats{FinishedJobs: s.finished.Load()}
+	if v := samples[0].Value; v.Kind() == metrics.KindUint64 {
+		m.HeapLiveBytes = v.Uint64()
+	}
+	if v := samples[1].Value; v.Kind() == metrics.KindUint64 {
+		m.GCCycles = v.Uint64()
+	}
+	return m
 }
 
 // Stats snapshots the queue, admission, cache, and resilience counters.
 func (s *Service) Stats() Stats {
 	s.refreshUsage()
 	brk := s.brk.status()
+	mem := s.memoryStats()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	engines := make(map[string]int, 3)
-	for _, j := range s.jobs {
-		engines[j.opt.Engine.String()]++
-	}
 	return Stats{
 		Queued:      s.queue.Len(),
 		Running:     s.adm.running,
@@ -1099,11 +1147,12 @@ func (s *Service) Stats() Stats {
 		GPUCapacity: s.adm.capacity,
 		Jobs:        len(s.jobs),
 		Cache:       s.cache.Stats(),
-		Engines:     engines,
+		Engines:     maps.Clone(s.engines),
 		Shed:        s.shed,
 		Breaker:     brk,
 		Disk:        s.diskStatsLocked(),
 		Submit:      s.submits.stats(),
+		Memory:      mem,
 	}
 }
 
