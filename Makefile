@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race bench benchfull reports examples faults chaos chaos-soak kernel-smoke kernel-bench sparse-smoke sparse-bench serve-smoke clean
+.PHONY: all build vet lint test race bench benchfull reports reports-check examples faults chaos chaos-soak kernel-smoke kernel-bench sparse-smoke sparse-bench serve-smoke clean
 
 all: build vet lint test
 
@@ -35,6 +35,20 @@ benchfull:
 # Regenerate every figure/table of EXPERIMENTS.md into reports/.
 reports:
 	$(GO) run ./cmd/benchreport -exp all -out reports
+
+# The performance-model reports are pure functions of the model (no wall
+# clock), so they must regenerate byte for byte; any difference is a
+# change in the model. The wall-clock experiments (fig5, schemes, ...)
+# are left out. Writes under $RUNNER_TEMP on CI, a fresh temp dir elsewhere.
+MODEL_REPORTS = fig2,fig3,fig4a,fig4b,edvea,fig6,fig7,fig8,speedup,memory,latency,iterations,campaign,hardware
+
+reports-check:
+	@out="$${RUNNER_TEMP:-$$(mktemp -d)}/reports"; \
+	$(GO) run ./cmd/benchreport -exp $(MODEL_REPORTS) -out "$$out" > /dev/null || exit 1; \
+	for e in $$(echo $(MODEL_REPORTS) | tr , ' '); do \
+		cmp "$$out/$$e.txt" "reports/$$e.txt" || exit 1; \
+	done; \
+	echo "reports-check: $(MODEL_REPORTS) identical to reports/"
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -271,12 +271,6 @@ func (w Workload) costModel(d gpusim.DeviceSpec) sched.CostModel {
 	}
 }
 
-// partitions cuts the curve for the machine according to the workload's
-// scheduler configuration.
-func (w Workload) partitions(curve sched.Curve, spec Spec) ([]sched.Partition, error) {
-	return w.partitionsN(curve, spec.Device, spec.GPUs())
-}
-
 // partitionsN cuts the curve for an arbitrary GPU count — the machine may
 // be degraded below its nominal size after a rank failure (see faults.go).
 func (w Workload) partitionsN(curve sched.Curve, d gpusim.DeviceSpec, gpus int) ([]sched.Partition, error) {
@@ -376,7 +370,12 @@ type Report struct {
 	PruningRatio float64
 }
 
-// Simulate prices a full run of the workload on the machine.
+// Simulate prices a full run of the workload on the machine: the real
+// scheduler cuts the workload curve into one partition per GPU, gpusim
+// prices each GPU's share of every iteration, and mpisim plays each
+// iteration's compute block and 20-byte winner reduce/broadcast under the
+// virtual clock. It is SimulateFaults under the empty plan, without the
+// Recovery section.
 func Simulate(spec Spec, w Workload) (*Report, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -384,92 +383,15 @@ func Simulate(spec Spec, w Workload) (*Report, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
-	gpus := spec.GPUs()
-	rep := &Report{Spec: spec, Workload: w, PruningRatio: w.PruneRatio}
-
-	// Per-iteration node compute times: nodes × iterations.
-	nodeBusy := make([][]float64, w.Iterations)
-	curve, err := w.curve()
+	pr, err := modelPricing(spec, w)
 	if err != nil {
 		return nil, err
 	}
-	parts, err := w.partitions(curve, spec)
+	rep, err := pr.run(spec, FaultPlan{})
 	if err != nil {
 		return nil, err
 	}
-
-	tumorLeft := w.TumorSamples
-	for iter := 0; iter < w.Iterations; iter++ {
-		rowWords := w.words(tumorLeft)
-		busy := make([]float64, gpus)
-		if iter == 0 {
-			rep.GPUMetrics = make([]gpusim.Metrics, gpus)
-		}
-		// Devices are independent; price them on all cores. Results land
-		// in index-addressed slices, so the output stays deterministic.
-		parallelFor(gpus, func(g int) {
-			m := spec.Device.Simulate(w.jobFor(curve, parts[g], rowWords, g, 0))
-			busy[g] = m.BusySeconds
-			if iter == 0 {
-				rep.GPUMetrics[g] = m
-			}
-		})
-		if iter == 0 {
-			rep.Utilization = gpusim.Utilization(busy)
-		}
-		nb := make([]float64, spec.Nodes)
-		for n := 0; n < spec.Nodes; n++ {
-			for d := 0; d < spec.GPUsPerNode; d++ {
-				if b := busy[n*spec.GPUsPerNode+d]; b > nb[n] {
-					nb[n] = b
-				}
-			}
-		}
-		nodeBusy[iter] = nb
-		maxBusy, critical := 0.0, 0
-		for g, bsec := range busy {
-			if bsec > maxBusy {
-				maxBusy, critical = bsec, g
-			}
-		}
-		rep.Iterations = append(rep.Iterations, IterationReport{
-			Iteration:      iter,
-			TumorRemaining: tumorLeft,
-			RowWords:       rowWords,
-			MaxBusySec:     maxBusy,
-			CriticalGPU:    critical,
-		})
-		if w.SpliceShrink > 0 {
-			tumorLeft = int(float64(tumorLeft) * (1 - w.SpliceShrink))
-			if tumorLeft < 1 {
-				tumorLeft = 1
-			}
-		}
-	}
-
-	// Play the rank-level protocol under the virtual clock: compute, reduce
-	// the per-rank 20-byte winner to rank 0, broadcast the exclusion set.
-	world := mpisim.NewWorld(spec.Nodes, spec.Comm)
-	err = world.Run(func(r *mpisim.Rank) error {
-		for iter := 0; iter < w.Iterations; iter++ {
-			r.Compute(nodeBusy[iter][r.ID()] + spec.IterOverheadSec)
-			r.Reduce(reduce.None, reduce.BytesPerRecord, combineCombo)
-			r.Bcast(reduce.None, reduce.BytesPerRecord)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	rep.RuntimeSec = spec.StartupSec + world.MaxClock()
-	for n := 0; n < spec.Nodes; n++ {
-		rep.Ranks = append(rep.Ranks, RankReport{
-			Rank:       n,
-			ComputeSec: world.ComputeTime(n),
-			CommSec:    world.CommTime(n),
-			WaitSec:    world.WaitTime(n),
-		})
-	}
+	rep.Recovery = nil
 	return rep, nil
 }
 
@@ -525,61 +447,39 @@ func WeakScaling(w Workload, nodeCounts []int) ([]ScalingPoint, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
+	for _, n := range nodeCounts {
+		if err := Summit(n).Validate(); err != nil {
+			return nil, err
+		}
+	}
+	// One iteration at full row width, no startup: every point times the
+	// baseline's first iteration.
+	w.Iterations = 1
 	baseSpec := Summit(nodeCounts[0])
-	if err := baseSpec.Validate(); err != nil {
-		return nil, err
-	}
-	baseGPUs := baseSpec.GPUs()
-	curve, err := w.curve()
+	pr, err := modelPricing(baseSpec, w)
 	if err != nil {
 		return nil, err
 	}
-	parts, err := w.partitions(curve, baseSpec)
+	baseParts, err := pr.parts(baseSpec.Nodes)
 	if err != nil {
 		return nil, err
 	}
-	rowWords := w.words(w.TumorSamples)
-	prefetch := w.prefetchRows()
-	irr := w.irregularity()
-	cap := w.spanCap()
-
+	pr.parts = func(n int) ([]sched.Partition, error) {
+		parts := make([]sched.Partition, n*baseSpec.GPUsPerNode)
+		for g := range parts {
+			parts[g] = baseParts[g%len(baseParts)]
+		}
+		return parts, nil
+	}
 	var out []ScalingPoint
 	for _, n := range nodeCounts {
 		spec := Summit(n)
-		gpus := spec.GPUs()
-		busy := make([]float64, gpus)
-		parallelFor(gpus, func(g int) {
-			part := parts[g%baseGPUs]
-			job := gpusim.Job{
-				Threads:      part.Size(),
-				Combos:       w.combosAfterPruning(curve.PrefixWork(part.Hi) - curve.PrefixWork(part.Lo)),
-				RowWords:     rowWords,
-				PrefetchRows: prefetch,
-				Irregularity: irr,
-				SpanCap:      cap,
-				DeviceIndex:  g,
-			}
-			busy[g] = spec.Device.Simulate(job).BusySeconds
-		})
-		nodeBusy := make([]float64, spec.Nodes)
-		for node := 0; node < spec.Nodes; node++ {
-			for d := 0; d < spec.GPUsPerNode; d++ {
-				if b := busy[node*spec.GPUsPerNode+d]; b > nodeBusy[node] {
-					nodeBusy[node] = b
-				}
-			}
-		}
-		world := mpisim.NewWorld(spec.Nodes, spec.Comm)
-		err := world.Run(func(r *mpisim.Rank) error {
-			r.Compute(nodeBusy[r.ID()] + spec.IterOverheadSec)
-			r.Reduce(reduce.None, reduce.BytesPerRecord, combineCombo)
-			r.Bcast(reduce.None, reduce.BytesPerRecord)
-			return nil
-		})
+		spec.StartupSec = 0
+		rep, err := pr.run(spec, FaultPlan{})
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, ScalingPoint{Nodes: n, RuntimeSec: world.MaxClock()})
+		out = append(out, ScalingPoint{Nodes: n, RuntimeSec: rep.RuntimeSec})
 	}
 	base := out[0]
 	for i := range out {

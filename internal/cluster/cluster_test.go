@@ -294,6 +294,9 @@ func TestScalingInputValidation(t *testing.T) {
 	if _, err := WeakScaling(BRCA4Hit(cover.Scheme3x1), nil); err == nil {
 		t.Error("WeakScaling accepted empty node list")
 	}
+	if _, err := WeakScaling(BRCA4Hit(cover.Scheme3x1), []int{100, 0}); err == nil {
+		t.Error("WeakScaling accepted a non-positive later node count")
+	}
 	bad := BRCA4Hit(cover.Scheme3x1)
 	bad.Iterations = 0
 	if _, err := Simulate(Summit(2), bad); err == nil {

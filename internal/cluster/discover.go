@@ -37,35 +37,36 @@ type DiscoverResult struct {
 	Recovery *Recovery
 }
 
-// discoverPerNode builds the hierarchical λ-domain schedule for a machine
-// of nodes ranks × gpn GPUs: ranks split the domain, then each rank splits
-// its share across its GPUs (Fig. 1). Under equi-distance both levels
-// split by thread count; otherwise both levels split equi-area.
-func discoverPerNode(curve sched.Curve, scheduler cover.Scheduler, nodes, gpn int) ([][]sched.Partition, error) {
+// discoverParts builds the hierarchical λ-domain schedule for a machine
+// of nodes ranks × gpn GPUs, node-major: ranks split the domain, then each
+// rank splits its share across its GPUs (Fig. 1). Under equi-distance both
+// levels split by thread count; otherwise both levels split equi-area.
+func discoverParts(curve sched.Curve, scheduler cover.Scheduler, nodes, gpn int) ([]sched.Partition, error) {
+	var parts []sched.Partition
 	if scheduler == cover.EquiDistance {
 		nodeParts, err := sched.EquiDistance(curve, nodes)
 		if err != nil {
 			return nil, err
 		}
-		var perNode [][]sched.Partition
 		for _, np := range nodeParts {
 			sub, err := sched.EquiDistance(sched.NewFlat(np.Size()), gpn)
 			if err != nil {
 				return nil, err
 			}
-			var shifted []sched.Partition
 			for _, p := range sub {
-				shifted = append(shifted, sched.Partition{Lo: np.Lo + p.Lo, Hi: np.Lo + p.Hi})
+				parts = append(parts, sched.Partition{Lo: np.Lo + p.Lo, Hi: np.Lo + p.Hi})
 			}
-			perNode = append(perNode, shifted)
 		}
-		return perNode, nil
+		return parts, nil
 	}
 	tl, err := sched.NewTwoLevel(curve, nodes, gpn)
 	if err != nil {
 		return nil, err
 	}
-	return tl.PerNode, nil
+	for _, gpus := range tl.PerNode {
+		parts = append(parts, gpus...)
+	}
+	return parts, nil
 }
 
 // Discover runs the full greedy cover on the simulated cluster: cover.Greedy
@@ -73,9 +74,12 @@ func discoverPerNode(curve sched.Curve, scheduler cover.Scheduler, nodes, gpn in
 // support (docs/PRUNING.md §7) is scanned partition by partition over the
 // machine's two-level λ schedule (Fig. 1), one unseeded partition per GPU,
 // with the winners reduced in the total order rank 0 reduces them in. The
-// discovered cover is therefore cover.Run's; the virtual clock prices one
-// full-domain pass per greedy pass with the device model, plus the
-// per-pass reduce/broadcast of the winner and its work counts.
+// discovered cover is therefore cover.Run's.
+//
+// The virtual clock prices every greedy pass as a full-domain scan with
+// the device model, support-settled passes included, although a settled
+// pass scans no partition; each pass then reduces and broadcasts the
+// 20-byte winner and its 16-byte Evaluated/Pruned tally.
 //
 // Every rank holds the full input matrices (as on Summit, where the
 // compressed inputs are small); only the 20-byte winners cross the fabric.
@@ -97,8 +101,79 @@ func DiscoverCtx(ctx context.Context, spec Spec, tumor, normal *bitmat.Matrix, o
 	return res, nil
 }
 
+// DiscoverFaults runs Discover under the fault plan (docs/FAULTS.md). The
+// returned Steps are the fault-free run's, field for field, under either
+// recovery policy: the winners are computed once, by discoverGreedy, and
+// the greedy is deterministic in the active mask, so a restart's replay
+// and a degrade's makeup pass reduce the very same winners. VirtualSeconds
+// carries the recovery overhead and Recovery itemises it. An empty plan
+// reproduces Discover's virtual time exactly, Kernelize included.
+func DiscoverFaults(spec Spec, tumor, normal *bitmat.Matrix, opt cover.Options, plan FaultPlan) (*DiscoverResult, error) {
+	return DiscoverFaultsCtx(context.Background(), spec, tumor, normal, opt, plan)
+}
+
+// DiscoverFaultsCtx is DiscoverFaults under a caller-supplied context: the
+// greedy (the only real kernel work in this path) observes cancellation
+// between passes and before each GPU partition. The virtual clock is the
+// leg protocol over one iteration per greedy pass, at the full row width,
+// on discoverParts' two-level schedule.
+func DiscoverFaultsCtx(ctx context.Context, spec Spec, tumor, normal *bitmat.Matrix, opt cover.Options, plan FaultPlan) (*DiscoverResult, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	if err := plan.Validate(spec.Nodes); err != nil {
+		return nil, err
+	}
+	greedy, passes, genes, err := discoverGreedy(ctx, spec, tumor, normal, opt)
+	if err != nil {
+		return nil, err
+	}
+	w := Workload{
+		Genes:         tumor.Genes(),
+		TumorSamples:  tumor.Samples(),
+		NormalSamples: normal.Samples(),
+		Scheme:        greedy.Options.Scheme,
+		Iterations:    passes,
+	}
+	if opt.Kernelize {
+		w.KernelGenes = genes
+	}
+	curve, err := w.curve()
+	if err != nil {
+		return nil, err
+	}
+	pr := pricing{
+		w:     w,
+		curve: curve,
+		parts: func(n int) ([]sched.Partition, error) {
+			return discoverParts(curve, opt.Scheduler, n, spec.GPUsPerNode)
+		},
+		payloads: []int{reduce.BytesPerRecord, countsBytes},
+	}
+	rep, err := pr.runFaults(spec, plan)
+	if err != nil {
+		return nil, err
+	}
+	res := &DiscoverResult{
+		Steps:          greedy.Steps,
+		Covered:        greedy.Covered,
+		Uncoverable:    greedy.Uncoverable,
+		VirtualSeconds: rep.RuntimeSec,
+		Ranks:          rep.Ranks,
+		Recovery:       rep.Recovery,
+	}
+	if scanned := greedy.Evaluated + greedy.Pruned; scanned > 0 {
+		res.PruningRatio = float64(greedy.Pruned) / float64(scanned)
+	}
+	return res, nil
+}
+
+// countsBytes is the wire size of a pass's Evaluated/Pruned tally: a pair
+// of 8-byte counts.
+const countsBytes = 2 * 8
+
 // discoverGreedy runs cover.Greedy with a rank scanner: each scanned pass
-// is cut by discoverPerNode for the full machine, and every GPU partition
+// is cut by discoverParts for the full machine, and every GPU partition
 // is scored by an unseeded cover.ScanPartitionWeighted, since ranks share
 // no incumbent. It returns the greedy result with every Step.Elapsed
 // zeroed (the cluster's clock is virtual), the number of passes the
@@ -117,27 +192,25 @@ func discoverGreedy(ctx context.Context, spec Spec, tumor, normal *bitmat.Matrix
 		if err != nil {
 			return reduce.None, cover.Counts{}, err
 		}
-		perNode, err := discoverPerNode(curve, p.Opt.Scheduler, spec.Nodes, spec.GPUsPerNode)
+		parts, err := discoverParts(curve, p.Opt.Scheduler, spec.Nodes, spec.GPUsPerNode)
 		if err != nil {
 			return reduce.None, cover.Counts{}, err
 		}
 		best := reduce.None
 		var total cover.Counts
-		for _, gpus := range perNode {
-			for _, part := range gpus {
-				if err := ctx.Err(); err != nil {
-					return best, total, err
-				}
-				b, n, err := cover.ScanPartitionWeighted(p.Tumor, p.Normal, p.Active,
-					p.TumorWeights, p.NormalWeights, p.Opt, part, p.Denom, reduce.None)
-				total.Evaluated += n.Evaluated
-				total.Pruned += n.Pruned
-				if err != nil {
-					return best, total, err
-				}
-				if b.Better(best) {
-					best = b
-				}
+		for _, part := range parts {
+			if err := ctx.Err(); err != nil {
+				return best, total, err
+			}
+			b, n, err := cover.ScanPartitionWeighted(p.Tumor, p.Normal, p.Active,
+				p.TumorWeights, p.NormalWeights, p.Opt, part, p.Denom, reduce.None)
+			total.Evaluated += n.Evaluated
+			total.Pruned += n.Pruned
+			if err != nil {
+				return best, total, err
+			}
+			if b.Better(best) {
+				best = b
 			}
 		}
 		return best, total, nil

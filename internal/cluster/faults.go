@@ -4,7 +4,8 @@ package cluster
 //
 // The paper's production runs occupy thousands of Summit GPUs for hours
 // (Sec. IV) — a regime where node failures and stragglers are routine. This
-// file models both and prices two recovery policies against them:
+// file models both; the leg protocol (run.go) prices two recovery policies
+// against them:
 //
 //   - PolicyRestart aborts the job at the failure, books the wasted time
 //     plus a fresh StartupSec, and resumes from the latest checkpoint
@@ -22,15 +23,9 @@ package cluster
 // identical Report, which the tests pin.
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
-
-	"repro/internal/gpusim"
-	"repro/internal/mpisim"
-	"repro/internal/reduce"
-	"repro/internal/sched"
 )
 
 // RecoveryPolicy selects how a run reacts to a rank failure.
@@ -225,117 +220,17 @@ func (p FaultPlan) countStragglers(gpus int) int {
 	return n
 }
 
-// rowWordsSchedule precomputes each iteration's packed row words under the
-// workload's splice-shrink trajectory — shared by every leg and restart so
-// a replayed iteration always costs what it cost the first time.
-func (w Workload) rowWordsSchedule() ([]int, []int) {
-	rowWords := make([]int, w.Iterations)
-	tumorRemaining := make([]int, w.Iterations)
-	left := w.TumorSamples
-	for iter := 0; iter < w.Iterations; iter++ {
-		tumorRemaining[iter] = left
-		rowWords[iter] = w.words(left)
-		if w.SpliceShrink > 0 {
-			left = int(float64(left) * (1 - w.SpliceShrink))
-			if left < 1 {
-				left = 1
-			}
-		}
-	}
-	return rowWords, tumorRemaining
-}
-
-// legPricing is one leg's per-iteration, per-alive-node busy times.
-type legPricing struct {
-	// parts is the flat per-GPU partitioning of the alive machine.
-	parts []sched.Partition
-	// nodeBusy[li][ai] is the busiest GPU of alive node ai in the leg's
-	// li-th iteration; busy[li][gi] is the per-GPU detail of iteration li.
-	nodeBusy [][]float64
-	busy     [][]float64
-}
-
-// priceLeg prices iterations [startIter, w.Iterations) on the alive nodes.
-// Device indices are physical (a straggler stays a straggler after the
-// machine shrinks around it).
-func priceLeg(spec Spec, w Workload, plan FaultPlan, curve sched.Curve,
-	rowWords []int, alive []int, startIter int) (*legPricing, error) {
-	gpn := spec.GPUsPerNode
-	gpus := len(alive) * gpn
-	parts, err := w.partitionsN(curve, spec.Device, gpus)
-	if err != nil {
-		return nil, err
-	}
-	iters := w.Iterations - startIter
-	lp := &legPricing{
-		parts:    parts,
-		nodeBusy: make([][]float64, iters),
-		busy:     make([][]float64, iters),
-	}
-	for li := 0; li < iters; li++ {
-		rw := rowWords[startIter+li]
-		busy := make([]float64, gpus)
-		parallelFor(gpus, func(gi int) {
-			phys := alive[gi/gpn]*gpn + gi%gpn
-			job := w.jobFor(curve, parts[gi], rw, phys, plan.stragglerSlowdown(phys))
-			busy[gi] = spec.Device.Simulate(job).BusySeconds
-		})
-		nb := make([]float64, len(alive))
-		for ai := range alive {
-			for d := 0; d < gpn; d++ {
-				if b := busy[ai*gpn+d]; b > nb[ai] {
-					nb[ai] = b
-				}
-			}
-		}
-		lp.busy[li] = busy
-		lp.nodeBusy[li] = nb
-	}
-	return lp, nil
-}
-
-// criticalPath returns the leg iteration's slowest GPU and its busy time.
-func (lp *legPricing) criticalPath(li int) (float64, int) {
-	maxBusy, critical := 0.0, 0
-	for gi, b := range lp.busy[li] {
-		if b > maxBusy {
-			maxBusy, critical = b, gi
-		}
-	}
-	return maxBusy, critical
-}
-
-// armFailure picks the leg's armed failure: the earliest pending failure
-// whose rank is still alive. Only one rank is ever armed per leg — the
-// world tears down at the first death anyway, and arming a single rank
-// keeps the recovered root cause deterministic.
-func armFailure(pending []RankFailure, alive []int) (RankFailure, int, bool) {
-	for _, f := range pending {
-		for ai, phys := range alive {
-			if phys == f.Rank {
-				return f, ai, true
-			}
-		}
-	}
-	return RankFailure{}, 0, false
-}
-
-// dropFailure removes the fired failure from the pending list.
-func dropFailure(pending []RankFailure, fired RankFailure) []RankFailure {
-	out := pending[:0]
-	for _, f := range pending {
-		if f != fired {
-			out = append(out, f)
-		}
-	}
-	return out
+// checkpointAt reports whether iteration it (0-based) ends on the plan's
+// checkpoint cadence.
+func (p FaultPlan) checkpointAt(it int) bool {
+	return p.CheckpointEvery > 0 && (it+1)%p.CheckpointEvery == 0
 }
 
 // SimulateFaults prices a full run of the workload under the fault plan.
 // It is Simulate with failures: legs of fault-free execution separated by
 // rank deaths, each recovered according to plan.Policy, with the recovery
 // accounting surfaced in Report.Recovery. An empty plan reproduces
-// Simulate's runtime exactly (plus a zeroed Recovery section).
+// Simulate's Report exactly, plus a zeroed Recovery section.
 func SimulateFaults(spec Spec, w Workload, plan FaultPlan) (*Report, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -346,217 +241,9 @@ func SimulateFaults(spec Spec, w Workload, plan FaultPlan) (*Report, error) {
 	if err := plan.Validate(spec.Nodes); err != nil {
 		return nil, err
 	}
-	baseline, err := Simulate(spec, w)
+	pr, err := modelPricing(spec, w)
 	if err != nil {
 		return nil, err
 	}
-
-	gpn := spec.GPUsPerNode
-	curve, err := w.curve()
-	if err != nil {
-		return nil, err
-	}
-	rowWords, tumorRemaining := w.rowWordsSchedule()
-
-	rec := &Recovery{
-		Policy:             plan.Policy,
-		StragglersInjected: plan.countStragglers(spec.GPUs()),
-	}
-	pending := plan.plannedFailures(spec.Nodes)
-
-	alive := make([]int, spec.Nodes)
-	for i := range alive {
-		alive[i] = i
-	}
-	rep := &Report{Spec: spec, Workload: w, Recovery: rec}
-	ledger := make([]RankReport, spec.Nodes)
-	for n := range ledger {
-		ledger[n].Rank = n
-	}
-	iterDone := make([]bool, w.Iterations)
-	iterReps := make([]IterationReport, w.Iterations)
-
-	elapsed := 0.0
-	progress := 0
-	firstLeg := true
-	for progress < w.Iterations {
-		lp, err := priceLeg(spec, w, plan, curve, rowWords, alive, progress)
-		if err != nil {
-			return nil, err
-		}
-		if firstLeg {
-			// First iteration of the pristine machine: the Fig. 6/7 inputs,
-			// as in Simulate.
-			gpus := spec.GPUs()
-			rep.GPUMetrics = make([]gpusim.Metrics, gpus)
-			parallelFor(gpus, func(g int) {
-				rep.GPUMetrics[g] = spec.Device.Simulate(
-					w.jobFor(curve, lp.parts[g], rowWords[0], g, plan.stragglerSlowdown(g)))
-			})
-			rep.Utilization = gpusim.Utilization(lp.busy[0])
-			firstLeg = false
-		}
-		// Record iteration reports for this leg (overwritten only if the
-		// iteration had not completed in an earlier leg).
-		for li := range lp.nodeBusy {
-			it := progress + li
-			if iterDone[it] {
-				continue
-			}
-			maxBusy, critical := lp.criticalPath(li)
-			iterReps[it] = IterationReport{
-				Iteration:      it,
-				TumorRemaining: tumorRemaining[it],
-				RowWords:       rowWords[it],
-				MaxBusySec:     maxBusy,
-				CriticalGPU:    critical,
-			}
-		}
-
-		armed, armedIdx, haveFailure := armFailure(pending, alive)
-		world := mpisim.NewWorld(len(alive), spec.Comm)
-		if haveFailure {
-			rel := armed.AtSec - elapsed
-			if rel < 0 {
-				rel = 0 // stale failure: the node dies the moment the leg starts
-			}
-			world.FailRankAt(armedIdx, rel)
-		}
-		// entered counts the iterations whose Compute the armed rank
-		// reached; written only by that rank's goroutine, and deterministic
-		// because the rank's virtual-time trajectory up to its own death
-		// does not depend on goroutine scheduling.
-		entered := 0
-		runErr := world.Run(func(r *mpisim.Rank) error {
-			for it := progress; it < w.Iterations; it++ {
-				if haveFailure && r.ID() == armedIdx {
-					entered = it - progress + 1
-				}
-				block := lp.nodeBusy[it-progress][r.ID()] + spec.IterOverheadSec
-				if plan.CheckpointEvery > 0 && (it+1)%plan.CheckpointEvery == 0 {
-					block += plan.CheckpointCostSec
-				}
-				r.Compute(block)
-				r.Reduce(reduce.None, reduce.BytesPerRecord, combineCombo)
-				r.Bcast(reduce.None, reduce.BytesPerRecord)
-			}
-			return nil
-		})
-		if runErr == nil {
-			// Fault-free leg to completion.
-			elapsed += world.MaxClock()
-			for ai, phys := range alive {
-				ledger[phys].ComputeSec += world.ComputeTime(ai)
-				ledger[phys].CommSec += world.CommTime(ai)
-				ledger[phys].WaitSec += world.WaitTime(ai)
-			}
-			for it := progress; it < w.Iterations; it++ {
-				iterDone[it] = true
-				if plan.CheckpointEvery > 0 && (it+1)%plan.CheckpointEvery == 0 {
-					rec.CheckpointsTaken++
-					rec.CheckpointCostSec += plan.CheckpointCostSec
-				}
-			}
-			progress = w.Iterations
-			break
-		}
-		var fe *mpisim.FailureError
-		if !errors.As(runErr, &fe) {
-			return nil, runErr
-		}
-		// The armed rank died in iteration `inflight`'s compute; iterations
-		// progress..inflight-1 completed on every rank (the dead rank's
-		// reduce contribution for them was sent before it died). The
-		// aborted world's surviving-rank ledgers stop at scheduling-
-		// dependent points and are discarded; only the dead rank's clock
-		// (fe.AtSec) is deterministic, and it is what the booking uses.
-		inflight := progress + entered - 1
-		tFail := fe.AtSec
-		rec.FailuresInjected++
-		rec.Failures = append(rec.Failures, RankFailure{Rank: alive[armedIdx], AtSec: elapsed + tFail})
-		pending = dropFailure(pending, armed)
-		for it := progress; it < inflight; it++ {
-			iterDone[it] = true
-			if plan.CheckpointEvery > 0 && (it+1)%plan.CheckpointEvery == 0 {
-				rec.CheckpointsTaken++
-				rec.CheckpointCostSec += plan.CheckpointCostSec
-			}
-		}
-
-		switch plan.Policy {
-		case PolicyRestart:
-			elapsed += tFail + spec.StartupSec
-			restartFrom := 0
-			if plan.CheckpointEvery > 0 {
-				restartFrom = inflight / plan.CheckpointEvery * plan.CheckpointEvery
-			}
-			rec.RecomputedIterations += inflight - restartFrom
-			for it := restartFrom; it < inflight; it++ {
-				rec.RecomputedWorkSec += iterReps[it].MaxBusySec + spec.IterOverheadSec
-			}
-			rec.RestartCount++
-			progress = restartFrom
-		case PolicyDegrade:
-			survivors := make([]int, 0, len(alive)-1)
-			for ai, phys := range alive {
-				if ai != armedIdx {
-					survivors = append(survivors, phys)
-				}
-			}
-			if len(survivors) == 0 {
-				return nil, fmt.Errorf("cluster: all ranks failed; nothing left to degrade onto")
-			}
-			// The in-flight iteration died inside its collective, so its
-			// partial results are lost: the survivors redo their own
-			// λ-ranges and then run a makeup pass over the dead rank's
-			// range, re-cut equi-area across their GPUs at the in-flight
-			// iteration's row width.
-			redo := 0.0
-			for ai := range alive {
-				if ai == armedIdx {
-					continue
-				}
-				if b := lp.nodeBusy[inflight-progress][ai]; b > redo {
-					redo = b
-				}
-			}
-			lo := lp.parts[armedIdx*gpn].Lo
-			hi := lp.parts[(armedIdx+1)*gpn-1].Hi
-			mkParts, err := sched.EquiAreaRange(curve, lo, hi, len(survivors)*gpn)
-			if err != nil {
-				return nil, err
-			}
-			mkBusy := make([]float64, len(mkParts))
-			parallelFor(len(mkParts), func(gi int) {
-				phys := survivors[gi/gpn]*gpn + gi%gpn
-				job := w.jobFor(curve, mkParts[gi], rowWords[inflight], phys, plan.stragglerSlowdown(phys))
-				mkBusy[gi] = spec.Device.Simulate(job).BusySeconds
-			})
-			makeup := 0.0
-			for _, b := range mkBusy {
-				if b > makeup {
-					makeup = b
-				}
-			}
-			elapsed += tFail + plan.RescheduleSec + redo + makeup + spec.IterOverheadSec
-			rec.MakeupPasses++
-			rec.RecomputedIterations++
-			rec.RecomputedWorkSec += redo + makeup
-			iterDone[inflight] = true
-			if plan.CheckpointEvery > 0 && (inflight+1)%plan.CheckpointEvery == 0 {
-				rec.CheckpointsTaken++
-				rec.CheckpointCostSec += plan.CheckpointCostSec
-			}
-			progress = inflight + 1
-			alive = survivors
-		}
-	}
-
-	rec.SurvivingRanks = len(alive)
-	rep.RuntimeSec = spec.StartupSec + elapsed
-	rep.Ranks = ledger
-	rep.Iterations = iterReps
-	rec.FaultFreeRuntimeSec = baseline.RuntimeSec
-	rec.OverheadSec = rep.RuntimeSec - baseline.RuntimeSec
-	return rep, nil
+	return pr.runFaults(spec, plan)
 }

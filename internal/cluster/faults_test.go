@@ -58,39 +58,49 @@ func TestFaultPlanValidation(t *testing.T) {
 
 func TestSimulateFaultsEmptyPlanMatchesSimulate(t *testing.T) {
 	// With nothing injected the fault path must be a pure pass-through:
-	// same runtime, same ledgers, a zeroed Recovery section.
+	// the same Report field for field, PruningRatio, GPU metrics and the
+	// iteration timeline included, plus a zeroed Recovery section.
 	spec := Summit(4)
-	w := BRCA4Hit(cover.Scheme3x1)
-	want, err := Simulate(spec, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := SimulateFaults(spec, w, FaultPlan{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.RuntimeSec != want.RuntimeSec {
-		t.Fatalf("empty plan changed runtime: %g != %g", got.RuntimeSec, want.RuntimeSec)
-	}
-	if !reflect.DeepEqual(got.Ranks, want.Ranks) {
-		t.Fatal("empty plan changed rank ledgers")
-	}
-	if !reflect.DeepEqual(got.Utilization, want.Utilization) {
-		t.Fatal("empty plan changed utilization")
-	}
-	rec := got.Recovery
-	if rec == nil {
-		t.Fatal("fault run missing Recovery section")
-	}
-	if rec.FailuresInjected != 0 || rec.StragglersInjected != 0 ||
-		rec.RestartCount != 0 || rec.MakeupPasses != 0 {
-		t.Fatalf("empty plan injected something: %+v", rec)
-	}
-	if rec.OverheadSec != 0 || rec.FaultFreeRuntimeSec != want.RuntimeSec {
-		t.Fatalf("empty plan has overhead: %+v", rec)
-	}
-	if rec.SurvivingRanks != spec.Nodes {
-		t.Fatalf("surviving ranks %d, want %d", rec.SurvivingRanks, spec.Nodes)
+	pruned := BRCA4Hit(cover.Scheme3x1)
+	pruned.PruneRatio = 0.5
+	for _, w := range []Workload{BRCA4Hit(cover.Scheme3x1), pruned} {
+		want, err := Simulate(spec, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := SimulateFaults(spec, w, FaultPlan{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.RuntimeSec != want.RuntimeSec {
+			t.Fatalf("empty plan changed runtime: %g != %g", got.RuntimeSec, want.RuntimeSec)
+		}
+		if !reflect.DeepEqual(got.Ranks, want.Ranks) {
+			t.Fatal("empty plan changed rank ledgers")
+		}
+		if !reflect.DeepEqual(got.Utilization, want.Utilization) {
+			t.Fatal("empty plan changed utilization")
+		}
+		rec := got.Recovery
+		if rec == nil {
+			t.Fatal("fault run missing Recovery section")
+		}
+		if rec.FailuresInjected != 0 || rec.StragglersInjected != 0 ||
+			rec.RestartCount != 0 || rec.MakeupPasses != 0 {
+			t.Fatalf("empty plan injected something: %+v", rec)
+		}
+		if rec.OverheadSec != 0 || rec.FaultFreeRuntimeSec != want.RuntimeSec {
+			t.Fatalf("empty plan has overhead: %+v", rec)
+		}
+		if rec.SurvivingRanks != spec.Nodes {
+			t.Fatalf("surviving ranks %d, want %d", rec.SurvivingRanks, spec.Nodes)
+		}
+		bare := *got
+		bare.Recovery = nil
+		if !reflect.DeepEqual(&bare, want) {
+			t.Fatalf("PruneRatio %g: empty plan's Report differs from Simulate's (PruningRatio %g vs %g)",
+				w.PruneRatio, bare.PruningRatio, want.PruningRatio)
+		}
 	}
 }
 

@@ -130,12 +130,12 @@ func TestCrashAtEveryJournalRecord(t *testing.T) {
 	// varies between runs: checkpoints publish on the measured cadence,
 	// and a job's spec record rides on its result record only when the
 	// job beats its wait budget. So the sweep also covers the most hits
-	// seen in any run (13 fsyncs, 6 appends on a 2-vCPU VM); a hit past
+	// seen in any run (14 fsyncs, 6 appends on a 2-vCPU VM); a hit past
 	// the scenario's end runs it fault-free.
 	for _, fp := range []struct {
 		name    string
 		minHits int
-	}{{"ckptstore/journal-torn", 6}, {"ckptstore/sync", 13}} {
+	}{{"ckptstore/journal-torn", 6}, {"ckptstore/sync", 14}} {
 		fired := true
 		for n := 1; fired || n <= fp.minHits; n++ {
 			if n > 100 {
