@@ -6,6 +6,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
@@ -287,28 +288,16 @@ func BenchmarkKernel3x1(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		tm, nm, tw, nw := kern.Tumor, kern.Normal, kern.TumorWeights, kern.NormalWeights
-		active := bitmat.AllOnes(tm.Samples())
-		denom := float64(cohort.Tumor.Samples() + cohort.Normal.Samples())
-		parts, err := cover.PartitionPlan(tm.Genes(), opt, 4)
+		p := cover.Pass{Tumor: kern.Tumor, Normal: kern.Normal, Active: bitmat.AllOnes(kern.Tumor.Samples()),
+			TumorWeights: kern.TumorWeights, NormalWeights: kern.NormalWeights,
+			Denom: float64(cohort.Tumor.Samples() + cohort.Normal.Samples()), Opt: opt}
+		parts, err := cover.PartitionPlan(kern.Tumor.Genes(), opt, 4)
 		if err != nil {
 			b.Fatal(err)
 		}
-		benchPass(b, tm.Genes(), func() (cover.Counts, error) {
-			seed, err := cover.SeedIncumbent(tm, nm, active, tw, nw, opt, denom)
-			if err != nil {
-				return cover.Counts{}, err
-			}
-			var total cover.Counts
-			for _, p := range parts {
-				_, n, err := cover.ScanPartitionWeighted(tm, nm, active, tw, nw, opt, p, denom, seed)
-				if err != nil {
-					return total, err
-				}
-				total.Evaluated += n.Evaluated
-				total.Pruned += n.Pruned
-			}
-			return total, nil
+		benchPass(b, kern.Tumor.Genes(), func() (cover.Counts, error) {
+			_, n, err := cover.ScanPass(context.Background(), p, parts, true, nil)
+			return n, err
 		})
 	})
 }

@@ -10,7 +10,7 @@
 //   - LongRunning marks a function whose call amounts to a partition-or-more
 //     of enumeration work. It is seeded by name in packages with import-path
 //     tail "cover" (the kernel entry points and the scan drivers: FindBest,
-//     FindBestCtx, Run, RunCtx, ScanPartition) and propagates to any
+//     FindBestCtx, Run, RunCtx, ScanPass) and propagates to any
 //     function that statically calls a LongRunning function.
 //   - CtxAware marks a function that takes a context.Context parameter and
 //     observes it: its body references ctx.Done() or ctx.Err(), or passes
@@ -84,15 +84,15 @@ var reportScope = map[string]bool{
 // partition-sized work like their dense ^kernel siblings; the other
 // sparse* helpers are per-prefix and deliberately not seeded.
 var longRunningSeeds = map[string]bool{
-	"FindBest":      true,
-	"FindBestCtx":   true,
-	"Run":           true,
-	"RunCtx":        true,
-	"ScanPartition": true,
-	"sparse2x1":     true,
-	"sparse2x2":     true,
-	"sparse1x3":     true,
-	"sparse3x1":     true,
+	"FindBest":    true,
+	"FindBestCtx": true,
+	"Run":         true,
+	"RunCtx":      true,
+	"ScanPass":    true,
+	"sparse2x1":   true,
+	"sparse2x2":   true,
+	"sparse1x3":   true,
+	"sparse3x1":   true,
 }
 
 func run(pass *analysis.Pass) error {

@@ -173,11 +173,11 @@ func DiscoverFaultsCtx(ctx context.Context, spec Spec, tumor, normal *bitmat.Mat
 const countsBytes = 2 * 8
 
 // discoverGreedy runs cover.Greedy with a rank scanner: each scanned pass
-// is cut by discoverParts for the full machine, and every GPU partition
-// is scored by an unseeded cover.ScanPartitionWeighted, since ranks share
-// no incumbent. It returns the greedy result with every Step.Elapsed
-// zeroed (the cluster's clock is virtual), the number of passes the
-// distributed world runs (settled passes and the terminal probe
+// is cut by discoverParts for the full machine and run through an
+// unseeded cover.ScanPass, since ranks share no incumbent; the host's
+// worker pool plays the GPUs. It returns the greedy result with every
+// Step.Elapsed zeroed (the cluster's clock is virtual), the number of
+// passes the distributed world runs (settled passes and the terminal probe
 // included), and the gene count the passes scan — the kernel's under
 // Kernelize.
 func discoverGreedy(ctx context.Context, spec Spec, tumor, normal *bitmat.Matrix, opt cover.Options) (*cover.Result, int, int, error) {
@@ -196,24 +196,7 @@ func discoverGreedy(ctx context.Context, spec Spec, tumor, normal *bitmat.Matrix
 		if err != nil {
 			return reduce.None, cover.Counts{}, err
 		}
-		best := reduce.None
-		var total cover.Counts
-		for _, part := range parts {
-			if err := ctx.Err(); err != nil {
-				return best, total, err
-			}
-			b, n, err := cover.ScanPartitionWeighted(p.Tumor, p.Normal, p.Active,
-				p.TumorWeights, p.NormalWeights, p.Opt, part, p.Denom, reduce.None)
-			total.Evaluated += n.Evaluated
-			total.Pruned += n.Pruned
-			if err != nil {
-				return best, total, err
-			}
-			if b.Better(best) {
-				best = b
-			}
-		}
-		return best, total, nil
+		return cover.ScanPass(ctx, p, parts, false, nil)
 	}
 	res, err := cover.Greedy(ctx, tumor, normal, opt, nil, cover.Hooks{Scan: scan, Settled: count})
 	if err != nil {

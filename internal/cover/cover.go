@@ -411,56 +411,74 @@ func FindBestCtx(ctx context.Context, tumor, normal *bitmat.Matrix, active *bitm
 		Denom: float64(tumor.Samples() + normal.Samples()), Opt: opt})
 }
 
-// findBest partitions the λ-domain, runs the scheme kernel across a worker
-// pool, and reduces the winners. The domain is cut into PartitionsPerWorker
-// partitions per worker (PartitionPlan) and workers claim them through an
-// atomic counter, checking the context before each claim — cancellation
-// latency is therefore one partition, not one full pass. On cancellation
-// the combinations already evaluated are still counted and the context's
-// error is returned. Chunking does not change the result: the reduction is
-// a deterministic total order (reduce.Combo.Better), independent of how
-// the domain is partitioned.
-//
-// Unless NoPrune is set, each partition prunes against its own incumbent
-// (reduce.SharedBest), which starts at the pass's seed (seedIncumbent)
-// and rises as the kernels find better combinations. The winner is
-// unaffected: the incumbent's F is always some scored combination's F,
-// so it never exceeds the true maximum, pruning is strict, and the
-// partition holding the true winner therefore never skips it. Because
-// the seed is a function of the pass's inputs and no incumbent crosses
-// partitions, the Evaluated/Pruned split depends only on the inputs and
-// the partition plan, never on worker timing. Each worker also owns one
-// kernelScratch for its whole lifetime, so a pass allocates O(workers)
-// buffers, not O(partitions).
+// findBest is Greedy's default pass scanner: ScanPass over the pass's
+// PartitionPlan, PartitionsPerWorker partitions per worker, every
+// partition pruning from the pass's seed.
 func findBest(ctx context.Context, p Pass) (reduce.Combo, Counts, error) {
 	if err := failpoint.Check("cover/scan"); err != nil {
 		return reduce.None, Counts{}, err
 	}
-	opt := p.Opt
-	workers := max(opt.Workers, 1)
-	parts, err := PartitionPlan(p.Tumor.Genes(), opt, workers*PartitionsPerWorker)
+	parts, err := PartitionPlan(p.Tumor.Genes(), p.Opt, max(p.Opt.Workers, 1)*PartitionsPerWorker)
 	if err != nil {
 		return reduce.None, Counts{}, err
 	}
+	return ScanPass(ctx, p, parts, true, nil)
+}
 
+// ScanPass scans one enumeration pass over a partition plan of its
+// λ-domain and reduces the partitions' winners: the one partitioned scan
+// behind the in-process engine, the supervised runner (internal/harness)
+// and the simulated cluster (internal/cluster). p.Opt must be resolved, as
+// Greedy hands it to a Scanner. p.Opt.Workers workers claim the partitions
+// through an atomic counter, checking the context before each claim, so
+// cancellation latency is one partition; on cancellation the winner and
+// counts of the partitions already scanned come back with the context's
+// error. The reduction is the total order of reduce.Combo.Better, so the
+// winner does not depend on the plan or on worker timing.
+//
+// Unless NoPrune is set, each partition prunes against its own incumbent
+// (reduce.SharedBest), which rises as the kernels find better
+// combinations. With seeded it starts at the pass's seed (seedIncumbent,
+// docs/PRUNING.md §3), computed once per pass, and the seed joins the
+// final reduction; otherwise it starts empty, as on cluster ranks, which
+// share no incumbent. The winner is unaffected either way: the incumbent's
+// F is always some scored combination's F, pruning is strict, and the
+// partition holding the true winner therefore never skips it. Because no
+// incumbent crosses partitions, the Evaluated/Pruned split depends only
+// on the inputs, seeded and the plan. The sparse engine's CSR views are
+// built once per pass, and each worker owns one kernelScratch for its
+// whole lifetime, so a pass allocates O(workers) buffers, not
+// O(partitions).
+//
+// try, when non-nil, supervises every partition, empty ones included. It
+// is called on a worker goroutine with the partition's index and a scan
+// that scores the partition from a fresh incumbent, so a scan retried
+// after a panic counts exactly what a first attempt would. try returns
+// false to drop the partition from the reduction and the counts. Dropping
+// the seed's own partition still leaves the winner the best of the seed
+// and the surviving partitions. A nil try scans every partition once.
+func ScanPass(ctx context.Context, p Pass, parts []sched.Partition, seeded bool, try func(i int, scan func()) bool) (reduce.Combo, Counts, error) {
+	opt := p.Opt
 	env := newKernelEnv(p.Tumor, p.Normal, p.Active, p.TumorWeights, p.NormalWeights, opt.Alpha, p.Denom)
 	if resolveEngine(&opt, p.Tumor, p.Normal) == EngineSparse {
 		env.sparse = newSparseEnv(p.Tumor, p.Normal, p.Active, p.TumorWeights, p.NormalWeights)
 	}
-	seed := seedIncumbent(env, opt)
+	seed := reduce.None
+	if seeded {
+		seed = seedIncumbent(env, opt)
+	}
 
 	bests := make([]reduce.Combo, len(parts))
-	for i := range bests {
-		bests[i] = reduce.None
-	}
 	counts := make([]Counts, len(parts))
+	kept := make([]bool, len(parts))
+	incs := make([]reduce.SharedBest, len(parts))
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < max(opt.Workers, 1); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// One scratch per worker for its whole lifetime — the kernels
+			// One scratch per worker for its whole lifetime; the kernels
 			// themselves allocate nothing per partition. The env copy
 			// carries the worker's current partition incumbent.
 			s := newKernelScratch(p.Tumor.Words(), p.Normal.Words())
@@ -468,32 +486,47 @@ func findBest(ctx context.Context, p Pass) (reduce.Combo, Counts, error) {
 				s.ensureSparse(env.sparse)
 			}
 			wenv := *env
+			var i int
+			scan := func() {
+				if parts[i].Size() > 0 {
+					wenv.shared = incumbent(&incs[i], opt, seed)
+					bests[i], counts[i] = runKernel(ctx, &wenv, opt, parts[i], s)
+				}
+			}
 			for {
 				if ctx.Err() != nil {
 					return
 				}
-				i := int(next.Add(1)) - 1
-				if i >= len(parts) {
+				if i = int(next.Add(1)) - 1; i >= len(parts) {
 					return
 				}
-				if parts[i].Size() == 0 {
-					continue
+				bests[i] = reduce.None
+				if try == nil {
+					scan()
+					kept[i] = true
+				} else {
+					kept[i] = try(i, scan)
 				}
-				wenv.shared = incumbent(opt, seed)
-				bests[i], counts[i] = runKernel(ctx, &wenv, opt, parts[i], s)
 			}
 		}()
 	}
 	wg.Wait()
 
+	// Rank-0 reduction across partitions. On cancellation the reduction
+	// over the completed partitions is still returned alongside the error
+	// so callers can account the partial work.
+	best := seed
 	var total Counts
-	for _, c := range counts {
-		total.add(c)
+	for i := range parts {
+		if !kept[i] {
+			continue
+		}
+		if bests[i].Better(best) {
+			best = bests[i]
+		}
+		total.add(counts[i])
 	}
-	// Rank-0 reduction across workers. On cancellation the reduction over
-	// the completed partitions is still returned alongside the error so
-	// callers can account the partial work.
-	return reduce.Max(bests), total, ctx.Err()
+	return best, total, ctx.Err()
 }
 
 // kernelEnv bundles the per-iteration read-only state shared by workers,
@@ -538,13 +571,20 @@ func newKernelEnv(tumor, normal *bitmat.Matrix, active *bitmat.Vec, tw, nw *bitm
 	}
 }
 
-// incumbent returns a partition-local pruning incumbent holding seed, or
-// nil when pruning is off or the scheme has no inner loop to skip.
-func incumbent(opt Options, seed reduce.Combo) *reduce.SharedBest {
+// incumbent resets inc to a partition-local pruning incumbent holding
+// seed and returns it, or returns nil when pruning is off or the scheme
+// has no inner loop to skip. The reset is in place, so retrying a
+// partition or growing a plan allocates no incumbent. A zero SharedBest
+// prunes nothing, like one holding reduce.None, and since no F is
+// negative every prune decision after Offer(seed) is the one
+// reduce.NewSharedBestFrom(seed) would take.
+func incumbent(inc *reduce.SharedBest, opt Options, seed reduce.Combo) *reduce.SharedBest {
 	if opt.NoPrune || !opt.Scheme.prunable() {
 		return nil
 	}
-	return reduce.NewSharedBestFrom(seed)
+	*inc = reduce.SharedBest{}
+	inc.Offer(seed)
+	return inc
 }
 
 // score computes F from a TP and a normal-side AND count.

@@ -42,10 +42,11 @@ type Pass struct {
 }
 
 // A Scanner runs one enumeration pass and returns the winner, in the
-// pass's gene ids, and the work counts. findBest, the in-process worker
-// pool, is the default; the supervised runner supplies its retrying
-// partition scan. A failed scan returns its partial counts with the
-// error.
+// pass's gene ids, and the work counts. findBest, ScanPass over the
+// pass's PartitionPlan, is the default; the supervised runner and the
+// simulated cluster run ScanPass too, the one with a retrying partition
+// supervisor and the other over per-GPU ranges. A failed scan returns its
+// partial counts with the error.
 type Scanner func(ctx context.Context, p Pass) (reduce.Combo, Counts, error)
 
 // Hooks are a caller's extension points into Greedy. The zero value scans

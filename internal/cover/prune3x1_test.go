@@ -222,10 +222,10 @@ func TestPrune3x1GroupsMatchPerTripleReference(t *testing.T) {
 						name := fmt.Sprintf("%s %s seeded=%v block=%d [%d,%d)",
 							in.name, engine, seed != reduce.None, bs, part.Lo, part.Hi)
 						ref := *env
-						ref.shared = incumbent(opt, seed)
+						ref.shared = incumbent(new(reduce.SharedBest), opt, seed)
 						want, wantN, wantBlocks := runPerTriple(&ref, opt, part, s)
 						got := *env
-						got.shared = incumbent(opt, seed)
+						got.shared = incumbent(new(reduce.SharedBest), opt, seed)
 						gotBest, gotN := runKernel(context.Background(), &got, opt, part, s)
 						if gotBest != want || math.Float64bits(gotBest.F) != math.Float64bits(want.F) {
 							t.Fatalf("%s: winner %v, per-triple reference %v", name, gotBest, want)
@@ -267,7 +267,7 @@ func tripleSubtrees(g int, part sched.Partition) uint64 {
 // alone already dominates — groups the kernels must skip at entry.
 func dominatedGroups(env *kernelEnv, opt Options, seed reduce.Combo, part sched.Partition) int {
 	probe := *env
-	probe.shared = incumbent(opt, seed)
+	probe.shared = incumbent(new(reduce.SharedBest), opt, seed)
 	buf := make([]uint64, env.tumor.Words())
 	n := 0
 	for lambda := part.Lo; lambda < part.Hi; lambda++ {

@@ -6,7 +6,6 @@ import (
 	"repro/internal/combinat"
 	"repro/internal/dataset"
 	"repro/internal/kernelize"
-	"repro/internal/reduce"
 	"repro/internal/sched"
 )
 
@@ -132,74 +131,19 @@ func TestPrunedRunMatchesNoPrune(t *testing.T) {
 	}
 }
 
-// TestFindBestRangePrunedPartitioning checks the distributed unit of work
-// (an unseeded ScanPartition, as a cluster rank runs it): disjoint pruned
-// ranges reduce to the full-domain winner, and their
-// scanned counts tile the domain exactly (range-local incumbents prune
-// less than a shared one, never differently).
-func TestFindBestRangePrunedPartitioning(t *testing.T) {
-	c := pruneCohort(t, dataset.BRCA(), 24, 13)
-	opt := Options{Hits: 4, Scheme: Scheme3x1}
-	want, cnt, err := FindBest(c.Tumor, c.Normal, nil, Options{Hits: 4, Scheme: Scheme3x1, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A partition's [lo, hi) is over the λ thread domain — C(G, 3) for
-	// Scheme3x1 — while Counts tallies scored combinations.
-	lambda := combinat.MustBinomial(uint64(c.Tumor.Genes()), 3)
-	domain := cnt.Scanned()
-	denom := float64(c.Tumor.Samples() + c.Normal.Samples())
-	for _, cuts := range []int{1, 3, 8} {
-		best := reduce.None
-		var total Counts
-		size := lambda / uint64(cuts)
-		for i := 0; i < cuts; i++ {
-			lo := uint64(i) * size
-			hi := lo + size
-			if i == cuts-1 {
-				hi = lambda
-			}
-			got, n, err := ScanPartition(c.Tumor, c.Normal, nil, opt,
-				sched.Partition{Lo: lo, Hi: hi}, denom, reduce.None)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Better(best) {
-				best = got
-			}
-			total.Evaluated += n.Evaluated
-			total.Pruned += n.Pruned
-		}
-		if best != want {
-			t.Fatalf("cuts=%d: reduced winner %v != full-domain %v", cuts, best, want)
-		}
-		if total.Scanned() != domain {
-			t.Fatalf("cuts=%d: ranges scanned %d combinations, domain has %d",
-				cuts, total.Scanned(), domain)
-		}
-	}
-}
-
-// TestNoPruneRangeMatchesPruned pins an unseeded ScanPartition's NoPrune
-// escape hatch: same winner, full evaluation, zero pruned.
+// TestNoPruneRangeMatchesPruned pins an unseeded one-partition ScanPass's
+// NoPrune escape hatch: same winner, full evaluation, zero pruned.
 func TestNoPruneRangeMatchesPruned(t *testing.T) {
 	c := pruneCohort(t, dataset.LGG(), 22, 17)
-	opt := Options{Hits: 3, Scheme: Scheme2x1, MemOpt1: true, MemOpt2: true}
-	want, cnt, err := FindBest(c.Tumor, c.Normal, nil, Options{
-		Hits: 3, Scheme: Scheme2x1, MemOpt1: true, MemOpt2: true, Workers: 1,
-	})
+	opt := Options{Hits: 3, Scheme: Scheme2x1, MemOpt1: true, MemOpt2: true, Workers: 1}
+	want, cnt, err := FindBest(c.Tumor, c.Normal, nil, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	off := opt
 	off.NoPrune = true
 	lambda := combinat.PairCount(uint64(c.Tumor.Genes()))
-	denom := float64(c.Tumor.Samples() + c.Normal.Samples())
-	got, n, err := ScanPartition(c.Tumor, c.Normal, nil, off,
-		sched.Partition{Lo: 0, Hi: lambda}, denom, reduce.None)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, n := scanAll(t, plainInstance("LGG", c, nil).pass(t, off), []sched.Partition{{Lo: 0, Hi: lambda}}, false)
 	if got != want {
 		t.Fatalf("NoPrune range winner %v != pruned %v", got, want)
 	}

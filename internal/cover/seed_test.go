@@ -80,12 +80,8 @@ func TestSeededPassMatchesUnseededAndNoPrune(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					denom := float64(c.Tumor.Samples() + c.Normal.Samples())
-					seed, err := SeedIncumbent(c.Tumor, c.Normal, active, nil, nil, opt, denom)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if seed == reduce.None {
+					p := plainInstance(label, c, active).pass(t, opt)
+					if seedIncumbent(newKernelEnv(p.Tumor, p.Normal, p.Active, nil, nil, p.Opt.Alpha, p.Denom), p.Opt) == reduce.None {
 						t.Fatalf("%s: no seed on a %d-gene domain", label, c.Tumor.Genes())
 					}
 					parts, err := PartitionPlan(c.Tumor.Genes(), opt, 8)
@@ -94,20 +90,14 @@ func TestSeededPassMatchesUnseededAndNoPrune(t *testing.T) {
 					}
 					seeded, unseeded := reduce.None, reduce.None
 					var sCnt Counts
-					for _, p := range parts {
-						sb, sn, err := ScanPartition(c.Tumor, c.Normal, active, opt, p, denom, seed)
-						if err != nil {
-							t.Fatal(err)
-						}
-						ub, un, err := ScanPartition(c.Tumor, c.Normal, active, opt, p, denom, reduce.None)
-						if err != nil {
-							t.Fatal(err)
-						}
+					for i := range parts {
+						sb, sn := scanAll(t, p, parts[i:i+1], true)
+						ub, un := scanAll(t, p, parts[i:i+1], false)
 						if sn.Scanned() != un.Scanned() {
-							t.Fatalf("%s partition %v: seeded scanned %d, unseeded %d", label, p, sn.Scanned(), un.Scanned())
+							t.Fatalf("%s partition %v: seeded scanned %d, unseeded %d", label, parts[i], sn.Scanned(), un.Scanned())
 						}
 						if sn.Evaluated > un.Evaluated {
-							t.Fatalf("%s partition %v: seeded evaluated %d > unseeded %d", label, p, sn.Evaluated, un.Evaluated)
+							t.Fatalf("%s partition %v: seeded evaluated %d > unseeded %d", label, parts[i], sn.Evaluated, un.Evaluated)
 						}
 						if sb.Better(seeded) {
 							seeded = sb
@@ -159,10 +149,11 @@ func TestSeedFMatchesKernelF(t *testing.T) {
 	denom := float64(c.Tumor.Samples() + c.Normal.Samples())
 	for _, in := range cases {
 		for _, base := range seedSchemes {
-			seed, err := SeedIncumbent(in.tumor, in.normal, in.active, in.tw, in.nw, base, denom)
+			opt, err := base.withDefaults()
 			if err != nil {
 				t.Fatal(err)
 			}
+			seed := seedIncumbent(newKernelEnv(in.tumor, in.normal, in.active, in.tw, in.nw, opt.Alpha, denom), opt)
 			if seed == reduce.None {
 				t.Fatalf("%s %s: no seed", in.name, base.Scheme)
 			}
@@ -176,10 +167,8 @@ func TestSeedFMatchesKernelF(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, n, err := ScanPartitionWeighted(subT, subN, in.active, in.tw, in.nw, opt, parts[0], denom, reduce.None)
-				if err != nil {
-					t.Fatal(err)
-				}
+				sub := scanInstance{tumor: subT, normal: subN, tw: in.tw, nw: in.nw, active: in.active, denom: denom}
+				got, n := scanAll(t, sub.pass(t, opt), parts, false)
 				if n.Evaluated != 1 {
 					t.Fatalf("%s %s %s: sub-instance scored %d combinations, want 1", in.name, base.Scheme, engine, n.Evaluated)
 				}

@@ -116,8 +116,8 @@ func ResolveEngine(opt Options, tumor, normal *bitmat.Matrix) Engine {
 }
 
 // resolveEngine resolves opt.Engine in place against the matrices about
-// to be scanned — the safety net for the scan entry points not reached
-// through RunCtx (FindBestCtx, ScanPartition).
+// to be scanned — the safety net for passes not handed over by Greedy
+// (FindBestCtx, a direct ScanPass call).
 func resolveEngine(opt *Options, tumor, normal *bitmat.Matrix) Engine {
 	opt.Engine = ResolveEngine(*opt, tumor, normal)
 	return opt.Engine
@@ -127,7 +127,7 @@ func resolveEngine(opt *Options, tumor, normal *bitmat.Matrix) Engine {
 // kernelEnv: CSR views of the same tumor/normal instance, flattened
 // per-column weights (nil when the instance is unweighted), and the
 // active-sample mask in packed form (nil when every sample is active).
-// findBest builds one per pass, so a kernelized run's per-iteration
+// ScanPass builds one per pass, so a kernelized run's per-iteration
 // SelectRows rebuild gets a fresh CSR of exactly the surviving genes.
 type sparseEnv struct {
 	t, n   *sparsemat.Matrix

@@ -7,8 +7,6 @@ import (
 
 	"repro/internal/bitmat"
 	"repro/internal/dataset"
-	"repro/internal/reduce"
-	"repro/internal/sched"
 )
 
 // TestSparseFindBestMatchesDense is the engine-differential core: on
@@ -140,32 +138,6 @@ func TestSparseRunMatchesDense(t *testing.T) {
 						ci, hits, kernelize, sres.Options.Engine, dres.Options.Engine)
 				}
 			}
-		}
-	}
-}
-
-// TestSparseRangeMatchesDense pins the distributed unit of work (an
-// unseeded ScanPartition) across engines on a λ sub-range.
-func TestSparseRangeMatchesDense(t *testing.T) {
-	c := pruneCohort(t, dataset.BRCA(), 24, 13)
-	base := Options{Hits: 4, Scheme: Scheme3x1}
-	denom := float64(c.Tumor.Samples() + c.Normal.Samples())
-	for _, rng := range [][2]uint64{{0, 500}, {300, 1100}} {
-		d := base
-		d.Engine = EngineDense
-		part := sched.Partition{Lo: rng[0], Hi: rng[1]}
-		dBest, dCnt, err := ScanPartition(c.Tumor, c.Normal, nil, d, part, denom, reduce.None)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := base
-		s.Engine = EngineSparse
-		sBest, sCnt, err := ScanPartition(c.Tumor, c.Normal, nil, s, part, denom, reduce.None)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sBest != dBest || sCnt != dCnt {
-			t.Fatalf("range %v: sparse %v %+v, dense %v %+v", rng, sBest, sCnt, dBest, dCnt)
 		}
 	}
 }

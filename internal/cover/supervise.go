@@ -1,18 +1,17 @@
 package cover
 
 // This file is the engine surface the supervised runner
-// (internal/harness) scans through: a deterministic partition plan for one
-// enumeration pass, a seed incumbent, a single-partition scan that can be
-// retried in isolation, and the checkpoint replay Greedy starts a continued
-// leg from. docs/ROBUSTNESS.md describes the layer end to end.
+// (internal/harness) and the simulated cluster (internal/cluster) plan
+// their scans with: the λ-domain curve and the deterministic partition
+// plan of one enumeration pass, which they hand to ScanPass, and the
+// checkpoint replay Greedy starts a continued leg from. docs/ROBUSTNESS.md
+// describes the layer end to end.
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/bitmat"
 	"repro/internal/combinat"
-	"repro/internal/reduce"
 	"repro/internal/sched"
 )
 
@@ -83,91 +82,6 @@ func PartitionPlan(genes int, opt Options, chunks int) ([]sched.Partition, error
 		return sched.EquiDistance(curve, chunks)
 	}
 	return sched.EquiArea(curve, chunks)
-}
-
-// ScanPartition scores one λ-partition of one enumeration pass and
-// returns the partition's best combination and exact work counts. denom
-// pins the F denominator (pass the ORIGINAL cohort size so scores stay
-// comparable when a Kernelize kernel has merged duplicate sample columns;
-// pass tumor.Samples()+normal.Samples() otherwise).
-//
-// The scan prunes against a partition-local incumbent that starts at
-// seed: pass the pass's SeedIncumbent, or reduce.None for no head start.
-// The seed never changes which combination wins, only the Evaluated/Pruned
-// split, and the scan is a pure function of (matrices, options, partition,
-// seed) — which makes its counts deterministic and makes the partition
-// safely retryable after a mid-scan crash.
-func ScanPartition(tumor, normal *bitmat.Matrix, active *bitmat.Vec, opt Options, part sched.Partition, denom float64, seed reduce.Combo) (reduce.Combo, Counts, error) {
-	return ScanPartitionWeighted(tumor, normal, active, nil, nil, opt, part, denom, seed)
-}
-
-// ScanPartitionWeighted is ScanPartition over a kernelized instance: tw/nw
-// carry the merged sample columns' multiplicities (nil means unweighted)
-// and every popcount the kernels take is weighted accordingly, so the
-// scores — and therefore the winner and the counts — equal the
-// unkernelized scan's exactly. The supervised runner scans every pass
-// through this form, passing the Pass's weights.
-func ScanPartitionWeighted(tumor, normal *bitmat.Matrix, active *bitmat.Vec, tw, nw *bitmat.Weights, opt Options, part sched.Partition, denom float64, seed reduce.Combo) (reduce.Combo, Counts, error) {
-	opt, err := checkPass(tumor, normal, opt, denom)
-	if err != nil {
-		return reduce.None, Counts{}, err
-	}
-	if part.Hi < part.Lo {
-		return reduce.None, Counts{}, fmt.Errorf("cover: inverted range [%d, %d)", part.Lo, part.Hi)
-	}
-	if active == nil {
-		active = bitmat.AllOnes(tumor.Samples())
-	}
-	if part.Size() == 0 {
-		return reduce.None, Counts{}, nil
-	}
-	env := newKernelEnv(tumor, normal, active, tw, nw, opt.Alpha, denom)
-	env.shared = incumbent(opt, seed)
-	s := newKernelScratch(tumor.Words(), normal.Words())
-	if resolveEngine(&opt, tumor, normal) == EngineSparse {
-		// The CSR rebuild is per call here; Greedy resolves the engine
-		// once per run, so an Auto job does not flip engines between
-		// partitions of one pass.
-		env.sparse = newSparseEnv(tumor, normal, active, tw, nw)
-		s.ensureSparse(env.sparse)
-	}
-	best, n := runKernel(context.Background(), env, opt, part, s)
-	return best, n, nil
-}
-
-// SeedIncumbent computes one enumeration pass's seed incumbent: the best
-// h-combination among the pass's top genes (docs/PRUNING.md §3), scored
-// exactly as the kernels score it. Pass it to every ScanPartition of the
-// pass. The arguments are those of ScanPartitionWeighted (nil weights
-// mean unweighted). It returns reduce.None when NoPrune is set, when the
-// scheme has no inner loop to prune, and when the gene axis is too small
-// for the probe to pay off.
-func SeedIncumbent(tumor, normal *bitmat.Matrix, active *bitmat.Vec, tw, nw *bitmat.Weights, opt Options, denom float64) (reduce.Combo, error) {
-	opt, err := checkPass(tumor, normal, opt, denom)
-	if err != nil {
-		return reduce.None, err
-	}
-	if active == nil {
-		active = bitmat.AllOnes(tumor.Samples())
-	}
-	return seedIncumbent(newKernelEnv(tumor, normal, active, tw, nw, opt.Alpha, denom), opt), nil
-}
-
-// checkPass resolves the options of a single-pass entry point and
-// validates the matrices and denominator it will score with.
-func checkPass(tumor, normal *bitmat.Matrix, opt Options, denom float64) (Options, error) {
-	opt, err := opt.withDefaults()
-	if err != nil {
-		return opt, err
-	}
-	if tumor.Genes() != normal.Genes() {
-		return opt, fmt.Errorf("cover: tumor has %d genes, normal has %d",
-			tumor.Genes(), normal.Genes())
-	}
-	if denom <= 0 {
-		return opt, fmt.Errorf("cover: denominator must be positive, got %g", denom)
-	}
-	return opt, nil
 }
 
 // replay rebuilds an interrupted run's state from a checkpoint: every

@@ -6,25 +6,16 @@ import (
 	"time"
 )
 
-// backoffRun builds the minimal run state the backoff method reads.
-func backoffRun(seed int64, base, max time.Duration) *run {
-	return &run{opt: Options{
-		RetrySeed:   seed,
-		BackoffBase: base,
-		BackoffMax:  max,
-	}.withDefaults()}
-}
-
 func TestBackoffDeterministicAcrossRuns(t *testing.T) {
-	a := backoffRun(42, 2*time.Millisecond, 250*time.Millisecond)
-	b := backoffRun(42, 2*time.Millisecond, 250*time.Millisecond)
+	// The jitter is a pure function of (step, partition, attempt): two
+	// identical runs wait identically.
 	for step := 0; step < 3; step++ {
 		for part := 0; part < 5; part++ {
 			for attempt := 1; attempt <= 4; attempt++ {
-				da := a.backoff(step, part, attempt)
-				db := b.backoff(step, part, attempt)
+				da := backoff(step, part, attempt)
+				db := backoff(step, part, attempt)
 				if da != db {
-					t.Fatalf("backoff(%d,%d,%d) diverged across identical runs: %v vs %v",
+					t.Fatalf("backoff(%d,%d,%d) diverged across identical calls: %v vs %v",
 						step, part, attempt, da, db)
 				}
 			}
@@ -32,52 +23,43 @@ func TestBackoffDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestBackoffSeedAndCoordinatesChangeJitter(t *testing.T) {
-	base := backoffRun(1, 2*time.Millisecond, time.Hour) // huge cap: pure jitter visible
-	other := backoffRun(2, 2*time.Millisecond, time.Hour)
-	sameSeed := 0
-	for part := 0; part < 32; part++ {
-		if base.backoff(0, part, 1) == other.backoff(0, part, 1) {
-			sameSeed++
-		}
-	}
-	if sameSeed == 32 {
-		t.Fatal("changing RetrySeed never changed the backoff sequence")
-	}
-	// Different partitions on the same seed draw different jitter too:
-	// retries of neighboring partitions must not thundering-herd.
+func TestBackoffCoordinatesChangeJitter(t *testing.T) {
+	// Different partitions draw different jitter: retries of neighboring
+	// partitions must not thundering-herd. Different steps do too.
 	distinct := map[time.Duration]bool{}
+	sameStep := 0
 	for part := 0; part < 32; part++ {
-		distinct[base.backoff(0, part, 1)] = true
+		distinct[backoff(0, part, 1)] = true
+		if backoff(0, part, 1) == backoff(1, part, 1) {
+			sameStep++
+		}
 	}
 	if len(distinct) < 2 {
 		t.Fatalf("32 partitions drew %d distinct delays; jitter is not mixing", len(distinct))
 	}
+	if sameStep == 32 {
+		t.Fatal("changing the step never changed the backoff sequence")
+	}
 }
 
 func TestBackoffBoundsAndGrowth(t *testing.T) {
-	const (
-		bbase = 4 * time.Millisecond
-		bmax  = 100 * time.Millisecond
-	)
-	r := backoffRun(7, bbase, bmax)
 	for attempt := 1; attempt <= 10; attempt++ {
-		d := r.backoff(0, 0, attempt)
+		d := backoff(0, 0, attempt)
 		// Nominal delay base·2ⁿ⁻¹ capped at max, jittered in [0.5, 1.5),
 		// then re-capped: the result is within [0.5·nominal, max].
-		nominal := bbase << (attempt - 1)
-		if nominal > bmax || nominal <= 0 {
-			nominal = bmax
+		nominal := DefaultBackoffBase << (attempt - 1)
+		if nominal > DefaultBackoffMax || nominal <= 0 {
+			nominal = DefaultBackoffMax
 		}
-		if d < nominal/2 || d > bmax {
-			t.Fatalf("attempt %d: backoff %v outside [%v, %v]", attempt, d, nominal/2, bmax)
+		if d < nominal/2 || d > DefaultBackoffMax {
+			t.Fatalf("attempt %d: backoff %v outside [%v, %v]", attempt, d, nominal/2, DefaultBackoffMax)
 		}
 	}
 	// Deep attempts (shift past the cap, including shift overflow) stay
 	// pinned to the cap's jitter band.
 	for _, attempt := range []int{20, 40, 63, 64, 80} {
-		if d := r.backoff(0, 0, attempt); d < bmax/2 || d > bmax {
-			t.Fatalf("attempt %d: backoff %v escaped the cap band [%v, %v]", attempt, d, bmax/2, bmax)
+		if d := backoff(0, 0, attempt); d < DefaultBackoffMax/2 || d > DefaultBackoffMax {
+			t.Fatalf("attempt %d: backoff %v escaped the cap band [%v, %v]", attempt, d, DefaultBackoffMax/2, DefaultBackoffMax)
 		}
 	}
 }

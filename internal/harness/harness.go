@@ -2,9 +2,10 @@
 // real (non-simulated) discovery pipeline. Where internal/cluster prices
 // faults in virtual time, this package survives them in real time. It
 // runs no greedy loop of its own: it supplies cover.Greedy with a pass
-// scanner and a step commit. The scanner cuts each pass into λ-partitions
-// and scans them under supervision, so that a panic, an injected IO
-// error, or a walltime limit costs at most one λ-partition of work. The
+// scanner and a step commit. Nor does it run a scan of its own: the
+// scanner is cover.ScanPass over the pass's partition plan, with a
+// per-partition supervisor, so that a panic, an injected IO error, or a
+// walltime limit costs at most one λ-partition of work. The
 // commit persists completed greedy steps to a crash-safe on-disk store
 // (internal/ckptstore) so a killed process resumes losslessly. Because
 // the loop is cover's, a fault-free run equals cover.Run step for step,
@@ -17,10 +18,11 @@
 //     list, same cover counts, same Evaluated/Pruned totals — for any
 //     crash point at or between greedy steps, and any worker count.
 //   - Supervision: each partition scan runs under recover; failures are
-//     retried with exponential backoff and deterministic jitter, and a
-//     partition that keeps failing is quarantined after MaxRetries
-//     retries. A quarantined range is reported in the result (with the
-//     combination count it withheld), never silently dropped.
+//     retried from a fresh incumbent with exponential backoff and
+//     deterministic jitter, and a partition that keeps failing is
+//     quarantined after DefaultMaxRetries retries. A quarantined range is
+//     reported in the result (with the combination count it withheld),
+//     never silently dropped.
 //   - Anytime results: a wall-clock deadline or a canceled context (see
 //     SignalContext for SIGINT/SIGTERM) checkpoints completed steps and
 //     returns the best-so-far cover with Partial set, treating
@@ -36,13 +38,13 @@ import (
 	"repro/internal/sched"
 )
 
-// Defaults for Options zero values.
+// The supervised scan's retry policy.
 const (
 	// DefaultMaxRetries is how many times a failing partition is retried
 	// before quarantine.
 	DefaultMaxRetries = 2
 	// DefaultBackoffBase is the first retry delay; attempt n waits
-	// base·2ⁿ⁻¹, jittered.
+	// base·2ⁿ⁻¹, jittered deterministically by (step, partition, attempt).
 	DefaultBackoffBase = 2 * time.Millisecond
 	// DefaultBackoffMax caps the retry delay.
 	DefaultBackoffMax = 250 * time.Millisecond
@@ -103,17 +105,6 @@ type Options struct {
 	// running. With no loadable checkpoint the run FAILS rather than
 	// silently starting from scratch; omit Resume for a fresh run.
 	Resume bool
-
-	// MaxRetries is how many retries a failing partition gets before
-	// quarantine; negative disables retries (first failure quarantines).
-	// 0 means DefaultMaxRetries.
-	MaxRetries int
-	// BackoffBase and BackoffMax shape the retry delay; zero values take
-	// the defaults.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// RetrySeed seeds the deterministic backoff jitter.
-	RetrySeed int64
 
 	// Deadline, when positive, bounds the run's wall clock: when it
 	// expires the harness abandons the in-flight step, persists the
@@ -306,21 +297,4 @@ func (r *Result) Combos() []reduce.Combo {
 		out[i] = s.Combo
 	}
 	return out
-}
-
-// withDefaults resolves zero values.
-func (o Options) withDefaults() Options {
-	if o.MaxRetries == 0 {
-		o.MaxRetries = DefaultMaxRetries
-	}
-	if o.MaxRetries < 0 {
-		o.MaxRetries = 0
-	}
-	if o.BackoffBase <= 0 {
-		o.BackoffBase = DefaultBackoffBase
-	}
-	if o.BackoffMax <= 0 {
-		o.BackoffMax = DefaultBackoffMax
-	}
-	return o
 }

@@ -16,7 +16,7 @@ import (
 	"repro/internal/cover"
 	"repro/internal/dataset"
 	"repro/internal/failpoint"
-	"repro/internal/reduce"
+	"repro/internal/sched"
 )
 
 // cohort generates a small seeded study cohort.
@@ -277,8 +277,7 @@ func TestRetryRecoversFromTransientPanic(t *testing.T) {
 	}
 	var retries, quarantines int
 	res, err := Run(context.Background(), tumor, normal, Options{
-		Cover:      cover.Options{Hits: 2, Workers: 2},
-		MaxRetries: 3,
+		Cover: cover.Options{Hits: 2, Workers: 2},
 		OnEvent: func(e Event) {
 			switch e.Kind {
 			case EventRetry:
@@ -315,9 +314,7 @@ func TestPoisonPartitionQuarantine(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := Run(context.Background(), tumor, normal, Options{
-		Cover:       cover.Options{Hits: 2, Workers: 1},
-		MaxRetries:  2,
-		BackoffBase: time.Microsecond,
+		Cover: cover.Options{Hits: 2, Workers: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -618,21 +615,13 @@ func TestSeededPassesDeterministicAndExact(t *testing.T) {
 			if kernelize {
 				return
 			}
-			parts, err := cover.PartitionPlan(tumor.Genes(), copt, copt.Workers*cover.PartitionsPerWorker)
+			p, parts := firstPass(t, tumor, normal, copt)
+			_, unseeded, err := cover.ScanPass(context.Background(), p, parts, false, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			denom := float64(tumor.Samples() + normal.Samples())
-			var unseeded uint64
-			for _, p := range parts {
-				_, n, err := cover.ScanPartition(tumor, normal, nil, copt, p, denom, reduce.None)
-				if err != nil {
-					t.Fatal(err)
-				}
-				unseeded += n.Evaluated
-			}
-			if a.Steps[0].Evaluated > unseeded {
-				t.Fatalf("seeded first pass evaluated %d, unseeded %d", a.Steps[0].Evaluated, unseeded)
+			if a.Steps[0].Evaluated > unseeded.Evaluated {
+				t.Fatalf("seeded first pass evaluated %d, unseeded %d", a.Steps[0].Evaluated, unseeded.Evaluated)
 			}
 		})
 	}
@@ -652,57 +641,111 @@ func corruptGenerationFile(t *testing.T, s *ckptstore.Store, gen uint64) {
 	}
 }
 
+// firstPass is an unkernelized run's first enumeration pass under copt,
+// as cover.Greedy hands it to the harness, and the partition plan the
+// harness scans it with.
+func firstPass(t *testing.T, tumor, normal *bitmat.Matrix, copt cover.Options) (cover.Pass, []sched.Partition) {
+	t.Helper()
+	opt, err := copt.Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.Engine = cover.ResolveEngine(opt, tumor, normal)
+	parts, err := cover.PartitionPlan(tumor.Genes(), opt, opt.Workers*cover.PartitionsPerWorker)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cover.Pass{Tumor: tumor, Normal: normal, Active: bitmat.AllOnes(tumor.Samples()),
+		Denom: float64(tumor.Samples() + normal.Samples()), Opt: opt}, parts
+}
+
 func TestQuarantinedSeedPartitionKeepsBestSurvivor(t *testing.T) {
-	// Every partition prunes from the pass's seed, which may lie in a
-	// partition that is then quarantined. The step must still choose the
-	// best of the surviving ranges and the seed, not whatever the
-	// survivors happened to score before the seed's bound pruned them.
+	// The partition holding the pass's winner fails every attempt and is
+	// quarantined. The step must then choose what the engine's scan
+	// chooses with that partition dropped: the best of the surviving
+	// ranges and the pass's seed, which every survivor pruned against
+	// (cover's TestScanPassDroppedSeedPartition pins that property).
 	defer failpoint.DisableAll()
 	tumor, normal := cohort(t, "BRCA", 40, 3, 7)
-	copt := cover.Options{Hits: 3, Workers: 1}
-	denom := float64(tumor.Samples() + normal.Samples())
-	seed, err := cover.SeedIncumbent(tumor, normal, nil, nil, nil, copt, denom)
+	copt := cover.Options{Hits: 3, Workers: 1, MaxIterations: 1}
+	winner, _, err := cover.FindBest(tumor, normal, nil, copt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts, err := cover.PartitionPlan(tumor.Genes(), copt, cover.PartitionsPerWorker)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := seed.GeneIDs()
+	p, parts := firstPass(t, tumor, normal, copt)
+	ids := winner.GeneIDs()
 	lambda := combinat.PairToLinear(uint64(ids[0]), uint64(ids[1]))
 	poisoned := -1
-	want := seed
-	for p, part := range parts {
+	for i, part := range parts {
 		if part.Lo <= lambda && lambda < part.Hi {
-			poisoned = p
-			continue
+			poisoned = i
 		}
-		got, _, err := cover.ScanPartition(tumor, normal, nil, copt, part, denom, reduce.None)
-		if err != nil {
-			t.Fatal(err)
+	}
+	want, _, err := cover.ScanPass(context.Background(), p, parts, true, func(i int, scan func()) bool {
+		if i == poisoned {
+			return false
 		}
-		if got.Better(want) {
-			want = got
-		}
+		scan()
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	// With one worker the partitions are attempted in order, one hit
 	// each, so the poisoned partition's three attempts are these hits.
 	if err := failpoint.Enable("harness/partition", fmt.Sprintf("error@%d-%d", poisoned+1, poisoned+3)); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(context.Background(), tumor, normal, Options{
-		Cover:       cover.Options{Hits: 3, Workers: 1, MaxIterations: 1},
-		MaxRetries:  2,
-		BackoffBase: time.Microsecond,
-	})
+	res, err := Run(context.Background(), tumor, normal, Options{Cover: copt})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Quarantined) != 1 || res.Quarantined[0].Lo != parts[poisoned].Lo {
 		t.Fatalf("quarantined %+v, want partition %d", res.Quarantined, poisoned)
 	}
+	if !res.Partial || res.Unscanned != parts[poisoned].Size() {
+		t.Fatalf("partial=%v unscanned=%d, want a partial result withholding %d", res.Partial, res.Unscanned, parts[poisoned].Size())
+	}
 	if len(res.Steps) != 1 || res.Steps[0].Combo != want {
 		t.Fatalf("steps %+v, want winner %v", res.Steps, want)
+	}
+}
+
+func TestRetriedPartitionCountsMatchFaultFree(t *testing.T) {
+	// A partition whose first attempt panics inside the kernel is
+	// retried from a fresh incumbent, so the run's Evaluated/Pruned equal
+	// a fault-free run's exactly, step by step.
+	defer failpoint.DisableAll()
+	tumor, normal := cohort(t, "BRCA", 40, 3, 7)
+	opt := Options{Cover: cover.Options{Hits: 3, Workers: 2}}
+	ref, err := Run(context.Background(), tumor, normal, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := failpoint.Enable("cover/kernel", "panic@3"); err != nil {
+		t.Fatal(err)
+	}
+	var retries int
+	opt.OnEvent = func(e Event) {
+		if e.Kind == EventRetry {
+			retries++
+		}
+	}
+	got, err := Run(context.Background(), tumor, normal, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if retries != 1 || got.Partial {
+		t.Fatalf("%d retries, partial=%v; want one recovered retry", retries, got.Partial)
+	}
+	if got.Evaluated != ref.Evaluated || got.Pruned != ref.Pruned {
+		t.Fatalf("retried run counted %d/%d, fault-free %d/%d", got.Evaluated, got.Pruned, ref.Evaluated, ref.Pruned)
+	}
+	sameSteps(t, "after a retried partition", got.Steps, ref.Steps)
+	for i := range got.Steps {
+		if got.Steps[i].Evaluated != ref.Steps[i].Evaluated || got.Steps[i].Pruned != ref.Steps[i].Pruned {
+			t.Fatalf("step %d counted %d/%d, fault-free %d/%d", i,
+				got.Steps[i].Evaluated, got.Steps[i].Pruned, ref.Steps[i].Evaluated, ref.Steps[i].Pruned)
+		}
 	}
 }

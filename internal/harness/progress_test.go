@@ -3,7 +3,6 @@ package harness
 import (
 	"context"
 	"testing"
-	"time"
 
 	"repro/internal/cover"
 	"repro/internal/failpoint"
@@ -68,9 +67,7 @@ func TestOnProgressReportsUnscannedBound(t *testing.T) {
 	var last Progress
 	sawQuarantine := false
 	res, err := Run(context.Background(), tumor, normal, Options{
-		Cover:       cover.Options{Hits: 2, Workers: 1},
-		MaxRetries:  2,
-		BackoffBase: time.Microsecond,
+		Cover: cover.Options{Hits: 2, Workers: 1},
 		OnProgress: func(p Progress) {
 			if p.Quarantined > 0 {
 				sawQuarantine = true

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/bitmat"
@@ -33,7 +32,7 @@ import (
 // reduce, and ckptstore points the scan and persistence pass through.
 func Run(ctx context.Context, tumor, normal *bitmat.Matrix, opt Options) (*Result, error) {
 	start := time.Now()
-	r := &run{opt: opt.withDefaults(), out: &Result{}, tumor: tumor, normal: normal}
+	r := &run{opt: opt, out: &Result{}, tumor: tumor, normal: normal}
 	if r.opt.Store != nil {
 		if pc, ok := r.opt.Store.(publishCoster); ok {
 			if cost := pc.PublishCost(); cost > 0 {
@@ -252,32 +251,19 @@ func (r *run) settled(p cover.Pass) {
 	r.opt.OnProgress(Progress{Step: p.Step, Unscanned: r.out.Unscanned})
 }
 
-// partOutcome is one partition's supervised scan result.
-type partOutcome struct {
-	combo      reduce.Combo
-	cnt        cover.Counts
-	quarantine *Quarantine
-}
-
-// scanStep is the loop's pass scanner: it cuts the pass into its
-// partition plan and scans the partitions under supervision, every
-// partition pruning from the pass's seed. It returns the pass winner and
-// the work counts of the successfully scanned partitions, and records the
-// quarantined ones. A pass aborted by cancellation returns no counts and
-// the context's error, so the step is redone whole on resume.
+// scanStep is the loop's pass scanner: cover.ScanPass over the pass's
+// partition plan, every partition pruning from the pass's seed and
+// scanned under supervise. It returns the pass winner and the work counts
+// of the successfully scanned partitions, and records the quarantined
+// ones in plan order. A pass aborted by cancellation returns the
+// context's error; Run then discards its counts, so the step is redone
+// whole on resume.
 func (r *run) scanStep(ctx context.Context, p cover.Pass) (reduce.Combo, cover.Counts, error) {
-	workers := max(p.Opt.Workers, 1)
-	parts, err := cover.PartitionPlan(p.Tumor.Genes(), p.Opt, workers*cover.PartitionsPerWorker)
+	parts, err := cover.PartitionPlan(p.Tumor.Genes(), p.Opt, max(p.Opt.Workers, 1)*cover.PartitionsPerWorker)
 	if err != nil {
 		return reduce.None, cover.Counts{}, err
 	}
-	// The seed is a pure function of the pass's instance and options, so
-	// every partition's counts stay reproducible across resumed legs.
-	seed, err := cover.SeedIncumbent(p.Tumor, p.Normal, p.Active, p.TumorWeights, p.NormalWeights, p.Opt, p.Denom)
-	if err != nil {
-		return reduce.None, cover.Counts{}, fmt.Errorf("harness: seeding step %d: %w", p.Step, err)
-	}
-	outcomes := make([]partOutcome, len(parts))
+	quarantined := make([]*Quarantine, len(parts))
 	// Pass-local progress tally; the cumulative Unscanned base is stable
 	// for the whole pass (quarantines fold in after it). The tally is
 	// advanced and delivered under eventsMu in one critical section, so
@@ -286,132 +272,100 @@ func (r *run) scanStep(ctx context.Context, p cover.Pass) (reduce.Combo, cover.C
 		done, quar int
 		unscanned  uint64
 	}
-	report := func(q *Quarantine) {
-		if r.opt.OnProgress == nil {
-			return
-		}
-		r.eventsMu.Lock()
-		defer r.eventsMu.Unlock()
-		prog.done++
-		if q != nil {
-			prog.quar++
-			prog.unscanned += q.Size()
-		}
-		r.opt.OnProgress(Progress{Step: p.Step, Done: prog.done, Total: len(parts),
-			Quarantined: prog.quar, Unscanned: r.out.Unscanned + prog.unscanned})
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= len(parts) {
-					return
-				}
-				if parts[i].Size() == 0 {
-					outcomes[i] = partOutcome{combo: reduce.None}
-				} else {
-					outcomes[i] = r.runPartition(ctx, p, parts[i], i, seed)
-				}
-				report(outcomes[i].quarantine)
+	try := func(i int, scan func()) bool {
+		q := r.supervise(ctx, p.Step, i, parts[i], scan)
+		quarantined[i] = q
+		if r.opt.OnProgress != nil {
+			r.eventsMu.Lock()
+			defer r.eventsMu.Unlock()
+			prog.done++
+			if q != nil {
+				prog.quar++
+				prog.unscanned += q.Size()
 			}
-		}()
+			r.opt.OnProgress(Progress{Step: p.Step, Done: prog.done, Total: len(parts),
+				Quarantined: prog.quar, Unscanned: r.out.Unscanned + prog.unscanned})
+		}
+		return q == nil
 	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return reduce.None, cover.Counts{}, err
+	best, cnt, err := cover.ScanPass(ctx, p, parts, true, try)
+	if err != nil {
+		return best, cnt, err
 	}
-
-	// The seed joins the reduction. Without quarantines this changes
-	// nothing: the partition holding the true winner always finds it, and
-	// it is never worse than the seed. With the seed's own partition
-	// quarantined, the survivors have pruned against the seed's bound, so
-	// only the seed keeps the step's winner the best of the survivors and
-	// the seed.
-	best := seed
-	var cnt cover.Counts
-	for _, o := range outcomes {
-		if q := o.quarantine; q != nil {
+	for _, q := range quarantined {
+		if q != nil {
 			r.out.Quarantined = append(r.out.Quarantined, *q)
 			r.out.Unscanned += q.Size()
-			continue
 		}
-		if o.combo.Better(best) {
-			best = o.combo
-		}
-		cnt.Evaluated += o.cnt.Evaluated
-		cnt.Pruned += o.cnt.Pruned
 	}
 	return best, cnt, nil
 }
 
-// runPartition scans one partition with recovery, bounded retry, and
-// quarantine.
-func (r *run) runPartition(ctx context.Context, p cover.Pass, part sched.Partition, i int, seed reduce.Combo) partOutcome {
+// supervise runs partition i's scan with recovery, bounded retry and
+// backoff, and returns the quarantine record when every attempt failed.
+// An empty partition has nothing to scan and is never attempted.
+func (r *run) supervise(ctx context.Context, step, i int, part sched.Partition, scan func()) *Quarantine {
+	if part.Size() == 0 {
+		return nil
+	}
 	var lastErr error
 	attempts := 0
-	for attempt := 0; attempt <= r.opt.MaxRetries; attempt++ {
-		if attempt > 0 {
-			if !sleepCtx(ctx, r.backoff(p.Step, i, attempt)) {
-				break // canceled mid-backoff; the whole step aborts
-			}
+	for attempt := 0; attempt <= DefaultMaxRetries; attempt++ {
+		if attempt > 0 && !sleepCtx(ctx, backoff(step, i, attempt)) {
+			break // canceled mid-backoff; the whole step aborts
 		}
 		attempts++
-		combo, cnt, err := scanOnce(p, part, seed)
+		err := attemptScan(part, scan)
 		if err == nil {
-			return partOutcome{combo: combo, cnt: cnt}
+			return nil
 		}
 		lastErr = err
 		if ctx.Err() != nil {
 			break
 		}
-		if attempt < r.opt.MaxRetries {
-			r.event(Event{Kind: EventRetry, Step: p.Step, Partition: part, Attempt: attempts, Err: err})
+		if attempt < DefaultMaxRetries {
+			r.event(Event{Kind: EventRetry, Step: step, Partition: part, Attempt: attempts, Err: err})
 		}
 	}
-	q := &Quarantine{Step: p.Step, Lo: part.Lo, Hi: part.Hi, Attempts: attempts}
+	q := &Quarantine{Step: step, Lo: part.Lo, Hi: part.Hi, Attempts: attempts}
 	if lastErr != nil {
 		q.LastError = lastErr.Error()
 	}
-	r.event(Event{Kind: EventQuarantine, Step: p.Step, Partition: part, Attempt: attempts, Err: lastErr})
-	return partOutcome{combo: reduce.None, quarantine: q}
+	r.event(Event{Kind: EventQuarantine, Step: step, Partition: part, Attempt: attempts, Err: lastErr})
+	return q
 }
 
-// scanOnce runs one partition scan attempt, converting a panic anywhere
-// under the kernel into an error the retry loop can handle. This is the
-// recover-and-retry pattern the goroleak/panicfree fixtures pin.
-func scanOnce(p cover.Pass, part sched.Partition, seed reduce.Combo) (c reduce.Combo, n cover.Counts, err error) {
+// attemptScan runs one scan attempt behind the harness/partition
+// failpoint, converting a panic anywhere under the kernel into an error
+// the retry loop can handle. This is the recover-and-retry pattern the
+// goroleak/panicfree fixtures pin.
+func attemptScan(part sched.Partition, scan func()) (err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			err = fmt.Errorf("harness: partition [%d,%d) panicked: %v", part.Lo, part.Hi, rec)
 		}
 	}()
-	if ferr := failpoint.Check("harness/partition"); ferr != nil {
-		return reduce.None, cover.Counts{}, ferr
+	if err := failpoint.Check("harness/partition"); err != nil {
+		return err
 	}
-	return cover.ScanPartitionWeighted(p.Tumor, p.Normal, p.Active, p.TumorWeights, p.NormalWeights, p.Opt, part, p.Denom, seed)
+	scan()
+	return nil
 }
 
 // backoff returns the deterministic, jittered delay before retry
 // `attempt` (1-based) of partition i in step stepIdx.
-func (r *run) backoff(stepIdx, i, attempt int) time.Duration {
-	d := r.opt.BackoffBase << (attempt - 1)
-	if d > r.opt.BackoffMax || d <= 0 {
-		d = r.opt.BackoffMax
+func backoff(stepIdx, i, attempt int) time.Duration {
+	d := DefaultBackoffBase << (attempt - 1)
+	if d > DefaultBackoffMax || d <= 0 {
+		d = DefaultBackoffMax
 	}
-	// Jitter in [0.5, 1.5): seeded by (run seed, step, partition,
-	// attempt) so two identical runs wait identically.
-	u := splitmix64(uint64(r.opt.RetrySeed)<<32 ^ uint64(stepIdx)<<40 ^ uint64(i)<<8 ^ uint64(attempt))
+	// Jitter in [0.5, 1.5): seeded by (step, partition, attempt) so two
+	// identical runs wait identically.
+	u := splitmix64(uint64(stepIdx)<<40 ^ uint64(i)<<8 ^ uint64(attempt))
 	frac := float64(u>>11) / float64(1<<53)
 	d = time.Duration(float64(d) * (0.5 + frac))
-	if d > r.opt.BackoffMax {
-		d = r.opt.BackoffMax
+	if d > DefaultBackoffMax {
+		d = DefaultBackoffMax
 	}
 	return d
 }
