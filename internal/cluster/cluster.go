@@ -338,7 +338,8 @@ type IterationReport struct {
 	// MaxBusySec is the slowest GPU's kernel time — the iteration's
 	// critical path.
 	MaxBusySec float64
-	// CriticalGPU is the index of that GPU.
+	// CriticalGPU is that GPU's physical id (node·GPUsPerNode + local
+	// index), so after a degrade it names a surviving GPU.
 	CriticalGPU int
 }
 

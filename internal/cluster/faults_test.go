@@ -213,6 +213,38 @@ func TestSimulateFaultsDegradeShrinksMachine(t *testing.T) {
 	}
 }
 
+func TestDegradeCriticalGPUIsPhysical(t *testing.T) {
+	// Rank 0 (GPUs 0-5) dies mid-run: every iteration priced on the three
+	// surviving nodes must name its slowest GPU by physical id, never a
+	// GPU of the dead node.
+	spec := Summit(4)
+	w := BRCA4Hit(cover.Scheme3x1)
+	base, err := Simulate(spec, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := SimulateFaults(spec, w, FaultPlan{
+		Failures: []RankFailure{midRunFailure(t, spec, w, 0)},
+		Policy:   PolicyDegrade,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	degraded := 0
+	for i, it := range rep.Iterations {
+		if it.MaxBusySec == base.Iterations[i].MaxBusySec {
+			continue // priced on the full machine, before the failure
+		}
+		degraded++
+		if it.CriticalGPU < spec.GPUsPerNode || it.CriticalGPU >= spec.GPUs() {
+			t.Fatalf("iteration %d after rank 0 died names GPU %d", i, it.CriticalGPU)
+		}
+	}
+	if degraded == 0 {
+		t.Fatal("no iteration ran on the degraded machine")
+	}
+}
+
 func discoverFixture(t *testing.T) (*dataset.Cohort, cover.Options) {
 	t.Helper()
 	spec := dataset.Spec{

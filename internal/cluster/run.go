@@ -81,10 +81,15 @@ func (pr pricing) price(spec Spec, plan FaultPlan, parts []sched.Partition, aliv
 	// Devices are independent; price them on all cores. Results land in
 	// index-addressed slots, so the output stays deterministic.
 	parallelFor(len(parts), func(gi int) {
-		phys := alive[gi/gpn]*gpn + gi%gpn
+		phys := physGPU(alive, gpn, gi)
 		out[gi] = spec.Device.Simulate(pr.w.jobFor(pr.curve, parts[gi], rowWords, phys, plan.stragglerSlowdown(phys)))
 	})
 	return out
+}
+
+// physGPU is the physical id of GPU gi of the machine of alive nodes.
+func physGPU(alive []int, gpn, gi int) int {
+	return alive[gi/gpn]*gpn + gi%gpn
 }
 
 // legPrice is one leg's pricing on the alive machine.
@@ -210,7 +215,8 @@ func (pr pricing) run(spec Spec, plan FaultPlan) (*Report, error) {
 		}
 		for li, busy := range lp.busy {
 			if it := progress + li; !done[it] {
-				iters[it].MaxBusySec, iters[it].CriticalGPU = slowest(busy)
+				maxBusy, gi := slowest(busy)
+				iters[it].MaxBusySec, iters[it].CriticalGPU = maxBusy, physGPU(alive, gpn, gi)
 			}
 		}
 
