@@ -46,6 +46,11 @@ func plainInstance(name string, c *dataset.Cohort, active *bitmat.Vec) scanInsta
 		denom: float64(c.Tumor.Samples() + c.Normal.Samples())}
 }
 
+// passSeed is the seed incumbent a seeded ScanPass of p starts from.
+func passSeed(p Pass) reduce.Combo {
+	return seedIncumbent(newKernelEnv(p.Tumor, p.Normal, p.Active, p.TumorWeights, p.NormalWeights, p.Opt.Alpha, p.Denom), p.Opt)
+}
+
 // scanAll runs ScanPass with no supervisor and fails the test on an error.
 func scanAll(t *testing.T, p Pass, parts []sched.Partition, seeded bool) (reduce.Combo, Counts) {
 	t.Helper()
@@ -162,7 +167,7 @@ func TestScanPassDroppedSeedPartition(t *testing.T) {
 		base.Workers = 1
 		in := plainInstance("BRCA", c, nil)
 		p := in.pass(t, base)
-		seed := seedIncumbent(newKernelEnv(p.Tumor, p.Normal, p.Active, nil, nil, p.Opt.Alpha, p.Denom), p.Opt)
+		seed := passSeed(p)
 		if seed == reduce.None {
 			t.Fatalf("%s: no seed", p.Opt.Scheme)
 		}
@@ -195,30 +200,6 @@ func TestScanPassDroppedSeedPartition(t *testing.T) {
 				t.Fatalf("%s dropping partition %d: winner %v, want %v (seed %v)", p.Opt.Scheme, drop, got, want, seed)
 			}
 		}
-	}
-}
-
-// TestScanPassRetriedScanCountsOnce calls every partition's scan twice,
-// as a supervisor retrying a failed attempt does: each attempt starts
-// from a fresh incumbent, so the pass counts what a single scan counts.
-func TestScanPassRetriedScanCountsOnce(t *testing.T) {
-	c := pruneCohort(t, dataset.BRCA(), 30, 3)
-	p := plainInstance("BRCA", c, nil).pass(t, Options{Hits: 4, Scheme: Scheme3x1, Workers: 2})
-	parts, err := PartitionPlan(c.Tumor.Genes(), p.Opt, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, wantN := scanAll(t, p, parts, true)
-	got, n, err := ScanPass(context.Background(), p, parts, true, func(_ int, scan func()) bool {
-		scan()
-		scan()
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want || n != wantN {
-		t.Fatalf("retried scans: %v %+v, single scans %v %+v", got, n, want, wantN)
 	}
 }
 

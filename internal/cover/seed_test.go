@@ -81,7 +81,7 @@ func TestSeededPassMatchesUnseededAndNoPrune(t *testing.T) {
 						t.Fatal(err)
 					}
 					p := plainInstance(label, c, active).pass(t, opt)
-					if seedIncumbent(newKernelEnv(p.Tumor, p.Normal, p.Active, nil, nil, p.Opt.Alpha, p.Denom), p.Opt) == reduce.None {
+					if passSeed(p) == reduce.None {
 						t.Fatalf("%s: no seed on a %d-gene domain", label, c.Tumor.Genes())
 					}
 					parts, err := PartitionPlan(c.Tumor.Genes(), opt, 8)
@@ -126,14 +126,7 @@ func TestSeededPassMatchesUnseededAndNoPrune(t *testing.T) {
 // domain of exactly one combination.
 func TestSeedFMatchesKernelF(t *testing.T) {
 	c := pruneCohort(t, dataset.ACC(), 24, 19)
-	type instance struct {
-		name          string
-		tumor, normal *bitmat.Matrix
-		tw, nw        *bitmat.Weights
-		active        *bitmat.Vec
-	}
-	cases := []instance{{name: "plain", tumor: c.Tumor, normal: c.Normal,
-		active: partialActive(c.Tumor.Samples())}}
+	cases := []scanInstance{plainInstance("plain", c, partialActive(c.Tumor.Samples()))}
 	for _, hits := range []int{3, 4} {
 		kern, err := kernelize.Reduce(c.Tumor, c.Normal, hits)
 		if err != nil {
@@ -142,18 +135,14 @@ func TestSeedFMatchesKernelF(t *testing.T) {
 		if kern.TumorWeights == nil || kern.NormalWeights == nil {
 			t.Fatalf("h=%d: cohort merged no columns; the weighted case is not exercised", hits)
 		}
-		cases = append(cases, instance{name: fmt.Sprintf("kernel%d", hits),
+		cases = append(cases, scanInstance{name: fmt.Sprintf("kernel%d", hits),
 			tumor: kern.Tumor, normal: kern.Normal, tw: kern.TumorWeights, nw: kern.NormalWeights,
-			active: kern.MapActive(partialActive(c.Tumor.Samples()))})
+			active: kern.MapActive(partialActive(c.Tumor.Samples())),
+			denom:  float64(c.Tumor.Samples() + c.Normal.Samples())})
 	}
-	denom := float64(c.Tumor.Samples() + c.Normal.Samples())
 	for _, in := range cases {
 		for _, base := range seedSchemes {
-			opt, err := base.withDefaults()
-			if err != nil {
-				t.Fatal(err)
-			}
-			seed := seedIncumbent(newKernelEnv(in.tumor, in.normal, in.active, in.tw, in.nw, opt.Alpha, denom), opt)
+			seed := passSeed(in.pass(t, base))
 			if seed == reduce.None {
 				t.Fatalf("%s %s: no seed", in.name, base.Scheme)
 			}
@@ -167,7 +156,8 @@ func TestSeedFMatchesKernelF(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sub := scanInstance{tumor: subT, normal: subN, tw: in.tw, nw: in.nw, active: in.active, denom: denom}
+				sub := in
+				sub.tumor, sub.normal = subT, subN
 				got, n := scanAll(t, sub.pass(t, opt), parts, false)
 				if n.Evaluated != 1 {
 					t.Fatalf("%s %s %s: sub-instance scored %d combinations, want 1", in.name, base.Scheme, engine, n.Evaluated)

@@ -7,18 +7,19 @@ import (
 )
 
 func TestBackoffDeterministicAcrossRuns(t *testing.T) {
-	// The jitter is a pure function of (step, partition, attempt): two
-	// identical runs wait identically.
-	for step := 0; step < 3; step++ {
-		for part := 0; part < 5; part++ {
-			for attempt := 1; attempt <= 4; attempt++ {
-				da := backoff(step, part, attempt)
-				db := backoff(step, part, attempt)
-				if da != db {
-					t.Fatalf("backoff(%d,%d,%d) diverged across identical calls: %v vs %v",
-						step, part, attempt, da, db)
-				}
-			}
+	// The jitter is a pure function of (step, partition, attempt), so any
+	// two runs, in any process, wait identically; the pinned delays catch
+	// a change to the schedule.
+	for _, c := range []struct {
+		step, part, attempt int
+		want                time.Duration
+	}{
+		{0, 0, 1, 2133123},
+		{1, 3, 2, 2455925},
+		{2, 5, 1, 2955779},
+	} {
+		if got := backoff(c.step, c.part, c.attempt); got != c.want {
+			t.Fatalf("backoff(%d,%d,%d) = %v, want %v", c.step, c.part, c.attempt, got, c.want)
 		}
 	}
 }

@@ -650,7 +650,6 @@ func firstPass(t *testing.T, tumor, normal *bitmat.Matrix, copt cover.Options) (
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.Engine = cover.ResolveEngine(opt, tumor, normal)
 	parts, err := cover.PartitionPlan(tumor.Genes(), opt, opt.Workers*cover.PartitionsPerWorker)
 	if err != nil {
 		t.Fatal(err)
