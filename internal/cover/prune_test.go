@@ -131,6 +131,38 @@ func TestPrunedRunMatchesNoPrune(t *testing.T) {
 	}
 }
 
+// TestFindBestRangePrunedPartitioning cuts the λ domain into 1, 3 and 8
+// equal unseeded partitions: the reduced winner equals the full-domain
+// FindBest winner, and the partitions together score every combination.
+func TestFindBestRangePrunedPartitioning(t *testing.T) {
+	c := pruneCohort(t, dataset.BRCA(), 24, 13)
+	opt := Options{Hits: 4, Scheme: Scheme3x1}
+	want, cnt, err := FindBest(c.Tumor, c.Normal, nil, Options{Hits: 4, Scheme: Scheme3x1, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A partition's [lo, hi) is over the λ thread domain — C(G, 3) for
+	// Scheme3x1 — while Counts tallies scored combinations.
+	lambda := combinat.MustBinomial(uint64(c.Tumor.Genes()), 3)
+	p := plainInstance("BRCA", c, nil).pass(t, opt)
+	for _, cuts := range []int{1, 3, 8} {
+		parts := make([]sched.Partition, cuts)
+		size := lambda / uint64(cuts)
+		for i := range parts {
+			parts[i] = sched.Partition{Lo: uint64(i) * size, Hi: uint64(i+1) * size}
+		}
+		parts[cuts-1].Hi = lambda
+		best, total := scanAll(t, p, parts, false)
+		if best != want {
+			t.Fatalf("cuts=%d: reduced winner %v != full-domain %v", cuts, best, want)
+		}
+		if total.Scanned() != cnt.Scanned() {
+			t.Fatalf("cuts=%d: ranges scanned %d combinations, domain has %d",
+				cuts, total.Scanned(), cnt.Scanned())
+		}
+	}
+}
+
 // TestNoPruneRangeMatchesPruned pins an unseeded one-partition ScanPass's
 // NoPrune escape hatch: same winner, full evaluation, zero pruned.
 func TestNoPruneRangeMatchesPruned(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/bitmat"
 	"repro/internal/dataset"
+	"repro/internal/sched"
 )
 
 // TestSparseFindBestMatchesDense is the engine-differential core: on
@@ -138,6 +139,22 @@ func TestSparseRunMatchesDense(t *testing.T) {
 						ci, hits, kernelize, sres.Options.Engine, dres.Options.Engine)
 				}
 			}
+		}
+	}
+}
+
+// TestSparseRangeMatchesDense scans two overlapping sub-ranges of the λ
+// domain as one unseeded partition each: the sparse engine returns the
+// dense engine's winner and the same Evaluated/Pruned split.
+func TestSparseRangeMatchesDense(t *testing.T) {
+	c := pruneCohort(t, dataset.BRCA(), 24, 13)
+	in := plainInstance("BRCA", c, nil)
+	for _, rng := range [][2]uint64{{0, 500}, {300, 1100}} {
+		parts := []sched.Partition{{Lo: rng[0], Hi: rng[1]}}
+		dBest, dCnt := scanAll(t, in.pass(t, Options{Hits: 4, Scheme: Scheme3x1, Engine: EngineDense}), parts, false)
+		sBest, sCnt := scanAll(t, in.pass(t, Options{Hits: 4, Scheme: Scheme3x1, Engine: EngineSparse}), parts, false)
+		if sBest != dBest || sCnt != dCnt {
+			t.Fatalf("range %v: sparse %v %+v, dense %v %+v", rng, sBest, sCnt, dBest, dCnt)
 		}
 	}
 }
