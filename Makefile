@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race bench benchfull reports reports-check examples faults chaos chaos-soak kernel-smoke kernel-bench sparse-smoke sparse-bench serve-smoke clean
+.PHONY: all build vet lint test race benchfull reports reports-check examples faults chaos chaos-soak kernel-smoke kernel-bench sparse-smoke sparse-bench serve-smoke clean
 
 all: build vet lint test
 
@@ -21,12 +21,6 @@ test:
 
 race:
 	$(GO) test -race ./...
-
-# Before/after baselines for the bound-and-prune engine (docs/PRUNING.md):
-# reruns BenchmarkFig5MemOpts and BenchmarkKernel3x1 inputs with and
-# without Options.NoPrune and records the pair in BENCH_4.json.
-bench:
-	$(GO) run ./cmd/benchreport -exp bench -benchout BENCH_4.json
 
 # The full Go benchmark suite across every package.
 benchfull:

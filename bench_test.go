@@ -7,7 +7,6 @@ package repro
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"testing"
 
 	"repro/internal/bitmat"
@@ -87,33 +86,6 @@ func BenchmarkFig4bWeakScaling(b *testing.B) {
 		if _, err := cluster.WeakScaling(w, []int{100, 300, 500}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkFig5MemOpts (E5): real wall-clock of the 3-hit kernel under the
-// memory-optimization ablation (one iteration, G=200).
-func BenchmarkFig5MemOpts(b *testing.B) {
-	spec := dataset.BRCA().Scaled(200)
-	spec.Hits = 3
-	cohort, err := dataset.Generate(spec, 42)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, bench := range []struct {
-		name string
-		opt  cover.Options
-	}{
-		{"none", cover.Options{Hits: 3}},
-		{"MemOpt1", cover.Options{Hits: 3, MemOpt1: true}},
-		{"MemOpt1+2", cover.Options{Hits: 3, MemOpt1: true, MemOpt2: true}},
-	} {
-		b.Run(bench.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := cover.FindBest(cohort.Tumor, cohort.Normal, nil, bench.opt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 
@@ -322,6 +294,54 @@ func benchPass(b *testing.B, genes int, pass func() (cover.Counts, error)) {
 	b.ReportMetric(float64(n.Pruned), "pruned/op")
 }
 
+// BenchmarkSeedProbe measures what the seed probe (docs/PRUNING.md §3)
+// buys a scanned pass: one ScanPass over the same partition plan of a
+// BRCA G=100 h=4 first pass, with every partition pruning from the seed
+// and with every partition starting empty. evaluated/op is the work each
+// side scores; both must find the same winner and account for C(G, 4).
+func BenchmarkSeedProbe(b *testing.B) {
+	spec := dataset.BRCA().Scaled(100)
+	spec.Hits = 4
+	cohort, err := dataset.Generate(spec, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opt, err := cover.Options{Hits: 4, Workers: 2}.Normalized()
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := cohort.Tumor.Genes()
+	p := cover.Pass{Tumor: cohort.Tumor, Normal: cohort.Normal, Active: bitmat.AllOnes(cohort.Tumor.Samples()),
+		Denom: float64(cohort.Tumor.Samples() + cohort.Normal.Samples()), Opt: opt}
+	parts, err := cover.PartitionPlan(g, opt, opt.Workers*cover.PartitionsPerWorker)
+	if err != nil {
+		b.Fatal(err)
+	}
+	seededBest, _, err := cover.ScanPass(context.Background(), p, parts, true, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	unseededBest, _, err := cover.ScanPass(context.Background(), p, parts, false, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if seededBest != unseededBest {
+		b.Fatalf("seeded winner %v, unseeded %v", seededBest, unseededBest)
+	}
+	for _, seeded := range []bool{true, false} {
+		name := "unseeded"
+		if seeded {
+			name = "seeded"
+		}
+		b.Run(name, func(b *testing.B) {
+			benchPass(b, g, func() (cover.Counts, error) {
+				_, n, err := cover.ScanPass(context.Background(), p, parts, seeded, nil)
+				return n, err
+			})
+		})
+	}
+}
+
 // BenchmarkDistributedDiscover measures the functional multi-rank pipeline.
 func BenchmarkDistributedDiscover(b *testing.B) {
 	spec := dataset.BRCA().Scaled(30)
@@ -335,27 +355,6 @@ func BenchmarkDistributedDiscover(b *testing.B) {
 		if _, err := cluster.Discover(cluster.Summit(2), cohort.Tumor, cohort.Normal, opt); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkBlockSizeAblation probes the in-block reduction width around the
-// paper's 512: smaller blocks shed less intermediate state per flush but
-// reduce more often.
-func BenchmarkBlockSizeAblation(b *testing.B) {
-	spec := dataset.BRCA().Scaled(50)
-	cohort, err := dataset.Generate(spec, 42)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, bs := range []int{32, 128, 512, 2048} {
-		b.Run(fmt.Sprintf("block=%d", bs), func(b *testing.B) {
-			opt := cover.Options{Hits: 4, BlockSize: bs}
-			for i := 0; i < b.N; i++ {
-				if _, _, err := cover.FindBest(cohort.Tumor, cohort.Normal, nil, opt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

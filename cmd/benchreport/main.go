@@ -33,8 +33,8 @@ type config struct {
 	Genes int
 	Seed  int64
 	Quick bool
-	// BenchOut is where the "bench" experiment writes its JSON record
-	// (empty = text only).
+	// BenchOut is where the "kernel" and "sparse" experiments write their
+	// JSON records (empty = text only).
 	BenchOut string
 }
 
@@ -64,7 +64,6 @@ func experiments() []experiment {
 		{"campaign", "11-cancer production-study cost model", expCampaign},
 		{"hardware", "V100 vs A100-class device projection", expHardware},
 		{"hitcount", "2/3/4-hit comparison on a 4-hit cohort (Sec. I motivation)", expHitCount},
-		{"bench", "bound-and-prune before/after baselines (writes -benchout JSON)", expBench},
 		{"kernel", "kernelization before/after baselines (writes -benchout JSON)", expKernelBench},
 		{"sparse", "dense-vs-sparse engine baselines per cohort/scheme (writes -benchout JSON)", expSparse},
 	}
@@ -77,7 +76,7 @@ func main() {
 	quick := flag.Bool("quick", false, "shrink the expensive experiments for smoke runs")
 	list := flag.Bool("list", false, "list experiments and exit")
 	outDir := flag.String("out", "", "also write each experiment's output to <out>/<name>.txt")
-	benchOut := flag.String("benchout", "", "write the bench experiment's before/after record to this JSON file")
+	benchOut := flag.String("benchout", "", "write the kernel or sparse experiment's record to this JSON file")
 	flag.Parse()
 
 	all := experiments()

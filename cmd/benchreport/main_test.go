@@ -3,6 +3,8 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/dataset"
 )
 
 // quickCfg shrinks every experiment for test runs.
@@ -23,6 +25,38 @@ func TestEveryExperimentRuns(t *testing.T) {
 				t.Fatalf("%s produced no output", e.name)
 			}
 		})
+	}
+}
+
+// TestMemOptsDoNotChangeResults pins the three Fig. 5 loops to the
+// engine: on a BRCA cohort at G=40, h=3, each returns cover.FindBest's
+// NoPrune winner, gene ids and F bits.
+func TestMemOptsDoNotChangeResults(t *testing.T) {
+	spec := dataset.BRCA().Scaled(40)
+	spec.Hits = 3
+	cohort, err := dataset.Generate(spec, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fig5Check(cohort.Tumor, cohort.Normal); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMemoryPlanPaperNumbers pins the Sec. III-E arithmetic: one record
+// per 3x1 thread is C(19411, 3) ≈ 1.22e12 entries, 24.38 TB at 20 bytes
+// each (the paper rounds to 24.34 TB); the in-block reduction at block
+// size 512 leaves 47.61 GB (paper: 47.5 GB); rank 0 receives 20 bytes per
+// rank.
+func TestMemoryPlanPaperNumbers(t *testing.T) {
+	out, err := expMemory(quickCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"1218780100265  24.38 TB", "2380429884     47.61 GB", "1000           20.00 kB"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("memory plan lacks %q:\n%s", want, out)
+		}
 	}
 }
 

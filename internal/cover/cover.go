@@ -18,12 +18,13 @@
 // cores standing in for GPUs: the combination space is flattened to a
 // linear thread id λ through the triangular/tetrahedral maps (package
 // combinat), λ-ranges are assigned to workers by the equi-area or
-// equi-distance scheduler (package sched), each worker folds its threads'
-// scores through per-block single-stage reduction followed by a tree
-// reduction (package reduce), and the winners are reduced across workers —
-// the same maxF → parallelReduceMax → rank-0 topology as the CUDA/MPI
-// implementation. All reductions share one deterministic total order, so
-// every scheme, scheduler and worker count returns the identical cover.
+// equi-distance scheduler (package sched), each worker keeps a running
+// maximum of its threads' winners, and the partition winners are reduced
+// the same way. The paper's GPUs need a per-block and a per-device stage
+// between the two (Sec. III-E) only because a per-thread list would not fit
+// in memory; a CPU worker never writes that list. Every reduction uses the
+// one deterministic total order of reduce.Combo.Better, so every scheme,
+// scheduler and worker count returns the identical cover.
 package cover
 
 import (
@@ -46,10 +47,6 @@ const DefaultAlpha = 0.1
 
 // MaxHits is the largest combination size the engine serves.
 const MaxHits = reduce.MaxHits
-
-// DefaultBlockSize is the paper's CUDA thread-block size, used for the
-// in-block reduction stage.
-const DefaultBlockSize = 512
 
 // Scheme selects the loop-flattening parallelization scheme (Sec. III-A).
 type Scheme int
@@ -160,16 +157,8 @@ type Options struct {
 	// Workers is the number of parallel workers (virtual GPUs); 0 means
 	// GOMAXPROCS.
 	Workers int
-	// BlockSize is the in-block reduction width; 0 means DefaultBlockSize.
-	BlockSize int
 	// Scheduler selects EA (default) or ED partitioning.
 	Scheduler Scheduler
-	// MemOpt1 hoists the row for gene i out of the 3-hit inner loop;
-	// MemOpt2 additionally hoists (and pre-folds) the row for gene j.
-	// They reproduce the Fig. 5 ablation and apply to the 3-hit kernel;
-	// the 2x2/3x1 4-hit kernels always run fully prefetched, as in the
-	// paper's production configuration.
-	MemOpt1, MemOpt2 bool
 	// Kernelize shrinks the instance once before enumeration
 	// (internal/kernelize, docs/KERNELIZATION.md): duplicate sample
 	// columns merge into weighted columns and dominated genes leave G.
@@ -234,12 +223,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.Workers < 0 {
 		return o, fmt.Errorf("cover: Workers must be non-negative, got %d", o.Workers)
-	}
-	if o.BlockSize == 0 {
-		o.BlockSize = DefaultBlockSize
-	}
-	if o.BlockSize < 0 {
-		return o, fmt.Errorf("cover: BlockSize must be non-negative, got %d", o.BlockSize)
 	}
 	if o.Engine < EngineAuto || o.Engine > EngineSparse {
 		return o, fmt.Errorf("cover: unknown engine %d", o.Engine)
@@ -694,13 +677,11 @@ func (e *kernelEnv) prune3(a, b, c []uint64) bool {
 	return e.shared != nil && e.shared.ShouldPrune(e.score(e.tpop3(a, b, c), 0))
 }
 
-// runKernel dispatches the scheme kernel over one λ-partition, folding
-// per-thread results through block reduction and a tree reduction, exactly
-// mirroring the maxF / parallelReduceMax kernel pair. A canceled context
-// skips the partition entirely (one partition is the cancellation
-// granularity; the kernels themselves never block). The scratch provides
-// the kernel's fold buffers and the block-reduction output slice, both
-// reused across the calling worker's partitions.
+// runKernel dispatches the scheme kernel over one λ-partition and returns
+// the running maximum of its threads' winners. A canceled context skips
+// the partition entirely (one partition is the cancellation granularity;
+// the kernels themselves never block). The scratch provides the kernel's
+// fold buffers, reused across the calling worker's partitions.
 func runKernel(ctx context.Context, env *kernelEnv, opt Options, part sched.Partition, s *kernelScratch) (reduce.Combo, Counts) {
 	if ctx.Err() != nil {
 		return reduce.None, Counts{}
@@ -709,38 +690,10 @@ func runKernel(ctx context.Context, env *kernelEnv, opt Options, part sched.Part
 	// failpoint panics or stalls inside the partition, exactly where an
 	// OOM kill or a wedged device would strike (docs/ROBUSTNESS.md).
 	failpoint.Hit("cover/kernel")
-	blockBests := s.blockBests[:0]
-	blockBest := reduce.None
-	inBlock := 0
-	flush := func() {
-		if inBlock > 0 {
-			blockBests = append(blockBests, blockBest)
-			blockBest = reduce.None
-			inBlock = 0
-		}
-	}
+	best := reduce.None
 	observe := func(c reduce.Combo) {
-		if c.Better(blockBest) {
-			blockBest = c
-		}
-		inBlock++
-		if inBlock == opt.BlockSize {
-			flush()
-		}
-	}
-	// skip stands for n consecutive reduce.None observations — threads a
-	// kernel skipped wholesale — in one step per block boundary: None
-	// never beats the block best, so only the block cadence moves.
-	skip := func(n uint64) {
-		for n > 0 {
-			room := uint64(opt.BlockSize - inBlock)
-			if n < room {
-				inBlock += combinat.ToInt(n)
-				return
-			}
-			n -= room
-			inBlock = opt.BlockSize
-			flush()
+		if c.Better(best) {
+			best = c
 		}
 	}
 
@@ -752,7 +705,7 @@ func runKernel(ctx context.Context, env *kernelEnv, opt Options, part sched.Part
 		if env.sparse != nil {
 			n = sparse2x1(env, part, s, observe)
 		} else {
-			n = kernel2x1(env, opt, part, s, observe)
+			n = kernel2x1(env, part, observe)
 		}
 	case Scheme2x2:
 		if env.sparse != nil {
@@ -762,9 +715,9 @@ func runKernel(ctx context.Context, env *kernelEnv, opt Options, part sched.Part
 		}
 	case Scheme3x1:
 		if env.sparse != nil {
-			n = sparse3x1(env, part, s, observe, skip)
+			n = sparse3x1(env, part, s, observe)
 		} else {
-			n = kernel3x1(env, part, s, observe, skip)
+			n = kernel3x1(env, part, s, observe)
 		}
 	case Scheme1x3:
 		if env.sparse != nil {
@@ -775,9 +728,7 @@ func runKernel(ctx context.Context, env *kernelEnv, opt Options, part sched.Part
 	case Scheme4x1:
 		n.Evaluated = kernel4x1(env, part, observe)
 	case Scheme4p1:
-		n = kernel4p1(env, part, s, observe, skip)
+		n = kernel4p1(env, part, s, observe)
 	}
-	flush()
-	s.blockBests = blockBests
-	return reduce.TreeReduceInPlace(blockBests), n
+	return best, n
 }

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/bitmat"
 	"repro/internal/dataset"
-	"repro/internal/reduce"
 )
 
 // randomPair builds random tumor/normal matrices.
@@ -48,7 +47,7 @@ func TestFindBestMatchesExhaustive(t *testing.T) {
 				t.Fatal(err)
 			}
 			got, _, err := FindBest(tumor, normal, nil, Options{
-				Hits: tc.hits, Scheme: tc.scheme, Workers: 5, BlockSize: 32,
+				Hits: tc.hits, Scheme: tc.scheme, Workers: 5,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -68,18 +67,15 @@ func TestFindBestInvariantToWorkersAndBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 8, 64} {
-		for _, bs := range []int{1, 16, 512} {
-			for _, sch := range []Scheduler{EquiArea, EquiDistance} {
-				got, _, err := FindBest(tumor, normal, nil, Options{
-					Hits: 4, Workers: workers, BlockSize: bs, Scheduler: sch,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != base {
-					t.Fatalf("workers=%d block=%d sched=%s: %+v != %+v",
-						workers, bs, sch, got, base)
-				}
+		for _, sch := range []Scheduler{EquiArea, EquiDistance} {
+			got, _, err := FindBest(tumor, normal, nil, Options{
+				Hits: 4, Workers: workers, Scheduler: sch,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != base {
+				t.Fatalf("workers=%d sched=%s: %+v != %+v", workers, sch, got, base)
 			}
 		}
 	}
@@ -97,29 +93,6 @@ func TestSchemesAgreeOn4Hit(t *testing.T) {
 	}
 	if a != b {
 		t.Fatalf("3x1 found %+v, 2x2 found %+v", a, b)
-	}
-}
-
-func TestMemOptsDoNotChangeResults(t *testing.T) {
-	tumor, normal := randomPair(13, 15, 45, 40, 0.35)
-	var want reduce.Combo
-	for i, opt := range []Options{
-		{Hits: 3},
-		{Hits: 3, MemOpt1: true},
-		{Hits: 3, MemOpt1: true, MemOpt2: true},
-		{Hits: 3, MemOpt2: true},
-	} {
-		got, _, err := FindBest(tumor, normal, nil, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			want = got
-			continue
-		}
-		if got != want {
-			t.Fatalf("MemOpt variant %d changed the result: %+v != %+v", i, got, want)
-		}
 	}
 }
 
@@ -294,7 +267,6 @@ func TestOptionsValidation(t *testing.T) {
 		{Hits: 3, Scheme: Scheme3x1},    // scheme serves 4 hits
 		{Hits: 2, Alpha: -1},
 		{Hits: 2, Workers: -1},
-		{Hits: 2, BlockSize: -1},
 	}
 	for i, opt := range bad {
 		if _, err := Run(tumor, normal, opt); err == nil {
@@ -431,7 +403,7 @@ func TestAllFourHitSchemesAgree(t *testing.T) {
 	for _, scheme := range []Scheme{Scheme2x2, Scheme1x3, Scheme4x1} {
 		for _, workers := range []int{1, 3, 16} {
 			got, n, err := FindBest(tumor, normal, nil, Options{
-				Hits: 4, Scheme: scheme, Workers: workers, BlockSize: 64,
+				Hits: 4, Scheme: scheme, Workers: workers,
 			})
 			if err != nil {
 				t.Fatal(err)

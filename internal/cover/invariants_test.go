@@ -24,9 +24,8 @@ func TestRunInvariantsOverRandomInputs(t *testing.T) {
 			hits = MaxHits // the last trials run the 5-hit scheme
 		}
 		opt := Options{
-			Hits:      hits,
-			Workers:   1 + rng.Intn(8),
-			BlockSize: 1 + rng.Intn(600),
+			Hits:    hits,
+			Workers: 1 + rng.Intn(8),
 		}
 		// The sample axis: the plain active mask or the kernelized one.
 		opt.Kernelize = rng.Intn(2) == 1
@@ -90,7 +89,7 @@ func TestRunInvariantsOverRandomInputs(t *testing.T) {
 }
 
 // TestFindBestDeterministicAcrossConfigs cross-checks that every scheduler,
-// scheme, worker count and block size yields one identical winner on the
+// scheme and worker count yields one identical winner on the
 // same random input — the determinism contract stated in the package doc.
 func TestFindBestDeterministicAcrossConfigs(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
@@ -101,7 +100,7 @@ func TestFindBestDeterministicAcrossConfigs(t *testing.T) {
 			for _, sch := range []Scheduler{EquiArea, EquiDistance} {
 				configs = append(configs, Options{
 					Hits: 4, Scheme: scheme, Scheduler: sch,
-					Workers: 1 + rng.Intn(10), BlockSize: 1 + rng.Intn(300),
+					Workers: 1 + rng.Intn(10),
 				})
 			}
 		}

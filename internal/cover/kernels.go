@@ -11,11 +11,11 @@ import (
 // kernels. Each is handed a contiguous λ-range (one worker's partition),
 // decodes the starting coordinates once with the combinat maps, and then
 // advances coordinates incrementally — the same traversal order a GPU
-// thread grid realizes, at sequential-scan cost. observe() is called once
-// per thread with the thread's best combination over its inner loop(s);
-// the caller folds those through block and tree reduction. A kernel that
-// skips a run of threads whole reports them with skip(n), which stands for
-// n observations of reduce.None.
+// thread grid realizes, at sequential-scan cost. observe() is called with
+// a thread's best combination over its inner loop(s), and the caller keeps
+// the running maximum of what it observes. A pruned thread's best is
+// reduce.None, which never wins, so a kernel that skips a run of threads
+// whole observes nothing for them.
 //
 // Bound-and-prune (docs/PRUNING.md): when env.shared carries an incumbent,
 // each kernel computes the tumor popcount of its pre-folded prefix and
@@ -49,8 +49,6 @@ type kernelScratch struct {
 	spBoundKey uint64
 	spTPStar   int
 	spBoundOK  bool
-	// blockBests is runKernel's reusable block-reduction output.
-	blockBests []reduce.Combo
 }
 
 // newKernelScratch sizes the buffers for the given matrices.
@@ -101,67 +99,21 @@ func kernelPair(env *kernelEnv, part sched.Partition, observe func(reduce.Combo)
 }
 
 // kernel2x1 is the 3-hit kernel (Algorithm 1): thread (i, j) loops over
-// k = j+1 … G−1. The MemOpt flags control how much of the thread-invariant
-// state is hoisted out of the inner loop, reproducing the Fig. 5 ablation:
-//
-//	no opts:  rows i, j and k are fetched from the matrix on every k;
-//	MemOpt1:  the rows for gene i are fetched once per thread;
-//	MemOpt2:  the rows for genes i and j are fetched once per thread and
-//	          pre-folded (together with the active mask) into one buffer,
-//	          halving the word traffic of the inner loop.
-//
-// Every variant checks the (i, j) prefix bound before entering the k loop;
-// under MemOpt2 the prefix popcount falls out of the fold for free, the
-// unfolded variants pay one extra popcount sweep per thread.
-func kernel2x1(env *kernelEnv, opt Options, part sched.Partition, s *kernelScratch, observe func(reduce.Combo)) Counts {
+// k = j+1 … G−1, fetching rows i, j and k from the matrix on every k. It
+// checks the (i, j) prefix bound before entering the k loop, which costs
+// one extra popcount sweep per thread.
+func kernel2x1(env *kernelEnv, part sched.Partition, observe func(reduce.Combo)) Counts {
 	tm, nm := env.tumor, env.normal
 	g := tm.Genes()
 	aw := env.active.Words()
-	tbuf, nbuf := s.t2, s.n2
 	var n Counts
 
 	i, j := combinat.PairCoords(part.Lo)
 	for lambda := part.Lo; lambda < part.Hi; lambda++ {
 		best := reduce.None
-		switch {
-		case opt.MemOpt2:
-			// Pre-fold active ∧ row(i) ∧ row(j) once per thread.
-			bitmat.AndWords(tbuf, aw, tm.Row(i))
-			tp2 := env.tfold(tbuf, tbuf, tm.Row(j))
-			if env.prune(tp2) {
-				n.Pruned += uint64(g - j - 1)
-				break
-			}
-			bitmat.AndWords(nbuf, nm.Row(i), nm.Row(j))
-			for k := j + 1; k < g; k++ {
-				tp := env.tpop2(tbuf, tm.Row(k))
-				nh := env.npop2(nbuf, nm.Row(k))
-				if c := reduce.NewCombo3(env.score(tp, nh), i, j, k); c.Better(best) {
-					best = c
-					env.offer(c)
-				}
-				n.Evaluated++
-			}
-		case opt.MemOpt1:
-			ti, ni := tm.Row(i), nm.Row(i)
-			if env.prune3(aw, ti, tm.Row(j)) {
-				n.Pruned += uint64(g - j - 1)
-				break
-			}
-			for k := j + 1; k < g; k++ {
-				tp := env.tpop4(aw, ti, tm.Row(j), tm.Row(k))
-				nh := env.npop3(ni, nm.Row(j), nm.Row(k))
-				if c := reduce.NewCombo3(env.score(tp, nh), i, j, k); c.Better(best) {
-					best = c
-					env.offer(c)
-				}
-				n.Evaluated++
-			}
-		default:
-			if env.prune3(aw, tm.Row(i), tm.Row(j)) {
-				n.Pruned += uint64(g - j - 1)
-				break
-			}
+		if env.prune3(aw, tm.Row(i), tm.Row(j)) {
+			n.Pruned += uint64(g - j - 1)
+		} else {
 			for k := j + 1; k < g; k++ {
 				tp := env.tpop4(aw, tm.Row(i), tm.Row(j), tm.Row(k))
 				nh := env.npop3(nm.Row(i), nm.Row(j), nm.Row(k))
@@ -201,7 +153,6 @@ func kernel2x2(env *kernelEnv, part sched.Partition, s *kernelScratch, observe f
 		tp2 := env.tfold(tbuf2, tbuf2, tm.Row(j))
 		if env.prune(tp2) {
 			n.Pruned += choose2(g - j - 1)
-			observe(best)
 			i++
 			if i == j {
 				i, j = 0, j+1
@@ -256,7 +207,6 @@ func kernel1x3(env *kernelEnv, part sched.Partition, s *kernelScratch, observe f
 		tp1 := env.tfold(t1, aw, tm.Row(i))
 		if env.prune(tp1) {
 			n.Pruned += choose3(g - i - 1)
-			observe(best)
 			continue
 		}
 		for j := i + 1; j < g-2; j++ {
@@ -325,9 +275,9 @@ func kernel4x1(env *kernelEnv, part sched.Partition, observe func(reduce.Combo))
 // row(i) to it. Pruning checks both levels: a dominated (j, k) prefix
 // dominates every thread left in the group — tp(i, j, k) ≤ tp(j, k) and
 // the incumbent only rises — so the group is skipped whole, crediting
-// run·(g−k−1) to Pruned and advancing the block cadence through skip; a
-// dominated (i, j, k) prefix skips the thread's normal fold and l loop.
-func kernel3x1(env *kernelEnv, part sched.Partition, s *kernelScratch, observe func(reduce.Combo), skip func(uint64)) Counts {
+// run·(g−k−1) to Pruned; a dominated (i, j, k) prefix skips the thread's
+// normal fold and l loop.
+func kernel3x1(env *kernelEnv, part sched.Partition, s *kernelScratch, observe func(reduce.Combo)) Counts {
 	tm, nm := env.tumor, env.normal
 	g := tm.Genes()
 	aw := env.active.Words()
@@ -342,7 +292,6 @@ func kernel3x1(env *kernelEnv, part sched.Partition, s *kernelScratch, observe f
 		bitmat.AndWords(tjk, aw, tm.Row(k))
 		if env.prune(env.tfold(tjk, tjk, tm.Row(j))) {
 			n.Pruned += run * uint64(g-k-1)
-			skip(run)
 		} else {
 			// The normal-side (j, k) fold waits for the group's first
 			// surviving thread: a group whose threads all prune never
@@ -352,7 +301,6 @@ func kernel3x1(env *kernelEnv, part sched.Partition, s *kernelScratch, observe f
 				best := reduce.None
 				if env.prune(env.tfold(tbuf, tjk, tm.Row(i))) {
 					n.Pruned += uint64(g - k - 1)
-					observe(best)
 					continue
 				}
 				if !nFolded {
@@ -387,7 +335,7 @@ func kernel3x1(env *kernelEnv, part sched.Partition, s *kernelScratch, observe f
 // row(i). Pruning checks both levels, as in kernel3x1: a dominated
 // (j, k, l) prefix skips the rest of the group, a dominated (i, j, k, l)
 // prefix skips the thread's normal fold and m loop.
-func kernel4p1(env *kernelEnv, part sched.Partition, s *kernelScratch, observe func(reduce.Combo), skip func(uint64)) Counts {
+func kernel4p1(env *kernelEnv, part sched.Partition, s *kernelScratch, observe func(reduce.Combo)) Counts {
 	tm, nm := env.tumor, env.normal
 	g := tm.Genes()
 	aw := env.active.Words()
@@ -403,14 +351,12 @@ func kernel4p1(env *kernelEnv, part sched.Partition, s *kernelScratch, observe f
 		bitmat.AndWords(tjkl, tjkl, tm.Row(k))
 		if env.prune(env.tfold(tjkl, tjkl, tm.Row(j))) {
 			n.Pruned += run * uint64(g-l-1)
-			skip(run)
 		} else {
 			nFolded := false
 			for end := i + combinat.ToInt(run); i < end; i++ {
 				best := reduce.None
 				if env.prune(env.tfold(tbuf, tjkl, tm.Row(i))) {
 					n.Pruned += uint64(g - l - 1)
-					observe(best)
 					continue
 				}
 				if !nFolded {

@@ -103,27 +103,13 @@ func perTripleSparse3x1(env *kernelEnv, part sched.Partition, s *kernelScratch, 
 	return n
 }
 
-// runPerTriple folds a reference kernel's per-thread observations through
-// runKernel's block and tree reduction and returns the winner, the counts
-// and the number of blocks flushed.
-func runPerTriple(env *kernelEnv, opt Options, part sched.Partition, s *kernelScratch) (reduce.Combo, Counts, int) {
-	var blocks []reduce.Combo
-	blockBest := reduce.None
-	inBlock := 0
-	flush := func() {
-		if inBlock > 0 {
-			blocks = append(blocks, blockBest)
-			blockBest = reduce.None
-			inBlock = 0
-		}
-	}
+// runPerTriple folds a reference kernel's per-thread winners by running
+// maximum, as runKernel does, and returns the winner and the counts.
+func runPerTriple(env *kernelEnv, part sched.Partition, s *kernelScratch) (reduce.Combo, Counts) {
+	best := reduce.None
 	observe := func(c reduce.Combo) {
-		if c.Better(blockBest) {
-			blockBest = c
-		}
-		inBlock++
-		if inBlock == opt.BlockSize {
-			flush()
+		if c.Better(best) {
+			best = c
 		}
 	}
 	var n Counts
@@ -132,8 +118,7 @@ func runPerTriple(env *kernelEnv, opt Options, part sched.Partition, s *kernelSc
 	} else {
 		n = perTripleDense3x1(env, part, s, observe)
 	}
-	flush()
-	return reduce.TreeReduceInPlace(blocks), n, len(blocks)
+	return best, n
 }
 
 // groupRanges returns λ-ranges over a C(g, 3) domain that start and end
@@ -159,10 +144,9 @@ func groupRanges(rng *rand.Rand, g int) []sched.Partition {
 
 // TestPrune3x1GroupsMatchPerTripleReference checks the (j, k) group skip
 // of kernel3x1 and sparse3x1 against per-triple reference kernels: on
-// every λ-range, block size, instance, engine and starting incumbent the
-// partition winner, its F bits, Evaluated, Pruned and the number of
-// reduction blocks are identical. A group skip that over- or under-credits
-// Pruned, or that moves a block boundary, fails here.
+// every λ-range, instance, engine and starting incumbent the partition
+// winner, its F bits, Evaluated and Pruned are identical. A group skip
+// that over- or under-credits Pruned fails here.
 func TestPrune3x1GroupsMatchPerTripleReference(t *testing.T) {
 	type instance struct {
 		name          string
@@ -213,35 +197,28 @@ func TestPrune3x1GroupsMatchPerTripleReference(t *testing.T) {
 				env.sparse = newSparseEnv(in.tumor, in.normal, in.active, in.tw, in.nw)
 				s.ensureSparse(env.sparse)
 			}
-			base := Options{Hits: 4, Scheme: Scheme3x1}
-			for _, seed := range []reduce.Combo{reduce.None, seedIncumbent(env, base)} {
-				for _, bs := range []int{1, 7, DefaultBlockSize} {
-					opt := base
-					opt.BlockSize = bs
-					for _, part := range ranges {
-						name := fmt.Sprintf("%s %s seeded=%v block=%d [%d,%d)",
-							in.name, engine, seed != reduce.None, bs, part.Lo, part.Hi)
-						ref := *env
-						ref.shared = incumbent(new(reduce.SharedBest), opt, seed)
-						want, wantN, wantBlocks := runPerTriple(&ref, opt, part, s)
-						got := *env
-						got.shared = incumbent(new(reduce.SharedBest), opt, seed)
-						gotBest, gotN := runKernel(context.Background(), &got, opt, part, s)
-						if gotBest != want || math.Float64bits(gotBest.F) != math.Float64bits(want.F) {
-							t.Fatalf("%s: winner %v, per-triple reference %v", name, gotBest, want)
-						}
-						if gotN != wantN {
-							t.Fatalf("%s: counts %+v, per-triple reference %+v", name, gotN, wantN)
-						}
-						if len(s.blockBests) != wantBlocks {
-							t.Fatalf("%s: %d reduction blocks, per-triple reference %d", name, len(s.blockBests), wantBlocks)
-						}
-						if gotN.Evaluated+gotN.Pruned != tripleSubtrees(g, part) {
-							t.Fatalf("%s: scanned %d, want %d", name, gotN.Evaluated+gotN.Pruned, tripleSubtrees(g, part))
-						}
-						if seed != reduce.None {
-							groupSkips += dominatedGroups(env, opt, seed, part)
-						}
+			opt := Options{Hits: 4, Scheme: Scheme3x1}
+			for _, seed := range []reduce.Combo{reduce.None, seedIncumbent(env, opt)} {
+				for _, part := range ranges {
+					name := fmt.Sprintf("%s %s seeded=%v [%d,%d)",
+						in.name, engine, seed != reduce.None, part.Lo, part.Hi)
+					ref := *env
+					ref.shared = incumbent(new(reduce.SharedBest), opt, seed)
+					want, wantN := runPerTriple(&ref, part, s)
+					got := *env
+					got.shared = incumbent(new(reduce.SharedBest), opt, seed)
+					gotBest, gotN := runKernel(context.Background(), &got, opt, part, s)
+					if gotBest != want || math.Float64bits(gotBest.F) != math.Float64bits(want.F) {
+						t.Fatalf("%s: winner %v, per-triple reference %v", name, gotBest, want)
+					}
+					if gotN != wantN {
+						t.Fatalf("%s: counts %+v, per-triple reference %+v", name, gotN, wantN)
+					}
+					if gotN.Evaluated+gotN.Pruned != tripleSubtrees(g, part) {
+						t.Fatalf("%s: scanned %d, want %d", name, gotN.Evaluated+gotN.Pruned, tripleSubtrees(g, part))
+					}
+					if seed != reduce.None {
+						groupSkips += dominatedGroups(env, opt, seed, part)
 					}
 				}
 			}

@@ -37,8 +37,6 @@ func TestPrunedFindBestMatchesExhaustive(t *testing.T) {
 	}{
 		{Options{Hits: 2, Scheme: SchemePair}},
 		{Options{Hits: 3, Scheme: Scheme2x1}},
-		{Options{Hits: 3, Scheme: Scheme2x1, MemOpt1: true}},
-		{Options{Hits: 3, Scheme: Scheme2x1, MemOpt1: true, MemOpt2: true}},
 		{Options{Hits: 4, Scheme: Scheme2x2}},
 		{Options{Hits: 4, Scheme: Scheme3x1}},
 		{Options{Hits: 4, Scheme: Scheme1x3}},
@@ -167,7 +165,7 @@ func TestFindBestRangePrunedPartitioning(t *testing.T) {
 // NoPrune escape hatch: same winner, full evaluation, zero pruned.
 func TestNoPruneRangeMatchesPruned(t *testing.T) {
 	c := pruneCohort(t, dataset.LGG(), 22, 17)
-	opt := Options{Hits: 3, Scheme: Scheme2x1, MemOpt1: true, MemOpt2: true, Workers: 1}
+	opt := Options{Hits: 3, Scheme: Scheme2x1, Workers: 1}
 	want, cnt, err := FindBest(c.Tumor, c.Normal, nil, opt)
 	if err != nil {
 		t.Fatal(err)

@@ -14,7 +14,6 @@ import (
 // seedSchemes are the prunable schemes, the only ones the probe seeds.
 var seedSchemes = []Options{
 	{Hits: 3, Scheme: Scheme2x1},
-	{Hits: 3, Scheme: Scheme2x1, MemOpt1: true, MemOpt2: true},
 	{Hits: 4, Scheme: Scheme2x2},
 	{Hits: 4, Scheme: Scheme3x1},
 	{Hits: 4, Scheme: Scheme1x3},

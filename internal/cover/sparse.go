@@ -328,16 +328,13 @@ func (e *kernelEnv) snpop(prefix, row []int32) int {
 
 // The sparse kernels below mirror their dense siblings in kernels.go
 // step for step: identical λ traversal and prune points, identical
-// observe() cadence (including the reduce.None observations of pruned
-// threads and the skip() of a skipped 3x1 group, which keep block
-// boundaries and therefore the tie-broken reduction identical),
-// identical Evaluated increments, and identical Pruned subtree credits.
-// The only difference is the representation: prefixes are merged sample
-// lists instead of folded words, and the prune decision comes from the
-// merge threshold (sparseMinTP) instead of a popcount — the decisions
-// coincide, see docs/SPARSE.md for the argument. MemOpt1/MemOpt2 do not
-// apply: the sparse path is always fully hoisted, and the prefix tp that
-// drives pruning is the same in every dense MemOpt variant.
+// per-thread winners, identical Evaluated increments, and identical Pruned
+// subtree credits. The only difference is the representation: prefixes
+// are merged sample lists instead of folded words, and the prune decision
+// comes from the merge threshold (sparseMinTP) instead of a popcount — the
+// decisions coincide, see docs/SPARSE.md for the argument. The sparse
+// path is always fully hoisted; the prefix tp that drives pruning is the
+// one the dense kernels compute.
 
 // sparse2x1 is the sparse 3-hit kernel: thread (i, j) merges its tumor
 // and normal prefixes once and intersects row k against them.
@@ -386,7 +383,6 @@ func sparse2x2(env *kernelEnv, part sched.Partition, s *kernelScratch, observe f
 		tlist2, pruned := env.sparsePrefixT(s, s.st2, sp.tRows[i], sp.tRows[j])
 		if pruned {
 			n.Pruned += choose2(g - j - 1)
-			observe(best)
 			i++
 			if i == j {
 				i, j = 0, j+1
@@ -433,7 +429,6 @@ func sparse1x3(env *kernelEnv, part sched.Partition, s *kernelScratch, observe f
 		tlist1, pruned := env.sparseRow1(s.st1, sp.tRows[i])
 		if pruned {
 			n.Pruned += choose3(g - i - 1)
-			observe(best)
 			continue
 		}
 		for j := i + 1; j < g-2; j++ {
@@ -470,8 +465,8 @@ func sparse1x3(env *kernelEnv, part sched.Partition, s *kernelScratch, observe f
 // masked tumor prefix once on entry (sparsePrefixT) and each thread
 // deepens it by row i (sparsePrefixNext), exactly kernel3x1's two prune
 // levels. A group refused at the (j, k) merge is skipped whole with the
-// same run·(g−k−1) credit and skip call as the dense kernel.
-func sparse3x1(env *kernelEnv, part sched.Partition, s *kernelScratch, observe func(reduce.Combo), skip func(uint64)) Counts {
+// same run·(g−k−1) credit as the dense kernel.
+func sparse3x1(env *kernelEnv, part sched.Partition, s *kernelScratch, observe func(reduce.Combo)) Counts {
 	sp := env.sparse
 	g := sp.t.Genes()
 	var n Counts
@@ -483,7 +478,6 @@ func sparse3x1(env *kernelEnv, part sched.Partition, s *kernelScratch, observe f
 		tjk, pruned := env.sparsePrefixT(s, s.st2, sp.tRows[j], sp.tRows[k])
 		if pruned {
 			n.Pruned += run * uint64(g-k-1)
-			skip(run)
 		} else {
 			var njk []int32
 			nMerged := false
@@ -492,7 +486,6 @@ func sparse3x1(env *kernelEnv, part sched.Partition, s *kernelScratch, observe f
 				tlist, pruned := env.sparsePrefixNext(s, s.st3, tjk, sp.tRows[i])
 				if pruned {
 					n.Pruned += uint64(g - k - 1)
-					observe(best)
 					continue
 				}
 				if !nMerged {

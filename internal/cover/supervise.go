@@ -16,7 +16,7 @@ import (
 )
 
 // Normalized resolves the zero values of an Options (scheme from hits,
-// default alpha/workers/block size) and validates it — the same
+// default alpha and workers) and validates it — the same
 // resolution Run applies. The supervised runner normalizes once so the
 // options it records in checkpoints and results are the resolved ones.
 func (o Options) Normalized() (Options, error) {

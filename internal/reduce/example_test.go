@@ -6,30 +6,23 @@ import (
 	"repro/internal/reduce"
 )
 
-// The multi-stage reduction: block-level survivors feed a tree reduction;
-// any topology returns the same winner under the deterministic order.
-func ExampleBlockReduce() {
+// Better is the one order of every reduction stage: higher F wins, and a
+// tie on F breaks toward the smaller gene tuple, so any reduction topology
+// returns the same record.
+func ExampleCombo_Better() {
 	combos := []reduce.Combo{
 		reduce.NewCombo(0.71, 1, 2, 3, 4),
 		reduce.NewCombo(0.93, 5, 6, 7, 8),
 		reduce.NewCombo(0.88, 0, 9, 10, 11),
 		reduce.NewCombo(0.93, 2, 6, 7, 8), // ties on F; smaller tuple wins
 	}
-	blocks := reduce.BlockReduce(combos, 2) // two 2-wide blocks
-	best := reduce.TreeReduce(blocks)
-	fmt.Println(len(blocks), best)
+	best := reduce.None
+	for _, c := range combos {
+		if c.Better(best) {
+			best = c
+		}
+	}
+	fmt.Println(best)
 	// Output:
-	// 2 [2 6 7 8] F=0.9300
-}
-
-// PlanStages reproduces the paper's Sec. III-E memory arithmetic.
-func ExamplePlanStages() {
-	const threads = 1_218_780_100_265 // C(19411, 3)
-	s := reduce.PlanStages(threads, 512, 6000, 1000)
-	fmt.Printf("%.2f TB -> %.1f GB -> %d B at rank 0\n",
-		float64(reduce.Bytes(s.Combinations))/1e12,
-		float64(reduce.Bytes(s.AfterBlock))/1e9,
-		reduce.Bytes(s.AfterRank))
-	// Output:
-	// 24.38 TB -> 47.6 GB -> 20000 B at rank 0
+	// [2 6 7 8] F=0.9300
 }

@@ -1,25 +1,22 @@
-// Package reduce implements the multi-stage, multi-kernel max-F reduction
-// of Sec. III-E.
+// Package reduce holds the record and the total order of the max-F
+// reduction of Sec. III-E.
 //
 // A naive 4-hit implementation would materialize one {gene₀…gene₃, F}
 // record per combination — 20 bytes × C(G, 4) ≈ 24 terabytes for BRCA.
-// The paper instead reduces in stages: the maxF kernel keeps one record per
-// 512-thread block (24 TB → 47.5 GB), the parallelReduceMax kernel folds a
-// GPU's blocks to a single record, each MPI rank returns one 20-byte record
-// to rank 0, and rank 0 folds the per-rank records. Every stage is a max
-// under the same total order, so the result is exactly the global argmax.
+// The paper's GPUs therefore reduce in stages: one record per 512-thread
+// block, then one per GPU, then one per MPI rank at rank 0. A CPU worker
+// never writes that list: it keeps a running maximum of its threads'
+// winners (internal/cover), and the simulated cluster prices the paper's
+// stages (internal/gpusim, internal/mpisim).
 //
-// Ties on F break toward the lexicographically smallest gene tuple, making
-// every reduction topology — sequential scan, block-then-tree, tournament —
-// return the identical record. That determinism is what lets the test suite
-// assert parallel == sequential.
+// Ties on F break toward the lexicographically smallest gene tuple, so
+// Better is a strict total order and every reduction topology — running
+// maximum, tournament, per-partition then across partitions — returns the
+// identical record. That determinism is what lets the test suite assert
+// parallel == sequential.
 package reduce
 
-import (
-	"fmt"
-
-	"repro/internal/failpoint"
-)
+import "fmt"
 
 // MaxHits is the largest combination size h a Combo records.
 const MaxHits = 5
@@ -157,112 +154,7 @@ func (c Combo) StrictlyAbove(score float64) bool {
 	return c.F > score
 }
 
-// Max reduces a slice with a sequential scan — the ground-truth topology.
-func Max(combos []Combo) Combo {
-	best := None
-	for _, c := range combos {
-		if c.Better(best) {
-			best = c
-		}
-	}
-	return best
-}
-
-// BlockReduce performs the maxF kernel's single-stage in-block reduction:
-// it folds each consecutive blockSize-sized block of records to one winner,
-// returning ceil(len/blockSize) records. With blockSize = 512 this is the
-// paper's 512× list compression.
-func BlockReduce(combos []Combo, blockSize int) []Combo {
-	if blockSize <= 0 {
-		panic("reduce: block size must be positive")
-	}
-	if len(combos) == 0 {
-		return nil
-	}
-	out := make([]Combo, 0, (len(combos)+blockSize-1)/blockSize)
-	for lo := 0; lo < len(combos); lo += blockSize {
-		hi := lo + blockSize
-		if hi > len(combos) {
-			hi = len(combos)
-		}
-		out = append(out, Max(combos[lo:hi]))
-	}
-	return out
-}
-
-// TreeReduce performs the parallelReduceMax kernel's multi-stage reduction:
-// repeated pairwise halving, the topology a GPU executes across its block
-// results. The result equals Max for any input order.
-func TreeReduce(combos []Combo) Combo {
-	if len(combos) == 0 {
-		return None
-	}
-	buf := make([]Combo, len(combos))
-	copy(buf, combos)
-	return TreeReduceInPlace(buf)
-}
-
-// TreeReduceInPlace is TreeReduce without the defensive copy: the slice is
-// folded in place. Callers that own the slice — the cover workers' reusable
-// per-partition scratch — avoid one allocation per reduction.
-func TreeReduceInPlace(buf []Combo) Combo {
-	// Chaos hook into the real reduction path: an armed "reduce/tree"
-	// failpoint panics or stalls here, where a crashed reduction rank
-	// would (docs/ROBUSTNESS.md).
-	failpoint.Hit("reduce/tree")
-	if len(buf) == 0 {
-		return None
-	}
-	for n := len(buf); n > 1; {
-		half := (n + 1) / 2
-		for i := 0; i < n/2; i++ {
-			if buf[n-1-i].Better(buf[i]) {
-				buf[i] = buf[n-1-i]
-			}
-		}
-		n = half
-	}
-	return buf[0]
-}
-
-// Stages describes a full multi-stage reduction for reporting: the record
-// counts surviving each stage.
-type Stages struct {
-	// Combinations is the number of candidate records before any reduction
-	// (one per thread in the 3x1 scheme: each thread already folds its own
-	// inner loop, so the pre-block list has C(G, 3) entries — the paper's
-	// 1.22e12-entry, 24.34 TB BRCA list).
-	Combinations uint64
-	// AfterBlock is the per-block survivor count (one per block).
-	AfterBlock uint64
-	// AfterDevice is the per-GPU survivor count (one per device).
-	AfterDevice uint64
-	// AfterRank is the per-MPI-rank survivor count (one per rank).
-	AfterRank uint64
-}
-
-// PlanStages computes the survivor counts for a problem with the given
-// pre-reduction record count, block size, devices and ranks — the
-// arithmetic behind the paper's 24.3 TB → 47.5 GB → 20 bytes/rank
-// narrative.
-func PlanStages(records uint64, blockSize, devices, ranks int) Stages {
-	if blockSize <= 0 || devices <= 0 || ranks <= 0 {
-		panic("reduce: PlanStages arguments must be positive")
-	}
-	blocks := (records + uint64(blockSize) - 1) / uint64(blockSize)
-	return Stages{
-		Combinations: records,
-		AfterBlock:   blocks,
-		AfterDevice:  uint64(devices),
-		AfterRank:    uint64(ranks),
-	}
-}
-
 // BytesPerRecord is the size of one record as laid out by the paper's CUDA
 // struct (4 × int32 + float32); the Sec. III-E arithmetic sizes the
 // reduction stages with it, not with the wider in-memory Combo.
 const BytesPerRecord = 20
-
-// Bytes returns the storage the given record count occupies at the paper's
-// 20-byte record size.
-func Bytes(records uint64) uint64 { return records * BytesPerRecord }

@@ -99,98 +99,97 @@ func TestBetterIsStrictTotalOrder(t *testing.T) {
 	}
 }
 
+// runningMax folds records in order with a running maximum, the reduction
+// each cover worker runs over its threads' winners.
+func runningMax(combos []Combo) Combo {
+	best := None
+	for _, c := range combos {
+		if c.Better(best) {
+			best = c
+		}
+	}
+	return best
+}
+
+// tournament folds records by repeated pairwise halving, the topology a
+// GPU's parallelReduceMax kernel runs.
+func tournament(combos []Combo) Combo {
+	buf := append([]Combo(nil), combos...)
+	for len(buf) > 1 {
+		var next []Combo
+		for i := 0; i < len(buf); i += 2 {
+			if i+1 < len(buf) && buf[i+1].Better(buf[i]) {
+				next = append(next, buf[i+1])
+			} else {
+				next = append(next, buf[i])
+			}
+		}
+		buf = next
+	}
+	if len(buf) == 0 {
+		return None
+	}
+	return buf[0]
+}
+
+// TestMaxEmpty checks that None is the identity of the max reduction: the
+// max of no records is None, and a None observed among real records never
+// changes the winner, so a kernel may leave its pruned threads unobserved.
 func TestMaxEmpty(t *testing.T) {
-	if Max(nil) != None {
-		t.Fatal("Max of empty slice should be None")
+	if runningMax(nil) != None || tournament(nil) != None {
+		t.Fatal("the max of no records should be None")
+	}
+	rng := rand.New(rand.NewSource(6))
+	combos := append(randomCombos(rng, 200), NewCombo2(0, 0, 1), NewCombo5(0, 0, 1, 2, 3, 4))
+	for _, c := range combos {
+		if !c.Better(None) || None.Better(c) {
+			t.Fatalf("%v and None are misordered", c)
+		}
+	}
+	want := runningMax(combos)
+	withNone := append([]Combo{None}, combos...)
+	withNone = append(withNone, None)
+	if got := runningMax(withNone); got != want {
+		t.Fatalf("running max with None observations = %v, want %v", got, want)
 	}
 }
 
+// TestAllTopologiesAgree is why the engine may reduce by running maximum:
+// Better is a strict total order, so the order of the records and the
+// shape of the reduction never change the winner.
 func TestAllTopologiesAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 50; trial++ {
 		n := 1 + rng.Intn(3000)
 		combos := randomCombos(rng, n)
-		want := Max(combos)
-		if got := TreeReduce(combos); got != want {
-			t.Fatalf("TreeReduce = %+v, want %+v", got, want)
+		want := runningMax(combos)
+		if got := tournament(combos); got != want {
+			t.Fatalf("tournament = %+v, want %+v", got, want)
 		}
-		for _, bs := range []int{1, 7, 512, n, n + 100} {
-			blocks := BlockReduce(combos, bs)
-			if got := Max(blocks); got != want {
-				t.Fatalf("BlockReduce(%d)+Max = %+v, want %+v", bs, got, want)
+		shuffled := append([]Combo(nil), combos...)
+		rng.Shuffle(n, func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		if got := runningMax(shuffled); got != want {
+			t.Fatalf("shuffled running max = %+v, want %+v", got, want)
+		}
+		// Per-chunk winners (partitions), then across the chunks (rank 0).
+		for _, chunk := range []int{1, 7, 512, n, n + 100} {
+			var winners []Combo
+			top := NewTopK(1)
+			for lo := 0; lo < n; lo += chunk {
+				part := shuffled[lo:min(lo+chunk, n)]
+				winners = append(winners, runningMax(part))
+				t1 := NewTopK(1)
+				for _, c := range part {
+					t1.Offer(c)
+				}
+				top.Merge(t1)
 			}
-			if got := TreeReduce(blocks); got != want {
-				t.Fatalf("BlockReduce(%d)+TreeReduce = %+v, want %+v", bs, got, want)
+			if got := tournament(winners); got != want {
+				t.Fatalf("chunk %d: tournament of chunk winners = %+v, want %+v", chunk, got, want)
+			}
+			if got := top.Items(); len(got) != 1 || got[0] != want {
+				t.Fatalf("chunk %d: merged TopK(1) = %v, want %+v", chunk, got, want)
 			}
 		}
-	}
-}
-
-func TestBlockReduceCounts(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	combos := randomCombos(rng, 1100)
-	out := BlockReduce(combos, 512)
-	if len(out) != 3 { // ceil(1100/512)
-		t.Fatalf("BlockReduce produced %d blocks, want 3", len(out))
-	}
-	if BlockReduce(nil, 512) != nil {
-		t.Fatal("BlockReduce of empty input should be nil")
-	}
-}
-
-func TestBlockReducePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("BlockReduce with block size 0 did not panic")
-		}
-	}()
-	BlockReduce(randomCombos(rand.New(rand.NewSource(5)), 4), 0)
-}
-
-func TestPlanStagesPaperNumbers(t *testing.T) {
-	// BRCA, Sec. III-E: one record per 3x1 thread is a list of
-	// C(19411, 3) ≈ 1.22e12 entries = 24.34 TB at 20 bytes each; the
-	// in-block reduction at block size 512 compresses it to 47.5 GB.
-	var threads uint64 = 19411 * 19410 / 2 * 19409 / 3 // C(19411,3)
-	if threads < 1.21e12 || threads > 1.23e12 {
-		t.Fatalf("thread count %d outside the paper's 1.22e12", threads)
-	}
-	s := PlanStages(threads, 512, 6000, 1000)
-	if tb := float64(Bytes(s.Combinations)) / 1e12; tb < 24.0 || tb > 24.7 {
-		t.Fatalf("pre-reduction list = %.2f TB, paper says 24.34 TB", tb)
-	}
-	if gb := float64(Bytes(s.AfterBlock)) / 1e9; gb < 47.0 || gb > 48.0 {
-		t.Fatalf("block-survivor list = %.2f GB, paper says 47.5 GB", gb)
-	}
-	if s.AfterDevice != 6000 || s.AfterRank != 1000 {
-		t.Fatal("device/rank survivor counts wrong")
-	}
-	if Bytes(s.AfterRank) != 20000 {
-		t.Fatal("rank-0 receives 20 bytes per rank")
-	}
-}
-
-func TestPlanStagesPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("PlanStages with zero ranks did not panic")
-		}
-	}()
-	PlanStages(100, 512, 6, 0)
-}
-
-func BenchmarkMax100k(b *testing.B) {
-	combos := randomCombos(rand.New(rand.NewSource(6)), 100000)
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		Max(combos)
-	}
-}
-
-func BenchmarkBlockThenTree100k(b *testing.B) {
-	combos := randomCombos(rand.New(rand.NewSource(7)), 100000)
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		TreeReduce(BlockReduce(combos, 512))
 	}
 }

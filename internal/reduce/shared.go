@@ -8,9 +8,9 @@ import (
 
 // SharedBest is a process-wide incumbent for bound-and-prune enumeration:
 // the best combination any worker has scored so far, readable during the
-// scan. It mirrors the paper's multi-stage reduction — every worker still
-// folds its own partition and the partition winners still tree-reduce —
-// but additionally publishes a monotonically rising F bound that the
+// scan. It leaves the reduction as it is — every partition still keeps
+// its own running maximum and the partition winners are still folded the
+// same way — but additionally publishes a monotonically rising F bound that the
 // kernels consult before descending into an inner loop. Because the F
 // score is monotone under AND (folding more gene rows can only shrink TP
 // and normal hits), a prefix whose upper bound falls strictly below the

@@ -83,7 +83,7 @@ func TestSharedBestConcurrentOffersReduceToMax(t *testing.T) {
 		a := rng.Intn(500)
 		combos[i] = NewCombo2(float64(rng.Intn(64))/64, a, a+1+rng.Intn(100))
 	}
-	want := Max(combos)
+	want := runningMax(combos)
 
 	s := NewSharedBest()
 	var wg sync.WaitGroup

@@ -6,11 +6,11 @@ import "sort"
 // total order as the max reduction. Exploratory analyses often want the
 // leading candidates per enumeration pass, not only the argmax the cover
 // loop consumes; TopK generalizes every reduction stage to carry K
-// records instead of one (at K = 1 it degenerates to Max).
+// records instead of one (at K = 1 it is the running maximum).
 //
 // The accumulator is a bounded insertion buffer: Offer is O(K) in the
 // worst case but O(1) for the common below-threshold case, which is the
-// right trade for the K ≪ block-size regime the kernels run in.
+// right trade when K is small against the number of records offered.
 type TopK struct {
 	k     int
 	items []Combo
