@@ -22,7 +22,7 @@
 //     greedy loop's carried support state (supportState), which run on
 //     every pass;
 //   - in a package with tail "bitmat": the hot word-wise operations, by name
-//     prefix (PopAnd*, AndWords*, AndPop*, AndInto*, ComboPop*, ComboVec,
+//     prefix (PopAnd*, AndWords*, AndPop*, ComboPop*, ComboVec,
 //     RowPopCount).
 //
 // Direct allocations recognized in a body: make, new, append; slice and map
@@ -226,7 +226,7 @@ func isEntryPoint(path string, fn *types.Func) bool {
 		// scan kernels it feeds.
 		return strings.HasPrefix(fn.Name(), "kernel")
 	case "bitmat":
-		for _, prefix := range []string{"PopAnd", "AndWords", "AndPop", "AndInto", "ComboPop", "ComboVec", "RowPopCount"} {
+		for _, prefix := range []string{"PopAnd", "AndWords", "AndPop", "ComboPop", "ComboVec", "RowPopCount"} {
 			if strings.HasPrefix(fn.Name(), prefix) {
 				return true
 			}

@@ -108,16 +108,26 @@ func (m *Matrix) check(g, s int) {
 }
 
 // Row returns the packed words of gene g's row. The slice aliases the
-// matrix; callers treat it as read-only. This is the "prefetch" handle used
-// by MemOpt1/MemOpt2: the cover kernels grab the rows for the fixed genes
-// i, j (and k) once per thread instead of re-indexing the full matrix in the
-// innermost loop.
+// matrix; callers treat it as read-only. The cover kernels take the rows
+// of a candidate's fixed genes once and keep them out of their inner
+// loops.
 func (m *Matrix) Row(g int) []uint64 {
 	if uint(g) >= uint(m.genes) {
 		panic(rowRangeError{g, m.genes})
 	}
 	lo := g * m.words
 	return m.bits[lo : lo+m.words : lo+m.words]
+}
+
+// Column returns where sample s's bits are: bit (g, s) is bit in
+// words[g*stride]. words aliases the matrix from s's word of row 0 on;
+// a caller may set bits of column s through it and must not touch other
+// bits. The generator fills a sample's column this way in one sweep.
+func (m *Matrix) Column(s int) (words []uint64, stride int, bit uint64) {
+	if s < 0 || s >= m.samples {
+		panic(fmt.Sprintf("bitmat: column %d out of range %d", s, m.samples))
+	}
+	return m.bits[min(s/WordBits, len(m.bits)):], m.words, 1 << (uint(s) % WordBits)
 }
 
 // rowRangeError is Row's panic value. It formats its message only when
@@ -193,103 +203,6 @@ func (m *Matrix) tailMask() uint64 {
 	return 1<<r - 1
 }
 
-// AndPopCount2 returns |row(a) ∧ row(b)|: the number of samples mutated in
-// both genes.
-func (m *Matrix) AndPopCount2(a, b int) int {
-	ra, rb := m.Row(a), m.Row(b)
-	n := 0
-	for w := range ra {
-		n += bits.OnesCount64(ra[w] & rb[w])
-	}
-	return n
-}
-
-// AndPopCount3 returns |row(a) ∧ row(b) ∧ row(c)|.
-func (m *Matrix) AndPopCount3(a, b, c int) int {
-	ra, rb, rc := m.Row(a), m.Row(b), m.Row(c)
-	n := 0
-	for w := range ra {
-		n += bits.OnesCount64(ra[w] & rb[w] & rc[w])
-	}
-	return n
-}
-
-// AndPopCount4 returns |row(a) ∧ row(b) ∧ row(c) ∧ row(d)| — the TP (on the
-// tumor matrix) or the complement input to TN (on the normal matrix) for a
-// 4-hit combination.
-func (m *Matrix) AndPopCount4(a, b, c, d int) int {
-	ra, rb, rc, rd := m.Row(a), m.Row(b), m.Row(c), m.Row(d)
-	n := 0
-	for w := range ra {
-		n += bits.OnesCount64(ra[w] & rb[w] & rc[w] & rd[w])
-	}
-	return n
-}
-
-// AndPopCountRows returns the popcount of the AND of pre-fetched packed rows
-// with one additional matrix row d. The prefetched slice may hold 1–3 rows;
-// this is the innermost operation of the MemOpt kernels.
-func (m *Matrix) AndPopCountRows(prefetched [][]uint64, d int) int {
-	rd := m.Row(d)
-	n := 0
-	switch len(prefetched) {
-	case 1:
-		p0 := prefetched[0]
-		for w := range rd {
-			n += bits.OnesCount64(p0[w] & rd[w])
-		}
-	case 2:
-		p0, p1 := prefetched[0], prefetched[1]
-		for w := range rd {
-			n += bits.OnesCount64(p0[w] & p1[w] & rd[w])
-		}
-	case 3:
-		p0, p1, p2 := prefetched[0], prefetched[1], prefetched[2]
-		for w := range rd {
-			n += bits.OnesCount64(p0[w] & p1[w] & p2[w] & rd[w])
-		}
-	default:
-		panic("bitmat: AndPopCountRows supports 1-3 prefetched rows")
-	}
-	return n
-}
-
-// AndInto writes row(a) ∧ row(b) into dst, which must have length Words().
-// Cover kernels use it to fold the fixed (i, j) rows of a thread into one
-// buffer so the inner loop ANDs two words per word instead of three
-// (MemOpt1+MemOpt2 combined).
-func (m *Matrix) AndInto(dst []uint64, a, b int) {
-	ra, rb := m.Row(a), m.Row(b)
-	if len(dst) != len(ra) {
-		panic("bitmat: AndInto dst length mismatch")
-	}
-	for w := range ra {
-		dst[w] = ra[w] & rb[w]
-	}
-}
-
-// AndInto3 writes row(a) ∧ row(b) ∧ row(c) into dst.
-func (m *Matrix) AndInto3(dst []uint64, a, b, c int) {
-	ra, rb, rc := m.Row(a), m.Row(b), m.Row(c)
-	if len(dst) != len(ra) {
-		panic("bitmat: AndInto3 dst length mismatch")
-	}
-	for w := range ra {
-		dst[w] = ra[w] & rb[w] & rc[w]
-	}
-}
-
-// AndPopCountVec returns the popcount of (pre ∧ row(d)), where pre is a
-// pre-folded word buffer of length Words().
-func (m *Matrix) AndPopCountVec(pre []uint64, d int) int {
-	rd := m.Row(d)
-	n := 0
-	for w := range rd {
-		n += bits.OnesCount64(pre[w] & rd[w])
-	}
-	return n
-}
-
 // ComboVec writes the AND of the rows for the given genes into dst and
 // returns its popcount. It accepts 1–5 genes.
 func (m *Matrix) ComboVec(dst []uint64, genes ...int) int {
@@ -311,28 +224,24 @@ func (m *Matrix) ComboVec(dst []uint64, genes ...int) int {
 }
 
 // ComboPopCount returns the number of samples mutated in every one of the
-// given genes (1–5 genes).
+// given genes (1–5 genes): the tests' oracle for the kernels' counts.
 func (m *Matrix) ComboPopCount(genes ...int) int {
-	switch len(genes) {
-	case 1:
-		return m.RowPopCount(genes[0])
-	case 2:
-		return m.AndPopCount2(genes[0], genes[1])
-	case 3:
-		return m.AndPopCount3(genes[0], genes[1], genes[2])
-	case 4:
-		return m.AndPopCount4(genes[0], genes[1], genes[2], genes[3])
-	case 5:
-		ra, rb, rc := m.Row(genes[0]), m.Row(genes[1]), m.Row(genes[2])
-		rd, re := m.Row(genes[3]), m.Row(genes[4])
-		n := 0
-		for w := range ra {
-			n += bits.OnesCount64(ra[w] & rb[w] & rc[w] & rd[w] & re[w])
-		}
-		return n
-	default:
+	if len(genes) == 0 || len(genes) > 5 {
 		panic("bitmat: ComboPopCount supports 1-5 genes")
 	}
+	var rows [5][]uint64
+	for i, g := range genes {
+		rows[i] = m.Row(g)
+	}
+	n := 0
+	for w := range m.words {
+		x := ^uint64(0)
+		for _, r := range rows[:len(genes)] {
+			x &= r[w]
+		}
+		n += bits.OnesCount64(x)
+	}
+	return n
 }
 
 // Clone returns a deep copy of the matrix.
@@ -451,9 +360,8 @@ func extractBits(v, mask uint64) uint64 {
 }
 
 // PopAnd2 returns the popcount of a ∧ b over two equal-length word slices.
-// The cover kernels use these free functions to control exactly which rows
-// are hoisted ("prefetched") out of their inner loops when reproducing the
-// MemOpt ablation.
+// The cover kernels call these free functions on rows they took once with
+// Row, or folded once with AndWordsPop, outside their inner loops.
 func PopAnd2(a, b []uint64) int {
 	n := 0
 	for w := range a {

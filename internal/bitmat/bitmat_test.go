@@ -82,6 +82,32 @@ func TestOutOfRangePanics(t *testing.T) {
 	}
 }
 
+// TestColumnAddressesOneColumn sets bits through Column, as the
+// generator does, at word edges and in the tail word, and requires each
+// to be bit (g, s) and no other.
+func TestColumnAddressesOneColumn(t *testing.T) {
+	for _, s := range []int{0, 63, 64, 130} {
+		m := New(5, 131)
+		words, stride, bit := m.Column(s)
+		for g := 0; g < 5; g += 2 {
+			words[g*stride] |= bit
+		}
+		if m.PopCount() != 3 || !m.Get(0, s) || !m.Get(2, s) || !m.Get(4, s) {
+			t.Fatalf("column %d: set %d bits, want (0,%d), (2,%d), (4,%d)", s, m.PopCount(), s, s, s)
+		}
+	}
+	for _, s := range []int{-1, 131} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Column(%d) of 131 samples did not panic", s)
+				}
+			}()
+			New(5, 131).Column(s)
+		}()
+	}
+}
+
 func TestFromBoolsMatchesGets(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	grid := randomGrid(rng, 17, 201, 0.3)
@@ -118,46 +144,22 @@ func TestAndPopCountVariantsAgree(t *testing.T) {
 		p := rng.Perm(12)
 		a, b, c, d := p[0], p[1], p[2], p[3]
 		want := grid.comboCount(a, b, c, d)
-		if got := m.AndPopCount4(a, b, c, d); got != want {
-			t.Fatalf("AndPopCount4 = %d, want %d", got, want)
+		if got := m.ComboPopCount(a, b, c, d); got != want {
+			t.Fatalf("ComboPopCount = %d, want %d", got, want)
 		}
-		// Prefetched-row path (MemOpt1+2 analogue).
-		if got := m.AndPopCountRows([][]uint64{m.Row(a), m.Row(b), m.Row(c)}, d); got != want {
-			t.Fatalf("AndPopCountRows = %d, want %d", got, want)
+		// Rows taken once, as the kernels take them.
+		if got := PopAnd4(m.Row(a), m.Row(b), m.Row(c), m.Row(d)); got != want {
+			t.Fatalf("PopAnd4 = %d, want %d", got, want)
 		}
 		// Folded-buffer path.
-		m.AndInto3(buf, a, b, c)
-		if got := m.AndPopCountVec(buf, d); got != want {
-			t.Fatalf("AndPopCountVec = %d, want %d", got, want)
+		AndWords(buf, m.Row(a), m.Row(b))
+		if got := PopAnd3(buf, m.Row(c), m.Row(d)); got != want {
+			t.Fatalf("PopAnd3 over a folded pair = %d, want %d", got, want)
 		}
 		if got := m.ComboVec(buf, a, b, c, d); got != want {
 			t.Fatalf("ComboVec = %d, want %d", got, want)
 		}
 	}
-}
-
-func TestAndIntoMatchesPair(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	grid := randomGrid(rng, 8, 100, 0.5)
-	m := FromBools(grid)
-	buf := make([]uint64, m.Words())
-	m.AndInto(buf, 2, 5)
-	n := 0
-	for _, w := range buf {
-		n += popcount(w)
-	}
-	if want := grid.comboCount(2, 5); n != want {
-		t.Fatalf("AndInto popcount = %d, want %d", n, want)
-	}
-}
-
-func popcount(w uint64) int {
-	n := 0
-	for w != 0 {
-		w &= w - 1
-		n++
-	}
-	return n
 }
 
 func TestSpliceAgainstNaive(t *testing.T) {
@@ -362,26 +364,6 @@ func TestExtractBits(t *testing.T) {
 	}
 }
 
-func BenchmarkAndPopCount4(b *testing.B) {
-	rng := rand.New(rand.NewSource(8))
-	m := FromBools(randomGrid(rng, 64, 911, 0.3)) // BRCA-sized sample dimension
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		m.AndPopCount4(n%61, n%61+1, n%61+2, n%61+3)
-	}
-}
-
-func BenchmarkAndPopCountVecPrefolded(b *testing.B) {
-	rng := rand.New(rand.NewSource(9))
-	m := FromBools(randomGrid(rng, 64, 911, 0.3))
-	buf := make([]uint64, m.Words())
-	m.AndInto3(buf, 0, 1, 2)
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		m.AndPopCountVec(buf, 3+n%60)
-	}
-}
-
 func BenchmarkSplice(b *testing.B) {
 	rng := rand.New(rand.NewSource(10))
 	m := FromBools(randomGrid(rng, 2000, 911, 0.3))
@@ -497,27 +479,10 @@ func TestEqualDimensionMismatch(t *testing.T) {
 	}
 }
 
-func TestAndPopCountRowsSingleAndPanics(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	grid := randomGrid(rng, 5, 90, 0.5)
-	m := FromBools(grid)
-	if got, want := m.AndPopCountRows([][]uint64{m.Row(0)}, 1), grid.comboCount(0, 1); got != want {
-		t.Fatalf("AndPopCountRows single = %d, want %d", got, want)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for 4 prefetched rows")
-		}
-	}()
-	m.AndPopCountRows([][]uint64{m.Row(0), m.Row(1), m.Row(2), m.Row(3)}, 4)
-}
-
 func TestBufferLengthPanics(t *testing.T) {
 	m := New(4, 100)
 	short := make([]uint64, 1)
 	for i, fn := range []func(){
-		func() { m.AndInto(short, 0, 1) },
-		func() { m.AndInto3(short, 0, 1, 2) },
 		func() { m.ComboVec(short) },
 		func() { m.ComboVec(short, 0, 1, 2, 3, 0, 1) },
 		func() { m.ComboPopCount() },

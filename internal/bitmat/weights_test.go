@@ -135,7 +135,7 @@ func TestDedupColumnsMerges(t *testing.T) {
 			t.Fatalf("gene %d: weighted pop %d, want %d", g, got, want)
 		}
 	}
-	if got, want := w.PopAnd2(ded.Row(0), ded.Row(1)), orig.AndPopCount2(0, 1); got != want {
+	if got, want := w.PopAnd2(ded.Row(0), ded.Row(1)), orig.ComboPopCount(0, 1); got != want {
 		t.Fatalf("pairwise weighted pop %d, want %d", got, want)
 	}
 }

@@ -389,9 +389,11 @@ func (s *Store) LoadGeneration(gen uint64) ([]byte, error) {
 	return payload, nil
 }
 
-// crcTable is the Castagnoli polynomial, the standard for storage
-// checksums.
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
+// crcTable returns the table of the Castagnoli polynomial, the standard
+// for storage checksums. It is built on first use, not at package init:
+// building it costs a fraction of a millisecond, and a daemon started on
+// a fresh data directory checks no checksum before its first record.
+var crcTable = sync.OnceValue(func() *crc32.Table { return crc32.MakeTable(crc32.Castagnoli) })
 
 // Encode frames a payload: magic, format version, then one
 // length+CRC-framed record. (Decode accepts any number of records and
@@ -406,7 +408,7 @@ func Encode(payload []byte) []byte {
 // appendFrame appends one record to buf: its length, its CRC, its bytes.
 func appendFrame(buf, payload []byte) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, crcTable))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, crcTable()))
 	return append(buf, payload...)
 }
 
@@ -441,7 +443,7 @@ func Decode(data []byte) ([]byte, error) {
 			return nil, fmt.Errorf("%w: record %d: truncated payload (%d of %d bytes)", ErrCorrupt, n, len(body), size)
 		}
 		record := body[:size]
-		if got := crc32.Checksum(record, crcTable); got != sum {
+		if got := crc32.Checksum(record, crcTable()); got != sum {
 			return nil, fmt.Errorf("%w: record %d: CRC %08x, want %08x", ErrCorrupt, n, got, sum)
 		}
 		payload = append(payload, record...)

@@ -165,7 +165,7 @@ func replay(r io.Reader, size int64, fn func(rec []byte) error) (int64, error) {
 		if _, err := io.ReadFull(r, rec); err != nil {
 			return off, err
 		}
-		if crc32.Checksum(rec, crcTable) != sum {
+		if crc32.Checksum(rec, crcTable()) != sum {
 			break
 		}
 		if err := fn(rec); err != nil {

@@ -145,7 +145,9 @@ type Cohort struct {
 	// Tumor and Normal are the bit-packed gene×sample matrices.
 	Tumor  *bitmat.Matrix
 	Normal *bitmat.Matrix
-	// TumorBarcodes and NormalBarcodes label the matrix columns.
+	// TumorBarcodes and NormalBarcodes label the matrix columns. A
+	// generated cohort's are shared with every cohort of its code
+	// (gene.Barcodes): they are read-only.
 	TumorBarcodes  []string
 	NormalBarcodes []string
 	// Planted holds the ground-truth driver combinations (sorted gene ids).
@@ -160,20 +162,29 @@ func (c *Cohort) Nt() int { return c.Tumor.Samples() }
 // Nn returns the number of normal samples.
 func (c *Cohort) Nn() int { return c.Normal.Samples() }
 
-// Generate builds a cohort from the spec with a deterministic seed.
+// Generate builds a cohort from the spec with a deterministic seed. The
+// cohort is a pure function of the two, bit for bit (cached results and
+// checkpoints key on it): every random number is a draw of
+// rand.NewSource(seed)'s stream, replayed by lagSource, and the
+// background mutations, most of the draws, are drawn and set straight
+// into the matrices a sample at a time.
 func Generate(spec Spec, seed int64) (*Cohort, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	// src replays rand.NewSource(seed)'s stream and rng draws from it.
 	// The background mutations, one rng.Float64() < rate per gene and
-	// sample, are drawn a sample at a time into draws and compared as
-	// integers against below(rate).
+	// sample, are drawn a sample at a time by src.mark, which compares
+	// each draw as an integer against the gene's below(rate): tumorThr for
+	// tumors, normalThr for normals and noisyThr for noisy normals.
 	src := newLagSource(seed)
 	rng := rand.New(src)
-	draws := make([]uint64, spec.Genes)
-	tumorBackground := below(spec.TumorBackground)
-	normalBackground, noisyNormalRate := below(spec.NormalBackground), below(spec.NoisyNormalRate)
+	thr := make([]uint64, 3*spec.Genes)
+	tumorThr, normalThr, noisyThr := thr[:spec.Genes], thr[spec.Genes:2*spec.Genes], thr[2*spec.Genes:]
+	tumorBackground, normalBackground := below(spec.TumorBackground), below(spec.NormalBackground)
+	for g := range spec.Genes {
+		tumorThr[g], normalThr[g], noisyThr[g] = tumorBackground, normalBackground, normalBackground
+	}
 	c := &Cohort{
 		Spec:        spec,
 		GeneSymbols: make([]string, spec.Genes),
@@ -275,33 +286,22 @@ func Generate(spec Spec, seed int64) (*Cohort, error) {
 				markDriver(combo[idx], s)
 			}
 		}
-		src.draws(draws)
-		for g, x := range draws {
-			if x < tumorBackground {
-				c.Tumor.Set(g, s)
-			}
-		}
+		src.mark(tumorThr, c.Tumor, s)
 	}
 
 	// Normal samples: background, with a noisy subpopulation whose driver-
 	// pool genes mutate at an elevated rate.
-	driverPool := make([]bool, spec.Genes)
+	noisyNormalRate := below(spec.NoisyNormalRate)
 	for _, combo := range c.Planted {
 		for _, g := range combo {
-			driverPool[g] = true
+			noisyThr[g] = noisyNormalRate
 		}
 	}
 	for s := 0; s < spec.NormalSamples; s++ {
-		noisy := rng.Float64() < spec.NoisyNormalFrac
-		src.draws(draws)
-		for g, x := range draws {
-			rate := normalBackground
-			if noisy && driverPool[g] {
-				rate = noisyNormalRate
-			}
-			if x < rate {
-				c.Normal.Set(g, s)
-			}
+		if rng.Float64() < spec.NoisyNormalFrac {
+			src.mark(noisyThr, c.Normal, s)
+		} else {
+			src.mark(normalThr, c.Normal, s)
 		}
 	}
 

@@ -1,11 +1,14 @@
 package dataset
 
-import "math/rand"
+import (
+	"math/rand"
+
+	"repro/internal/bitmat"
+)
 
 // math/rand's default source (rngSource) is an additive lagged Fibonacci
-// generator over a table of lagLen 64-bit words: each draw steps two
-// indexes down the table, tap and feed, lagTap apart, and replaces
-// vec[feed] with vec[feed] + vec[tap], which is also the draw.
+// generator: past its first lagLen draws, draw n is
+// y[n] = y[n−lagLen] + y[n−lagTap] (mod 2⁶⁴).
 const (
 	lagLen = 607
 	lagTap = 273
@@ -13,19 +16,18 @@ const (
 
 // lagSource replays math/rand's rand.NewSource(seed) stream bit for bit,
 // so the generator can draw its per-gene background numbers in a loop of
-// its own (draws) instead of through rand.Rand, which costs two calls a
+// its own (mark) instead of through rand.Rand, which costs two calls a
 // draw, one through an interface. It is also a rand.Source64, so a
 // rand.Rand over it draws exactly as one over rand.NewSource(seed).
 //
-// Seed fills the table with the first lagLen draws of math/rand's own
-// source. Those draws write each slot exactly once, so afterwards the
-// table is math/rand's state, both indexes are back where they started,
-// and each of those draws sits in the slot it wrote: the first primed
-// draws are served from there before the recurrence takes over.
+// The stream is kept in draw order: buf holds lagLen consecutive draws,
+// buf[next] is the next one served, and refill replaces the block by the
+// lagLen draws that follow it. clean records that no draw of the block
+// rounds to 1 as a float, so mark can pair draws with genes one to one.
 type lagSource struct {
-	vec       [lagLen]uint64
-	tap, feed int
-	primed    int
+	buf   [lagLen]uint64
+	next  int
+	clean bool
 }
 
 func newLagSource(seed int64) *lagSource {
@@ -34,30 +36,43 @@ func newLagSource(seed int64) *lagSource {
 	return s
 }
 
-// Seed restarts the stream at rand.NewSource(seed)'s first draw.
+// Seed restarts the stream at rand.NewSource(seed)'s first draw: the
+// first block is math/rand's own first lagLen draws.
 func (s *lagSource) Seed(seed int64) {
 	std := rand.NewSource(seed).(rand.Source64)
-	s.tap, s.feed, s.primed = 0, lagLen-lagTap, lagLen
-	// Draw k, counted from 1, writes the slot k below feed's start.
-	for k := 1; k <= lagLen; k++ {
-		s.vec[(s.feed-k+lagLen)%lagLen] = std.Uint64()
+	var top uint64
+	for k := range s.buf {
+		s.buf[k] = std.Uint64()
+		top = max(top, s.buf[k]<<1)
 	}
+	s.next, s.clean = 0, top>>1 < kept
+}
+
+// refill steps the block lagLen draws on. New draw k is old draw k plus
+// the draw lagTap before it, which is old draw k+lagLen−lagTap for
+// k < lagTap and new draw k−lagTap from there on. top is the largest
+// draw's low 63 bits, shifted up by one.
+func (s *lagSource) refill() {
+	var top uint64
+	lo, hi := s.buf[:lagTap], s.buf[lagLen-lagTap:]
+	for k := range lo {
+		lo[k] += hi[k]
+		top = max(top, lo[k]<<1)
+	}
+	for k := lagTap; k < lagLen; k++ {
+		s.buf[k] += s.buf[k-lagTap]
+		top = max(top, s.buf[k]<<1)
+	}
+	s.next, s.clean = 0, top>>1 < kept
 }
 
 // Uint64 returns the next draw, all 64 bits.
 func (s *lagSource) Uint64() uint64 {
-	if s.tap--; s.tap < 0 {
-		s.tap += lagLen
+	if s.next == lagLen {
+		s.refill()
 	}
-	if s.feed--; s.feed < 0 {
-		s.feed += lagLen
-	}
-	if s.primed > 0 {
-		s.primed--
-		return s.vec[s.feed]
-	}
-	x := s.vec[s.feed] + s.vec[s.tap]
-	s.vec[s.feed] = x
+	x := s.buf[s.next]
+	s.next++
 	return x
 }
 
@@ -91,35 +106,42 @@ func below(p float64) uint64 {
 // Float64 redraws.
 var kept = below(1)
 
-// draws fills dst with the next len(dst) draws Float64 keeps, as the low
-// 63 bits of each; compare them against below(p) for Float64() < p. The
-// indexes stay in registers, and past the first lagLen draws the table is
-// stepped in runs that need no wrap check.
-func (s *lagSource) draws(dst []uint64) {
-	i := 0
-	for ; i < len(dst) && s.primed > 0; i++ {
-		if dst[i] = uint64(s.Int63()); dst[i] >= kept {
-			i--
+// mark draws sample col's background mutations into m: for each gene
+// g < len(thr) it draws what rand.Rand.Float64 would, skipping each draw
+// Float64 redraws, and sets bit (g, col) when the float is below the rate
+// thr[g] stands for (thr[g] = below(rate)). The bit is ORed straight into
+// the matrix word.
+func (s *lagSource) mark(thr []uint64, m *bitmat.Matrix, col int) {
+	words, stride, bit := m.Column(col)
+	w := 0
+	for len(thr) > 0 {
+		if s.next == lagLen {
+			s.refill()
 		}
-	}
-	tap, feed := s.tap, s.feed
-	for i < len(dst) {
-		if tap == 0 {
-			tap = lagLen
+		blk := s.buf[s.next:]
+		if s.clean {
+			n := min(len(blk), len(thr))
+			t := thr[:n]
+			for k, y := range blk[:n] {
+				if y&^(1<<63) < t[k] {
+					words[w] |= bit
+				}
+				w += stride
+			}
+			thr, s.next = thr[n:], s.next+n
+			continue
 		}
-		if feed == 0 {
-			feed = lagLen
-		}
-		for range min(tap, feed, len(dst)-i) {
-			tap--
-			feed--
-			x := s.vec[feed] + s.vec[tap]
-			s.vec[feed] = x
-			dst[i] = x &^ (1 << 63)
-			if dst[i] < kept {
-				i++
+		for _, y := range blk {
+			s.next++
+			if x := y &^ (1 << 63); x < kept {
+				if x < thr[0] {
+					words[w] |= bit
+				}
+				w += stride
+				if thr = thr[1:]; len(thr) == 0 {
+					break
+				}
 			}
 		}
 	}
-	s.tap, s.feed = tap, feed
 }

@@ -100,10 +100,10 @@ func TestFromMAFDiscoveryEndToEnd(t *testing.T) {
 		t.Fatalf("cohort shape %d genes, %d/%d samples", c.Spec.Genes, c.Nt(), c.Nn())
 	}
 	a, b := c.GeneID("A"), c.GeneID("B")
-	if c.Tumor.AndPopCount2(a, b) != 2 {
+	if c.Tumor.ComboPopCount(a, b) != 2 {
 		t.Fatal("combination {A,B} should cover both tumors")
 	}
-	if c.Normal.AndPopCount2(a, b) != 0 {
+	if c.Normal.ComboPopCount(a, b) != 0 {
 		t.Fatal("combination {A,B} should cover no normals")
 	}
 }

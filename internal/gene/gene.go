@@ -13,6 +13,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Gene is one row of the gene×sample matrices.
@@ -79,9 +80,47 @@ func Barcode(cancer string, class SampleClass, idx int) string {
 }
 
 // Barcodes returns the barcodes of samples 0 to n-1 of a class, as
-// Barcode formats them, cut from one string: Generate labels every sample
-// of every cohort it builds, and a cohort keeps all of its labels.
+// Barcode formats them. A barcode depends on nothing but its code, class
+// and index, so the labels of every cohort of one code and class are cut
+// from one shared table, formatted once: callers must not write into the
+// slice, and its capacity is n, so an append copies. The tables hold at
+// most maxSharedBarcodes labels in all; past that a call formats a slice
+// of its own.
 func Barcodes(cancer string, class SampleClass, n int) []string {
+	key := barcodeKey{cancer, class}
+	sharedBarcodes.Lock()
+	t := sharedBarcodes.tables[key]
+	if len(t) < n && sharedBarcodes.size-len(t)+n <= maxSharedBarcodes {
+		sharedBarcodes.size += n - len(t)
+		t = formatBarcodes(cancer, class, n)
+		sharedBarcodes.tables[key] = t
+	}
+	sharedBarcodes.Unlock()
+	if len(t) < n {
+		return formatBarcodes(cancer, class, n)
+	}
+	return t[:n:n]
+}
+
+// maxSharedBarcodes bounds the shared barcode tables, at about 2 MB of
+// labels; a registry cohort needs under 2,000 a code.
+const maxSharedBarcodes = 1 << 16
+
+type barcodeKey struct {
+	cancer string
+	class  SampleClass
+}
+
+// sharedBarcodes holds Barcodes' tables; size counts their labels. A
+// table is replaced, never written, when a longer one is asked for.
+var sharedBarcodes = struct {
+	sync.Mutex
+	tables map[barcodeKey][]string
+	size   int
+}{tables: map[barcodeKey][]string{}}
+
+// formatBarcodes formats barcodes 0 to n-1, cut from one string.
+func formatBarcodes(cancer string, class SampleClass, n int) []string {
 	size := 0
 	for idx := range n {
 		size += barcodeLen(cancer, idx)

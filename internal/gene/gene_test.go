@@ -2,6 +2,7 @@ package gene
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -51,6 +52,56 @@ func TestBarcodes(t *testing.T) {
 	if got := Barcodes("ACC", Tumor, 0); len(got) != 0 {
 		t.Fatalf("Barcodes(ACC, Tumor, 0) = %q", got)
 	}
+}
+
+// TestBarcodesShared requires every call for one code and class to be
+// cut from one table, capped so that an append copies, and the tables
+// to stay within their bound while calls past it still get every label.
+func TestBarcodesShared(t *testing.T) {
+	a, b := Barcodes("SHR", Tumor, 40), Barcodes("SHR", Tumor, 25)
+	if &a[0] != &b[0] || cap(a) != 40 || cap(b) != 25 {
+		t.Fatalf("Barcodes(SHR, Tumor) not cut from one capped table: caps %d, %d", cap(a), cap(b))
+	}
+	if c := append(b, "x"); &c[0] == &a[0] || a[25] != Barcode("SHR", Tumor, 25) {
+		t.Fatal("an append to a shared barcode slice wrote into the table")
+	}
+	if n := Barcodes("SHR", Normal, 1); n[0] != "TCGA-SHR-N0000" {
+		t.Fatalf("normal label %q", n[0])
+	}
+	for k := range 2 * maxSharedBarcodes / 5000 {
+		code := fmt.Sprintf("B%d", k)
+		got := Barcodes(code, Normal, 5000)
+		if len(got) != 5000 || got[4999] != Barcode(code, Normal, 4999) {
+			t.Fatalf("Barcodes(%s, Normal, 5000) ends %q", code, got[len(got)-1])
+		}
+	}
+	sharedBarcodes.Lock()
+	defer sharedBarcodes.Unlock()
+	if sharedBarcodes.size > maxSharedBarcodes {
+		t.Fatalf("shared barcode tables hold %d labels, bound %d", sharedBarcodes.size, maxSharedBarcodes)
+	}
+}
+
+// TestBarcodesConcurrent asks for growing tables of a few codes from
+// several goroutines at once; each must get every label (run it under
+// -race).
+func TestBarcodesConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for w := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 1; n <= 300; n += 7 {
+				code := fmt.Sprintf("C%d", (w+n)%3)
+				got := Barcodes(code, Tumor, n)
+				if len(got) != n || got[n-1] != Barcode(code, Tumor, n-1) {
+					t.Errorf("Barcodes(%s, Tumor, %d) gave %d labels, the last %q", code, n, len(got), got[len(got)-1:])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestHistogramPositions(t *testing.T) {
