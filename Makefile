@@ -32,9 +32,9 @@ reports:
 
 # The performance-model reports are pure functions of the model (no wall
 # clock), so they must regenerate byte for byte; any difference is a
-# change in the model. The wall-clock experiments (fig5, schemes, ...)
+# change in the model. The wall-clock experiments (fig5, sparse, ...)
 # are left out. Writes under $RUNNER_TEMP on CI, a fresh temp dir elsewhere.
-MODEL_REPORTS = fig2,fig3,fig4a,fig4b,edvea,fig6,fig7,fig8,speedup,memory,latency,iterations,campaign,hardware
+MODEL_REPORTS = fig2,fig3,fig4a,fig4b,edvea,fig6,fig7,fig8,speedup,memory,latency,iterations,campaign,hardware,schemes
 
 reports-check:
 	@out="$${RUNNER_TEMP:-$$(mktemp -d)}/reports"; \

@@ -241,7 +241,7 @@ func BenchmarkKernel3x1(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		opt := cover.Options{Hits: 4, Scheme: cover.Scheme3x1, Engine: cover.EngineDense}
+		opt := cover.Options{Hits: 4, Engine: cover.EngineDense}
 		benchPass(b, cohort.Tumor.Genes(), func() (cover.Counts, error) {
 			_, n, err := cover.FindBest(cohort.Tumor, cohort.Normal, nil, opt)
 			return n, err
@@ -256,7 +256,7 @@ func BenchmarkKernel3x1(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		opt, err := cover.Options{Hits: 4, Scheme: cover.Scheme3x1, Engine: cover.EngineSparse}.Normalized()
+		opt, err := cover.Options{Hits: 4, Engine: cover.EngineSparse}.Normalized()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -355,27 +355,6 @@ func BenchmarkDistributedDiscover(b *testing.B) {
 		if _, err := cluster.Discover(cluster.Summit(2), cohort.Tumor, cohort.Normal, opt); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkSchemeAblation measures all four 4-hit parallelization schemes
-// on identical input (E15).
-func BenchmarkSchemeAblation(b *testing.B) {
-	spec := dataset.BRCA().Scaled(40)
-	cohort, err := dataset.Generate(spec, 42)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, scheme := range []cover.Scheme{cover.Scheme1x3, cover.Scheme2x2,
-		cover.Scheme3x1, cover.Scheme4x1} {
-		b.Run(scheme.String(), func(b *testing.B) {
-			opt := cover.Options{Hits: 4, Scheme: scheme}
-			for i := 0; i < b.N; i++ {
-				if _, _, err := cover.FindBest(cohort.Tumor, cohort.Normal, nil, opt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

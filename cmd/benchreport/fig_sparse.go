@@ -91,25 +91,22 @@ func expSparse(cfg config) (string, error) {
 		base  dataset.Spec
 		genes int
 		// quick is the shrunk gene count under -quick.
-		quick  int
-		hits   int
-		scheme cover.Scheme
+		quick int
+		hits  int
 	}
 	specs := []spec{
 		// 3-hit 2x1 at a gene scale where the scan dwarfs per-pass setup.
 		// Seeded densities here sit above the 2x1 crossover, so these are
 		// the honest dense-wins cells of the table.
-		{"BRCA/2x1", dataset.BRCA(), 240, 120, 3, cover.Scheme2x1},
-		{"ACC/2x1", dataset.ACC(), 240, 120, 3, cover.Scheme2x1},
+		{"BRCA/2x1", dataset.BRCA(), 240, 120, 3},
+		{"ACC/2x1", dataset.ACC(), 240, 120, 3},
 		// LGG's seeded spec plants 4-gene combinations, so it only appears
 		// in 4-hit cells. At G=400 its density falls below the 3x1
 		// crossover: the sparse engine's headline-win cell.
-		{"LGG/3x1", dataset.LGG(), 400, 300, 4, cover.Scheme3x1},
-		// Small-G 4-hit cells: density well above the crossovers, dense
+		{"LGG/3x1", dataset.LGG(), 400, 300, 4},
+		// Small-G 4-hit cell: density well above the crossover, dense
 		// wins, Auto must pick dense.
-		{"BRCA/3x1", dataset.BRCA(), 90, 50, 4, cover.Scheme3x1},
-		{"ACC/2x2", dataset.ACC(), 90, 50, 4, cover.Scheme2x2},
-		{"BRCA/1x3", dataset.BRCA(), 90, 50, 4, cover.Scheme1x3},
+		{"BRCA/3x1", dataset.BRCA(), 90, 50, 4},
 	}
 
 	var cases []sparseCase
@@ -127,7 +124,8 @@ func expSparse(cfg config) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		opt := cover.Options{Hits: s.hits, Scheme: s.scheme, MaxIterations: 1}
+		opt := cover.Options{Hits: s.hits, MaxIterations: 1}
+		scheme := cover.SchemeFor(s.hits)
 
 		dense, err := measureEngine(cohort, opt, cover.EngineDense)
 		if err != nil {
@@ -147,10 +145,10 @@ func expSparse(cfg config) (string, error) {
 		pop := float64(cohort.Tumor.PopCount() + cohort.Normal.PopCount())
 		c := sparseCase{
 			Name: s.name, Genes: cohort.Tumor.Genes(), Hits: s.hits,
-			Scheme:    s.scheme.String(),
+			Scheme:    scheme.String(),
 			Density:   pop / bits,
 			MeanRow:   pop / float64(cohort.Tumor.Genes()+cohort.Normal.Genes()),
-			Crossover: cover.SparseCrossover(s.scheme),
+			Crossover: cover.SparseCrossover(scheme),
 			Dense:     dense, Sparse: sparse, Auto: auto,
 		}
 		if dense.NsPerOp > 0 {

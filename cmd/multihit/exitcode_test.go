@@ -98,7 +98,7 @@ func TestExitCodeContract(t *testing.T) {
 		},
 		{
 			name: "usage error exits ExitFailure",
-			args: []string{"-scheme", "no-such-scheme"},
+			args: []string{"-cancer", "ACC", "-genes", "24", "-hits", "2", "-scheduler", "XX"},
 			want: service.ExitFailure,
 		},
 		{
@@ -114,6 +114,11 @@ func TestExitCodeContract(t *testing.T) {
 		{
 			name: "removed -splice flag exits ExitFailure",
 			args: []string{"-cancer", "LGG", "-genes", "22", "-hits", "5", "-max-iter", "1", "-splice"},
+			want: service.ExitFailure,
+		},
+		{
+			name: "removed -scheme flag exits ExitFailure",
+			args: []string{"-cancer", "ACC", "-genes", "24", "-hits", "4", "-max-iter", "1", "-scheme", "3x1"},
 			want: service.ExitFailure,
 		},
 		{

@@ -63,7 +63,6 @@ func main() {
 	cohortFile := flag.String("cohort-file", "", "read a cohort written by gendata -cohort instead of generating")
 	tumorMAF := flag.String("tumor-maf", "", "read the tumor cohort from a MAF file instead of generating")
 	normalMAF := flag.String("normal-maf", "", "read the normal cohort from a MAF file")
-	scheme := flag.String("scheme", "auto", "parallelization scheme: auto, pair, 2x1, 2x2, 3x1")
 	scheduler := flag.String("scheduler", "EA", "workload scheduler: EA or ED")
 	engine := flag.String("engine", "auto", "scan engine: auto (density-driven), dense, sparse; see docs/SPARSE.md")
 	workers := flag.Int("workers", 0, "worker count (0 = GOMAXPROCS)")
@@ -161,19 +160,6 @@ func main() {
 		Workers:       *workers,
 		Kernelize:     *kernelize,
 		MaxIterations: *maxIter,
-	}
-	switch *scheme {
-	case "auto":
-	case "pair":
-		opt.Scheme = cover.SchemePair
-	case "2x1":
-		opt.Scheme = cover.Scheme2x1
-	case "2x2":
-		opt.Scheme = cover.Scheme2x2
-	case "3x1":
-		opt.Scheme = cover.Scheme3x1
-	default:
-		fatal(fmt.Errorf("unknown scheme %q", *scheme))
 	}
 	switch *scheduler {
 	case "EA":

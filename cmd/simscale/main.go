@@ -257,7 +257,7 @@ func resolveEngine(cancer, engine string, scheme cover.Scheme, genes int, seed i
 	if scheme == cover.Scheme2x1 {
 		hits = 3
 	}
-	opt, err := cover.Options{Hits: hits, Scheme: scheme, Engine: req}.Normalized()
+	opt, err := cover.Options{Hits: hits, Engine: req}.Normalized()
 	if err != nil {
 		return req, 0, err
 	}

@@ -90,8 +90,6 @@ var longRunningSeeds = map[string]bool{
 	"RunCtx":      true,
 	"ScanPass":    true,
 	"sparse2x1":   true,
-	"sparse2x2":   true,
-	"sparse1x3":   true,
 	"sparse3x1":   true,
 }
 

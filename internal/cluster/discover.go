@@ -132,7 +132,7 @@ func DiscoverFaultsCtx(ctx context.Context, spec Spec, tumor, normal *bitmat.Mat
 		Genes:         tumor.Genes(),
 		TumorSamples:  tumor.Samples(),
 		NormalSamples: normal.Samples(),
-		Scheme:        greedy.Options.Scheme,
+		Scheme:        cover.SchemeFor(greedy.Options.Hits),
 		Iterations:    passes,
 	}
 	if opt.Kernelize {
@@ -188,7 +188,7 @@ func discoverGreedy(ctx context.Context, spec Spec, tumor, normal *bitmat.Matrix
 	}
 	scan := func(ctx context.Context, p cover.Pass) (reduce.Combo, cover.Counts, error) {
 		count(p)
-		curve, err := cover.SchemeCurve(uint64(p.Tumor.Genes()), p.Opt.Scheme)
+		curve, err := cover.SchemeCurve(uint64(p.Tumor.Genes()), cover.SchemeFor(p.Opt.Hits))
 		if err != nil {
 			return reduce.None, cover.Counts{}, err
 		}

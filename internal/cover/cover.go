@@ -23,8 +23,8 @@
 // the same way. The paper's GPUs need a per-block and a per-device stage
 // between the two (Sec. III-E) only because a per-thread list would not fit
 // in memory; a CPU worker never writes that list. Every reduction uses the
-// one deterministic total order of reduce.Combo.Better, so every scheme,
-// scheduler and worker count returns the identical cover.
+// one deterministic total order of reduce.Combo.Better, so every
+// scheduler, worker count and engine returns the identical cover.
 package cover
 
 import (
@@ -48,35 +48,55 @@ const DefaultAlpha = 0.1
 // MaxHits is the largest combination size the engine serves.
 const MaxHits = reduce.MaxHits
 
-// Scheme selects the loop-flattening parallelization scheme (Sec. III-A).
+// Scheme names a loop-flattening parallelization scheme (Sec. III-A). The
+// engine scans each hit count with one of them, SchemeFor(hits); the
+// paper's rejected and alternative 4-hit schemes (2x2, 1x3, 4x1) remain as
+// descriptors the cluster model prices through SchemeCurve.
 type Scheme int
 
 const (
-	// SchemeAuto picks the paper's production scheme for the hit count:
-	// flat pairs for h=2, 2x1 for h=3, 3x1 for h=4, and 4+1 for the
-	// paper's next step, h=5.
+	// SchemeAuto is the unset scheme; SchemeFor resolves a hit count.
 	SchemeAuto Scheme = iota
 	// SchemePair is the 2-hit kernel: C(G,2) threads, one combination each.
 	SchemePair
 	// Scheme2x1 is the 3-hit kernel of Algorithm 1: C(G,2) threads, each
 	// running one inner loop over k.
 	Scheme2x1
-	// Scheme2x2 is the 4-hit kernel of Algorithm 2: C(G,2) threads, each
-	// running a depth-2 nested loop over (k, l).
+	// Scheme2x2 is the 4-hit scheme of Algorithm 2: C(G,2) threads, each
+	// running a depth-2 nested loop over (k, l). Modeled only.
 	Scheme2x2
 	// Scheme3x1 is the 4-hit kernel of Algorithm 3: C(G,3) threads, each
 	// running one inner loop over l.
 	Scheme3x1
 	// Scheme1x3 is the 4-hit scheme the paper defines but rejects for its
 	// limited parallelism: G threads, each running a depth-3 nested loop.
+	// Modeled only.
 	Scheme1x3
 	// Scheme4x1 is the fully flattened 4-hit scheme the paper defines but
-	// rejects: C(G,4) threads, one combination each.
+	// rejects: C(G,4) threads, one combination each. Modeled only.
 	Scheme4x1
 	// Scheme4p1 is the 5-hit kernel, 3x1 one dimension up (Sec. V):
 	// C(G,4) threads, each running one inner loop over the fifth gene.
 	Scheme4p1
 )
+
+// SchemeFor returns the scheme the engine scans h-hit passes with, the
+// paper's production kernel for each hit count: flat pairs for h=2, 2x1
+// for h=3, 3x1 for h=4, and 4+1 for the paper's next step, h=5. Any other
+// h has no kernel and gets SchemeAuto.
+func SchemeFor(hits int) Scheme {
+	switch hits {
+	case 2:
+		return SchemePair
+	case 3:
+		return Scheme2x1
+	case 4:
+		return Scheme3x1
+	case 5:
+		return Scheme4p1
+	}
+	return SchemeAuto
+}
 
 // String names the scheme as the paper does.
 func (s Scheme) String() string {
@@ -116,18 +136,6 @@ func (s Scheme) hits() int {
 	return 0
 }
 
-// prunable reports whether the scheme's kernel has an inner loop a prefix
-// bound can skip. The fully flattened pair and 4x1 kernels score exactly
-// one combination per thread: nothing is loop-invariant, so there is
-// nothing to prune.
-func (s Scheme) prunable() bool {
-	switch s {
-	case Scheme2x1, Scheme2x2, Scheme3x1, Scheme1x3, Scheme4p1:
-		return true
-	}
-	return false
-}
-
 // Scheduler selects the λ-range partitioner.
 type Scheduler int
 
@@ -152,8 +160,6 @@ type Options struct {
 	Hits int
 	// Alpha is the true-positive penalty; 0 means DefaultAlpha.
 	Alpha float64
-	// Scheme selects the parallelization scheme; SchemeAuto matches Hits.
-	Scheme Scheme
 	// Workers is the number of parallel workers (virtual GPUs); 0 means
 	// GOMAXPROCS.
 	Workers int
@@ -169,12 +175,12 @@ type Options struct {
 	Kernelize bool
 	// Engine selects the scan representation (docs/SPARSE.md):
 	// EngineAuto (zero value) measures the instance's density after
-	// kernelization and picks per scheme, EngineDense forces the packed
+	// kernelization and picks per kernel, EngineDense forces the packed
 	// bit-matrix kernels, EngineSparse forces the sorted-index merge
 	// kernels. Purely an execution knob: winners, Counts, and checkpoints
 	// are bit-identical across engines, so checkpoints do not record it
 	// and the service result cache canonicalizes it away. Sparse requires
-	// a prunable scheme (2x1/2x2/3x1/1x3).
+	// a kernel with a sparse form (2x1 or 3x1, that is 3 or 4 hits).
 	Engine Engine
 	// NoPrune disables the bound-and-prune layer (docs/PRUNING.md): the
 	// seed probe and the per-partition incumbents, the kernels' prefix
@@ -190,27 +196,8 @@ type Options struct {
 
 // withDefaults resolves zero values and validates.
 func (o Options) withDefaults() (Options, error) {
-	if o.Hits == 0 && o.Scheme != SchemeAuto {
-		o.Hits = o.Scheme.hits()
-	}
 	if o.Hits < 2 || o.Hits > MaxHits {
 		return o, fmt.Errorf("cover: Hits must be 2 to %d, got %d", MaxHits, o.Hits)
-	}
-	if o.Scheme == SchemeAuto {
-		switch o.Hits {
-		case 2:
-			o.Scheme = SchemePair
-		case 3:
-			o.Scheme = Scheme2x1
-		case 4:
-			o.Scheme = Scheme3x1
-		case 5:
-			o.Scheme = Scheme4p1
-		}
-	}
-	if o.Scheme.hits() != o.Hits {
-		return o, fmt.Errorf("cover: scheme %s serves %d hits, Options.Hits is %d",
-			o.Scheme, o.Scheme.hits(), o.Hits)
 	}
 	if o.Alpha == 0 {
 		o.Alpha = DefaultAlpha
@@ -227,8 +214,9 @@ func (o Options) withDefaults() (Options, error) {
 	if o.Engine < EngineAuto || o.Engine > EngineSparse {
 		return o, fmt.Errorf("cover: unknown engine %d", o.Engine)
 	}
-	if o.Engine == EngineSparse && !o.Scheme.sparseCapable() {
-		return o, fmt.Errorf("cover: scheme %s has no sparse kernel (only 2x1, 2x2, 3x1 and 1x3 do)", o.Scheme)
+	if o.Engine == EngineSparse && sparseCrossover(SchemeFor(o.Hits)) == 0 {
+		return o, fmt.Errorf("cover: the %d-hit %s kernel has no sparse form (only 2x1 and 3x1 do)",
+			o.Hits, SchemeFor(o.Hits))
 	}
 	return o, nil
 }
@@ -514,7 +502,7 @@ func ScanPass(ctx context.Context, p Pass, parts []sched.Partition, seeded bool,
 
 // kernelEnv bundles the per-iteration read-only state shared by workers,
 // plus the one mutable field: the scan's pruning incumbent (nil when
-// pruning is off or the scheme has no inner loop to skip). When the
+// pruning is off or the kernel has no inner loop to skip). When the
 // instance is kernelized, tw/nw carry the merged sample columns'
 // multiplicities and every popcount the kernels take routes through the
 // weighted helpers below; with nil weights the helpers compile down to
@@ -529,8 +517,8 @@ type kernelEnv struct {
 	denom  float64
 	nn     int
 	shared *reduce.SharedBest
-	// sparse, when non-nil, carries the CSR views and routes the prunable
-	// schemes through the sparse merge kernels (docs/SPARSE.md).
+	// sparse, when non-nil, carries the CSR views and routes the 3- and
+	// 4-hit passes through the sparse merge kernels (docs/SPARSE.md).
 	sparse *sparseEnv
 }
 
@@ -555,20 +543,26 @@ func newKernelEnv(tumor, normal *bitmat.Matrix, active *bitmat.Vec, tw, nw *bitm
 }
 
 // incumbent resets inc to a partition-local pruning incumbent holding
-// seed and returns it, or returns nil when pruning is off or the scheme
+// seed and returns it, or returns nil when pruning is off or the kernel
 // has no inner loop to skip. The reset is in place, so retrying a
 // partition or growing a plan allocates no incumbent. A zero SharedBest
 // prunes nothing, like one holding reduce.None, and since no F is
 // negative every prune decision after Offer(seed) is the one
 // reduce.NewSharedBestFrom(seed) would take.
 func incumbent(inc *reduce.SharedBest, opt Options, seed reduce.Combo) *reduce.SharedBest {
-	if opt.NoPrune || !opt.Scheme.prunable() {
+	if !opt.prunes() {
 		return nil
 	}
 	*inc = reduce.SharedBest{}
 	inc.Offer(seed)
 	return inc
 }
+
+// prunes reports whether the pass's kernel prunes: pruning is on and the
+// kernel has an inner loop a prefix bound can skip. The flat pair kernel
+// scores exactly one combination per thread, so nothing is
+// loop-invariant and there is nothing to prune.
+func (o Options) prunes() bool { return !o.NoPrune && o.Hits > 2 }
 
 // score computes F from a TP and a normal-side AND count.
 func (e *kernelEnv) score(tp, normalHits int) float64 {
@@ -677,11 +671,12 @@ func (e *kernelEnv) prune3(a, b, c []uint64) bool {
 	return e.shared != nil && e.shared.ShouldPrune(e.score(e.tpop3(a, b, c), 0))
 }
 
-// runKernel dispatches the scheme kernel over one λ-partition and returns
-// the running maximum of its threads' winners. A canceled context skips
-// the partition entirely (one partition is the cancellation granularity;
-// the kernels themselves never block). The scratch provides the kernel's
-// fold buffers, reused across the calling worker's partitions.
+// runKernel dispatches the hit count's kernel (SchemeFor) over one
+// λ-partition and returns the running maximum of its threads' winners. A
+// canceled context skips the partition entirely (one partition is the
+// cancellation granularity; the kernels themselves never block). The
+// scratch provides the kernel's fold buffers, reused across the calling
+// worker's partitions.
 func runKernel(ctx context.Context, env *kernelEnv, opt Options, part sched.Partition, s *kernelScratch) (reduce.Combo, Counts) {
 	if ctx.Err() != nil {
 		return reduce.None, Counts{}
@@ -698,7 +693,7 @@ func runKernel(ctx context.Context, env *kernelEnv, opt Options, part sched.Part
 	}
 
 	var n Counts
-	switch opt.Scheme {
+	switch SchemeFor(opt.Hits) {
 	case SchemePair:
 		n.Evaluated = kernelPair(env, part, observe)
 	case Scheme2x1:
@@ -707,26 +702,12 @@ func runKernel(ctx context.Context, env *kernelEnv, opt Options, part sched.Part
 		} else {
 			n = kernel2x1(env, part, observe)
 		}
-	case Scheme2x2:
-		if env.sparse != nil {
-			n = sparse2x2(env, part, s, observe)
-		} else {
-			n = kernel2x2(env, part, s, observe)
-		}
 	case Scheme3x1:
 		if env.sparse != nil {
 			n = sparse3x1(env, part, s, observe)
 		} else {
 			n = kernel3x1(env, part, s, observe)
 		}
-	case Scheme1x3:
-		if env.sparse != nil {
-			n = sparse1x3(env, part, s, observe)
-		} else {
-			n = kernel1x3(env, part, s, observe)
-		}
-	case Scheme4x1:
-		n.Evaluated = kernel4x1(env, part, observe)
 	case Scheme4p1:
 		n = kernel4p1(env, part, s, observe)
 	}

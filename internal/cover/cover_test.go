@@ -29,32 +29,22 @@ func randomPair(seed int64, genes, nt, nn int, density float64) (*bitmat.Matrix,
 }
 
 func TestFindBestMatchesExhaustive(t *testing.T) {
-	for _, tc := range []struct {
-		hits   int
-		scheme Scheme
-	}{
-		{2, SchemePair},
-		{3, Scheme2x1},
-		{4, Scheme2x2},
-		{4, Scheme3x1},
-		{4, Scheme1x3},
-		{4, Scheme4x1},
-	} {
+	for _, hits := range []int{2, 3, 4} {
 		for seed := int64(0); seed < 4; seed++ {
 			tumor, normal := randomPair(seed, 14, 40, 35, 0.35)
-			want, err := ExhaustiveBest(tumor, normal, nil, tc.hits, 0)
+			want, err := ExhaustiveBest(tumor, normal, nil, hits, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			got, _, err := FindBest(tumor, normal, nil, Options{
-				Hits: tc.hits, Scheme: tc.scheme, Workers: 5,
+				Hits: hits, Workers: 5,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got != want {
 				t.Fatalf("hits=%d scheme=%s seed=%d: parallel %+v != exhaustive %+v",
-					tc.hits, tc.scheme, seed, got, want)
+					hits, SchemeFor(hits), seed, got, want)
 			}
 		}
 	}
@@ -81,21 +71,6 @@ func TestFindBestInvariantToWorkersAndBlocks(t *testing.T) {
 	}
 }
 
-func TestSchemesAgreeOn4Hit(t *testing.T) {
-	tumor, normal := randomPair(11, 18, 60, 50, 0.3)
-	a, _, err := FindBest(tumor, normal, nil, Options{Hits: 4, Scheme: Scheme3x1, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _, err := FindBest(tumor, normal, nil, Options{Hits: 4, Scheme: Scheme2x2, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatalf("3x1 found %+v, 2x2 found %+v", a, b)
-	}
-}
-
 func TestEvaluatedCounts(t *testing.T) {
 	// Every scheme must account for exactly C(G, h) combinations. With
 	// pruning off, all of them are evaluated; with pruning on, the
@@ -105,12 +80,9 @@ func TestEvaluatedCounts(t *testing.T) {
 		opt  Options
 		want uint64
 	}{
-		{Options{Hits: 2}, 66},                     // C(12,2)
-		{Options{Hits: 3}, 220},                    // C(12,3)
-		{Options{Hits: 4, Scheme: Scheme3x1}, 495}, // C(12,4)
-		{Options{Hits: 4, Scheme: Scheme2x2}, 495},
-		{Options{Hits: 4, Scheme: Scheme1x3}, 495},
-		{Options{Hits: 4, Scheme: Scheme4x1}, 495},
+		{Options{Hits: 2}, 66},  // C(12,2)
+		{Options{Hits: 3}, 220}, // C(12,3)
+		{Options{Hits: 4}, 495}, // C(12,4)
 	} {
 		opt := tc.opt
 		opt.NoPrune = true
@@ -120,7 +92,7 @@ func TestEvaluatedCounts(t *testing.T) {
 		}
 		if n.Evaluated != tc.want || n.Pruned != 0 {
 			t.Fatalf("%s NoPrune: evaluated %d (pruned %d), want %d evaluated",
-				tc.opt.Scheme, n.Evaluated, n.Pruned, tc.want)
+				SchemeFor(tc.opt.Hits), n.Evaluated, n.Pruned, tc.want)
 		}
 		_, n, err = FindBest(tumor, normal, nil, tc.opt)
 		if err != nil {
@@ -128,7 +100,7 @@ func TestEvaluatedCounts(t *testing.T) {
 		}
 		if n.Scanned() != tc.want {
 			t.Fatalf("%s: scanned %d combinations (evaluated %d + pruned %d), want %d",
-				tc.opt.Scheme, n.Scanned(), n.Evaluated, n.Pruned, tc.want)
+				SchemeFor(tc.opt.Hits), n.Scanned(), n.Evaluated, n.Pruned, tc.want)
 		}
 	}
 }
@@ -264,7 +236,7 @@ func TestOptionsValidation(t *testing.T) {
 		{Hits: 1},
 		{Hits: MaxHits + 1},
 		{Hits: 5, Engine: EngineSparse}, // 4+1 has no sparse kernel
-		{Hits: 3, Scheme: Scheme3x1},    // scheme serves 4 hits
+		{},                              // Hits is required
 		{Hits: 2, Alpha: -1},
 		{Hits: 2, Workers: -1},
 	}
@@ -275,10 +247,6 @@ func TestOptionsValidation(t *testing.T) {
 		if _, _, err := FindBest(tumor, normal, nil, opt); err == nil {
 			t.Errorf("case %d: FindBest accepted invalid options", i)
 		}
-	}
-	// Scheme alone determines hits.
-	if _, _, err := FindBest(tumor, normal, nil, Options{Scheme: Scheme2x1}); err != nil {
-		t.Errorf("Scheme2x1 without Hits rejected: %v", err)
 	}
 }
 
@@ -386,55 +354,13 @@ func TestSchemeString(t *testing.T) {
 			t.Errorf("Scheme.String() = %q, want %q", s.String(), want)
 		}
 	}
-	if EquiArea.String() != "EA" || EquiDistance.String() != "ED" {
-		t.Error("Scheduler.String wrong")
-	}
-}
-
-func TestAllFourHitSchemesAgree(t *testing.T) {
-	// All four parallelization schemes of Sec. III-A — including the two
-	// the paper rejects — must find the same best combination under any
-	// partitioning.
-	tumor, normal := randomPair(43, 16, 40, 35, 0.35)
-	want, _, err := FindBest(tumor, normal, nil, Options{Hits: 4, Scheme: Scheme3x1, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, scheme := range []Scheme{Scheme2x2, Scheme1x3, Scheme4x1} {
-		for _, workers := range []int{1, 3, 16} {
-			got, n, err := FindBest(tumor, normal, nil, Options{
-				Hits: 4, Scheme: scheme, Workers: workers,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Fatalf("%s workers=%d: %+v != %+v", scheme, workers, got, want)
-			}
-			if n.Scanned() != 1820 { // C(16,4)
-				t.Fatalf("%s scanned %d, want C(16,4)=1820", scheme, n.Scanned())
-			}
+	for hits, want := range []Scheme{SchemeAuto, SchemeAuto, SchemePair, Scheme2x1, Scheme3x1, Scheme4p1, SchemeAuto} {
+		if got := SchemeFor(hits); got != want {
+			t.Errorf("SchemeFor(%d) = %s, want %s", hits, got, want)
 		}
 	}
-}
-
-func TestScheme1x3LimitedParallelism(t *testing.T) {
-	// The 1x3 scheme exposes only G threads: with more workers than genes,
-	// the trailing partitions are empty — exactly the paper's reason for
-	// rejecting it. The result must still be correct.
-	tumor, normal := randomPair(47, 10, 30, 25, 0.4)
-	want, _, err := FindBest(tumor, normal, nil, Options{Hits: 4, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := FindBest(tumor, normal, nil, Options{
-		Hits: 4, Scheme: Scheme1x3, Workers: 64, // 64 workers, 10 threads
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("1x3 oversubscribed: %+v != %+v", got, want)
+	if EquiArea.String() != "EA" || EquiDistance.String() != "ED" {
+		t.Error("Scheduler.String wrong")
 	}
 }
 

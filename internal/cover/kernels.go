@@ -32,16 +32,16 @@ import (
 // multi-iteration Run multiplies into O(partitions × iterations)
 // allocations; each worker now allocates one scratch for its lifetime.
 type kernelScratch struct {
-	// t1 holds the hoisted active ∧ row(i) fold of the 1x3 kernel; t2/t3
-	// hold depth-2/depth-3 tumor prefix folds; n2/n3 the normal-side ones.
-	// t4/n4 are the seed probe's depth-4 folds for h = 5.
+	// t2/t3 hold depth-2/depth-3 tumor prefix folds; n2/n3 the
+	// normal-side ones. t1 and t4/n4 are the seed probe's depth-1 and
+	// depth-4 folds.
 	t1, t2, t3, t4 []uint64
 	n2, n3, n4     []uint64
-	// st1/st2/st3 and sn2/sn3 are the sparse engine's prefix index lists
-	// (tumor depth-1/2/3 and normal depth-2/3 merges). They stay nil on
-	// dense passes and are sized by ensureSparse at worker setup.
-	st1, st2, st3 []int32
-	sn2, sn3      []int32
+	// st2/st3 and sn2/sn3 are the sparse engine's prefix index lists
+	// (depth-2/3 tumor and normal merges). They stay nil on dense passes
+	// and are sized by ensureSparse at worker setup.
+	st2, st3 []int32
+	sn2, sn3 []int32
 	// spBoundKey/spTPStar memoize sparseMinTP's threshold: the smallest
 	// surviving tumor count only changes when the shared bound rises, so
 	// each worker re-solves it on a bound change and otherwise answers
@@ -62,22 +62,6 @@ func newKernelScratch(tumorWords, normalWords int) *kernelScratch {
 		n3: make([]uint64, normalWords),
 		n4: make([]uint64, normalWords),
 	}
-}
-
-// choose2 returns C(n, 2) for the pruned-combination accounting.
-func choose2(n int) uint64 {
-	if n < 2 {
-		return 0
-	}
-	return uint64(n) * uint64(n-1) / 2
-}
-
-// choose3 returns C(n, 3).
-func choose3(n int) uint64 {
-	if n < 3 {
-		return 0
-	}
-	return uint64(n) * uint64(n-1) / 2 * uint64(n-2) / 3
 }
 
 // kernelPair scores one 2-hit combination per thread. There is no inner
@@ -131,140 +115,6 @@ func kernel2x1(env *kernelEnv, part sched.Partition, observe func(reduce.Combo))
 		}
 	}
 	return n
-}
-
-// kernel2x2 is the 4-hit kernel of Algorithm 2: thread (i, j) runs the
-// depth-2 nested loop over (k, l). Fully prefetched, as in the paper's
-// production configuration. Pruning checks both fold levels: a dominated
-// (i, j) prefix skips the whole C(G−j−1, 2) nest, a dominated (i, j, k)
-// prefix skips its l loop.
-func kernel2x2(env *kernelEnv, part sched.Partition, s *kernelScratch, observe func(reduce.Combo)) Counts {
-	tm, nm := env.tumor, env.normal
-	g := tm.Genes()
-	aw := env.active.Words()
-	tbuf2, nbuf2 := s.t2, s.n2
-	tbuf3, nbuf3 := s.t3, s.n3
-	var n Counts
-
-	i, j := combinat.PairCoords(part.Lo)
-	for lambda := part.Lo; lambda < part.Hi; lambda++ {
-		best := reduce.None
-		bitmat.AndWords(tbuf2, aw, tm.Row(i))
-		tp2 := env.tfold(tbuf2, tbuf2, tm.Row(j))
-		if env.prune(tp2) {
-			n.Pruned += choose2(g - j - 1)
-			i++
-			if i == j {
-				i, j = 0, j+1
-			}
-			continue
-		}
-		bitmat.AndWords(nbuf2, nm.Row(i), nm.Row(j))
-		for k := j + 1; k < g-1; k++ {
-			tp3 := env.tfold(tbuf3, tbuf2, tm.Row(k))
-			if env.prune(tp3) {
-				n.Pruned += uint64(g - k - 1)
-				continue
-			}
-			bitmat.AndWords(nbuf3, nbuf2, nm.Row(k))
-			for l := k + 1; l < g; l++ {
-				tp := env.tpop2(tbuf3, tm.Row(l))
-				nh := env.npop2(nbuf3, nm.Row(l))
-				if c := reduce.NewCombo4(env.score(tp, nh), i, j, k, l); c.Better(best) {
-					best = c
-					env.offer(c)
-				}
-				n.Evaluated++
-			}
-		}
-		observe(best)
-		i++
-		if i == j {
-			i, j = 0, j+1
-		}
-	}
-	return n
-}
-
-// kernel1x3 is the 4-hit 1x3 scheme: thread i runs the full depth-3 nested
-// loop over (j, k, l). The paper rejects it — only G threads exist — but it
-// completes the scheme ablation. λ is simply the outer index i. The
-// active ∧ row(i) fold is invariant across the whole nest, so it is hoisted
-// into a one-time prefix buffer per thread (it was previously recomputed
-// on every j), and pruning checks all three fold depths.
-func kernel1x3(env *kernelEnv, part sched.Partition, s *kernelScratch, observe func(reduce.Combo)) Counts {
-	tm, nm := env.tumor, env.normal
-	g := tm.Genes()
-	aw := env.active.Words()
-	t1 := s.t1
-	tbuf2, nbuf2 := s.t2, s.n2
-	tbuf3, nbuf3 := s.t3, s.n3
-	var n Counts
-
-	for lambda := part.Lo; lambda < part.Hi; lambda++ {
-		i := combinat.ToInt(lambda)
-		best := reduce.None
-		tp1 := env.tfold(t1, aw, tm.Row(i))
-		if env.prune(tp1) {
-			n.Pruned += choose3(g - i - 1)
-			continue
-		}
-		for j := i + 1; j < g-2; j++ {
-			tp2 := env.tfold(tbuf2, t1, tm.Row(j))
-			if env.prune(tp2) {
-				n.Pruned += choose2(g - j - 1)
-				continue
-			}
-			bitmat.AndWords(nbuf2, nm.Row(i), nm.Row(j))
-			for k := j + 1; k < g-1; k++ {
-				tp3 := env.tfold(tbuf3, tbuf2, tm.Row(k))
-				if env.prune(tp3) {
-					n.Pruned += uint64(g - k - 1)
-					continue
-				}
-				bitmat.AndWords(nbuf3, nbuf2, nm.Row(k))
-				for l := k + 1; l < g; l++ {
-					tp := env.tpop2(tbuf3, tm.Row(l))
-					nh := env.npop2(nbuf3, nm.Row(l))
-					if c := reduce.NewCombo4(env.score(tp, nh), i, j, k, l); c.Better(best) {
-						best = c
-						env.offer(c)
-					}
-					n.Evaluated++
-				}
-			}
-		}
-		observe(best)
-	}
-	return n
-}
-
-// kernel4x1 is the fully flattened 4-hit scheme: one thread per
-// combination, λ decoded through the 4-simplex map. The paper rejects it
-// for its "astronomically large" thread count; here it pays the fold of
-// all four rows on every combination because nothing is loop-invariant —
-// and with no loop-invariant prefix there is nothing to prune either.
-func kernel4x1(env *kernelEnv, part sched.Partition, observe func(reduce.Combo)) uint64 {
-	tm, nm := env.tumor, env.normal
-	aw := env.active.Words()
-	i, j, k, l := combinat.QuadCoords(part.Lo)
-	for lambda := part.Lo; lambda < part.Hi; lambda++ {
-		tp := env.tpop5(aw, tm.Row(i), tm.Row(j), tm.Row(k), tm.Row(l))
-		nh := env.npop4(nm.Row(i), nm.Row(j), nm.Row(k), nm.Row(l))
-		observe(reduce.NewCombo4(env.score(tp, nh), i, j, k, l))
-		// Advance (i, j, k, l) in λ order: i fastest, then j, k, l.
-		i++
-		if i == j {
-			i, j = 0, j+1
-			if j == k {
-				j, k = 1, k+1
-				if k == l {
-					k, l = 2, l+1
-				}
-			}
-		}
-	}
-	return part.Size()
 }
 
 // kernel3x1 is the 4-hit kernel of Algorithm 3: thread (i, j, k) runs one

@@ -197,7 +197,7 @@ func TestPrune3x1GroupsMatchPerTripleReference(t *testing.T) {
 				env.sparse = newSparseEnv(in.tumor, in.normal, in.active, in.tw, in.nw)
 				s.ensureSparse(env.sparse)
 			}
-			opt := Options{Hits: 4, Scheme: Scheme3x1}
+			opt := Options{Hits: 4}
 			for _, seed := range []reduce.Combo{reduce.None, seedIncumbent(env, opt)} {
 				for _, part := range ranges {
 					name := fmt.Sprintf("%s %s seeded=%v [%d,%d)",

@@ -25,7 +25,7 @@ func pruneCohort(t *testing.T, spec dataset.Spec, genes int, seed int64) *datase
 // TestPrunedFindBestMatchesExhaustive is the core differential guarantee:
 // on seeded BRCA and LGG cohorts, the pruned FindBest returns the
 // bit-identical winner as the NoPrune scan and as the exhaustive.go
-// reference, for every scheme and several worker counts — and the pruned
+// reference, for every kernel and several worker counts — and the pruned
 // scan accounts for exactly the combinations the exhaustive scan scores.
 func TestPrunedFindBestMatchesExhaustive(t *testing.T) {
 	cohorts := []*dataset.Cohort{
@@ -35,13 +35,10 @@ func TestPrunedFindBestMatchesExhaustive(t *testing.T) {
 	schemes := []struct {
 		opt Options
 	}{
-		{Options{Hits: 2, Scheme: SchemePair}},
-		{Options{Hits: 3, Scheme: Scheme2x1}},
-		{Options{Hits: 4, Scheme: Scheme2x2}},
-		{Options{Hits: 4, Scheme: Scheme3x1}},
-		{Options{Hits: 4, Scheme: Scheme1x3}},
-		{Options{Hits: 4, Scheme: Scheme4x1}},
-		{Options{Hits: 5, Scheme: Scheme4p1}},
+		{Options{Hits: 2}},
+		{Options{Hits: 3}},
+		{Options{Hits: 4}},
+		{Options{Hits: 5}},
 	}
 	for ci, c := range cohorts {
 		for _, sc := range schemes {
@@ -58,11 +55,11 @@ func TestPrunedFindBestMatchesExhaustive(t *testing.T) {
 			}
 			if unpruned != exact {
 				t.Fatalf("cohort %d %s: NoPrune %v != exhaustive %v",
-					ci, sc.opt.Scheme, unpruned, exact)
+					ci, SchemeFor(sc.opt.Hits), unpruned, exact)
 			}
 			if refCnt.Pruned != 0 {
 				t.Fatalf("cohort %d %s: NoPrune scan pruned %d combinations",
-					ci, sc.opt.Scheme, refCnt.Pruned)
+					ci, SchemeFor(sc.opt.Hits), refCnt.Pruned)
 			}
 			for _, workers := range []int{1, 2, 7} {
 				opt := sc.opt
@@ -73,17 +70,17 @@ func TestPrunedFindBestMatchesExhaustive(t *testing.T) {
 				}
 				if pruned != exact {
 					t.Fatalf("cohort %d %s workers=%d: pruned %v != exhaustive %v",
-						ci, sc.opt.Scheme, workers, pruned, exact)
+						ci, SchemeFor(sc.opt.Hits), workers, pruned, exact)
 				}
 				if cnt.Scanned() != refCnt.Evaluated {
 					t.Fatalf("cohort %d %s workers=%d: scanned %d (evaluated %d + pruned %d), want %d",
-						ci, sc.opt.Scheme, workers, cnt.Scanned(), cnt.Evaluated, cnt.Pruned, refCnt.Evaluated)
+						ci, SchemeFor(sc.opt.Hits), workers, cnt.Scanned(), cnt.Evaluated, cnt.Pruned, refCnt.Evaluated)
 				}
-				if opt.Scheme.prunable() && workers == 1 && cnt.Pruned == 0 {
+				if opt.prunes() && workers == 1 && cnt.Pruned == 0 {
 					// Single-worker scans are deterministic; on these planted
 					// cohorts the bound must actually fire or the layer is
 					// dead code.
-					t.Fatalf("cohort %d %s: pruning never fired", ci, sc.opt.Scheme)
+					t.Fatalf("cohort %d %s: pruning never fired", ci, SchemeFor(sc.opt.Hits))
 				}
 			}
 		}
@@ -134,8 +131,8 @@ func TestPrunedRunMatchesNoPrune(t *testing.T) {
 // FindBest winner, and the partitions together score every combination.
 func TestFindBestRangePrunedPartitioning(t *testing.T) {
 	c := pruneCohort(t, dataset.BRCA(), 24, 13)
-	opt := Options{Hits: 4, Scheme: Scheme3x1}
-	want, cnt, err := FindBest(c.Tumor, c.Normal, nil, Options{Hits: 4, Scheme: Scheme3x1, Workers: 1})
+	opt := Options{Hits: 4}
+	want, cnt, err := FindBest(c.Tumor, c.Normal, nil, Options{Hits: 4, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +162,7 @@ func TestFindBestRangePrunedPartitioning(t *testing.T) {
 // NoPrune escape hatch: same winner, full evaluation, zero pruned.
 func TestNoPruneRangeMatchesPruned(t *testing.T) {
 	c := pruneCohort(t, dataset.LGG(), 22, 17)
-	opt := Options{Hits: 3, Scheme: Scheme2x1, Workers: 1}
+	opt := Options{Hits: 3, Workers: 1}
 	want, cnt, err := FindBest(c.Tumor, c.Normal, nil, opt)
 	if err != nil {
 		t.Fatal(err)

@@ -102,9 +102,9 @@ func TestScanPassPlansAcrossEnginesAndKernels(t *testing.T) {
 			want, ref := scanAll(t, in.pass(t, exact), one, false)
 			domain := combinat.MustBinomial(uint64(g), uint64(base.Hits))
 			if ref.Evaluated != domain || ref.Pruned != 0 {
-				t.Fatalf("%s %s: NoPrune scan counted %+v, want %d evaluated", in.name, base.Scheme, ref, domain)
+				t.Fatalf("%s %s: NoPrune scan counted %+v, want %d evaluated", in.name, SchemeFor(base.Hits), ref, domain)
 			}
-			curve, err := SchemeCurve(uint64(g), base.Scheme)
+			curve, err := SchemeCurve(uint64(g), SchemeFor(base.Hits))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,10 +125,10 @@ func TestScanPassPlansAcrossEnginesAndKernels(t *testing.T) {
 				var unseeded Counts
 				for _, seeded := range []bool{false, true} {
 					var dense Counts
-					for _, engine := range seedEngines(base.Scheme) {
+					for _, engine := range seedEngines(SchemeFor(base.Hits)) {
 						opt := base
 						opt.Engine = engine
-						label := fmt.Sprintf("%s %s %s plan=%s seeded=%v", in.name, opt.Scheme, engine, plan, seeded)
+						label := fmt.Sprintf("%s %s %s plan=%s seeded=%v", in.name, SchemeFor(opt.Hits), engine, plan, seeded)
 						got, n := scanAll(t, in.pass(t, opt), parts, seeded)
 						if got != want || math.Float64bits(got.F) != math.Float64bits(want.F) {
 							t.Fatalf("%s: winner %v, NoPrune %v", label, got, want)
@@ -146,7 +146,7 @@ func TestScanPassPlansAcrossEnginesAndKernels(t *testing.T) {
 						unseeded = dense
 					} else if dense.Evaluated > unseeded.Evaluated {
 						t.Fatalf("%s %s plan=%s: seeded evaluated %d > unseeded %d",
-							in.name, base.Scheme, plan, dense.Evaluated, unseeded.Evaluated)
+							in.name, SchemeFor(base.Hits), plan, dense.Evaluated, unseeded.Evaluated)
 					}
 				}
 			}
@@ -163,13 +163,13 @@ func TestScanPassPlansAcrossEnginesAndKernels(t *testing.T) {
 // reduction keeps the winner the best of the seed and the survivors.
 func TestScanPassDroppedSeedPartition(t *testing.T) {
 	c := pruneCohort(t, dataset.BRCA(), 40, 7)
-	for _, base := range []Options{{Hits: 3}, {Hits: 4, Scheme: Scheme3x1}} {
+	for _, base := range []Options{{Hits: 3}, {Hits: 4}} {
 		base.Workers = 1
 		in := plainInstance("BRCA", c, nil)
 		p := in.pass(t, base)
 		seed := passSeed(p)
 		if seed == reduce.None {
-			t.Fatalf("%s: no seed", p.Opt.Scheme)
+			t.Fatalf("%s: no seed", SchemeFor(p.Opt.Hits))
 		}
 		parts, err := PartitionPlan(c.Tumor.Genes(), p.Opt, PartitionsPerWorker)
 		if err != nil {
@@ -197,7 +197,7 @@ func TestScanPassDroppedSeedPartition(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got != want {
-				t.Fatalf("%s dropping partition %d: winner %v, want %v (seed %v)", p.Opt.Scheme, drop, got, want, seed)
+				t.Fatalf("%s dropping partition %d: winner %v, want %v (seed %v)", SchemeFor(p.Opt.Hits), drop, got, want, seed)
 			}
 		}
 	}
@@ -211,7 +211,7 @@ func TestScanPassAllocationsFlatInPartitions(t *testing.T) {
 	c := pruneCohort(t, dataset.BRCA(), 40, 7)
 	in := plainInstance("BRCA", c, nil)
 	for _, engine := range []Engine{EngineDense, EngineSparse} {
-		p := in.pass(t, Options{Hits: 4, Scheme: Scheme3x1, Workers: 2, Engine: engine})
+		p := in.pass(t, Options{Hits: 4, Workers: 2, Engine: engine})
 		allocs := map[int]float64{}
 		for _, n := range []int{4, 64} {
 			parts, err := PartitionPlan(c.Tumor.Genes(), p.Opt, n)

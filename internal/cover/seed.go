@@ -44,10 +44,10 @@ func seedSize(g, h int) int {
 }
 
 // seedIncumbent returns the pass's seed incumbent: the best h-combination
-// among its top genes, or reduce.None when pruning is off, the scheme has
+// among its top genes, or reduce.None when pruning is off, the kernel has
 // no prefix to prune, or the domain is too small to probe.
 func seedIncumbent(env *kernelEnv, opt Options) reduce.Combo {
-	if opt.NoPrune || !opt.Scheme.prunable() {
+	if !opt.prunes() {
 		return reduce.None
 	}
 	genes := topGenes(env, seedSize(env.tumor.Genes(), opt.Hits))

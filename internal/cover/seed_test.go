@@ -11,19 +11,18 @@ import (
 	"repro/internal/reduce"
 )
 
-// seedSchemes are the prunable schemes, the only ones the probe seeds.
+// seedSchemes are the prunable kernels' hit counts, the only ones the
+// probe seeds.
 var seedSchemes = []Options{
-	{Hits: 3, Scheme: Scheme2x1},
-	{Hits: 4, Scheme: Scheme2x2},
-	{Hits: 4, Scheme: Scheme3x1},
-	{Hits: 4, Scheme: Scheme1x3},
-	{Hits: 5, Scheme: Scheme4p1},
+	{Hits: 3},
+	{Hits: 4},
+	{Hits: 5},
 }
 
 // seedEngines returns the engines a seeded scheme runs on: both, or dense
 // alone for a scheme with no sparse kernel.
 func seedEngines(s Scheme) []Engine {
-	if !s.sparseCapable() {
+	if sparseCrossover(s) == 0 {
 		return []Engine{EngineDense}
 	}
 	return []Engine{EngineDense, EngineSparse}
@@ -68,10 +67,10 @@ func TestSeededPassMatchesUnseededAndNoPrune(t *testing.T) {
 	for ci, c := range cohorts {
 		for _, active := range []*bitmat.Vec{nil, partialActive(c.Tumor.Samples())} {
 			for _, base := range seedSchemes {
-				for _, engine := range seedEngines(base.Scheme) {
+				for _, engine := range seedEngines(SchemeFor(base.Hits)) {
 					opt := base
 					opt.Engine = engine
-					label := fmt.Sprintf("cohort %d masked=%v %s %s", ci, active != nil, opt.Scheme, engine)
+					label := fmt.Sprintf("cohort %d masked=%v %s %s", ci, active != nil, SchemeFor(opt.Hits), engine)
 					exact := opt
 					exact.NoPrune = true
 					exact.Workers = 1
@@ -143,11 +142,11 @@ func TestSeedFMatchesKernelF(t *testing.T) {
 		for _, base := range seedSchemes {
 			seed := passSeed(in.pass(t, base))
 			if seed == reduce.None {
-				t.Fatalf("%s %s: no seed", in.name, base.Scheme)
+				t.Fatalf("%s %s: no seed", in.name, SchemeFor(base.Hits))
 			}
 			ids := seed.GeneIDs()
 			subT, subN := in.tumor.SelectRows(ids), in.normal.SelectRows(ids)
-			for _, engine := range seedEngines(base.Scheme) {
+			for _, engine := range seedEngines(SchemeFor(base.Hits)) {
 				opt := base
 				opt.Engine = engine
 				opt.NoPrune = true
@@ -159,10 +158,10 @@ func TestSeedFMatchesKernelF(t *testing.T) {
 				sub.tumor, sub.normal = subT, subN
 				got, n := scanAll(t, sub.pass(t, opt), parts, false)
 				if n.Evaluated != 1 {
-					t.Fatalf("%s %s %s: sub-instance scored %d combinations, want 1", in.name, base.Scheme, engine, n.Evaluated)
+					t.Fatalf("%s %s %s: sub-instance scored %d combinations, want 1", in.name, SchemeFor(base.Hits), engine, n.Evaluated)
 				}
 				if math.Float64bits(got.F) != math.Float64bits(seed.F) {
-					t.Fatalf("%s %s %s: kernel F %v, seed F %v", in.name, base.Scheme, engine, got.F, seed.F)
+					t.Fatalf("%s %s %s: kernel F %v, seed F %v", in.name, SchemeFor(base.Hits), engine, got.F, seed.F)
 				}
 			}
 		}
@@ -175,7 +174,7 @@ func TestSeedFMatchesKernelF(t *testing.T) {
 func TestFindBestCountsDeterministic(t *testing.T) {
 	c := pruneCohort(t, dataset.BRCA(), 26, 7)
 	for _, base := range seedSchemes {
-		for _, engine := range seedEngines(base.Scheme) {
+		for _, engine := range seedEngines(SchemeFor(base.Hits)) {
 			opt := base
 			opt.Engine = engine
 			opt.Workers = 3
@@ -189,7 +188,7 @@ func TestFindBestCountsDeterministic(t *testing.T) {
 					t.Fatal(err)
 				}
 				if n != first {
-					t.Fatalf("%s %s repeat %d: counts %+v, first run %+v", opt.Scheme, engine, rep, n, first)
+					t.Fatalf("%s %s repeat %d: counts %+v, first run %+v", SchemeFor(opt.Hits), engine, rep, n, first)
 				}
 			}
 		}

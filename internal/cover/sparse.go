@@ -26,8 +26,8 @@ const (
 	// EngineDense always runs the packed bit-matrix kernels.
 	EngineDense
 	// EngineSparse always runs the sorted-index merge kernels. Only the
-	// prunable schemes (2x1, 2x2, 3x1, 1x3) have sparse kernels; Pair and
-	// 4x1 have no loop-invariant prefix worth merging and stay dense.
+	// 3- and 4-hit kernels (2x1, 3x1) have sparse forms; Pair has no
+	// loop-invariant prefix worth merging and 4+1 stays dense.
 	EngineSparse
 )
 
@@ -56,30 +56,25 @@ func ParseEngine(s string) (Engine, error) {
 	return EngineAuto, fmt.Errorf("cover: unknown engine %q (want auto, dense or sparse)", s)
 }
 
-// sparseCapable reports whether the scheme has a sparse kernel: every
-// prunable scheme but the 5-hit 4+1. A scheme with no loop-invariant
-// prefix has neither a bound to check nor a prefix list worth
-// materializing.
-func (s Scheme) sparseCapable() bool { return s.prunable() && s != Scheme4p1 }
-
 // sparseCrossover returns the break-even mean row occupancy — set
 // samples per gene row, density×samples — below which Auto goes sparse
-// for the given scheme. Occupancy, not raw density, is the quantity the
-// engines actually trade on: a merge step costs a few times a dense
-// word AND-popcount, and a prefix merge walks ~2×occupancy elements
+// for the given scheme, or 0 when the engine has no sparse kernel for it
+// (every scheme but 2x1 and 3x1). Occupancy, not raw density, is the
+// quantity the engines actually trade on: a merge step costs a few times
+// a dense word AND-popcount, and a prefix merge walks ~2×occupancy elements
 // while the dense fold walks samples/64 words regardless of how empty
 // they are. The constants come from the BENCH_9.json dense-vs-sparse
 // sweep (cmd/benchreport -exp sparse): at 2x1, ACC cohorts (~1.4
 // set samples per row) run ~25% faster sparse while BRCA at ~10 already
-// loses 2× to the unrolled dense fold; the 4-hit schemes tolerate more
-// occupancy because the deeper nests reuse each merged prefix across a
+// loses 2× to the unrolled dense fold; the 4-hit 3x1 kernel tolerates more
+// occupancy because its deeper nest reuses each merged prefix across a
 // longer inner cascade — LGG 3x1 at ~6.5 runs 3× faster sparse, BRCA
 // 4-hit cells at ~43 lose badly.
 func sparseCrossover(s Scheme) float64 {
 	switch s {
 	case Scheme2x1:
 		return 4
-	case Scheme2x2, Scheme3x1, Scheme1x3:
+	case Scheme3x1:
 		return 12
 	}
 	return 0
@@ -93,23 +88,20 @@ func SparseCrossover(s Scheme) float64 { return sparseCrossover(s) }
 // ResolveEngine resolves EngineAuto against the actual scan matrices —
 // for kernelized runs the post-reduction matrices, which is why callers
 // resolve after kernelization. A non-Auto engine is returned unchanged;
-// Auto falls back to dense whenever the sparse path is structurally
-// unavailable (a non-sparse-capable scheme), otherwise it
-// compares the matrices' mean row occupancy against the scheme
-// crossover.
+// Auto falls back to dense whenever the hit count's kernel has no sparse
+// form, otherwise it compares the matrices' mean row occupancy against
+// the kernel's crossover.
 func ResolveEngine(opt Options, tumor, normal *bitmat.Matrix) Engine {
 	if opt.Engine != EngineAuto {
 		return opt.Engine
 	}
-	if !opt.Scheme.sparseCapable() {
-		return EngineDense
-	}
+	crossover := sparseCrossover(SchemeFor(opt.Hits))
 	rows := float64(tumor.Genes() + normal.Genes())
-	if rows == 0 {
+	if crossover == 0 || rows == 0 {
 		return EngineDense
 	}
 	meanRow := float64(tumor.PopCount()+normal.PopCount()) / rows
-	if meanRow < sparseCrossover(opt.Scheme) {
+	if meanRow < crossover {
 		return EngineSparse
 	}
 	return EngineDense
@@ -183,8 +175,7 @@ func flattenWeights(w *bitmat.Weights, samples int) []int32 {
 // sparse environment. Called once per worker at setup (never inside a
 // kernel, which must stay allocation-free).
 func (s *kernelScratch) ensureSparse(sp *sparseEnv) {
-	if len(s.st1) < sp.tMax {
-		s.st1 = make([]int32, sp.tMax)
+	if len(s.st2) < sp.tMax {
 		s.st2 = make([]int32, sp.tMax)
 		s.st3 = make([]int32, sp.tMax)
 	}
@@ -293,22 +284,6 @@ func (e *kernelEnv) sparsePrefixNext(s *kernelScratch, dst, prev, row []int32) (
 	return out, e.prune(sparsemat.CountWeighted(out, sp.tw))
 }
 
-// sparseRow1 masks a single tumor row — the depth-1 prefix of the 1x3
-// scheme — with the same domination contract as sparsePrefixT.
-func (e *kernelEnv) sparseRow1(dst, row []int32) ([]int32, bool) {
-	sp := e.sparse
-	var out []int32
-	if sp.mask == nil {
-		out = row
-	} else {
-		out = sparsemat.FilterMask(dst, row, sp.mask)
-	}
-	if sp.tw == nil {
-		return out, e.prune(len(out))
-	}
-	return out, e.prune(sparsemat.CountWeighted(out, sp.tw))
-}
-
 // stpop returns the (weighted) tumor count of prefix ∩ row — the sparse
 // tpop2 over an already-masked prefix list.
 func (e *kernelEnv) stpop(prefix, row []int32) int {
@@ -366,97 +341,6 @@ func sparse2x1(env *kernelEnv, part sched.Partition, s *kernelScratch, observe f
 		if i == j {
 			i, j = 0, j+1
 		}
-	}
-	return n
-}
-
-// sparse2x2 is the sparse 4-hit 2x2 kernel: thread (i, j) runs the
-// depth-2 nest over (k, l), deepening the merged prefix at each level.
-func sparse2x2(env *kernelEnv, part sched.Partition, s *kernelScratch, observe func(reduce.Combo)) Counts {
-	sp := env.sparse
-	g := sp.t.Genes()
-	var n Counts
-
-	i, j := combinat.PairCoords(part.Lo)
-	for lambda := part.Lo; lambda < part.Hi; lambda++ {
-		best := reduce.None
-		tlist2, pruned := env.sparsePrefixT(s, s.st2, sp.tRows[i], sp.tRows[j])
-		if pruned {
-			n.Pruned += choose2(g - j - 1)
-			i++
-			if i == j {
-				i, j = 0, j+1
-			}
-			continue
-		}
-		nlist2 := sparsemat.IntersectInto(s.sn2, sp.nRows[i], sp.nRows[j])
-		for k := j + 1; k < g-1; k++ {
-			tlist3, pruned := env.sparsePrefixNext(s, s.st3, tlist2, sp.tRows[k])
-			if pruned {
-				n.Pruned += uint64(g - k - 1)
-				continue
-			}
-			nlist3 := sparsemat.IntersectInto(s.sn3, nlist2, sp.nRows[k])
-			for l := k + 1; l < g; l++ {
-				tp := env.stpop(tlist3, sp.tRows[l])
-				nh := env.snpop(nlist3, sp.nRows[l])
-				if c := reduce.NewCombo4(env.score(tp, nh), i, j, k, l); c.Better(best) {
-					best = c
-					env.offer(c)
-				}
-				n.Evaluated++
-			}
-		}
-		observe(best)
-		i++
-		if i == j {
-			i, j = 0, j+1
-		}
-	}
-	return n
-}
-
-// sparse1x3 is the sparse 4-hit 1x3 kernel: thread i runs the full
-// depth-3 nest, with the masked row-i list hoisted across it.
-func sparse1x3(env *kernelEnv, part sched.Partition, s *kernelScratch, observe func(reduce.Combo)) Counts {
-	sp := env.sparse
-	g := sp.t.Genes()
-	var n Counts
-
-	for lambda := part.Lo; lambda < part.Hi; lambda++ {
-		i := combinat.ToInt(lambda)
-		best := reduce.None
-		tlist1, pruned := env.sparseRow1(s.st1, sp.tRows[i])
-		if pruned {
-			n.Pruned += choose3(g - i - 1)
-			continue
-		}
-		for j := i + 1; j < g-2; j++ {
-			tlist2, pruned := env.sparsePrefixNext(s, s.st2, tlist1, sp.tRows[j])
-			if pruned {
-				n.Pruned += choose2(g - j - 1)
-				continue
-			}
-			nlist2 := sparsemat.IntersectInto(s.sn2, sp.nRows[i], sp.nRows[j])
-			for k := j + 1; k < g-1; k++ {
-				tlist3, pruned := env.sparsePrefixNext(s, s.st3, tlist2, sp.tRows[k])
-				if pruned {
-					n.Pruned += uint64(g - k - 1)
-					continue
-				}
-				nlist3 := sparsemat.IntersectInto(s.sn3, nlist2, sp.nRows[k])
-				for l := k + 1; l < g; l++ {
-					tp := env.stpop(tlist3, sp.tRows[l])
-					nh := env.snpop(nlist3, sp.nRows[l])
-					if c := reduce.NewCombo4(env.score(tp, nh), i, j, k, l); c.Better(best) {
-						best = c
-						env.offer(c)
-					}
-					n.Evaluated++
-				}
-			}
-		}
-		observe(best)
 	}
 	return n
 }

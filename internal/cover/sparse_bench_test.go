@@ -9,7 +9,7 @@ import (
 // benchSparseEngines times FindBest under the dense and sparse engines on
 // one seeded cohort — the per-cell guard behind the BENCH_9.json sweep
 // (cmd/benchreport -exp sparse runs the full table with the Auto side).
-func benchSparseEngines(b *testing.B, code string, genes, hits int, scheme Scheme) {
+func benchSparseEngines(b *testing.B, code string, genes, hits int) {
 	spec, err := dataset.ByCode(code)
 	if err != nil {
 		b.Fatal(err)
@@ -22,7 +22,7 @@ func benchSparseEngines(b *testing.B, code string, genes, hits int, scheme Schem
 	}
 	for _, eng := range []Engine{EngineDense, EngineSparse} {
 		b.Run(eng.String(), func(b *testing.B) {
-			opt := Options{Hits: hits, Scheme: scheme, Engine: eng, Workers: 1}
+			opt := Options{Hits: hits, Engine: eng, Workers: 1}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, _, err := FindBest(c.Tumor, c.Normal, nil, opt); err != nil {
@@ -40,7 +40,7 @@ func benchSparseEngines(b *testing.B, code string, genes, hits int, scheme Schem
 // cascade the headline case. Both engines must stay allocation-free per
 // op (allocs land in per-pass setup, pinned by allocfree as well).
 func BenchmarkSparseEngine(b *testing.B) {
-	b.Run("ACC240h3_2x1", func(b *testing.B) { benchSparseEngines(b, "ACC", 240, 3, Scheme2x1) })
-	b.Run("BRCA240h3_2x1", func(b *testing.B) { benchSparseEngines(b, "BRCA", 240, 3, Scheme2x1) })
-	b.Run("LGG200h4_3x1", func(b *testing.B) { benchSparseEngines(b, "LGG", 200, 4, Scheme3x1) })
+	b.Run("ACC240h3_2x1", func(b *testing.B) { benchSparseEngines(b, "ACC", 240, 3) })
+	b.Run("BRCA240h3_2x1", func(b *testing.B) { benchSparseEngines(b, "BRCA", 240, 3) })
+	b.Run("LGG200h4_3x1", func(b *testing.B) { benchSparseEngines(b, "LGG", 200, 4) })
 }

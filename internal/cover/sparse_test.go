@@ -11,7 +11,7 @@ import (
 )
 
 // TestSparseFindBestMatchesDense is the engine-differential core: on
-// seeded BRCA/LGG/ACC cohorts, for every sparse-capable scheme and both
+// seeded BRCA/LGG/ACC cohorts, for both sparse kernels (2x1, 3x1) at
 // 1 and 4 workers, the sparse engine returns the bit-identical winner as
 // the dense engine and the exhaustive reference. With one worker the
 // scan is deterministic, so the Evaluated/Pruned split — not just the
@@ -23,10 +23,8 @@ func TestSparseFindBestMatchesDense(t *testing.T) {
 		pruneCohort(t, dataset.ACC(), 22, 19),
 	}
 	schemes := []Options{
-		{Hits: 3, Scheme: Scheme2x1},
-		{Hits: 4, Scheme: Scheme2x2},
-		{Hits: 4, Scheme: Scheme3x1},
-		{Hits: 4, Scheme: Scheme1x3},
+		{Hits: 3},
+		{Hits: 4},
 	}
 	for ci, c := range cohorts {
 		for _, base := range schemes {
@@ -51,20 +49,20 @@ func TestSparseFindBestMatchesDense(t *testing.T) {
 				}
 				if sBest != dBest || sBest != exact {
 					t.Fatalf("cohort %d %s workers=%d: sparse %v dense %v exhaustive %v",
-						ci, base.Scheme, workers, sBest, dBest, exact)
+						ci, SchemeFor(base.Hits), workers, sBest, dBest, exact)
 				}
 				if sCnt.Scanned() != dCnt.Scanned() {
 					t.Fatalf("cohort %d %s workers=%d: sparse scanned %d, dense %d",
-						ci, base.Scheme, workers, sCnt.Scanned(), dCnt.Scanned())
+						ci, SchemeFor(base.Hits), workers, sCnt.Scanned(), dCnt.Scanned())
 				}
 				if workers == 1 && sCnt != dCnt {
 					t.Fatalf("cohort %d %s: deterministic counts differ: sparse %+v dense %+v",
-						ci, base.Scheme, sCnt, dCnt)
+						ci, SchemeFor(base.Hits), sCnt, dCnt)
 				}
 				if workers == 1 && sCnt.Pruned == 0 {
 					// The merge short-circuit must actually fire on these
 					// planted cohorts or the sparse bound layer is dead code.
-					t.Fatalf("cohort %d %s: sparse pruning never fired", ci, base.Scheme)
+					t.Fatalf("cohort %d %s: sparse pruning never fired", ci, SchemeFor(base.Hits))
 				}
 			}
 		}
@@ -151,24 +149,24 @@ func TestSparseRangeMatchesDense(t *testing.T) {
 	in := plainInstance("BRCA", c, nil)
 	for _, rng := range [][2]uint64{{0, 500}, {300, 1100}} {
 		parts := []sched.Partition{{Lo: rng[0], Hi: rng[1]}}
-		dBest, dCnt := scanAll(t, in.pass(t, Options{Hits: 4, Scheme: Scheme3x1, Engine: EngineDense}), parts, false)
-		sBest, sCnt := scanAll(t, in.pass(t, Options{Hits: 4, Scheme: Scheme3x1, Engine: EngineSparse}), parts, false)
+		dBest, dCnt := scanAll(t, in.pass(t, Options{Hits: 4, Engine: EngineDense}), parts, false)
+		sBest, sCnt := scanAll(t, in.pass(t, Options{Hits: 4, Engine: EngineSparse}), parts, false)
 		if sBest != dBest || sCnt != dCnt {
 			t.Fatalf("range %v: sparse %v %+v, dense %v %+v", rng, sBest, sCnt, dBest, dCnt)
 		}
 	}
 }
 
-// TestEngineValidation pins the Options-level rejections: prefix-free
-// schemes have no sparse kernel, and unknown engine values are refused.
+// TestEngineValidation pins the Options-level rejections: the pair and
+// 4+1 kernels have no sparse form, and unknown engine values are refused.
 func TestEngineValidation(t *testing.T) {
 	c := pruneCohort(t, dataset.BRCA(), 18, 1)
-	for _, scheme := range []Scheme{SchemePair, Scheme4x1} {
+	for _, hits := range []int{2, 5} {
 		_, _, err := FindBest(c.Tumor, c.Normal, nil, Options{
-			Hits: scheme.hits(), Scheme: scheme, Engine: EngineSparse,
+			Hits: hits, Engine: EngineSparse,
 		})
 		if err == nil {
-			t.Fatalf("scheme %s accepted Engine=Sparse", scheme)
+			t.Fatalf("scheme %s accepted Engine=Sparse", SchemeFor(hits))
 		}
 	}
 	if _, _, err := FindBest(c.Tumor, c.Normal, nil, Options{Hits: 3, Engine: Engine(99)}); err == nil {
@@ -212,7 +210,7 @@ func TestResolveEngineAuto(t *testing.T) {
 	if got := ResolveEngine(norm(Options{Hits: 3}), mt, mn); got != EngineDense {
 		t.Fatalf("mid-density 2x1 auto = %v, want dense", got)
 	}
-	if got := ResolveEngine(norm(Options{Hits: 4, Scheme: Scheme3x1}), mt, mn); got != EngineSparse {
+	if got := ResolveEngine(norm(Options{Hits: 4}), mt, mn); got != EngineSparse {
 		t.Fatalf("mid-density 3x1 auto = %v, want sparse", got)
 	}
 	// Structural gate: a prefix-free scheme forces dense.

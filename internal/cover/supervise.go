@@ -15,8 +15,8 @@ import (
 	"repro/internal/sched"
 )
 
-// Normalized resolves the zero values of an Options (scheme from hits,
-// default alpha and workers) and validates it — the same
+// Normalized resolves the zero values of an Options (default alpha and
+// workers) and validates it — the same
 // resolution Run applies. The supervised runner normalizes once so the
 // options it records in checkpoints and results are the resolved ones.
 func (o Options) Normalized() (Options, error) {
@@ -24,9 +24,10 @@ func (o Options) Normalized() (Options, error) {
 }
 
 // SchemeCurve builds the λ-domain work curve of one enumeration pass of
-// the scheme over genes genes. PartitionPlan builds every plan from it, so
-// the supervised runner scans exactly the domain the in-process engine
-// would; the cluster model and the service's admission pricing use it too.
+// the scheme over genes genes. PartitionPlan builds every plan from the
+// engine's scheme, SchemeFor(hits), so the supervised runner scans exactly
+// the domain the in-process engine would; the cluster model prices every
+// scheme with it, and the service's admission pricing the engine's.
 func SchemeCurve(genes uint64, s Scheme) (sched.Curve, error) {
 	if genes < uint64(s.hits()) {
 		return nil, fmt.Errorf("cover: %d genes cannot form %d-hit combinations", genes, s.hits())
@@ -59,7 +60,7 @@ const PartitionsPerWorker = 4
 
 // PartitionPlan cuts one enumeration pass over a genes-wide matrix into
 // chunks λ-ranges using the configured scheduler. The plan depends only
-// on (genes, scheme, scheduler, chunks) — it is identical across
+// on (genes, hits, scheduler, chunks) — it is identical across
 // processes and across resumed legs, which is what lets a supervisor
 // retry or quarantine individual ranges and still reproduce an
 // uninterrupted run exactly.
@@ -74,7 +75,7 @@ func PartitionPlan(genes int, opt Options, chunks int) ([]sched.Partition, error
 	if chunks < 1 {
 		return nil, fmt.Errorf("cover: partition plan needs at least 1 chunk, got %d", chunks)
 	}
-	curve, err := SchemeCurve(uint64(genes), opt.Scheme)
+	curve, err := SchemeCurve(uint64(genes), SchemeFor(opt.Hits))
 	if err != nil {
 		return nil, err
 	}

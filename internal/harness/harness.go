@@ -72,8 +72,8 @@ type publishCoster interface {
 
 // Options configures a supervised run.
 type Options struct {
-	// Cover configures the underlying engine (hits, scheme, scheduler,
-	// workers, alpha, Kernelize, NoPrune, MaxIterations).
+	// Cover configures the underlying engine (hits, scheduler, workers,
+	// alpha, Kernelize, Engine, NoPrune, MaxIterations).
 	Cover cover.Options
 
 	// Store, when non-nil, receives a checkpoint at every stop and after

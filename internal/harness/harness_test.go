@@ -64,7 +64,7 @@ func sameSteps(t *testing.T, label string, got, want []cover.Step) {
 func TestHarnessMatchesCoverRun(t *testing.T) {
 	// Without faults the supervised run must reproduce the plain engine's
 	// cover exactly, step by step — combinations, F bits, cover counts and
-	// work counts — for every scheme family, with and without Kernelize,
+	// work counts — for every hit count, with and without Kernelize,
 	// and both partition plans. The plain mode keeps its "splicefalse"
 	// name, so the subtests are named as before the splicing option was
 	// removed.

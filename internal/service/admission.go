@@ -37,11 +37,12 @@ type Cost struct {
 	DeviceSeconds float64 `json:"device_seconds"`
 }
 
-// EstimateCost prices a job on the admission device model. opt must be
-// normalized (resolved scheme); the cohort supplies the matrix
-// dimensions.
+// EstimateCost prices a job's scan, cover.SchemeFor(opt.Hits), on the
+// admission device model. opt must be normalized; the cohort supplies the
+// matrix dimensions.
 func EstimateCost(c *dataset.Cohort, opt cover.Options, device gpusim.DeviceSpec) (Cost, error) {
-	curve, err := cover.SchemeCurve(uint64(c.Spec.Genes), opt.Scheme)
+	scheme := cover.SchemeFor(opt.Hits)
+	curve, err := cover.SchemeCurve(uint64(c.Spec.Genes), scheme)
 	if err != nil {
 		return Cost{}, err
 	}
@@ -60,7 +61,7 @@ func EstimateCost(c *dataset.Cohort, opt cover.Options, device gpusim.DeviceSpec
 		Genes:         c.Spec.Genes,
 		TumorSamples:  c.Nt(),
 		NormalSamples: c.Nn(),
-		Scheme:        opt.Scheme,
+		Scheme:        scheme,
 		Scheduler:     opt.Scheduler,
 		Iterations:    iters,
 	}

@@ -8,14 +8,14 @@ import (
 )
 
 // estimateFor prices one synthetic cohort.
-func estimateFor(t *testing.T, genes, hits int, scheme cover.Scheme) Cost {
+func estimateFor(t *testing.T, genes, hits int) Cost {
 	t.Helper()
 	spec := CohortSpec{Code: "BRCA", Genes: genes, Hits: hits, Seed: 1}
 	cohort, err := spec.Generate()
 	if err != nil {
 		t.Fatalf("generating cohort: %v", err)
 	}
-	opt, err := cover.Options{Hits: hits, Scheme: scheme}.Normalized()
+	opt, err := cover.Options{Hits: hits}.Normalized()
 	if err != nil {
 		t.Fatalf("normalizing options: %v", err)
 	}
@@ -30,7 +30,7 @@ func estimateFor(t *testing.T, genes, hits int, scheme cover.Scheme) Cost {
 // 4-hit job over a big universe demands many, priced by the same
 // saturation model the scaling studies use.
 func TestEstimateCostScalesWithDomain(t *testing.T) {
-	small := estimateFor(t, 40, 2, cover.SchemePair)
+	small := estimateFor(t, 40, 2)
 	if small.Threads != 40*39/2 {
 		t.Fatalf("pair λ-domain = %d, want C(40,2)=780", small.Threads)
 	}
@@ -41,7 +41,7 @@ func TestEstimateCostScalesWithDomain(t *testing.T) {
 		t.Fatalf("device seconds = %v, want positive", small.DeviceSeconds)
 	}
 
-	big := estimateFor(t, 2000, 4, cover.Scheme3x1)
+	big := estimateFor(t, 2000, 4)
 	sat := uint64(gpusim.V100().SaturationThreads)
 	wantGPUs := int((big.Threads + sat - 1) / sat)
 	if big.GPUs != wantGPUs {

@@ -7,13 +7,15 @@ package service
 // therefore the pair of matrix fingerprints (bitmat.Fingerprint over
 // tumor and normal) plus the canonicalized options — exactly the fields
 // that can change the result payload. Execution-only knobs (worker
-// count, block size, schedulers' partition cuts) are canonicalized away:
-// the engine returns the identical cover for any of them. Kernelize
-// stays IN the key even though a kernelized run finds the same winners,
-// because the payload differs observably — the KernelFingerprint
-// provenance and the Evaluated/Pruned split — and because a cached plain
-// result must never masquerade as a kernelized one (the
-// Kernelize-vs-plain distinction the cache tests pin).
+// count, scheduler, engine) are canonicalized away: the engine returns
+// the identical cover for any of them. Kernelize stays IN the key even
+// though a kernelized run finds the same winners, because the payload
+// differs observably — the KernelFingerprint provenance and the
+// Evaluated/Pruned split — and because a cached plain result must never
+// masquerade as a kernelized one (the Kernelize-vs-plain distinction the
+// cache tests pin). The wire scheme selects nothing (every h-hit job
+// scans with cover.SchemeFor(h)), so the key has no field for it; a
+// journal record whose key still carries one decodes with it ignored.
 //
 // Identical resubmissions are answered from the cache without scanning;
 // the entry records the producing job id as provenance (CachedFrom).
@@ -30,7 +32,6 @@ type CacheKey struct {
 	TumorFP, NormalFP uint64
 	Hits              int
 	Alpha             float64
-	Scheme            cover.Scheme
 	Kernelize         bool
 	MaxIterations     int
 }
@@ -46,7 +47,6 @@ func CanonicalKey(tumor, normal *bitmat.Matrix, opt cover.Options) CacheKey {
 		NormalFP:      normal.Fingerprint(),
 		Hits:          opt.Hits,
 		Alpha:         opt.Alpha,
-		Scheme:        opt.Scheme,
 		Kernelize:     opt.Kernelize,
 		MaxIterations: opt.MaxIterations,
 	}

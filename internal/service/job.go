@@ -94,17 +94,25 @@ func (c CohortSpec) Generate() (*dataset.Cohort, error) {
 // daemon's per-job worker count at submission so a restarted daemon
 // re-runs the job with the identical partition plan.
 type OptionsSpec struct {
-	Alpha     float64 `json:"alpha,omitempty"`
-	Scheme    string  `json:"scheme,omitempty"`
-	Scheduler string  `json:"scheduler,omitempty"`
-	Workers   int     `json:"workers,omitempty"`
-	Kernelize bool    `json:"kernelize,omitempty"`
+	Alpha float64 `json:"alpha,omitempty"`
+	// Scheme is accepted and validated for the specs and journals of
+	// earlier daemons, which let it pick the 4-hit kernel, but selects
+	// nothing: every job scans with cover.SchemeFor(hits), so a "2x2" job
+	// runs, is priced and is cached as the 3x1 scan it is.
+	Scheme    string `json:"scheme,omitempty"`
+	Scheduler string `json:"scheduler,omitempty"`
+	Workers   int    `json:"workers,omitempty"`
+	Kernelize bool   `json:"kernelize,omitempty"`
 	// Engine is "auto" (default), "dense" or "sparse" (docs/SPARSE.md).
 	// An execution knob: it changes scan speed, never results, so the
 	// result cache canonicalizes it away like Workers and Scheduler.
 	Engine        string `json:"engine,omitempty"`
 	MaxIterations int    `json:"max_iterations,omitempty"`
 }
+
+// wireSchemeHits maps each accepted wire scheme to the hit count it
+// serves, 0 for any.
+var wireSchemeHits = map[string]int{"": 0, "auto": 0, "pair": 2, "2x1": 3, "2x2": 4, "3x1": 4}
 
 // CoverOptions resolves the wire options against the cohort's hit count.
 func (o OptionsSpec) CoverOptions(hits int) (cover.Options, error) {
@@ -115,19 +123,13 @@ func (o OptionsSpec) CoverOptions(hits int) (cover.Options, error) {
 		Kernelize:     o.Kernelize,
 		MaxIterations: o.MaxIterations,
 	}
-	switch strings.ToLower(strings.TrimSpace(o.Scheme)) {
-	case "", "auto":
-		opt.Scheme = cover.SchemeAuto
-	case "pair":
-		opt.Scheme = cover.SchemePair
-	case "2x1":
-		opt.Scheme = cover.Scheme2x1
-	case "2x2":
-		opt.Scheme = cover.Scheme2x2
-	case "3x1":
-		opt.Scheme = cover.Scheme3x1
-	default:
+	scheme := strings.ToLower(strings.TrimSpace(o.Scheme))
+	schemeHits, ok := wireSchemeHits[scheme]
+	if !ok {
 		return opt, fmt.Errorf("service: unknown scheme %q", o.Scheme)
+	}
+	if schemeHits != 0 && schemeHits != hits {
+		return opt, fmt.Errorf("service: scheme %s serves %d hits, the cohort has %d", scheme, schemeHits, hits)
 	}
 	switch strings.ToUpper(strings.TrimSpace(o.Scheduler)) {
 	case "", "EA":

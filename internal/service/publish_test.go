@@ -75,15 +75,23 @@ func generations(t *testing.T, svc *Service, id string) []uint64 {
 // that died after making them durable would have left it.
 func writeJournal(t testing.TB, dataDir string, recs ...record) {
 	t.Helper()
-	jr, err := ckptstore.OpenJournal(filepath.Join(dataDir, journalName), func([]byte) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
 	data := make([][]byte, len(recs))
 	for i, r := range recs {
+		var err error
 		if data[i], err = json.Marshal(r); err != nil {
 			t.Fatal(err)
 		}
+	}
+	writeJournalRaw(t, dataDir, data...)
+}
+
+// writeJournalRaw is writeJournal for records already encoded, such as
+// those of an earlier daemon's wire form.
+func writeJournalRaw(t testing.TB, dataDir string, data ...[]byte) {
+	t.Helper()
+	jr, err := ckptstore.OpenJournal(filepath.Join(dataDir, journalName), func([]byte) error { return nil })
+	if err != nil {
+		t.Fatal(err)
 	}
 	tk, err := jr.Append(data...)
 	if err == nil {

@@ -366,10 +366,19 @@ func TestSubmitValidation(t *testing.T) {
 	if _, err := svc.Submit(badPrio); err == nil {
 		t.Fatal("submit with unknown priority succeeded")
 	}
-	badScheme := testSpec()
-	badScheme.Options.Scheme = "17x3"
-	if _, err := svc.Submit(badScheme); err == nil {
-		t.Fatal("submit with unknown scheme succeeded")
+	// The wire scheme selects nothing, but it is still validated: unknown
+	// names, the rejected 1x3/4x1 and a scheme on a hit count it does not
+	// serve are refused.
+	for _, bad := range []struct {
+		scheme string
+		hits   int
+	}{{"17x3", 2}, {"1x3", 4}, {"4x1", 4}, {"2x2", 3}, {"pair", 4}} {
+		spec := testSpec()
+		spec.Cohort.Hits = bad.hits
+		spec.Options.Scheme = bad.scheme
+		if _, err := svc.Submit(spec); err == nil {
+			t.Fatalf("submit of scheme %q on a %d-hit cohort succeeded", bad.scheme, bad.hits)
+		}
 	}
 
 	// A 4-hit job over the full registry footprint wants more simulated
@@ -464,9 +473,6 @@ func TestFiveHitJob(t *testing.T) {
 	svc.mu.Lock()
 	j := svc.jobs[st.ID]
 	svc.mu.Unlock()
-	if j.opt.Scheme != cover.Scheme4p1 {
-		t.Fatalf("5-hit job resolved scheme %s, want %s", j.opt.Scheme, cover.Scheme4p1)
-	}
 	if j.cost.Threads != combinat.QuadCount(30) || j.cost.GPUs < 1 || j.cost.DeviceSeconds <= 0 {
 		t.Fatalf("5-hit job priced %+v, want C(30, 4) = %d threads on ≥1 GPU", j.cost, combinat.QuadCount(30))
 	}
